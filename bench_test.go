@@ -50,7 +50,7 @@ func runFigure(b *testing.B, id string) {
 	b.ResetTimer()
 	var res *sim.Result
 	for i := 0; i < b.N; i++ {
-		res, err = sim.RunExperiment(cfg, specs)
+		res, err = sim.RunExperiment(cfg, specs, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -44,14 +44,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := sim.Run(algorithm, tr, model.Alpha, sim.Checkpoints(tr.Len(), 1))
+	ct, err := tr.Compile(model.Metric.Dist)
 	if err != nil {
 		fatal(err)
 	}
-	routing := res.Series.Routing[len(res.Series.Routing)-1]
-	reconfig := res.Series.Reconfig[len(res.Series.Reconfig)-1]
+	checkpoints := sim.Checkpoints(tr.Len(), 1)
+	res, err := sim.RunSource(algorithm, ct.Source(), model.Alpha, checkpoints, 0)
+	if err != nil {
+		fatal(err)
+	}
+	routing := res.Series.Routing[0]
+	reconfig := res.Series.Reconfig[0]
 	obl, _ := core.NewOblivious(model)
-	oblRes, err := sim.Run(obl, tr, model.Alpha, sim.Checkpoints(tr.Len(), 1))
+	oblRes, err := sim.RunSource(obl, ct.Source(), model.Alpha, checkpoints, 0)
 	if err != nil {
 		fatal(err)
 	}

@@ -216,6 +216,8 @@ func selectScenarios(file, names string) ([]sim.ScenarioSpec, error) {
 	return specs, nil
 }
 
+// writeGridFile writes one result file and reports it. A failed Close is
+// an error too, so a short write never reads as success.
 func writeGridFile(write func(w io.Writer) error, path string) error {
 	f, err := os.Create(path)
 	if err != nil {

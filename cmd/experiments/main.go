@@ -143,12 +143,11 @@ func runFigure(f figures.Figure, scale float64, reps int, seed uint64, outdir st
 	if err != nil {
 		return err
 	}
-	var res *sim.Result
+	workers := 1
 	if parallel > 0 && f.Metric != figures.ExecutionTime {
-		res, err = sim.RunExperimentParallel(cfg, specs, parallel)
-	} else {
-		res, err = sim.RunExperiment(cfg, specs)
+		workers = parallel
 	}
+	res, err := sim.RunExperiment(cfg, specs, workers)
 	if err != nil {
 		return err
 	}
@@ -156,25 +155,18 @@ func runFigure(f figures.Figure, scale float64, reps int, seed uint64, outdir st
 		fmt.Println("  " + row)
 	}
 	if chart {
-		value := func(a sim.Averaged, i int) float64 { return a.Routing[i] }
 		title := "cumulative routing cost"
 		if f.Metric == figures.ExecutionTime {
 			// Execution time is a scalar per curve; chart routing anyway and
 			// rely on the summary rows for times.
 			title = "cumulative routing cost (see rows above for times)"
 		}
-		fmt.Println(sim.ASCIIChart(title, res.Curves, 64, 14, value))
+		fmt.Println(sim.ASCIIChart(title, res.Curves, 64, 14))
 	}
-	path := filepath.Join(outdir, f.ID+".csv")
-	file, err := os.Create(path)
-	if err != nil {
+	if err := writeGridFile(res.WriteCSV, filepath.Join(outdir, f.ID+".csv")); err != nil {
 		return err
 	}
-	defer file.Close()
-	if err := res.WriteCSV(file); err != nil {
-		return err
-	}
-	fmt.Printf("  wrote %s (%.1fs)\n\n", path, time.Since(start).Seconds())
+	fmt.Printf("  %s took %.1fs\n\n", f.ID, time.Since(start).Seconds())
 	return nil
 }
 

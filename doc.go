@@ -21,9 +21,11 @@
 //
 // Streaming replay. Workload generators are resumable trace.Streams,
 // compiled against the metric chunk by chunk through trace.Source, so a
-// 10⁸-request scenario replays under O(chunk) memory instead of O(T). The
-// materialized Trace/Compiled path is the trivial adapter case of the same
-// interface, and both produce bit-identical cost curves. The scenario-grid
+// 10⁸-request scenario replays under O(chunk) memory instead of O(T). A
+// materialized trace is the trivial case of the same interface (its
+// Compiled.Source hands out zero-copy views), every front end — figures,
+// grid, bmatch — replays through one loop, and both source kinds produce
+// bit-identical cost curves. The scenario-grid
 // scheduler (sim.ScenarioSpec, sim.RunGrid, `experiments grid`) expands
 // named JSON-encodable scenario specs — including the diurnal, hotspot-
 // migration and tenant-mix families beyond the paper — into a (scenario ×

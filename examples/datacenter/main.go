@@ -29,9 +29,13 @@ func main() {
 	fmt.Printf("workload %s: Gini %.2f (spatial skew), temporal score %.2f\n\n",
 		tr.Name, stats.PairGini, stats.TemporalScore)
 
+	ct, err := tr.Compile(model.Metric.Dist)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := sim.Config{
 		Name:        "datacenter-example",
-		Trace:       tr,
+		Trace:       ct,
 		Model:       model,
 		Bs:          []int{3, 6, 12},
 		Reps:        3,
@@ -63,7 +67,7 @@ func main() {
 			},
 		},
 	}
-	res, err := sim.RunExperiment(cfg, specs)
+	res, err := sim.RunExperiment(cfg, specs, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,6 +75,5 @@ func main() {
 		fmt.Println(row)
 	}
 	fmt.Println()
-	fmt.Println(sim.ASCIIChart("cumulative routing cost", res.Curves, 64, 14,
-		func(a sim.Averaged, i int) float64 { return a.Routing[i] }))
+	fmt.Println(sim.ASCIIChart("cumulative routing cost", res.Curves, 64, 14))
 }

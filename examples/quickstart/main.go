@@ -28,19 +28,27 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3. R-BMA with b = 4 reconfigurable links per rack.
+	// 3. Compile the trace once against the metric: every request is
+	//    pre-resolved to its rack pair and static distance.
+	ct, err := tr.Compile(model.Metric.Dist)
+	if err != nil {
+		log.Fatal(err)
+	}
+	checkpoints := sim.Checkpoints(tr.Len(), 5)
+
+	// 4. R-BMA with b = 4 reconfigurable links per rack.
 	rbma, err := core.NewRBMA(32, 4, model, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sim.Run(rbma, tr, model.Alpha, sim.Checkpoints(tr.Len(), 5))
+	res, err := sim.RunSource(rbma, ct.Source(), model.Alpha, checkpoints, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// 4. Baseline: route everything over the static fat-tree.
+	// 5. Baseline: route everything over the static fat-tree.
 	obl, _ := core.NewOblivious(model)
-	oblRes, err := sim.Run(obl, tr, model.Alpha, sim.Checkpoints(tr.Len(), 5))
+	oblRes, err := sim.RunSource(obl, ct.Source(), model.Alpha, checkpoints, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,9 +38,13 @@ func TestEndToEndPipeline(t *testing.T) {
 	// 2. Replay through every algorithm family on the same topology.
 	top := graph.FatTreeRacks(24)
 	model := core.CostModel{Metric: top.Metric(), Alpha: 30}
+	ct, err := tr.Compile(model.Metric.Dist)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := sim.Config{
 		Name:        "integration",
-		Trace:       tr,
+		Trace:       ct,
 		Model:       model,
 		Bs:          []int{4},
 		Reps:        2,
@@ -66,7 +70,7 @@ func TestEndToEndPipeline(t *testing.T) {
 			return core.NewOblivious(model)
 		}},
 	}
-	res, err := sim.RunExperimentParallel(cfg, specs, 4)
+	res, err := sim.RunExperiment(cfg, specs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

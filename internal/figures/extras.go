@@ -28,26 +28,36 @@ func AllWithExtras() []Figure {
 	return append(All(), Extras()...)
 }
 
-func extWorkload(scale float64, seed uint64) (sim.Config, core.CostModel, *trace.Trace, error) {
-	const racks = 50
-	requests := int(200000 * scale)
-	if requests < 1000 {
-		requests = 1000
+// extConfig compiles tr against the model's metric into an extension's
+// experiment config.
+func extConfig(name string, tr *trace.Trace, model core.CostModel, bs []int, reps int) (sim.Config, error) {
+	ct, err := tr.Compile(model.Metric.Dist)
+	if err != nil {
+		return sim.Config{}, err
 	}
-	top := graph.FatTreeRacks(racks)
-	model := core.CostModel{Metric: top.Metric(), Alpha: DefaultAlpha}
+	return sim.Config{
+		Name:        name,
+		Trace:       ct,
+		Model:       model,
+		Bs:          bs,
+		Reps:        reps,
+		Checkpoints: sim.Checkpoints(tr.Len(), 10),
+	}, nil
+}
+
+// extWorkload is the workload most extensions share: a 50-rack
+// Facebook-webservice trace on a fat-tree.
+func extWorkload(name string, bs []int, scale float64, reps int, seed uint64) (sim.Config, core.CostModel, error) {
+	const racks = 50
+	model := core.CostModel{Metric: graph.FatTreeRacks(racks).Metric(), Alpha: DefaultAlpha}
 	p := trace.FacebookPreset(trace.WebService, racks, seed)
-	p.Requests = requests
+	p.Requests = max(int(200000*scale), 1000)
 	tr, err := trace.FacebookStyle(p)
 	if err != nil {
-		return sim.Config{}, core.CostModel{}, nil, err
+		return sim.Config{}, core.CostModel{}, err
 	}
-	cfg := sim.Config{
-		Model:       model,
-		Trace:       tr,
-		Checkpoints: sim.Checkpoints(tr.Len(), 10),
-	}
-	return cfg, model, tr, nil
+	cfg, err := extConfig(name, tr, model, bs, reps)
+	return cfg, model, err
 }
 
 func extCachePolicy() Figure {
@@ -56,13 +66,10 @@ func extCachePolicy() Figure {
 		Title:  "Extension: paging policy inside R-BMA (marking vs LRU/FIFO/random)",
 		Metric: RoutingCost,
 		Build: func(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error) {
-			cfg, model, _, err := extWorkload(scale, seed)
+			cfg, model, err := extWorkload("ext-policy", []int{2}, scale, reps, seed)
 			if err != nil {
 				return sim.Config{}, nil, err
 			}
-			cfg.Name = "ext-policy"
-			cfg.Bs = []int{2}
-			cfg.Reps = reps
 			n := cfg.Trace.NumRacks
 			policies := []struct {
 				name string
@@ -95,13 +102,10 @@ func extLazyEager() Figure {
 		Title:  "Extension: lazy pruning (paper footnote 2) vs eager removal",
 		Metric: RoutingCost,
 		Build: func(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error) {
-			cfg, model, _, err := extWorkload(scale, seed)
+			cfg, model, err := extWorkload("ext-lazy", []int{2}, scale, reps, seed)
 			if err != nil {
 				return sim.Config{}, nil, err
 			}
-			cfg.Name = "ext-lazy"
-			cfg.Bs = []int{2}
-			cfg.Reps = reps
 			n := cfg.Trace.NumRacks
 			specs := []sim.AlgSpec{
 				{Name: "r-bma-lazy", FixedB: -1, New: func(b int, rep uint64) (core.Algorithm, error) {
@@ -122,14 +126,11 @@ func extAlpha() Figure {
 		Title:  "Extension: sensitivity to the reconfiguration cost α",
 		Metric: RoutingCost,
 		Build: func(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error) {
-			cfg, _, tr, err := extWorkload(scale, seed)
+			cfg, _, err := extWorkload("ext-alpha", []int{6}, scale, reps, seed)
 			if err != nil {
 				return sim.Config{}, nil, err
 			}
-			cfg.Name = "ext-alpha"
-			cfg.Bs = []int{6}
-			cfg.Reps = reps
-			n := tr.NumRacks
+			n := cfg.Trace.NumRacks
 			top := graph.FatTreeRacks(n)
 			var specs []sim.AlgSpec
 			for _, alpha := range []float64{5, 30, 120} {
@@ -154,14 +155,11 @@ func extRotor() Figure {
 		Title:  "Extension: demand-aware R-BMA vs demand-oblivious rotor",
 		Metric: RoutingCost,
 		Build: func(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error) {
-			cfg, model, tr, err := extWorkload(scale, seed)
+			cfg, model, err := extWorkload("ext-rotor", []int{3, 6}, scale, reps, seed)
 			if err != nil {
 				return sim.Config{}, nil, err
 			}
-			cfg.Name = "ext-rotor"
-			cfg.Bs = []int{3, 6}
-			cfg.Reps = reps
-			n := tr.NumRacks
+			n := cfg.Trace.NumRacks
 			specs := []sim.AlgSpec{
 				{Name: "r-bma", FixedB: -1, New: func(b int, rep uint64) (core.Algorithm, error) {
 					return core.NewRBMA(n, b, model, rep)
@@ -183,23 +181,14 @@ func extShift() Figure {
 		Metric: RoutingCost,
 		Build: func(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error) {
 			const racks = 50
-			requests := int(200000 * scale)
-			if requests < 2000 {
-				requests = 2000
-			}
-			top := graph.FatTreeRacks(racks)
-			model := core.CostModel{Metric: top.Metric(), Alpha: DefaultAlpha}
-			tr, err := trace.PhaseShift(racks, requests, 8, seed)
+			model := core.CostModel{Metric: graph.FatTreeRacks(racks).Metric(), Alpha: DefaultAlpha}
+			tr, err := trace.PhaseShift(racks, max(int(200000*scale), 2000), 8, seed)
 			if err != nil {
 				return sim.Config{}, nil, err
 			}
-			cfg := sim.Config{
-				Name:        "ext-shift",
-				Trace:       tr,
-				Model:       model,
-				Bs:          []int{2},
-				Reps:        reps,
-				Checkpoints: sim.Checkpoints(tr.Len(), 10),
+			cfg, err := extConfig("ext-shift", tr, model, []int{2}, reps)
+			if err != nil {
+				return sim.Config{}, nil, err
 			}
 			specs := []sim.AlgSpec{
 				{Name: "r-bma", FixedB: -1, New: func(b int, rep uint64) (core.Algorithm, error) {

@@ -98,7 +98,9 @@ var workloads = []workload{
 	},
 }
 
-// buildConfig materializes topology, trace and model for a workload.
+// buildConfig materializes topology, trace and model for a workload. The
+// trace is compiled once against the model's metric; the raw trace is
+// returned too, for SO-BMA's offline construction.
 func (w workload) buildConfig(scale float64, reps int, seed uint64) (sim.Config, core.CostModel, *trace.Trace, error) {
 	if scale <= 0 || scale > 1 {
 		return sim.Config{}, core.CostModel{}, nil, fmt.Errorf("figures: scale %v out of (0,1]", scale)
@@ -119,12 +121,11 @@ func (w workload) buildConfig(scale float64, reps int, seed uint64) (sim.Config,
 	}
 	cfg := sim.Config{
 		Name:        w.name,
-		Trace:       tr,
+		Trace:       ct,
 		Model:       model,
 		Bs:          w.bs,
 		Reps:        reps,
 		Checkpoints: sim.Checkpoints(tr.Len(), 10),
-		Compiled:    ct,
 	}
 	return cfg, model, tr, nil
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"obm/internal/figures"
 	"obm/internal/sim"
 )
 
@@ -98,7 +97,7 @@ func (s *Store) WriteReport(w io.Writer) error {
 			curves := scenarioCurves(plan, outcomes, spec.Name)
 			if len(curves) > 0 {
 				fmt.Fprintf(w, "```text\n%s```\n\n",
-					figures.CurveChart("cumulative routing cost (mean over reps)", curves, 64, 14))
+					sim.ASCIIChart("cumulative routing cost (mean over reps)", curves, 64, 14))
 			}
 		}
 	}

@@ -400,7 +400,8 @@ func TestBackpressure(t *testing.T) {
 	// Fill the queue.
 	filler := tinySpecs()
 	filler[0].Seed = 1001
-	if _, code := submit(t, ts, filler); code != http.StatusAccepted {
+	fill, code := submit(t, ts, filler)
+	if code != http.StatusAccepted {
 		t.Fatalf("filler submit: status %d", code)
 	}
 	// Overflow.
@@ -419,6 +420,7 @@ func TestBackpressure(t *testing.T) {
 	// and a fresh submission is accepted again.
 	free()
 	waitState(t, ts, first.ID, StateDone)
+	waitState(t, ts, fill.ID, StateDone)
 	if _, code := submit(t, ts, over); code != http.StatusAccepted {
 		t.Fatalf("submit after drain: status %d, want 202", code)
 	}

@@ -6,11 +6,12 @@ import (
 	"strings"
 )
 
-// ASCIIChart renders cumulative-cost curves as a fixed-size terminal line
-// chart, one symbol per curve. It is a convenience for inspecting
-// experiment shapes without leaving the terminal; CSV output feeds real
+// ASCIIChart renders averaged cumulative routing-cost curves as a
+// fixed-size terminal line chart, one symbol per curve: the terminal and
+// Markdown rendition of a figure that the experiments command and the
+// run-store report (internal/report) embed. CSV output feeds real
 // plotting tools.
-func ASCIIChart(title string, curves []Curve, width, height int, value func(Averaged, int) float64) string {
+func ASCIIChart(title string, curves []Curve, width, height int) string {
 	if width < 16 {
 		width = 16
 	}
@@ -22,7 +23,7 @@ func ASCIIChart(title string, curves []Curve, width, height int, value func(Aver
 	var maxX int
 	for _, c := range curves {
 		for i := range c.Avg.X {
-			if y := value(c.Avg, i); y > maxY {
+			if y := c.Avg.Routing[i]; y > maxY {
 				maxY = y
 			}
 			if c.Avg.X[i] > maxX {
@@ -41,8 +42,7 @@ func ASCIIChart(title string, curves []Curve, width, height int, value func(Aver
 		sym := symbols[ci%len(symbols)]
 		for i := range c.Avg.X {
 			x := int(math.Round(float64(c.Avg.X[i]) / float64(maxX) * float64(width-1)))
-			yv := value(c.Avg, i)
-			y := height - 1 - int(math.Round(yv/maxY*float64(height-1)))
+			y := height - 1 - int(math.Round(c.Avg.Routing[i]/maxY*float64(height-1)))
 			if y >= 0 && y < height && x >= 0 && x < width {
 				grid[y][x] = sym
 			}

@@ -2,14 +2,9 @@ package sim
 
 import (
 	"bytes"
-	"context"
-	"fmt"
-	"io"
 	"time"
 
-	"obm/internal/core"
 	"obm/internal/snap"
-	"obm/internal/trace"
 )
 
 // Mid-job replay checkpoints: the "OBMC" blob freezes one grid job part-way
@@ -27,18 +22,13 @@ var ckMagic = []byte("OBMC")
 
 const ckVersion = 1
 
-// ckHooks is a job-bound view of the GridOptions checkpoint hooks.
+// ckHooks is a job-bound view of the GridOptions checkpoint hooks; the
+// zero value replays without checkpoints.
 type ckHooks struct {
 	every int
 	save  func([]byte) error
 	load  func() ([]byte, bool)
 	drop  func()
-}
-
-// enabled reports whether the checkpointed replay path is worth taking at
-// all (something to save, or something to resume from).
-func (ck *ckHooks) enabled() bool {
-	return (ck.every > 0 && ck.save != nil) || ck.load != nil
 }
 
 // saveReplayCheckpoint serializes the meter's mid-replay state at stream
@@ -133,104 +123,4 @@ func loadReplayCheckpoint(blob []byte, m *costMeter, total int) (int, time.Durat
 		m.nextCP = m.checkpoints[m.ci]
 	}
 	return pos, time.Duration(elapsed), nil
-}
-
-// runSourceCheckpointed is runSourceInto with mid-replay checkpointing: it
-// resumes from ck.load's blob when one exists and is valid (anything else
-// silently degrades to a fresh replay), saves a new checkpoint through
-// ck.save at the first chunk boundary after every ck.every fed requests,
-// and drops the checkpoint once the replay completes. Cost curves are
-// bit-identical to runSourceInto in every case — resumed, checkpointed or
-// both — because the algorithm snapshot round-trip is exact and the source
-// is deterministic under Reset.
-func runSourceCheckpointed(ctx context.Context, res *RunResult, alg core.Algorithm, src trace.Source, alpha float64, checkpoints []int, chunk *trace.CompiledChunk, ck ckHooks, met *Metrics) error {
-	if err := validateCheckpoints(checkpoints, src.Len()); err != nil {
-		return err
-	}
-	src.Reset()
-	res.reset(alg.Name())
-	m := newCostMeter(res, checkpoints, alg, alpha)
-	start := 0
-	var elapsed time.Duration
-	if ck.load != nil {
-		lt := time.Now()
-		blob, ok := ck.load()
-		if ok {
-			pos, el, err := loadReplayCheckpoint(blob, &m, src.Len())
-			met.loadTimed(time.Since(lt))
-			if err != nil {
-				// A checkpoint is an optimization: a corrupt, truncated or
-				// mismatched blob means a fresh replay, not a failed job.
-				// The load may have partially mutated the algorithm and the
-				// series buffers, so rebuild both from scratch.
-				alg.Reset()
-				res.reset(alg.Name())
-				m = newCostMeter(res, checkpoints, alg, alpha)
-			} else {
-				start, elapsed = pos, el
-			}
-		}
-	}
-	saving := ck.every > 0 && ck.save != nil
-	fed := 0
-	i := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n, err := src.Next(chunk)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		// Fast-forward: chunks entirely inside the resumed prefix are
-		// drained without feeding; a chunk straddling the boundary feeds
-		// only its suffix.
-		if i+n <= start {
-			i += n
-			continue
-		}
-		skip := 0
-		if i < start {
-			skip = start - i
-		}
-		t0 := time.Now()
-		for j, req := range chunk.Reqs[skip:n] {
-			m.inc.Feed(req)
-			if gi := i + skip + j; gi+1 == m.nextCP {
-				m.checkpoint(gi)
-			}
-		}
-		elapsed += time.Since(t0)
-		fed += n - skip
-		i += n
-		met.chunkFed(n - skip)
-		if saving && fed >= ck.every {
-			st := time.Now()
-			blob, serr := saveReplayCheckpoint(&m, i, elapsed)
-			if serr != nil {
-				// The algorithm cannot snapshot (ablation variants): run the
-				// job to completion without checkpoints rather than failing
-				// a perfectly computable outcome.
-				saving = false
-			} else if err := ck.save(blob); err != nil {
-				return fmt.Errorf("sim: saving checkpoint at %d requests: %w", i, err)
-			} else {
-				met.saveTimed(time.Since(st))
-			}
-			fed = 0
-		}
-	}
-	res.Elapsed = elapsed
-	if i != src.Len() {
-		return fmt.Errorf("sim: source %q produced %d requests, declared %d", src.Name(), i, src.Len())
-	}
-	m.finish()
-	res.FinalMatchingSize = alg.MatchingSize()
-	if ck.drop != nil {
-		ck.drop()
-	}
-	return nil
 }

@@ -8,9 +8,14 @@ import (
 	"obm/internal/trace"
 )
 
-// RunCompiled must produce exactly the curves Run produces, both for
-// algorithms with a ServeCompiled fast path (R-BMA, BMA) and for fallback
-// algorithms replayed through Serve (Batch).
+// serveOnly hides an algorithm's core.CompiledServer fast path, so a
+// replay of it falls back to Serve(u, v).
+type serveOnly struct{ core.Algorithm }
+
+// A replay through ServeCompiled must produce exactly the curves a replay
+// through Serve(u, v) produces, for algorithms with the dense fast path
+// (R-BMA, eager R-BMA, BMA, oblivious, SO-BMA) and for a fallback
+// algorithm that has none (Batch).
 func TestRunCompiledMatchesRun(t *testing.T) {
 	const n = 20
 	top := graph.FatTreeRacks(n)
@@ -42,7 +47,7 @@ func TestRunCompiledMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := Run(a1, tr, model.Alpha, checkpoints)
+			plain, err := RunSource(serveOnly{a1}, ct.Source(), model.Alpha, checkpoints, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,12 +55,15 @@ func TestRunCompiledMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compiled, err := RunCompiled(a2, ct, model.Alpha, checkpoints)
+			if _, fast := a2.(core.CompiledServer); !fast && name != "batch" {
+				t.Errorf("%s lost its ServeCompiled fast path", name)
+			}
+			compiled, err := RunSource(a2, ct.Source(), model.Alpha, checkpoints, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, fast := core.Algorithm(a2).(core.CompiledServer); !fast && name != "batch" {
-				t.Errorf("%s lost its ServeCompiled fast path", name)
+			if len(plain.Series.X) != len(checkpoints) || len(compiled.Series.X) != len(checkpoints) {
+				t.Fatalf("curves have %d and %d points, want %d", len(plain.Series.X), len(compiled.Series.X), len(checkpoints))
 			}
 			if plain.Adds != compiled.Adds || plain.Removals != compiled.Removals ||
 				plain.FinalMatchingSize != compiled.FinalMatchingSize {
@@ -71,58 +79,5 @@ func TestRunCompiledMatchesRun(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// The sequential and parallel experiment runners must agree curve-for-curve
-// on the compiled path.
-func TestRunExperimentParallelMatchesSequentialCompiled(t *testing.T) {
-	const n = 16
-	top := graph.FatTreeRacks(n)
-	model := core.CostModel{Metric: top.Metric(), Alpha: 30}
-	tr := trace.MicrosoftStyle(n, 12000, 9)
-	cfg := Config{
-		Name:        "parity",
-		Trace:       tr,
-		Model:       model,
-		Bs:          []int{2, 4},
-		Reps:        2,
-		Checkpoints: Checkpoints(tr.Len(), 5),
-	}
-	specs := []AlgSpec{
-		{
-			Name:   "r-bma",
-			FixedB: -1,
-			New: func(b int, rep uint64) (core.Algorithm, error) {
-				return core.NewRBMA(n, b, model, rep*7+uint64(b))
-			},
-		},
-		{
-			Name:   "bma",
-			FixedB: -1,
-			New:    func(b int, rep uint64) (core.Algorithm, error) { return core.NewBMA(n, b, model) },
-		},
-	}
-	seq, err := RunExperiment(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunExperimentParallel(cfg, specs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Curves) != len(par.Curves) {
-		t.Fatalf("curve counts differ: %d vs %d", len(seq.Curves), len(par.Curves))
-	}
-	for i := range seq.Curves {
-		s, p := seq.Curves[i], par.Curves[i]
-		if s.Alg != p.Alg || s.B != p.B {
-			t.Fatalf("curve %d identity differs: %s(b=%d) vs %s(b=%d)", i, s.Alg, s.B, p.Alg, p.B)
-		}
-		for j := range s.Avg.Routing {
-			if s.Avg.Routing[j] != p.Avg.Routing[j] || s.Avg.Reconfig[j] != p.Avg.Reconfig[j] {
-				t.Fatalf("curve %s(b=%d) point %d differs", s.Alg, s.B, j)
-			}
-		}
 	}
 }

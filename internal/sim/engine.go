@@ -4,23 +4,24 @@
 // exactly these two quantities), averages repetitions, and renders results
 // as CSV and quick ASCII charts.
 //
-// The experiment runners compile the trace once (trace.Compiled: every
-// request pre-resolved to its dense PairID, endpoints and static distance)
-// and replay the compiled form through every algorithm, b value and
-// repetition, reusing one scratch result buffer per worker so repeated
-// replays allocate almost nothing. Replaying a compiled trace is
-// cost-identical to replaying the raw trace: algorithms that implement
-// core.CompiledServer take the dense fast path, everything else falls back
-// to Serve(u, v).
+// Every replay runs through one loop: a trace.Source read in fixed-size
+// chunks (RunSource). A materialized trace replays through its zero-copy
+// (*trace.Compiled).Source, a generated workload through a streaming
+// source that holds O(chunk) requests, and the cost curves are
+// bit-identical either way. Algorithms implementing core.CompiledServer
+// take the dense fast path (every request pre-resolved to its PairID,
+// endpoints and static distance); everything else falls back to
+// Serve(u, v) with identical costs. The figure runner (RunExperiment)
+// compiles nothing itself: its Config carries the trace compiled once,
+// and each worker replays it through every (algorithm, b) job and
+// repetition with one recycled result buffer, so repeated replays
+// allocate almost nothing.
 //
-// Replay also runs streamed: RunSource consumes a trace.Source in
-// fixed-size chunks, so arbitrarily long workloads replay under O(chunk)
-// memory with cost curves bit-identical to the materialized path. On top
-// sits the scenario-grid scheduler (ScenarioSpec, RunGrid): named,
-// JSON-encodable scenario specs expanded into a (scenario × algorithm ×
-// b × rep) job grid, executed by a worker pool where every job owns its
-// streaming source, with repetitions aggregated into stats.Summary rows
-// and CSV/JSON output.
+// On top of the replay loop sits the scenario-grid scheduler
+// (ScenarioSpec, RunGrid): named, JSON-encodable scenario specs expanded
+// into a (scenario × algorithm × b × rep) job grid, executed by a worker
+// pool where every job owns its streaming source, with repetitions
+// aggregated into stats.Summary rows and CSV/JSON output.
 //
 // Grid execution is durable-by-hook: PlanGrid exposes the deterministic
 // job expansion, and GridOptions' Lookup/Persist/Shard hooks let a run
@@ -34,7 +35,6 @@ import (
 	"time"
 
 	"obm/internal/core"
-	"obm/internal/trace"
 )
 
 // Series is one cumulative-cost curve: at X[i] requests served, the
@@ -85,6 +85,9 @@ func Checkpoints(total, num int) []int {
 }
 
 func validateCheckpoints(checkpoints []int, traceLen int) error {
+	if len(checkpoints) > 0 && checkpoints[0] < 1 {
+		return fmt.Errorf("sim: checkpoint %d below 1", checkpoints[0])
+	}
 	for i := 1; i < len(checkpoints); i++ {
 		if checkpoints[i] <= checkpoints[i-1] {
 			return fmt.Errorf("sim: checkpoints must be ascending")
@@ -98,10 +101,10 @@ func validateCheckpoints(checkpoints []int, traceLen int) error {
 }
 
 // costMeter samples an Incremental's cumulative totals at checkpoints:
-// the replay loops feed requests through the embedded stepper (the same
+// the replay loop feeds requests through the embedded stepper (the same
 // accumulation path the live engine runs) and the meter appends series
 // points. nextCP is the upcoming checkpoint (or -1), kept denormalized so
-// the replay loops pay one integer compare per request instead of a
+// the replay loop pays one integer compare per request instead of a
 // method call.
 type costMeter struct {
 	res         *RunResult
@@ -120,10 +123,10 @@ func newCostMeter(res *RunResult, checkpoints []int, alg core.Algorithm, alpha f
 	return m
 }
 
-// checkpoint samples the running totals at request count i+1.
-func (c *costMeter) checkpoint(i int) {
-	for c.ci < len(c.checkpoints) && i+1 == c.checkpoints[c.ci] {
-		c.res.Series.X = append(c.res.Series.X, i+1)
+// checkpoint samples the running totals after served requests.
+func (c *costMeter) checkpoint(served int) {
+	for c.ci < len(c.checkpoints) && served == c.checkpoints[c.ci] {
+		c.res.Series.X = append(c.res.Series.X, served)
 		c.res.Series.Routing = append(c.res.Series.Routing, c.inc.tot.Routing)
 		c.res.Series.Reconfig = append(c.res.Series.Reconfig, c.inc.tot.Reconfig)
 		c.ci++
@@ -140,72 +143,6 @@ func (c *costMeter) finish() {
 	c.res.Removals = c.inc.tot.Removals
 }
 
-// Run replays tr through alg, recording cumulative costs at the given
-// checkpoints (request counts, ascending). Elapsed time covers only the
-// Serve loop, mirroring the paper's sequential execution-time measurement.
-func Run(alg core.Algorithm, tr *trace.Trace, alpha float64, checkpoints []int) (RunResult, error) {
-	var res RunResult
-	if err := runInto(&res, alg, tr, alpha, checkpoints); err != nil {
-		return RunResult{}, err
-	}
-	return res, nil
-}
-
-func runInto(res *RunResult, alg core.Algorithm, tr *trace.Trace, alpha float64, checkpoints []int) error {
-	if err := tr.Validate(); err != nil {
-		return err
-	}
-	if err := validateCheckpoints(checkpoints, tr.Len()); err != nil {
-		return err
-	}
-	res.reset(alg.Name())
-	m := newCostMeter(res, checkpoints, alg, alpha)
-	start := time.Now()
-	for i, req := range tr.Reqs {
-		m.inc.FeedRaw(int(req.Src), int(req.Dst))
-		if i+1 == m.nextCP {
-			m.checkpoint(i)
-		}
-	}
-	res.Elapsed = time.Since(start)
-	m.finish()
-	res.FinalMatchingSize = alg.MatchingSize()
-	return nil
-}
-
-// RunCompiled is Run over a pre-compiled trace: algorithms implementing
-// core.CompiledServer replay without per-request canonicalization or metric
-// lookups. Cost curves are identical to Run on the source trace.
-func RunCompiled(alg core.Algorithm, ct *trace.Compiled, alpha float64, checkpoints []int) (RunResult, error) {
-	var res RunResult
-	if err := runCompiledInto(&res, alg, ct, alpha, checkpoints); err != nil {
-		return RunResult{}, err
-	}
-	return res, nil
-}
-
-// runCompiledInto is RunCompiled writing into a reusable result buffer: the
-// series slices are truncated and re-appended, so a result recycled across
-// repetitions stops allocating once warm.
-func runCompiledInto(res *RunResult, alg core.Algorithm, ct *trace.Compiled, alpha float64, checkpoints []int) error {
-	if err := validateCheckpoints(checkpoints, ct.Len()); err != nil {
-		return err
-	}
-	res.reset(alg.Name())
-	m := newCostMeter(res, checkpoints, alg, alpha)
-	start := time.Now()
-	for i, req := range ct.Reqs {
-		m.inc.Feed(req)
-		if i+1 == m.nextCP {
-			m.checkpoint(i)
-		}
-	}
-	res.Elapsed = time.Since(start)
-	m.finish()
-	res.FinalMatchingSize = alg.MatchingSize()
-	return nil
-}
-
 // Averaged is the mean of several runs of the same configuration with
 // different seeds (the paper averages 5 repetitions).
 type Averaged struct {
@@ -215,79 +152,4 @@ type Averaged struct {
 	Reconfig []float64
 	Elapsed  time.Duration // mean wall-clock time
 	Reps     int
-}
-
-// AlgFactory builds a fresh algorithm instance for repetition rep.
-// Deterministic algorithms can ignore rep.
-type AlgFactory func(rep uint64) (core.Algorithm, error)
-
-// scratch carries the per-worker reusable buffers of the experiment
-// runners: one run result recycled across every repetition the worker
-// executes.
-type scratch struct {
-	res RunResult
-}
-
-// runAveraged accumulates reps runs produced by replay into a mean curve.
-func runAveraged(f AlgFactory, reps int, sc *scratch,
-	replay func(res *RunResult, alg core.Algorithm) error) (Averaged, error) {
-	if reps < 1 {
-		return Averaged{}, fmt.Errorf("sim: reps must be >= 1")
-	}
-	if sc == nil {
-		sc = &scratch{}
-	}
-	var avg Averaged
-	avg.Reps = reps
-	var totalElapsed time.Duration
-	for rep := 0; rep < reps; rep++ {
-		alg, err := f(uint64(rep))
-		if err != nil {
-			return Averaged{}, err
-		}
-		if err := replay(&sc.res, alg); err != nil {
-			return Averaged{}, err
-		}
-		res := &sc.res
-		if rep == 0 {
-			avg.Label = res.Series.Label
-			avg.X = append([]int(nil), res.Series.X...)
-			avg.Routing = make([]float64, len(res.Series.Routing))
-			avg.Reconfig = make([]float64, len(res.Series.Reconfig))
-		}
-		for i := range res.Series.Routing {
-			avg.Routing[i] += res.Series.Routing[i]
-			avg.Reconfig[i] += res.Series.Reconfig[i]
-		}
-		totalElapsed += res.Elapsed
-	}
-	for i := range avg.Routing {
-		avg.Routing[i] /= float64(reps)
-		avg.Reconfig[i] /= float64(reps)
-	}
-	avg.Elapsed = totalElapsed / time.Duration(reps)
-	return avg, nil
-}
-
-// RunAveraged replays tr through reps independent instances and averages
-// the curves.
-func RunAveraged(f AlgFactory, tr *trace.Trace, alpha float64, checkpoints []int, reps int) (Averaged, error) {
-	return runAveraged(f, reps, nil, func(res *RunResult, alg core.Algorithm) error {
-		return runInto(res, alg, tr, alpha, checkpoints)
-	})
-}
-
-// RunAveragedCompiled replays a compiled trace through reps independent
-// instances and averages the curves.
-func RunAveragedCompiled(f AlgFactory, ct *trace.Compiled, alpha float64, checkpoints []int, reps int) (Averaged, error) {
-	return runAveragedCompiled(f, ct, alpha, checkpoints, reps, nil)
-}
-
-// runAveragedCompiled is RunAveragedCompiled with a per-worker scratch: the
-// experiment runners pass one per worker so repetitions reuse the run
-// buffer.
-func runAveragedCompiled(f AlgFactory, ct *trace.Compiled, alpha float64, checkpoints []int, reps int, sc *scratch) (Averaged, error) {
-	return runAveraged(f, reps, sc, func(res *RunResult, alg core.Algorithm) error {
-		return runCompiledInto(res, alg, ct, alpha, checkpoints)
-	})
 }

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -26,16 +26,14 @@ type AlgSpec struct {
 // Config describes one experiment: a trace replayed by several algorithm
 // families across a sweep of b values, averaged over Reps repetitions.
 type Config struct {
-	Name        string
-	Trace       *trace.Trace
+	Name string
+	// Trace is the workload compiled against Model's metric
+	// ((*trace.Trace).Compile), shared read-only by every replay.
+	Trace       *trace.Compiled
 	Model       core.CostModel
 	Bs          []int
 	Reps        int
 	Checkpoints []int
-	// Compiled optionally carries Trace pre-resolved against Model's
-	// metric (trace.Compile), so repeated experiment runs skip
-	// re-compilation. When nil the runners compile on entry.
-	Compiled *trace.Compiled
 }
 
 // Curve is an averaged result annotated with its configuration.
@@ -51,86 +49,86 @@ type Result struct {
 	Curves []Curve
 }
 
-// compile validates cfg and pre-resolves its trace against the cost model's
-// metric, shared by every (algorithm, b, repetition) replay.
-func (cfg *Config) compile() (*trace.Compiled, error) {
+// RunExperiment executes cfg for each algorithm spec and each b on a pool
+// of workers (<= 0 selects GOMAXPROCS). One (algorithm, b) cell is one
+// job: its repetitions replay in order inside the job, because specs may
+// re-seed one memoized instance per b in place. Each worker replays a
+// zero-copy view of the shared trace through one recycled chunk and
+// result buffer, so the per-run cost is the decision loops themselves.
+// Cost curves are identical for every worker count; wall-clock Elapsed
+// values can inflate under CPU contention, so the execution-time figures
+// run on one worker.
+//
+// On failure every job error is reported (joined with errors.Join, in job
+// order), not just the first: after the first failure no further jobs are
+// started, but already-running jobs finish and their errors are collected
+// too.
+func RunExperiment(cfg Config, specs []AlgSpec, workers int) (*Result, error) {
+	if cfg.Trace == nil {
+		return nil, fmt.Errorf("sim: experiment %q has no trace", cfg.Name)
+	}
 	if cfg.Reps < 1 {
 		return nil, fmt.Errorf("sim: experiment %q needs Reps >= 1", cfg.Name)
 	}
 	if len(cfg.Bs) == 0 {
 		return nil, fmt.Errorf("sim: experiment %q needs a b sweep", cfg.Name)
 	}
-	if cfg.Compiled != nil {
-		if cfg.Compiled.NumRacks != cfg.Trace.NumRacks || cfg.Compiled.Len() != cfg.Trace.Len() {
-			return nil, fmt.Errorf("sim: experiment %q: Compiled (%d racks, %d requests) does not match Trace (%d racks, %d requests)",
-				cfg.Name, cfg.Compiled.NumRacks, cfg.Compiled.Len(), cfg.Trace.NumRacks, cfg.Trace.Len())
-		}
-		return cfg.Compiled, nil
+	type job struct {
+		spec AlgSpec
+		b    int
 	}
-	ct, err := cfg.Trace.Compile(cfg.Model.Metric.Dist)
-	if err != nil {
-		return nil, fmt.Errorf("sim: experiment %q: %w", cfg.Name, err)
-	}
-	return ct, nil
-}
-
-// RunExperiment executes cfg for each algorithm spec and each b. The trace
-// is compiled once and replayed through a single scratch buffer, so the
-// per-run cost is the decision loops themselves.
-func RunExperiment(cfg Config, specs []AlgSpec) (*Result, error) {
-	ct, err := cfg.compile()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Name: cfg.Name}
-	var sc scratch
+	var jobs []job
 	for _, spec := range specs {
 		bs := cfg.Bs
 		if spec.FixedB >= 0 {
 			bs = []int{spec.FixedB}
 		}
 		for _, b := range bs {
-			f := func(rep uint64) (core.Algorithm, error) { return spec.New(b, rep) }
-			avg, err := runAveragedCompiled(f, ct, cfg.Model.Alpha, cfg.Checkpoints, cfg.Reps, &sc)
-			if err != nil {
-				return nil, fmt.Errorf("sim: %s/%s(b=%d): %w", cfg.Name, spec.Name, b, err)
-			}
-			res.Curves = append(res.Curves, Curve{Alg: spec.Name, B: b, Avg: avg})
+			jobs = append(jobs, job{spec: spec, b: b})
 		}
 	}
-	return res, nil
-}
-
-// WriteJSON emits the experiment result as JSON (one object with the
-// experiment name and the list of curves).
-func (r *Result) WriteJSON(w io.Writer) error {
-	type jsonCurve struct {
-		Alg       string    `json:"alg"`
-		B         int       `json:"b"`
-		X         []int     `json:"requests"`
-		Routing   []float64 `json:"routing_cost"`
-		Reconfig  []float64 `json:"reconfig_cost"`
-		ElapsedMS float64   `json:"elapsed_ms"`
-		Reps      int       `json:"reps"`
+	curves := make([]Curve, len(jobs))
+	err := runPool(context.Background(), len(jobs), workers, func() func(int) error {
+		src := cfg.Trace.Source()
+		chunk := trace.NewChunk(0)
+		var res RunResult
+		return func(ji int) error {
+			j := jobs[ji]
+			avg := Averaged{Reps: cfg.Reps}
+			var elapsed time.Duration
+			for rep := 0; rep < cfg.Reps; rep++ {
+				alg, err := j.spec.New(j.b, uint64(rep))
+				if err == nil {
+					err = runSourceInto(context.Background(), &res, alg, src, cfg.Model.Alpha, cfg.Checkpoints, chunk, ckHooks{}, nil)
+				}
+				if err != nil {
+					return fmt.Errorf("sim: %s/%s(b=%d): %w", cfg.Name, j.spec.Name, j.b, err)
+				}
+				if rep == 0 {
+					avg.Label = res.Series.Label
+					avg.X = append([]int(nil), res.Series.X...)
+					avg.Routing = make([]float64, len(res.Series.Routing))
+					avg.Reconfig = make([]float64, len(res.Series.Reconfig))
+				}
+				for i := range res.Series.Routing {
+					avg.Routing[i] += res.Series.Routing[i]
+					avg.Reconfig[i] += res.Series.Reconfig[i]
+				}
+				elapsed += res.Elapsed
+			}
+			for i := range avg.Routing {
+				avg.Routing[i] /= float64(cfg.Reps)
+				avg.Reconfig[i] /= float64(cfg.Reps)
+			}
+			avg.Elapsed = elapsed / time.Duration(cfg.Reps)
+			curves[ji] = Curve{Alg: j.spec.Name, B: j.b, Avg: avg}
+			return nil
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	out := struct {
-		Name   string      `json:"experiment"`
-		Curves []jsonCurve `json:"curves"`
-	}{Name: r.Name}
-	for _, c := range r.Curves {
-		out.Curves = append(out.Curves, jsonCurve{
-			Alg:       c.Alg,
-			B:         c.B,
-			X:         c.Avg.X,
-			Routing:   c.Avg.Routing,
-			Reconfig:  c.Avg.Reconfig,
-			ElapsedMS: float64(c.Avg.Elapsed) / float64(time.Millisecond),
-			Reps:      c.Avg.Reps,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return &Result{Name: cfg.Name, Curves: curves}, nil
 }
 
 // WriteCSV emits the experiment result as tidy CSV:

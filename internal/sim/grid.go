@@ -475,10 +475,7 @@ func runGridJob(ctx context.Context, spec ScenarioSpec, model core.CostModel, as
 	if opt.DropCheckpoint != nil {
 		ck.drop = func() { opt.DropCheckpoint(j) }
 	}
-	if ck.enabled() {
-		return runSourceCheckpointed(ctx, res, alg, src, spec.Alpha, checkpoints, chunk, ck, opt.Metrics)
-	}
-	return runSourceInto(ctx, res, alg, src, spec.Alpha, checkpoints, chunk, opt.Metrics)
+	return runSourceInto(ctx, res, alg, src, spec.Alpha, checkpoints, chunk, ck, opt.Metrics)
 }
 
 // WriteCSV emits the grid result as tidy CSV, one row per aggregated cell.

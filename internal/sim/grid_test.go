@@ -241,12 +241,12 @@ func failingSpec() AlgSpec {
 }
 
 func TestRunExperimentParallelJoinsAllErrors(t *testing.T) {
-	model, tr := testSetup(10)
+	model, ct := testSetup(10)
 	cfg := Config{
-		Name: "errs", Trace: tr, Model: model,
-		Bs: []int{2, 3, 4}, Reps: 1, Checkpoints: Checkpoints(tr.Len(), 2),
+		Name: "errs", Trace: ct, Model: model,
+		Bs: []int{2, 3, 4}, Reps: 1, Checkpoints: Checkpoints(ct.Len(), 2),
 	}
-	_, err := RunExperimentParallel(cfg, []AlgSpec{failingSpec()}, 2)
+	_, err := RunExperiment(cfg, []AlgSpec{failingSpec()}, 2)
 	if err == nil {
 		t.Fatal("expected failure")
 	}

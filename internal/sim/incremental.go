@@ -8,9 +8,9 @@ import (
 // The incremental step surface: feed compiled requests to one algorithm
 // instance, one request or one chunk at a time, and observe cumulative
 // costs and matching deltas as they accrue. This is the single code path
-// under every consumer of an algorithm — the replay loops in this package
-// (Run/RunCompiled/RunSource through costMeter), the benchmarks, and the
-// live matching engine (internal/engine), which ingests an unbounded
+// under every consumer of an algorithm — the replay loop in this package
+// (RunSource, RunExperiment and RunGrid through costMeter), the
+// benchmarks, and the live matching engine (internal/engine), which ingests an unbounded
 // request stream and reports cumulative costs after every batch.
 //
 // Sharing the accumulator matters for more than code reuse: cumulative
@@ -83,15 +83,6 @@ func (in *Incremental) Feed(req trace.CompiledReq) core.Step {
 	} else {
 		st = in.alg.Serve(int(req.U), int(req.V))
 	}
-	in.tot.Add(st, in.alpha)
-	in.served++
-	return st
-}
-
-// FeedRaw serves one uncompiled request (endpoints in either order) and
-// folds its cost into the totals: the materialized-replay twin of Feed.
-func (in *Incremental) FeedRaw(u, v int) core.Step {
-	st := in.alg.Serve(u, v)
 	in.tot.Add(st, in.alpha)
 	in.served++
 	return st

@@ -142,7 +142,7 @@ func RunSourceParallel(alg core.Algorithm, src trace.Source, alpha float64, chec
 func runSourceParallelInto(ctx context.Context, res *RunResult, alg core.Algorithm, src trace.Source, alpha float64, checkpoints []int, chunk *trace.CompiledChunk, workers int, met *Metrics) error {
 	sh, ok := alg.(*core.Sharded)
 	if !ok {
-		return runSourceInto(ctx, res, alg, src, alpha, checkpoints, chunk, met)
+		return runSourceInto(ctx, res, alg, src, alpha, checkpoints, chunk, ckHooks{}, met)
 	}
 	if err := validateCheckpoints(checkpoints, src.Len()); err != nil {
 		return err

@@ -14,13 +14,24 @@ import (
 // failure — or once ctx is cancelled — no further jobs are started; jobs
 // already handed to a worker finish (a cancelled ctx makes ctx-aware jobs
 // return early) and their errors are collected too. workers <= 0 selects
-// GOMAXPROCS.
+// GOMAXPROCS. A single worker runs the jobs on the caller's goroutine, so
+// state the jobs reuse across calls (memoized algorithm instances) stays
+// on the caller's core instead of moving to a fresh goroutine each call.
 func runPool(ctx context.Context, nJobs, workers int, newWorker func() func(job int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > nJobs {
 		workers = nJobs
+	}
+	if workers == 1 {
+		work := newWorker()
+		for ji := 0; ji < nJobs && ctx.Err() == nil; ji++ {
+			if err := work(ji); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	errs := make([]error, nJobs)
 	ch := make(chan int)

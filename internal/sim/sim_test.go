@@ -2,7 +2,7 @@ package sim
 
 import (
 	"bytes"
-	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,11 +11,15 @@ import (
 	"obm/internal/trace"
 )
 
-func testSetup(n int) (core.CostModel, *trace.Trace) {
+func testSetup(n int) (core.CostModel, *trace.Compiled) {
 	top := graph.FatTreeRacks(n)
 	model := core.CostModel{Metric: top.Metric(), Alpha: 30}
 	tr, _ := trace.FacebookStyle(trace.FacebookPreset(trace.Database, n, 5))
-	return model, tr.Prefix(20000)
+	ct, err := tr.Prefix(20000).Compile(model.Metric.Dist)
+	if err != nil {
+		panic(err)
+	}
+	return model, ct
 }
 
 func TestCheckpoints(t *testing.T) {
@@ -41,12 +45,12 @@ func TestCheckpointsPanics(t *testing.T) {
 }
 
 func TestRunProducesMonotoneCurves(t *testing.T) {
-	model, tr := testSetup(12)
+	model, ct := testSetup(12)
 	alg, err := core.NewRBMA(12, 3, model, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(alg, tr, model.Alpha, Checkpoints(tr.Len(), 10))
+	res, err := RunSource(alg, ct.Source(), model.Alpha, Checkpoints(ct.Len(), 10), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,42 +74,104 @@ func TestRunProducesMonotoneCurves(t *testing.T) {
 }
 
 func TestRunRejectsBadCheckpoints(t *testing.T) {
-	model, tr := testSetup(10)
+	model, ct := testSetup(10)
 	alg, _ := core.NewOblivious(model)
-	if _, err := Run(alg, tr, model.Alpha, []int{10, 10}); err == nil {
-		t.Fatal("non-ascending checkpoints accepted")
-	}
-	if _, err := Run(alg, tr, model.Alpha, []int{tr.Len() + 1}); err == nil {
-		t.Fatal("checkpoint beyond trace accepted")
+	for _, tc := range []struct {
+		name        string
+		checkpoints []int
+	}{
+		{"non-ascending", []int{10, 10}},
+		{"beyond trace", []int{ct.Len() + 1}},
+		// No replay ever reaches request 0, so sampling would stop there
+		// and return an empty curve.
+		{"below 1", []int{0, ct.Len() / 2, ct.Len()}},
+		{"negative", []int{-5}},
+	} {
+		if _, err := RunSource(alg, ct.Source(), model.Alpha, tc.checkpoints, 0); err == nil {
+			t.Errorf("%s checkpoints %v accepted", tc.name, tc.checkpoints)
+		}
 	}
 }
 
+// RunExperiment averages each cell's repetitions in repetition order: its
+// curve is bit-identical to the mean of the individual replays, here taken
+// through a generator-backed streaming source.
 func TestRunAveragedAveragesOverSeeds(t *testing.T) {
-	model, tr := testSetup(10)
-	f := func(rep uint64) (core.Algorithm, error) {
-		return core.NewRBMA(10, 3, model, rep)
-	}
-	avg, err := RunAveraged(f, tr, model.Alpha, Checkpoints(tr.Len(), 5), 3)
+	fb := trace.FacebookPreset(trace.Database, 20, 9)
+	fb.Requests = 8000
+	mat, err := trace.FacebookStyle(fb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg.Reps != 3 || len(avg.Routing) != 5 {
-		t.Fatalf("avg = %+v", avg)
+	model := core.CostModel{Metric: graph.FatTreeRacks(20).Metric(), Alpha: 30}
+	ct, err := mat.Compile(model.Metric.Dist)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if avg.Routing[4] <= 0 {
-		t.Fatal("averaged routing cost should be positive")
+	const reps = 3
+	cps := Checkpoints(mat.Len(), 5)
+	newAlg := func(b int, rep uint64) (core.Algorithm, error) {
+		return core.NewRBMA(20, b, model, rep)
+	}
+	cfg := Config{Name: "avg", Trace: ct, Model: model, Bs: []int{4}, Reps: reps, Checkpoints: cps}
+	res, err := RunExperiment(cfg, []AlgSpec{{Name: "r-bma", FixedB: -1, New: newAlg}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Curves[0].Avg
+	if got.Reps != reps || got.Label != "r-bma" {
+		t.Fatalf("averaged curve = %+v", got)
+	}
+
+	st, err := trace.NewFacebookStream(fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := trace.NewSource(st, model.Metric.Dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routing := make([]float64, len(cps))
+	reconfig := make([]float64, len(cps))
+	finals := map[float64]bool{}
+	for rep := 0; rep < reps; rep++ {
+		alg, err := newAlg(4, uint64(rep))
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := RunSource(alg, src, model.Alpha, cps, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cps {
+			routing[i] += one.Series.Routing[i]
+			reconfig[i] += one.Series.Reconfig[i]
+		}
+		finals[one.Series.Routing[len(cps)-1]] = true
+	}
+	if len(finals) < 2 {
+		t.Fatal("every repetition paid the same cost; the seeds do not vary")
+	}
+	for i := range cps {
+		routing[i] /= reps
+		reconfig[i] /= reps
+	}
+	if !reflect.DeepEqual(got.X, cps) || !reflect.DeepEqual(got.Routing, routing) ||
+		!reflect.DeepEqual(got.Reconfig, reconfig) {
+		t.Fatalf("averaged curve differs from the mean of the repetitions:\n got %v / %v\nwant %v / %v",
+			got.Routing, got.Reconfig, routing, reconfig)
 	}
 }
 
 func TestRunExperimentAndCSV(t *testing.T) {
-	model, tr := testSetup(10)
+	model, ct := testSetup(10)
 	cfg := Config{
 		Name:        "unit",
-		Trace:       tr,
+		Trace:       ct,
 		Model:       model,
 		Bs:          []int{2, 4},
 		Reps:        2,
-		Checkpoints: Checkpoints(tr.Len(), 4),
+		Checkpoints: Checkpoints(ct.Len(), 4),
 	}
 	specs := []AlgSpec{
 		{
@@ -123,7 +189,7 @@ func TestRunExperimentAndCSV(t *testing.T) {
 			},
 		},
 	}
-	res, err := RunExperiment(cfg, specs)
+	res, err := RunExperiment(cfg, specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,57 +218,78 @@ func TestRunExperimentAndCSV(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	model, tr := testSetup(10)
-	cfg := Config{
-		Name: "json", Trace: tr, Model: model,
-		Bs: []int{2}, Reps: 1, Checkpoints: Checkpoints(tr.Len(), 3),
-	}
-	specs := []AlgSpec{{
-		Name: "r-bma", FixedB: -1,
-		New: func(b int, rep uint64) (core.Algorithm, error) {
-			return core.NewRBMA(10, b, model, rep)
-		},
-	}}
-	res, err := RunExperiment(cfg, specs)
+// RunExperiment's cost curves must not depend on the worker count: one
+// worker and four agree curve for curve, in job order, bit for bit.
+func TestParallelMatchesSequential(t *testing.T) {
+	const n = 16
+	model := core.CostModel{Metric: graph.FatTreeRacks(n).Metric(), Alpha: 30}
+	ct, err := trace.MicrosoftStyle(n, 12000, 9).Compile(model.Metric.Dist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
+	cfg := Config{
+		Name: "parity", Trace: ct, Model: model,
+		Bs: []int{2, 4}, Reps: 2, Checkpoints: Checkpoints(ct.Len(), 5),
+	}
+	specs := []AlgSpec{
+		{
+			Name: "r-bma", FixedB: -1,
+			New: func(b int, rep uint64) (core.Algorithm, error) {
+				return core.NewRBMA(n, b, model, rep*7+uint64(b))
+			},
+		},
+		{
+			Name: "bma", FixedB: -1,
+			New: func(b int, rep uint64) (core.Algorithm, error) { return core.NewBMA(n, b, model) },
+		},
+		{
+			Name: "oblivious", FixedB: 0,
+			New: func(b int, rep uint64) (core.Algorithm, error) { return core.NewOblivious(model) },
+		},
+	}
+	seq, err := RunExperiment(cfg, specs, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var parsed struct {
-		Name   string `json:"experiment"`
-		Curves []struct {
-			Alg     string    `json:"alg"`
-			B       int       `json:"b"`
-			Routing []float64 `json:"routing_cost"`
-		} `json:"curves"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
+	par, err := RunExperiment(cfg, specs, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed.Name != "json" || len(parsed.Curves) != 1 || len(parsed.Curves[0].Routing) != 3 {
-		t.Fatalf("parsed = %+v", parsed)
+	if len(seq.Curves) != 5 || len(par.Curves) != len(seq.Curves) {
+		t.Fatalf("curve counts %d (1 worker) and %d (4 workers), want 5", len(seq.Curves), len(par.Curves))
+	}
+	for i := range seq.Curves {
+		s, p := seq.Curves[i], par.Curves[i]
+		if s.Alg != p.Alg || s.B != p.B || s.Avg.Label != p.Avg.Label || s.Avg.Reps != p.Avg.Reps {
+			t.Fatalf("curve %d identity differs: %s(b=%d) vs %s(b=%d)", i, s.Alg, s.B, p.Alg, p.B)
+		}
+		if !reflect.DeepEqual(s.Avg.X, p.Avg.X) || !reflect.DeepEqual(s.Avg.Routing, p.Avg.Routing) ||
+			!reflect.DeepEqual(s.Avg.Reconfig, p.Avg.Reconfig) {
+			t.Fatalf("curve %s(b=%d) differs between 1 and 4 workers", s.Alg, s.B)
+		}
 	}
 }
 
 func TestRunExperimentValidation(t *testing.T) {
-	model, tr := testSetup(10)
-	if _, err := RunExperiment(Config{Name: "x", Trace: tr, Model: model, Bs: []int{2}}, nil); err == nil {
-		t.Fatal("Reps=0 accepted")
-	}
-	if _, err := RunExperiment(Config{Name: "x", Trace: tr, Model: model, Reps: 1}, nil); err == nil {
-		t.Fatal("empty b sweep accepted")
+	model, ct := testSetup(10)
+	for _, workers := range []int{1, 4} {
+		if _, err := RunExperiment(Config{Name: "x", Trace: ct, Model: model, Bs: []int{2}}, nil, workers); err == nil {
+			t.Fatalf("workers=%d: Reps=0 accepted", workers)
+		}
+		if _, err := RunExperiment(Config{Name: "x", Trace: ct, Model: model, Reps: 1}, nil, workers); err == nil {
+			t.Fatalf("workers=%d: empty b sweep accepted", workers)
+		}
+		if _, err := RunExperiment(Config{Name: "x", Model: model, Bs: []int{2}, Reps: 1}, nil, workers); err == nil {
+			t.Fatalf("workers=%d: missing trace accepted", workers)
+		}
 	}
 }
 
 func TestASCIIChartRenders(t *testing.T) {
-	model, tr := testSetup(10)
+	model, ct := testSetup(10)
 	cfg := Config{
-		Name: "chart", Trace: tr, Model: model,
-		Bs: []int{2}, Reps: 1, Checkpoints: Checkpoints(tr.Len(), 6),
+		Name: "chart", Trace: ct, Model: model,
+		Bs: []int{2}, Reps: 1, Checkpoints: Checkpoints(ct.Len(), 6),
 	}
 	specs := []AlgSpec{{
 		Name:   "r-bma",
@@ -211,19 +298,18 @@ func TestASCIIChartRenders(t *testing.T) {
 			return core.NewRBMA(10, b, model, rep)
 		},
 	}}
-	res, err := RunExperiment(cfg, specs)
+	res, err := RunExperiment(cfg, specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chart := ASCIIChart("routing", res.Curves, 40, 10,
-		func(a Averaged, i int) float64 { return a.Routing[i] })
+	chart := ASCIIChart("routing", res.Curves, 40, 10)
 	if !strings.Contains(chart, "r-bma(b=2)") {
 		t.Fatalf("chart missing legend:\n%s", chart)
 	}
 	if !strings.Contains(chart, "*") {
 		t.Fatalf("chart missing data points:\n%s", chart)
 	}
-	empty := ASCIIChart("empty", nil, 40, 10, func(a Averaged, i int) float64 { return 0 })
+	empty := ASCIIChart("empty", nil, 40, 10)
 	if !strings.Contains(empty, "no data") {
 		t.Fatal("empty chart should say so")
 	}

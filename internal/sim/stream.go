@@ -10,19 +10,20 @@ import (
 	"obm/internal/trace"
 )
 
-// Streamed replay: the chunked twin of the materialized replay loops in
-// engine.go. A trace.Source delivers compiled requests in fixed-size
-// chunks, so a replay of any length holds O(chunk) requests in memory; the
-// per-request decision loop is byte-for-byte the one RunCompiled runs, so
-// cost curves are bit-identical to materialized replay (pinned by
-// stream_golden_test.go).
+// The replay loop: a trace.Source delivers compiled requests in
+// fixed-size chunks, so a replay of any length holds O(chunk) requests in
+// memory, and a materialized trace replays through zero-copy views of
+// itself ((*trace.Compiled).Source). RunSource, RunExperiment, RunGrid and
+// RunSourceParallel's non-sharded fallback all replay through
+// runSourceInto, so cost curves are bit-identical across every front end
+// and source kind (pinned by stream_golden_test.go).
 
 // RunSource replays src through alg in chunks of chunkSize requests
 // (trace.DefaultChunkSize if <= 0), resetting the source first. Cost
-// curves are bit-identical to RunCompiled over the materialized trace.
+// curves are bit-identical for every chunk size and source kind.
 func RunSource(alg core.Algorithm, src trace.Source, alpha float64, checkpoints []int, chunkSize int) (RunResult, error) {
 	var res RunResult
-	if err := runSourceInto(context.Background(), &res, alg, src, alpha, checkpoints, trace.NewChunk(chunkSize), nil); err != nil {
+	if err := runSourceInto(context.Background(), &res, alg, src, alpha, checkpoints, trace.NewChunk(chunkSize), ckHooks{}, nil); err != nil {
 		return RunResult{}, err
 	}
 	return res, nil
@@ -35,21 +36,51 @@ func RunSource(alg core.Algorithm, src trace.Source, alpha float64, checkpoints 
 // the replay within one chunk's worth of requests, never mid-chunk, so
 // costs are either complete or discarded (a partial replay is an error,
 // not a shorter curve).
-func runSourceInto(ctx context.Context, res *RunResult, alg core.Algorithm, src trace.Source, alpha float64, checkpoints []int, chunk *trace.CompiledChunk, met *Metrics) error {
+//
+// The zero ckHooks mean a plain replay. Otherwise the replay resumes from
+// ck.load's blob when one exists and is valid (anything else silently
+// degrades to a fresh replay), saves a new checkpoint through ck.save at
+// the first chunk boundary after every ck.every fed requests, and calls
+// ck.drop once the replay completes. Cost curves are bit-identical in
+// every case — resumed, checkpointed or both — because the algorithm
+// snapshot round-trip is exact and the source is deterministic under
+// Reset.
+func runSourceInto(ctx context.Context, res *RunResult, alg core.Algorithm, src trace.Source, alpha float64, checkpoints []int, chunk *trace.CompiledChunk, ck ckHooks, met *Metrics) error {
 	if err := validateCheckpoints(checkpoints, src.Len()); err != nil {
 		return err
 	}
 	src.Reset()
 	res.reset(alg.Name())
 	m := newCostMeter(res, checkpoints, alg, alpha)
-	i := 0
+	start := 0
 	// Elapsed covers the decision loops only — generation and chunk
-	// compilation inside src.Next are excluded, so the measurement matches
-	// the materialized path (which times the Serve loop over a
-	// pre-compiled trace) and stays comparable to the paper's
-	// execution-time figures. The two clock reads per chunk are noise
-	// against thousands of Serve calls.
+	// compilation inside src.Next are excluded, so streamed and
+	// materialized replays time the same work and stay comparable to the
+	// paper's execution-time figures. The two clock reads per chunk are
+	// noise against thousands of Serve calls.
 	var elapsed time.Duration
+	if ck.load != nil {
+		lt := time.Now()
+		blob, ok := ck.load()
+		if ok {
+			pos, el, err := loadReplayCheckpoint(blob, &m, src.Len())
+			met.loadTimed(time.Since(lt))
+			if err != nil {
+				// A checkpoint is an optimization: a corrupt, truncated or
+				// mismatched blob means a fresh replay, not a failed job.
+				// The load may have partially mutated the algorithm and the
+				// series buffers, so rebuild both from scratch.
+				alg.Reset()
+				res.reset(alg.Name())
+				m = newCostMeter(res, checkpoints, alg, alpha)
+			} else {
+				start, elapsed = pos, el
+			}
+		}
+	}
+	saving := ck.every > 0 && ck.save != nil
+	fed := 0
+	i := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -61,16 +92,44 @@ func runSourceInto(ctx context.Context, res *RunResult, alg core.Algorithm, src 
 		if err != nil {
 			return err
 		}
-		start := time.Now()
-		for _, req := range chunk.Reqs[:n] {
+		reqs := chunk.Reqs[:n]
+		// Fast-forward: requests inside the resumed prefix are drained
+		// without feeding, so a chunk straddling the boundary feeds only
+		// its suffix.
+		if i < start {
+			skip := min(start-i, n)
+			reqs = reqs[skip:]
+			i += skip
+			if len(reqs) == 0 {
+				continue
+			}
+		}
+		t0 := time.Now()
+		for _, req := range reqs {
 			m.inc.Feed(req)
-			if i+1 == m.nextCP {
+			i++
+			if i == m.nextCP {
 				m.checkpoint(i)
 			}
-			i++
 		}
-		elapsed += time.Since(start)
-		met.chunkFed(n)
+		elapsed += time.Since(t0)
+		fed += len(reqs)
+		met.chunkFed(len(reqs))
+		if saving && fed >= ck.every {
+			st := time.Now()
+			blob, serr := saveReplayCheckpoint(&m, i, elapsed)
+			if serr != nil {
+				// The algorithm cannot snapshot (ablation variants): run the
+				// job to completion without checkpoints rather than failing
+				// a perfectly computable outcome.
+				saving = false
+			} else if err := ck.save(blob); err != nil {
+				return fmt.Errorf("sim: saving checkpoint at %d requests: %w", i, err)
+			} else {
+				met.saveTimed(time.Since(st))
+			}
+			fed = 0
+		}
 	}
 	res.Elapsed = elapsed
 	if i != src.Len() {
@@ -78,14 +137,8 @@ func runSourceInto(ctx context.Context, res *RunResult, alg core.Algorithm, src 
 	}
 	m.finish()
 	res.FinalMatchingSize = alg.MatchingSize()
+	if ck.drop != nil {
+		ck.drop()
+	}
 	return nil
-}
-
-// RunAveragedSource replays src through reps independent algorithm
-// instances (resetting the source per repetition) and averages the curves.
-func RunAveragedSource(f AlgFactory, src trace.Source, alpha float64, checkpoints []int, reps, chunkSize int) (Averaged, error) {
-	chunk := trace.NewChunk(chunkSize)
-	return runAveraged(f, reps, nil, func(res *RunResult, alg core.Algorithm) error {
-		return runSourceInto(context.Background(), res, alg, src, alpha, checkpoints, chunk, nil)
-	})
 }

@@ -9,12 +9,13 @@ import (
 	"obm/internal/trace"
 )
 
-// The streamed-replay golden suite: chunked Source replay must yield
-// bit-identical cost curves to the PR 1 materialized path (RunCompiled) on
-// every golden trace family, for every chunk size, through both the
-// generator-backed streaming source and the materialized adapter. Together
-// with core's golden table (which pins the materialized path to the seed
-// implementations) this pins the streamed path to the paper's exact costs.
+// The streamed-replay golden suite: replaying a generator-backed streaming
+// source must yield cost curves bit-identical to replaying the
+// materialized trace ((*trace.Compiled).Source) on every golden trace
+// family, for every chunk size, and so must the materialized adapter read
+// in other chunk sizes. Together with core's golden table (which pins the
+// algorithms on materialized traces to the seed implementations) this
+// pins the streamed path to the paper's exact costs.
 
 const streamGoldenAlpha = 30
 
@@ -106,7 +107,7 @@ func TestStreamedReplayMatchesMaterialized(t *testing.T) {
 			}
 			cps := Checkpoints(mat.Len(), 8)
 			for _, algName := range []string{"rbma", "bma"} {
-				want, err := RunCompiled(newAlg(algName, n, model), ct, model.Alpha, cps)
+				want, err := RunSource(newAlg(algName, n, model), ct.Source(), model.Alpha, cps, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,47 +139,5 @@ func TestStreamedReplayMatchesMaterialized(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRunAveragedSourceMatchesCompiled pins the repetition-averaged
-// streamed path (source Reset per repetition) to the materialized
-// averaged path.
-func TestRunAveragedSourceMatchesCompiled(t *testing.T) {
-	fb := trace.FacebookPreset(trace.Database, 20, 9)
-	fb.Requests = 8000
-	mat, err := trace.FacebookStyle(fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := core.CostModel{Metric: graph.FatTreeRacks(20).Metric(), Alpha: streamGoldenAlpha}
-	ct, err := mat.Compile(model.Metric.Dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(rep uint64) (core.Algorithm, error) {
-		return core.NewRBMA(20, 4, model, rep)
-	}
-	cps := Checkpoints(mat.Len(), 5)
-	want, err := RunAveragedCompiled(f, ct, model.Alpha, cps, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := trace.NewFacebookStream(fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := trace.NewSource(st, model.Metric.Dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunAveragedSource(f, src, model.Alpha, cps, 3, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.X, want.X) ||
-		!reflect.DeepEqual(got.Routing, want.Routing) ||
-		!reflect.DeepEqual(got.Reconfig, want.Reconfig) {
-		t.Fatal("averaged streamed curves differ from materialized")
 	}
 }

@@ -72,59 +72,3 @@ func TestUtilizationValidation(t *testing.T) {
 		t.Fatal("trace larger than topology accepted")
 	}
 }
-
-func TestParallelMatchesSequential(t *testing.T) {
-	model, tr := testSetup(10)
-	cfg := Config{
-		Name: "par", Trace: tr, Model: model,
-		Bs: []int{2, 4}, Reps: 2, Checkpoints: Checkpoints(tr.Len(), 4),
-	}
-	specs := []AlgSpec{
-		{
-			Name: "r-bma", FixedB: -1,
-			New: func(b int, rep uint64) (core.Algorithm, error) {
-				return core.NewRBMA(10, b, model, rep+uint64(b)<<16)
-			},
-		},
-		{
-			Name: "oblivious", FixedB: 0,
-			New: func(b int, rep uint64) (core.Algorithm, error) {
-				return core.NewOblivious(model)
-			},
-		},
-	}
-	seq, err := RunExperiment(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunExperimentParallel(cfg, specs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Curves) != len(par.Curves) {
-		t.Fatalf("curve counts differ: %d vs %d", len(seq.Curves), len(par.Curves))
-	}
-	// Parallel preserves job order and must produce identical cost curves
-	// (same seeds, independent instances).
-	for i := range seq.Curves {
-		s, p := seq.Curves[i], par.Curves[i]
-		if s.Alg != p.Alg || s.B != p.B {
-			t.Fatalf("curve %d: ordering differs (%s,%d) vs (%s,%d)", i, s.Alg, s.B, p.Alg, p.B)
-		}
-		for j := range s.Avg.Routing {
-			if s.Avg.Routing[j] != p.Avg.Routing[j] {
-				t.Fatalf("curve %d checkpoint %d: %v vs %v", i, j, s.Avg.Routing[j], p.Avg.Routing[j])
-			}
-		}
-	}
-}
-
-func TestParallelValidation(t *testing.T) {
-	model, tr := testSetup(10)
-	if _, err := RunExperimentParallel(Config{Name: "x", Trace: tr, Model: model, Bs: []int{2}}, nil, 2); err == nil {
-		t.Fatal("Reps=0 accepted")
-	}
-	if _, err := RunExperimentParallel(Config{Name: "x", Trace: tr, Model: model, Reps: 1}, nil, 2); err == nil {
-		t.Fatal("empty b sweep accepted")
-	}
-}

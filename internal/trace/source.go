@@ -10,22 +10,34 @@ import (
 // that per-worker chunk buffers stay in cache.
 const DefaultChunkSize = 8192
 
-// CompiledChunk is a reusable fixed-capacity buffer of compiled requests:
-// the unit of transfer between a Source and a replay loop. Next fills
-// Reqs up to its capacity and re-slices it to the produced count, so one
-// chunk is allocated per replay (or per worker) and recycled for the whole
-// run — the bounded-memory contract of streamed replay.
+// CompiledChunk is the unit of transfer between a Source and a replay
+// loop: each Next points Reqs at up to the chunk's size in requests. A
+// generating source compiles into the chunk's private buffer, allocated
+// on first use and recycled for the whole run (the bounded-memory
+// contract of streamed replay); a materialized trace's source hands out
+// views of the trace itself. Reqs is therefore read-only, and a chunk
+// reused across source kinds never writes into a trace.
 type CompiledChunk struct {
 	Reqs []CompiledReq
+	size int
+	buf  []CompiledReq
 }
 
-// NewChunk returns an empty chunk with the given capacity (DefaultChunkSize
-// if size <= 0).
+// NewChunk returns an empty chunk delivering up to size requests per Next
+// (DefaultChunkSize if size <= 0).
 func NewChunk(size int) *CompiledChunk {
 	if size <= 0 {
 		size = DefaultChunkSize
 	}
-	return &CompiledChunk{Reqs: make([]CompiledReq, 0, size)}
+	return &CompiledChunk{size: size}
+}
+
+// fillBuf returns the chunk's private buffer at full capacity.
+func (c *CompiledChunk) fillBuf() []CompiledReq {
+	if c.buf == nil {
+		c.buf = make([]CompiledReq, c.size)
+	}
+	return c.buf
 }
 
 // Source is a stream of compiled requests: a trace generated, resolved
@@ -48,9 +60,9 @@ type Source interface {
 	Index() *PairIndex
 	// Reset rewinds the source to its beginning.
 	Reset()
-	// Next fills chunk.Reqs up to its capacity with the next compiled
-	// requests and returns how many were produced. It returns io.EOF
-	// (and n == 0) once the source is exhausted.
+	// Next points chunk.Reqs at up to the chunk's size of next compiled
+	// requests and returns how many were produced; they stay valid until
+	// the next call. It returns io.EOF (and n == 0) once the source is exhausted.
 	Next(chunk *CompiledChunk) (n int, err error)
 }
 
@@ -87,19 +99,19 @@ func (c *streamSource) Index() *PairIndex { return c.idx }
 func (c *streamSource) Reset()            { c.s.Reset(); c.pos = 0 }
 
 func (c *streamSource) Next(chunk *CompiledChunk) (int, error) {
-	capN := cap(chunk.Reqs)
+	capN := chunk.size
 	if capN == 0 {
 		return 0, fmt.Errorf("trace: source %q: Next with zero-capacity chunk", c.s.Name())
 	}
 	if cap(c.raw) < capN {
 		c.raw = make([]Request, capN)
 	}
+	buf := chunk.fillBuf()
 	n := c.s.Next(c.raw[:capN])
+	chunk.Reqs = buf[:n]
 	if n == 0 {
-		chunk.Reqs = chunk.Reqs[:0]
 		return 0, io.EOF
 	}
-	chunk.Reqs = chunk.Reqs[:n]
 	racks := c.s.NumRacks()
 	for i, r := range c.raw[:n] {
 		u, v := int(r.Src), int(r.Dst)
@@ -118,7 +130,7 @@ func (c *streamSource) Next(chunk *CompiledChunk) (int, error) {
 			return 0, fmt.Errorf("trace: source %q: distance %d for pair {%d,%d}, need >= 1",
 				c.s.Name(), d, u, v)
 		}
-		chunk.Reqs[i] = CompiledReq{ID: c.idx.ID(u, v), U: int32(u), V: int32(v), Dist: int32(d)}
+		buf[i] = CompiledReq{ID: c.idx.ID(u, v), U: int32(u), V: int32(v), Dist: int32(d)}
 	}
 	c.pos += n
 	return n, nil
@@ -133,7 +145,7 @@ type compiledSource struct {
 }
 
 // Source adapts the compiled trace to the streaming Source interface.
-// Chunks are copied out of the in-memory request slice.
+// Chunks are zero-copy, read-only views of the in-memory request slice.
 func (c *Compiled) Source() Source { return &compiledSource{c: c} }
 
 func (s *compiledSource) Name() string      { return s.c.Name }
@@ -143,18 +155,19 @@ func (s *compiledSource) Index() *PairIndex { return s.c.Index }
 func (s *compiledSource) Reset()            { s.pos = 0 }
 
 func (s *compiledSource) Next(chunk *CompiledChunk) (int, error) {
-	capN := cap(chunk.Reqs)
+	capN := chunk.size
 	if capN == 0 {
 		return 0, fmt.Errorf("trace: source %q: Next with zero-capacity chunk", s.c.Name)
 	}
-	n := min(capN, len(s.c.Reqs)-s.pos)
+	end := min(s.pos+capN, len(s.c.Reqs))
+	// The full slice expression caps the view, so an append to it
+	// reallocates instead of overwriting the trace.
+	chunk.Reqs = s.c.Reqs[s.pos:end:end]
+	n := end - s.pos
+	s.pos = end
 	if n == 0 {
-		chunk.Reqs = chunk.Reqs[:0]
 		return 0, io.EOF
 	}
-	chunk.Reqs = chunk.Reqs[:n]
-	copy(chunk.Reqs, s.c.Reqs[s.pos:s.pos+n])
-	s.pos += n
 	return n, nil
 }
 

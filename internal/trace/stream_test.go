@@ -233,6 +233,50 @@ func TestSourceEOFAndReset(t *testing.T) {
 	}
 }
 
+// A materialized source hands out views of the trace itself, so a chunk
+// read from one and then reused with a generating source must never write
+// into the trace, and appending to a view must not overwrite the requests
+// after it.
+func TestChunkReuseNeverWritesTrace(t *testing.T) {
+	dist := func(u, v int) int { return 2 }
+	s, err := NewUniformStream(10, 300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := Collect(s).Compile(dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]CompiledReq(nil), ct.Reqs...)
+	chunk := NewChunk(64)
+	if n, err := ct.Source().Next(chunk); err != nil || n != 64 {
+		t.Fatalf("materialized Next = (%d, %v), want (64, nil)", n, err)
+	}
+	if &chunk.Reqs[0] != &ct.Reqs[0] {
+		t.Fatal("materialized source copied instead of handing out a view")
+	}
+	_ = append(chunk.Reqs, CompiledReq{ID: 1 << 20})
+
+	other, err := NewUniformStream(10, 300, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewSource(other, dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := src.Next(chunk); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(ct.Reqs, want) {
+		t.Fatal("reusing a chunk wrote into the materialized trace")
+	}
+}
+
 func TestSourceRejectsBadDistance(t *testing.T) {
 	s, err := NewUniformStream(10, 100, 1)
 	if err != nil {

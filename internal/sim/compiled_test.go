@@ -81,3 +81,32 @@ func TestRunCompiledMatchesRun(t *testing.T) {
 		})
 	}
 }
+
+// The one-worker and four-worker runs of RunExperiment must agree curve
+// for curve on a second workload and line-up: R-BMA and BMA swept over b
+// on a Microsoft-style trace.
+func TestRunExperimentParallelMatchesSequentialCompiled(t *testing.T) {
+	const n = 16
+	model := core.CostModel{Metric: graph.FatTreeRacks(n).Metric(), Alpha: 30}
+	ct, err := trace.MicrosoftStyle(n, 12000, 9).Compile(model.Metric.Dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Name: "parity", Trace: ct, Model: model,
+		Bs: []int{2, 4}, Reps: 2, Checkpoints: Checkpoints(ct.Len(), 5),
+	}
+	specs := []AlgSpec{
+		{
+			Name: "r-bma", FixedB: -1,
+			New: func(b int, rep uint64) (core.Algorithm, error) {
+				return core.NewRBMA(n, b, model, rep*7+uint64(b))
+			},
+		},
+		{
+			Name: "bma", FixedB: -1,
+			New: func(b int, rep uint64) (core.Algorithm, error) { return core.NewBMA(n, b, model) },
+		},
+	}
+	requireWorkerParity(t, cfg, specs, 4)
+}

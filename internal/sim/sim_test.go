@@ -93,53 +93,22 @@ func TestRunRejectsBadCheckpoints(t *testing.T) {
 	}
 }
 
-// RunExperiment averages each cell's repetitions in repetition order: its
-// curve is bit-identical to the mean of the individual replays, here taken
-// through a generator-backed streaming source.
-func TestRunAveragedAveragesOverSeeds(t *testing.T) {
-	fb := trace.FacebookPreset(trace.Database, 20, 9)
-	fb.Requests = 8000
-	mat, err := trace.FacebookStyle(fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := core.CostModel{Metric: graph.FatTreeRacks(20).Metric(), Alpha: 30}
-	ct, err := mat.Compile(model.Metric.Dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const reps = 3
-	cps := Checkpoints(mat.Len(), 5)
-	newAlg := func(b int, rep uint64) (core.Algorithm, error) {
-		return core.NewRBMA(20, b, model, rep)
-	}
-	cfg := Config{Name: "avg", Trace: ct, Model: model, Bs: []int{4}, Reps: reps, Checkpoints: cps}
-	res, err := RunExperiment(cfg, []AlgSpec{{Name: "r-bma", FixedB: -1, New: newAlg}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.Curves[0].Avg
-	if got.Reps != reps || got.Label != "r-bma" {
-		t.Fatalf("averaged curve = %+v", got)
-	}
-
-	st, err := trace.NewFacebookStream(fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := trace.NewSource(st, model.Metric.Dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	routing := make([]float64, len(cps))
-	reconfig := make([]float64, len(cps))
+// meanOfReplays replays newAlg(rep) through src once per repetition, in
+// repetition order, and returns the mean routing and reconfiguration
+// curves. It fails the test when every repetition pays the same final
+// cost, since then the seeds do not vary.
+func meanOfReplays(t *testing.T, newAlg func(rep uint64) (core.Algorithm, error), src trace.Source,
+	alpha float64, cps []int, reps, chunkSize int) (routing, reconfig []float64) {
+	t.Helper()
+	routing = make([]float64, len(cps))
+	reconfig = make([]float64, len(cps))
 	finals := map[float64]bool{}
 	for rep := 0; rep < reps; rep++ {
-		alg, err := newAlg(4, uint64(rep))
+		alg, err := newAlg(uint64(rep))
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, err := RunSource(alg, src, model.Alpha, cps, 4096)
+		one, err := RunSource(alg, src, alpha, cps, chunkSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,9 +122,36 @@ func TestRunAveragedAveragesOverSeeds(t *testing.T) {
 		t.Fatal("every repetition paid the same cost; the seeds do not vary")
 	}
 	for i := range cps {
-		routing[i] /= reps
-		reconfig[i] /= reps
+		routing[i] /= float64(reps)
+		reconfig[i] /= float64(reps)
 	}
+	return routing, reconfig
+}
+
+// RunExperiment averages each cell's repetitions in repetition order: its
+// curve is bit-identical to the mean of the individual replays of the
+// compiled trace.
+func TestRunAveragedAveragesOverSeeds(t *testing.T) {
+	model, ct := testSetup(10)
+	const reps = 3
+	cps := Checkpoints(ct.Len(), 5)
+	newAlg := func(b int, rep uint64) (core.Algorithm, error) {
+		return core.NewRBMA(10, b, model, rep)
+	}
+	cfg := Config{Name: "avg", Trace: ct, Model: model, Bs: []int{3}, Reps: reps, Checkpoints: cps}
+	res, err := RunExperiment(cfg, []AlgSpec{{Name: "r-bma", FixedB: -1, New: newAlg}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Curves[0].Avg
+	if got.Reps != reps || got.Label != "r-bma" || len(got.Routing) != len(cps) {
+		t.Fatalf("averaged curve = %+v", got)
+	}
+	if got.Routing[len(cps)-1] <= 0 {
+		t.Fatal("averaged routing cost should be positive")
+	}
+	routing, reconfig := meanOfReplays(t, func(rep uint64) (core.Algorithm, error) { return newAlg(3, rep) },
+		ct.Source(), model.Alpha, cps, reps, 0)
 	if !reflect.DeepEqual(got.X, cps) || !reflect.DeepEqual(got.Routing, routing) ||
 		!reflect.DeepEqual(got.Reconfig, reconfig) {
 		t.Fatalf("averaged curve differs from the mean of the repetitions:\n got %v / %v\nwant %v / %v",
@@ -218,35 +214,10 @@ func TestRunExperimentAndCSV(t *testing.T) {
 	}
 }
 
-// RunExperiment's cost curves must not depend on the worker count: one
-// worker and four agree curve for curve, in job order, bit for bit.
-func TestParallelMatchesSequential(t *testing.T) {
-	const n = 16
-	model := core.CostModel{Metric: graph.FatTreeRacks(n).Metric(), Alpha: 30}
-	ct, err := trace.MicrosoftStyle(n, 12000, 9).Compile(model.Metric.Dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Name: "parity", Trace: ct, Model: model,
-		Bs: []int{2, 4}, Reps: 2, Checkpoints: Checkpoints(ct.Len(), 5),
-	}
-	specs := []AlgSpec{
-		{
-			Name: "r-bma", FixedB: -1,
-			New: func(b int, rep uint64) (core.Algorithm, error) {
-				return core.NewRBMA(n, b, model, rep*7+uint64(b))
-			},
-		},
-		{
-			Name: "bma", FixedB: -1,
-			New: func(b int, rep uint64) (core.Algorithm, error) { return core.NewBMA(n, b, model) },
-		},
-		{
-			Name: "oblivious", FixedB: 0,
-			New: func(b int, rep uint64) (core.Algorithm, error) { return core.NewOblivious(model) },
-		},
-	}
+// requireWorkerParity runs cfg on one worker and on four and fails unless
+// both produce wantCurves curves that agree in job order, bit for bit.
+func requireWorkerParity(t *testing.T, cfg Config, specs []AlgSpec, wantCurves int) {
+	t.Helper()
 	seq, err := RunExperiment(cfg, specs, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -255,8 +226,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq.Curves) != 5 || len(par.Curves) != len(seq.Curves) {
-		t.Fatalf("curve counts %d (1 worker) and %d (4 workers), want 5", len(seq.Curves), len(par.Curves))
+	if len(seq.Curves) != wantCurves || len(par.Curves) != len(seq.Curves) {
+		t.Fatalf("curve counts %d (1 worker) and %d (4 workers), want %d", len(seq.Curves), len(par.Curves), wantCurves)
 	}
 	for i := range seq.Curves {
 		s, p := seq.Curves[i], par.Curves[i]
@@ -270,18 +241,56 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestRunExperimentValidation(t *testing.T) {
+// RunExperiment's cost curves must not depend on the worker count, also
+// for a spec pinned to one b (FixedB) beside a b sweep.
+func TestParallelMatchesSequential(t *testing.T) {
 	model, ct := testSetup(10)
-	for _, workers := range []int{1, 4} {
-		if _, err := RunExperiment(Config{Name: "x", Trace: ct, Model: model, Bs: []int{2}}, nil, workers); err == nil {
-			t.Fatalf("workers=%d: Reps=0 accepted", workers)
-		}
-		if _, err := RunExperiment(Config{Name: "x", Trace: ct, Model: model, Reps: 1}, nil, workers); err == nil {
-			t.Fatalf("workers=%d: empty b sweep accepted", workers)
-		}
-		if _, err := RunExperiment(Config{Name: "x", Model: model, Bs: []int{2}, Reps: 1}, nil, workers); err == nil {
-			t.Fatalf("workers=%d: missing trace accepted", workers)
-		}
+	cfg := Config{
+		Name: "par", Trace: ct, Model: model,
+		Bs: []int{2, 4}, Reps: 2, Checkpoints: Checkpoints(ct.Len(), 4),
+	}
+	specs := []AlgSpec{
+		{
+			Name: "r-bma", FixedB: -1,
+			New: func(b int, rep uint64) (core.Algorithm, error) {
+				return core.NewRBMA(10, b, model, rep+uint64(b)<<16)
+			},
+		},
+		{
+			Name: "oblivious", FixedB: 0,
+			New: func(b int, rep uint64) (core.Algorithm, error) {
+				return core.NewOblivious(model)
+			},
+		},
+	}
+	requireWorkerParity(t, cfg, specs, 3)
+}
+
+// requireExperimentValidation checks that RunExperiment on the given
+// worker count rejects a config without repetitions, b sweep or trace.
+func requireExperimentValidation(t *testing.T, workers int) {
+	t.Helper()
+	model, ct := testSetup(10)
+	if _, err := RunExperiment(Config{Name: "x", Trace: ct, Model: model, Bs: []int{2}}, nil, workers); err == nil {
+		t.Fatalf("workers=%d: Reps=0 accepted", workers)
+	}
+	if _, err := RunExperiment(Config{Name: "x", Trace: ct, Model: model, Reps: 1}, nil, workers); err == nil {
+		t.Fatalf("workers=%d: empty b sweep accepted", workers)
+	}
+	if _, err := RunExperiment(Config{Name: "x", Model: model, Bs: []int{2}, Reps: 1}, nil, workers); err == nil {
+		t.Fatalf("workers=%d: missing trace accepted", workers)
+	}
+}
+
+func TestRunExperimentValidation(t *testing.T) {
+	requireExperimentValidation(t, 1)
+}
+
+// The same validation holds on a multi-worker pool, including the
+// GOMAXPROCS default (workers <= 0).
+func TestParallelValidation(t *testing.T) {
+	for _, workers := range []int{0, 2, 4} {
+		requireExperimentValidation(t, workers)
 	}
 }
 

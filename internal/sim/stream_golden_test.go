@@ -141,3 +141,46 @@ func TestStreamedReplayMatchesMaterialized(t *testing.T) {
 		})
 	}
 }
+
+// TestRunAveragedSourceMatchesCompiled pins the repetition-averaged
+// streamed path (one generator-backed source, Reset per repetition) to
+// RunExperiment's averaged curve on the compiled trace, bit for bit.
+func TestRunAveragedSourceMatchesCompiled(t *testing.T) {
+	fb := trace.FacebookPreset(trace.Database, 20, 9)
+	fb.Requests = 8000
+	mat, err := trace.FacebookStyle(fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := core.CostModel{Metric: graph.FatTreeRacks(20).Metric(), Alpha: streamGoldenAlpha}
+	ct, err := mat.Compile(model.Metric.Dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reps = 3
+	cps := Checkpoints(mat.Len(), 5)
+	newAlg := func(b int, rep uint64) (core.Algorithm, error) {
+		return core.NewRBMA(20, b, model, rep)
+	}
+	cfg := Config{Name: "avg", Trace: ct, Model: model, Bs: []int{4}, Reps: reps, Checkpoints: cps}
+	res, err := RunExperiment(cfg, []AlgSpec{{Name: "r-bma", FixedB: -1, New: newAlg}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Curves[0].Avg
+
+	st, err := trace.NewFacebookStream(fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := trace.NewSource(st, model.Metric.Dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routing, reconfig := meanOfReplays(t, func(rep uint64) (core.Algorithm, error) { return newAlg(4, rep) },
+		src, model.Alpha, cps, reps, 4096)
+	if !reflect.DeepEqual(want.X, cps) || !reflect.DeepEqual(routing, want.Routing) ||
+		!reflect.DeepEqual(reconfig, want.Reconfig) {
+		t.Fatal("averaged streamed curves differ from materialized")
+	}
+}

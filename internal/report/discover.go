@@ -16,9 +16,10 @@ import (
 
 // DirForHash returns the canonical store directory for a spec hash under
 // root: the first 16 hex characters of the hash. The truncation is a
-// directory-naming convenience, not an identity — Open always verifies
-// the manifest's full SpecHash, so a (vanishingly unlikely) prefix
-// collision surfaces as a hash mismatch, never as silent reuse.
+// directory-naming convenience, not an identity. Open verifies that the
+// manifest's specs hash to its full SpecHash, and FindByHash compares
+// that full hash with the one asked for, so a (vanishingly unlikely)
+// prefix collision surfaces as a hash mismatch, never as silent reuse.
 func DirForHash(root, specHash string) string {
 	if len(specHash) > 16 {
 		specHash = specHash[:16]

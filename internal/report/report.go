@@ -86,8 +86,11 @@ type Manifest struct {
 	Specs     []sim.ScenarioSpec `json:"specs"`
 }
 
-// NewManifest plans the grid described by specs and assembles the manifest
-// of a store for it. Specs are normalized first, so equivalent spec lists
+// NewManifest plans the grid described by specs, validates every spec
+// (ScenarioSpec.Validate, family parameters included) and assembles the
+// manifest of a store for it. It is the entry check of every store: a
+// stored manifest is only ever verified against its SpecHash, never
+// re-validated. Specs are normalized first, so equivalent spec lists
 // (defaults spelled out or omitted) produce the same SpecHash.
 func NewManifest(name string, specs []sim.ScenarioSpec, curvePoints int, shard Shard) (Manifest, error) {
 	norm := make([]sim.ScenarioSpec, len(specs))
@@ -97,6 +100,11 @@ func NewManifest(name string, specs []sim.ScenarioSpec, curvePoints int, shard S
 	plan, err := sim.PlanGrid(norm)
 	if err != nil {
 		return Manifest{}, err
+	}
+	for _, s := range norm {
+		if err := s.Validate(); err != nil {
+			return Manifest{}, err
+		}
 	}
 	if !shard.IsFull() && (shard.Index < 0 || shard.Index >= shard.Count) {
 		return Manifest{}, fmt.Errorf("report: shard %d/%d out of range", shard.Index, shard.Count)
@@ -139,7 +147,8 @@ func SpecHash(specs []sim.ScenarioSpec, curvePoints int) (string, error) {
 }
 
 // Plan re-expands the manifest's job grid (the full grid, ignoring the
-// shard restriction).
+// shard restriction). Planning reads only the spec fields, so it builds
+// no cost model and no trace generator.
 func (m *Manifest) Plan() (*sim.GridPlan, error) {
 	return sim.PlanGrid(m.Specs)
 }
@@ -184,7 +193,9 @@ func writeManifest(dir string, m Manifest) error {
 	return os.Rename(tmp.Name(), filepath.Join(dir, manifestFile))
 }
 
-// readManifest loads and sanity-checks dir's manifest.
+// readManifest loads and sanity-checks dir's manifest, and verifies that
+// its specs still hash to its SpecHash: a manifest edited on disk (say,
+// its racks or requests) would otherwise resume with different costs.
 func readManifest(dir string) (Manifest, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
@@ -200,6 +211,14 @@ func readManifest(dir string) (Manifest, error) {
 	}
 	if len(m.Specs) == 0 {
 		return Manifest{}, fmt.Errorf("report: %s: manifest has no scenario specs", dir)
+	}
+	hash, err := SpecHash(m.Specs, m.CurvePoints)
+	if err != nil {
+		return Manifest{}, err
+	}
+	if hash != m.SpecHash {
+		return Manifest{}, fmt.Errorf("report: %s: manifest spec hash mismatch: it records %.12s, its specs hash to %.12s (edited or corrupt manifest)",
+			dir, m.SpecHash, hash)
 	}
 	return m, nil
 }

@@ -83,10 +83,11 @@ func Create(dir string, m Manifest) (*Store, error) {
 	}, nil
 }
 
-// Open loads the run store in dir: the manifest and every completed job in
-// the log. A crash-truncated trailing record is dropped (and the file
-// trimmed back to the last whole record, so subsequent appends start on a
-// clean line); corruption anywhere else is an error.
+// Open loads the run store in dir: the manifest, verified against its
+// SpecHash, and every completed job in the log. A crash-truncated
+// trailing record is dropped (and the file trimmed back to the last whole
+// record, so subsequent appends start on a clean line); corruption
+// anywhere else is an error.
 func Open(dir string) (*Store, error) {
 	m, err := readManifest(dir)
 	if err != nil {

@@ -430,10 +430,12 @@ func (s *Server) completeShard(j *job, shard int, token, worker, failMsg string,
 
 	// Absorb outside j.mu (disk I/O); absorbMu serializes concurrent
 	// uploads for the same job so duplicate detection cannot race. Each
-	// upload reopens the store, replaying its log — O(recorded) work per
-	// upload, fine at the default shard size against typical grids; keep
-	// a per-job open store (lifecycle tied to finishJob) if coordinator
-	// absorption ever shows up in profiles.
+	// upload reopens the store, replaying its log: O(recorded) work per
+	// upload. On the fleet-drain benchmark (112 jobs in 4-job shards, a
+	// 2-vCPU Xeon) one whole upload takes about 2 ms at the median
+	// (serve.complete_ms_p50), and reopening the finished 112-record
+	// store about 2 ms (report.open_ms), against about 18 ms of worker
+	// time per shard.
 	j.absorbMu.Lock()
 	store, err := report.Open(j.dir)
 	if err != nil {

@@ -159,49 +159,45 @@ type GridPlan struct {
 	CellOf []int
 }
 
-// runtimeJob is a planned job plus everything needed to execute it.
-type runtimeJob struct {
-	GridJob
-	spec  ScenarioSpec
-	model core.CostModel
-	alg   AlgSpec
-	cell  int
-}
-
-// expandGrid validates the specs and expands them into the runtime job
-// list and cell table, in deterministic (spec, algorithm, b, rep) order.
-// The cost model (an O(racks²) metric construction) is built once per
-// scenario and shared by its jobs.
-func expandGrid(specs []ScenarioSpec) ([]runtimeJob, []GridRow, error) {
+// PlanGrid expands specs into their job grid without executing anything,
+// in deterministic (spec, algorithm, b, rep) order. The plan is a pure
+// function of the spec fields: PlanGrid checks only what it reads (each
+// scenario's name is non-empty, unique and CSV-safe; its sweep,
+// repetitions, alpha and plane count are usable; its family and
+// algorithms are registered) and reads each algorithm's pinned b from the
+// registry. It builds no cost model and no trace generator, so its cost
+// does not depend on the rack count; the family parameters are checked
+// by ScenarioSpec.Validate, which RunGrid runs before any job starts.
+// internal/report plans the grid a run store was created from to know
+// which jobs a log is missing and to aggregate records in canonical order.
+func PlanGrid(specs []ScenarioSpec) (*GridPlan, error) {
 	if len(specs) == 0 {
-		return nil, nil, fmt.Errorf("sim: grid with no scenarios")
+		return nil, fmt.Errorf("sim: grid with no scenarios")
 	}
 	seen := make(map[string]bool, len(specs))
 	for _, spec := range specs {
-		if err := spec.Validate(); err != nil {
-			return nil, nil, err
+		if err := spec.checkPlan(); err != nil {
+			return nil, err
 		}
 		if seen[spec.Name] {
-			return nil, nil, fmt.Errorf("sim: duplicate scenario name %q", spec.Name)
+			return nil, fmt.Errorf("sim: duplicate scenario name %q", spec.Name)
 		}
 		seen[spec.Name] = true
 	}
-	var jobs []runtimeJob
-	var cells []GridRow
+	p := &GridPlan{}
 	for _, spec := range specs {
 		spec := spec.withDefaults()
-		model := spec.Model()
 		for _, algName := range spec.Algs {
-			as, err := spec.algSpec(algName, model)
+			a, err := algFor(algName)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			bs := spec.Bs
-			if as.FixedB >= 0 {
-				bs = []int{as.FixedB}
+			if a.fixedB >= 0 {
+				bs = []int{a.fixedB}
 			}
 			for _, b := range bs {
-				cells = append(cells, GridRow{
+				p.Cells = append(p.Cells, GridRow{
 					Scenario: spec.Name,
 					Family:   spec.Family,
 					Alg:      algName,
@@ -210,43 +206,13 @@ func expandGrid(specs []ScenarioSpec) ([]runtimeJob, []GridRow, error) {
 					Racks:    spec.Racks,
 				})
 				for rep := 0; rep < spec.Reps; rep++ {
-					jobs = append(jobs, runtimeJob{
-						GridJob: GridJob{Scenario: spec.Name, Alg: algName, B: b, Rep: rep},
-						spec:    spec,
-						model:   model,
-						alg:     as,
-						cell:    len(cells) - 1,
-					})
+					p.Jobs = append(p.Jobs, GridJob{Scenario: spec.Name, Alg: algName, B: b, Rep: rep})
+					p.CellOf = append(p.CellOf, len(p.Cells)-1)
 				}
 			}
 		}
 	}
-	return jobs, cells, nil
-}
-
-// newPlan strips the runtime parts off an expanded grid.
-func newPlan(jobs []runtimeJob, cells []GridRow) *GridPlan {
-	p := &GridPlan{
-		Jobs:   make([]GridJob, len(jobs)),
-		Cells:  cells,
-		CellOf: make([]int, len(jobs)),
-	}
-	for i := range jobs {
-		p.Jobs[i] = jobs[i].GridJob
-		p.CellOf[i] = jobs[i].cell
-	}
-	return p
-}
-
-// PlanGrid expands specs into their job grid without executing anything.
-// internal/report plans the same grid a run store was created from to know
-// which jobs a log is missing and to aggregate records in canonical order.
-func PlanGrid(specs []ScenarioSpec) (*GridPlan, error) {
-	jobs, cells, err := expandGrid(specs)
-	if err != nil {
-		return nil, err
-	}
-	return newPlan(jobs, cells), nil
+	return p, nil
 }
 
 // ShardSlice returns the plan jobs owned by shard (index, count) — those
@@ -321,28 +287,36 @@ func RunGrid(specs []ScenarioSpec, opt GridOptions) (*GridResult, error) {
 // ctx.Err(); job errors caused by the cancellation itself are not
 // reported as failures.
 func RunGridContext(ctx context.Context, specs []ScenarioSpec, opt GridOptions) (*GridResult, error) {
-	jobs, cells, err := expandGrid(specs)
+	plan, err := PlanGrid(specs)
 	if err != nil {
 		return nil, err
+	}
+	for _, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if opt.Shards > 1 && (opt.Shard < 0 || opt.Shard >= opt.Shards) {
 		return nil, fmt.Errorf("sim: shard %d/%d out of range", opt.Shard, opt.Shards)
 	}
 
 	// Partition (sharding) and short-circuit (resume) before execution.
-	outcomes := make(map[GridJob]JobOutcome, len(jobs))
+	outcomes := make(map[GridJob]JobOutcome, len(plan.Jobs))
 	var run []runtimeJob
-	for i := range jobs {
+	for i, j := range plan.Jobs {
 		if opt.Shards > 1 && i%opt.Shards != opt.Shard {
 			continue
 		}
 		if opt.Lookup != nil {
-			if o, ok := opt.Lookup(jobs[i].GridJob); ok {
-				outcomes[jobs[i].GridJob] = o
+			if o, ok := opt.Lookup(j); ok {
+				outcomes[j] = o
 				continue
 			}
 		}
-		run = append(run, jobs[i])
+		run = append(run, runtimeJob{GridJob: j})
+	}
+	if err := bindJobs(specs, run); err != nil {
+		return nil, err
 	}
 
 	results := make([]JobOutcome, len(run))
@@ -392,7 +366,7 @@ func RunGridContext(ctx context.Context, specs []ScenarioSpec, opt GridOptions) 
 				outcomes[run[i].GridJob] = results[i]
 			}
 		}
-		return newPlan(jobs, cells).Aggregate(outcomes), fmt.Errorf("sim: grid interrupted: %w", cerr)
+		return plan.Aggregate(outcomes), fmt.Errorf("sim: grid interrupted: %w", cerr)
 	}
 	if err != nil {
 		return nil, err
@@ -400,7 +374,40 @@ func RunGridContext(ctx context.Context, specs []ScenarioSpec, opt GridOptions) 
 	for i := range run {
 		outcomes[run[i].GridJob] = results[i]
 	}
-	return newPlan(jobs, cells).Aggregate(outcomes), nil
+	return plan.Aggregate(outcomes), nil
+}
+
+// runtimeJob is a planned job bound to what executing it needs.
+type runtimeJob struct {
+	GridJob
+	spec  ScenarioSpec
+	model core.CostModel
+	alg   AlgSpec
+}
+
+// bindJobs binds the jobs left to run to their scenarios and algorithms.
+// A scenario's cost model (one BFS per rack over the whole fat-tree
+// graph) is built once, and only if one of its jobs is left to run: a
+// fully resumed grid builds none.
+func bindJobs(specs []ScenarioSpec, run []runtimeJob) error {
+	byName := make(map[string]ScenarioSpec, len(specs))
+	for _, s := range specs {
+		byName[s.Name] = s.withDefaults()
+	}
+	models := make(map[string]core.CostModel, len(specs))
+	for i := range run {
+		j := &run[i]
+		j.spec = byName[j.Scenario]
+		if _, ok := models[j.Scenario]; !ok {
+			models[j.Scenario] = j.spec.Model()
+		}
+		j.model = models[j.Scenario]
+		var err error
+		if j.alg, err = j.spec.algSpec(j.Alg, j.model); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // jobOutcome snapshots a run result into a persistable outcome, copying

@@ -71,9 +71,25 @@ func (s ScenarioSpec) withDefaults() ScenarioSpec {
 	return s
 }
 
-// Validate reports whether the spec is runnable: known family and
-// algorithms, usable sweep, and buildable workload stream.
+// Validate reports whether the spec is runnable: everything PlanGrid
+// checks, plus the family parameters. The family builder checks those,
+// so Validate builds the workload generator (for the Facebook families a
+// Zipf table over racks² pairs) and costs what one trace setup costs.
 func (s ScenarioSpec) Validate() error {
+	if err := s.checkPlan(); err != nil {
+		return err
+	}
+	if _, err := s.NewStream(); err != nil {
+		return fmt.Errorf("sim: scenario %q: %w", s.Name, err)
+	}
+	return nil
+}
+
+// checkPlan checks the fields planning reads, plus what costs a registry
+// lookup: the name, the sweep, alpha, the plane count, and that the
+// family and algorithms are registered. It builds nothing, so its cost
+// does not depend on the rack count.
+func (s ScenarioSpec) checkPlan() error {
 	s = s.withDefaults()
 	if s.Name == "" {
 		return fmt.Errorf("sim: scenario without a name")
@@ -94,11 +110,11 @@ func (s ScenarioSpec) Validate() error {
 		return fmt.Errorf("sim: scenario %q: shards = %d out of [0, racks = %d]", s.Name, s.Shards, s.Racks)
 	}
 	for _, a := range s.Algs {
-		if _, err := algBuilder(a); err != nil {
+		if _, err := algFor(a); err != nil {
 			return fmt.Errorf("sim: scenario %q: %w (have %v)", s.Name, err, Algorithms())
 		}
 	}
-	if _, err := s.NewStream(); err != nil {
+	if _, err := familyFor(s.Family); err != nil {
 		return fmt.Errorf("sim: scenario %q: %w", s.Name, err)
 	}
 	return nil
@@ -113,13 +129,22 @@ func (s ScenarioSpec) Model() core.CostModel {
 
 // NewStream builds the scenario's raw workload stream from its family.
 func (s ScenarioSpec) NewStream() (trace.Stream, error) {
-	registryMu.RLock()
-	b, ok := familyBuilders[s.Family]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("unknown family %q (have %v)", s.Family, Families())
+	b, err := familyFor(s.Family)
+	if err != nil {
+		return nil, err
 	}
 	return b(s.withDefaults())
+}
+
+// familyFor looks up a workload family's builder under the registry lock.
+func familyFor(name string) (FamilyBuilder, error) {
+	registryMu.RLock()
+	b, ok := familyBuilders[name]
+	registryMu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("unknown family %q (have %v)", name, Families())
+	}
+	return b, nil
 }
 
 // NewSource builds the scenario's compiled streaming source: the workload
@@ -136,10 +161,19 @@ func (s ScenarioSpec) NewSource() (trace.Source, error) {
 // FamilyBuilder constructs a workload stream from a (defaults-filled) spec.
 type FamilyBuilder func(spec ScenarioSpec) (trace.Stream, error)
 
+// algEntry is one registered grid algorithm: the degree it is pinned to,
+// which planning reads without a cost model, and its constructor.
+type algEntry struct {
+	// fixedB, when >= 0, pins the algorithm to one b regardless of the
+	// sweep (oblivious routing has no b); -1 follows the sweep.
+	fixedB int
+	build  func(spec ScenarioSpec, model core.CostModel, b int, rep uint64) (core.Algorithm, error)
+}
+
 var (
 	registryMu     sync.RWMutex
 	familyBuilders = map[string]FamilyBuilder{}
-	algBuilders    = map[string]func(spec ScenarioSpec, model core.CostModel) AlgSpec{}
+	algorithms     = map[string]algEntry{}
 	scenarioReg    = map[string]ScenarioSpec{}
 	scenarioOrder  []string
 )
@@ -199,23 +233,23 @@ func ScenarioByName(name string) (ScenarioSpec, error) {
 func Algorithms() []string {
 	registryMu.RLock()
 	defer registryMu.RUnlock()
-	out := make([]string, 0, len(algBuilders))
-	for name := range algBuilders {
+	out := make([]string, 0, len(algorithms))
+	for name := range algorithms {
 		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// algBuilder looks up an algorithm constructor under the registry lock.
-func algBuilder(name string) (func(spec ScenarioSpec, model core.CostModel) AlgSpec, error) {
+// algFor looks up a registered algorithm under the registry lock.
+func algFor(name string) (algEntry, error) {
 	registryMu.RLock()
-	b, ok := algBuilders[name]
+	a, ok := algorithms[name]
 	registryMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("unknown algorithm %q", name)
+		return algEntry{}, fmt.Errorf("unknown algorithm %q", name)
 	}
-	return b, nil
+	return a, nil
 }
 
 // BuildAlgorithm instantiates one named algorithm from the registry for
@@ -240,11 +274,14 @@ func (s ScenarioSpec) BuildAlgorithm(name string, b int, rep uint64) (core.Algor
 // algSpec resolves an algorithm name into an AlgSpec for the scenario,
 // reusing a model the caller has already built.
 func (s ScenarioSpec) algSpec(name string, model core.CostModel) (AlgSpec, error) {
-	b, err := algBuilder(name)
+	a, err := algFor(name)
 	if err != nil {
 		return AlgSpec{}, fmt.Errorf("sim: %w", err)
 	}
-	return b(s.withDefaults(), model), nil
+	s = s.withDefaults()
+	return AlgSpec{Name: name, FixedB: a.fixedB, New: func(b int, rep uint64) (core.Algorithm, error) {
+		return a.build(s, model, b, rep)
+	}}, nil
 }
 
 // param reads a family knob with a default.
@@ -371,42 +408,22 @@ func init() {
 	// plane derives its own seed from that base via core.ShardSeed (plane 0
 	// keeps the base, so shards = 1 is seeded exactly like the classic
 	// single-plane run).
-	algBuilders["r-bma"] = func(spec ScenarioSpec, model core.CostModel) AlgSpec {
-		n := spec.Racks
-		return AlgSpec{
-			Name:   "r-bma",
-			FixedB: -1,
-			New: func(b int, rep uint64) (core.Algorithm, error) {
-				base := rep*0x9e3779b9 + uint64(b)
-				return shardedAlg(spec, func(shard int) (core.Algorithm, error) {
-					return core.NewRBMA(n, b, model, core.ShardSeed(base, shard))
-				})
-			},
-		}
-	}
-	algBuilders["bma"] = func(spec ScenarioSpec, model core.CostModel) AlgSpec {
-		n := spec.Racks
-		return AlgSpec{
-			Name:   "bma",
-			FixedB: -1,
-			New: func(b int, rep uint64) (core.Algorithm, error) {
-				return shardedAlg(spec, func(int) (core.Algorithm, error) {
-					return core.NewBMA(n, b, model)
-				})
-			},
-		}
-	}
-	algBuilders["oblivious"] = func(spec ScenarioSpec, model core.CostModel) AlgSpec {
-		return AlgSpec{
-			Name:   "oblivious",
-			FixedB: 0,
-			New: func(b int, rep uint64) (core.Algorithm, error) {
-				// Stateless: planes would all behave identically, so the
-				// oblivious baseline never shards.
-				return core.NewOblivious(model)
-			},
-		}
-	}
+	algorithms["r-bma"] = algEntry{fixedB: -1, build: func(spec ScenarioSpec, model core.CostModel, b int, rep uint64) (core.Algorithm, error) {
+		base := rep*0x9e3779b9 + uint64(b)
+		return shardedAlg(spec, func(shard int) (core.Algorithm, error) {
+			return core.NewRBMA(spec.Racks, b, model, core.ShardSeed(base, shard))
+		})
+	}}
+	algorithms["bma"] = algEntry{fixedB: -1, build: func(spec ScenarioSpec, model core.CostModel, b int, rep uint64) (core.Algorithm, error) {
+		return shardedAlg(spec, func(int) (core.Algorithm, error) {
+			return core.NewBMA(spec.Racks, b, model)
+		})
+	}}
+	algorithms["oblivious"] = algEntry{fixedB: 0, build: func(spec ScenarioSpec, model core.CostModel, b int, rep uint64) (core.Algorithm, error) {
+		// Stateless: planes would all behave identically, so the
+		// oblivious baseline never shards.
+		return core.NewOblivious(model)
+	}}
 
 	// Scenario presets: one per new family (the widened workload coverage)
 	// plus classic baselines, all modest sizes so the full preset grid runs

@@ -547,12 +547,47 @@ func BenchmarkFlowSimulation(b *testing.B) {
 	})
 }
 
+// BenchmarkMetricConstruction times the paper's fat-tree metric two ways:
+// the BFS over a prebuilt graph (Topology.Metric, the generic path) and
+// the closed form every cost model uses (graph.FatTreeMetric).
 func BenchmarkMetricConstruction(b *testing.B) {
 	for _, racks := range []int{50, 100} {
 		b.Run(fmt.Sprintf("racks=%d", racks), func(b *testing.B) {
 			top := graph.FatTreeRacks(racks)
 			for i := 0; i < b.N; i++ {
 				top.Metric()
+			}
+		})
+		b.Run(fmt.Sprintf("closed-form/racks=%d", racks), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				graph.FatTreeMetric(racks)
+			}
+		})
+	}
+}
+
+// BenchmarkScenarioValidate times ScenarioSpec.Validate, which runs at
+// every job submission and twice per leased fleet shard, for each paper
+// trace family at the paper's rack count. It constructs the family's
+// stream, which builds no table sized by the rack pairs.
+func BenchmarkScenarioValidate(b *testing.B) {
+	for _, f := range []struct {
+		family string
+		racks  int
+	}{
+		{"facebook-database", 100},
+		{"facebook-webservice", 100},
+		{"facebook-hadoop", 100},
+		{"microsoft", 50},
+	} {
+		spec := sim.ScenarioSpec{Name: f.family, Family: f.family, Racks: f.racks, Requests: 100000, Seed: 1, Bs: []int{6, 12, 18}}
+		b.Run(f.family, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := spec.Validate(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

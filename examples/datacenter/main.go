@@ -16,8 +16,7 @@ import (
 
 func main() {
 	const racks = 50
-	top := graph.FatTreeRacks(racks)
-	model := core.CostModel{Metric: top.Metric(), Alpha: 30}
+	model := core.CostModel{Metric: graph.FatTreeMetric(racks), Alpha: 30}
 
 	params := trace.FacebookPreset(trace.Hadoop, racks, 7)
 	params.Requests = 60000

@@ -19,8 +19,7 @@ import (
 func main() {
 	const racks = 24
 	const b = 3
-	top := graph.FatTreeRacks(racks)
-	model := core.CostModel{Metric: top.Metric(), Alpha: 20}
+	model := core.CostModel{Metric: graph.FatTreeMetric(racks), Alpha: 20}
 
 	phases := []struct {
 		name string

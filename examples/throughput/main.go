@@ -19,7 +19,7 @@ import (
 func main() {
 	const racks = 32
 	top := graph.FatTreeRacks(racks)
-	model := core.CostModel{Metric: top.Metric(), Alpha: 30}
+	model := core.CostModel{Metric: graph.FatTreeMetric(racks), Alpha: 30}
 
 	params := trace.FacebookPreset(trace.Database, racks, 11)
 	params.Requests = 40000

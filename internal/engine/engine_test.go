@@ -519,6 +519,19 @@ func TestEngineHTTP(t *testing.T) {
 	}
 }
 
+// TestCreateSessionRejectsOversizedRacks: a session's metric is a racks²
+// table like a grid scenario's, and the scenario rack bound applies.
+func TestCreateSessionRejectsOversizedRacks(t *testing.T) {
+	e := New(Options{})
+	defer e.Close()
+	if _, err := e.CreateSession(SessionConfig{Racks: sim.MaxRacks + 1, B: 4}); err == nil || !strings.Contains(err.Error(), "racks") {
+		t.Fatalf("CreateSession with %d racks: err = %v, want the rack bound", sim.MaxRacks+1, err)
+	}
+	if _, err := e.CreateSession(SessionConfig{Racks: 16, B: 4}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFeedBinaryAllocFree pins the tentpole's zero-allocation contract on
 // the server hot path: once the session's scratch buffer is warm, serving
 // a wire batch allocates nothing.

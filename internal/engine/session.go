@@ -133,7 +133,9 @@ type Session struct {
 
 // newSession builds a session from a validated, defaults-filled config.
 func newSession(id string, cfg SessionConfig) (*Session, error) {
-	alg, err := cfg.spec().BuildAlgorithm(cfg.Alg, cfg.B, cfg.Seed)
+	spec := cfg.spec()
+	model := spec.Model()
+	alg, err := spec.BuildAlgorithmWith(model, cfg.Alg, cfg.B, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +143,7 @@ func newSession(id string, cfg SessionConfig) (*Session, error) {
 		id:      id,
 		cfg:     cfg,
 		created: time.Now(),
-		metric:  graph.FatTreeRacks(cfg.Racks).Metric(),
+		metric:  model.Metric,
 		idx:     trace.SharedPairIndex(cfg.Racks),
 		churn:   obs.NewRing[ChurnEvent](churnRing),
 	}

@@ -49,7 +49,7 @@ func extConfig(name string, tr *trace.Trace, model core.CostModel, bs []int, rep
 // Facebook-webservice trace on a fat-tree.
 func extWorkload(name string, bs []int, scale float64, reps int, seed uint64) (sim.Config, core.CostModel, error) {
 	const racks = 50
-	model := core.CostModel{Metric: graph.FatTreeRacks(racks).Metric(), Alpha: DefaultAlpha}
+	model := core.CostModel{Metric: graph.FatTreeMetric(racks), Alpha: DefaultAlpha}
 	p := trace.FacebookPreset(trace.WebService, racks, seed)
 	p.Requests = max(int(200000*scale), 1000)
 	tr, err := trace.FacebookStyle(p)
@@ -131,10 +131,10 @@ func extAlpha() Figure {
 				return sim.Config{}, nil, err
 			}
 			n := cfg.Trace.NumRacks
-			top := graph.FatTreeRacks(n)
+			metric := graph.FatTreeMetric(n)
 			var specs []sim.AlgSpec
 			for _, alpha := range []float64{5, 30, 120} {
-				model := core.CostModel{Metric: top.Metric(), Alpha: alpha}
+				model := core.CostModel{Metric: metric, Alpha: alpha}
 				alpha := alpha
 				specs = append(specs, sim.AlgSpec{
 					Name:   fmt.Sprintf("r-bma-a%g", alpha),
@@ -181,7 +181,7 @@ func extShift() Figure {
 		Metric: RoutingCost,
 		Build: func(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error) {
 			const racks = 50
-			model := core.CostModel{Metric: graph.FatTreeRacks(racks).Metric(), Alpha: DefaultAlpha}
+			model := core.CostModel{Metric: graph.FatTreeMetric(racks), Alpha: DefaultAlpha}
 			tr, err := trace.PhaseShift(racks, max(int(200000*scale), 2000), 8, seed)
 			if err != nil {
 				return sim.Config{}, nil, err

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -162,6 +163,32 @@ func TestFatTreeRacksCount(t *testing.T) {
 		if n > 1 && (m.Max() != 2 && m.Max() != 4) {
 			t.Fatalf("fat-tree ℓmax = %d", m.Max())
 		}
+	}
+}
+
+// TestFatTreeMetricMatchesBFS pins the closed-form fat-tree metric to the
+// BFS over the built graph: entry for entry and in Max, for every rack
+// count the paper's setups and the repo's benchmarks use and far beyond,
+// and for every full k-ary fat-tree up to k = 24.
+func TestFatTreeMetricMatchesBFS(t *testing.T) {
+	check := func(what string, got, want *Metric) {
+		t.Helper()
+		if got.N() != want.N() || got.Max() != want.Max() {
+			t.Fatalf("%s: N, Max = %d, %d; BFS has %d, %d", what, got.N(), got.Max(), want.N(), want.Max())
+		}
+		for u := 0; u < want.N(); u++ {
+			for v := 0; v < want.N(); v++ {
+				if got.Dist(u, v) != want.Dist(u, v) {
+					t.Fatalf("%s: Dist(%d,%d) = %d, BFS says %d", what, u, v, got.Dist(u, v), want.Dist(u, v))
+				}
+			}
+		}
+	}
+	for n := 1; n <= 300; n++ {
+		check(fmt.Sprintf("FatTreeRacks(%d)", n), FatTreeMetric(n), FatTreeRacks(n).Metric())
+	}
+	for k := 2; k <= 24; k += 2 {
+		check(fmt.Sprintf("FatTree(%d)", k), FatTreeMetric(k*k/2), FatTree(k).Metric())
 	}
 }
 

@@ -148,14 +148,53 @@ func FatTreeRacks(n int) *Topology {
 	if n < 1 {
 		panic("graph: FatTreeRacks requires n >= 1")
 	}
-	k := 2
-	for k*k/2 < n {
-		k += 2
-	}
+	k := fatTreeArity(n)
 	t := FatTree(k)
 	t.racks = t.racks[:n]
 	t.name = fmt.Sprintf("fat-tree(k=%d, racks=%d)", k, n)
 	return t
+}
+
+// fatTreeArity returns the smallest even k whose k-ary fat-tree has at
+// least n racks (k²/2 edge switches).
+func fatTreeArity(n int) int {
+	k := 2
+	for k*k/2 < n {
+		k += 2
+	}
+	return k
+}
+
+// FatTreeMetric returns FatTreeRacks(n).Metric() without building the
+// graph. Rack i is edge switch i, which sits in pod i/(k/2), so two racks
+// are 2 hops apart (edge, aggregation, edge) within a pod and 4 hops
+// apart (up through an aggregation and a core switch, and down) across
+// pods. The fill costs O(n²) with no search, against one BFS per rack
+// over all 5k²/4 switches for Metric.
+func FatTreeMetric(n int) *Metric {
+	if n < 1 {
+		panic("graph: FatTreeMetric requires n >= 1")
+	}
+	half := fatTreeArity(n) / 2
+	m := &Metric{n: n, d: make([]int32, n*n)}
+	for u := 0; u < n; u++ {
+		row := m.d[u*n : (u+1)*n]
+		for v := range row {
+			row[v] = 4
+		}
+		lo := u / half * half
+		for v := lo; v < min(lo+half, n); v++ {
+			row[v] = 2
+		}
+		row[u] = 0
+	}
+	switch {
+	case n > half:
+		m.max = 4
+	case n > 1:
+		m.max = 2
+	}
+	return m
 }
 
 // LeafSpine builds a two-tier Clos: every leaf connects to every spine.

@@ -481,6 +481,10 @@ func TestSubmitValidation(t *testing.T) {
 		"not json",
 		`[{"name":"x","family":"no-such-family","racks":8,"requests":100,"bs":[2],"reps":1}]`,
 		`[]`,
+		`[{"name":"x","family":"microsoft","racks":0,"requests":100,"bs":[2],"reps":1}]`,
+		`[{"name":"x","family":"microsoft","racks":1,"requests":100,"bs":[2],"reps":1}]`,
+		`[{"name":"x","family":"uniform","racks":100000,"requests":100,"bs":[2],"reps":1}]`,
+		`[{"name":"x","family":"uniform","racks":8,"requests":100,"bs":[2],"reps":1000000000}]`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

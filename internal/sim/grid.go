@@ -162,9 +162,10 @@ type GridPlan struct {
 // PlanGrid expands specs into their job grid without executing anything,
 // in deterministic (spec, algorithm, b, rep) order. The plan is a pure
 // function of the spec fields: PlanGrid checks only what it reads (each
-// scenario's name is non-empty, unique and CSV-safe; its sweep,
-// repetitions, alpha and plane count are usable; its family and
-// algorithms are registered) and reads each algorithm's pinned b from the
+// scenario's name is non-empty, unique and CSV-safe; its rack count is at
+// most MaxRacks; its sweep, repetitions, alpha and plane count are
+// usable; its family and algorithms are registered; the whole list plans
+// at most MaxGridJobs jobs) and reads each algorithm's pinned b from the
 // registry. It builds no cost model and no trace generator, so its cost
 // does not depend on the rack count; the family parameters are checked
 // by ScenarioSpec.Validate, which RunGrid runs before any job starts.
@@ -175,16 +176,21 @@ func PlanGrid(specs []ScenarioSpec) (*GridPlan, error) {
 		return nil, fmt.Errorf("sim: grid with no scenarios")
 	}
 	seen := make(map[string]bool, len(specs))
+	total := 0
 	for _, spec := range specs {
-		if err := spec.checkPlan(); err != nil {
+		jobs, err := spec.checkPlan()
+		if err != nil {
 			return nil, err
 		}
 		if seen[spec.Name] {
 			return nil, fmt.Errorf("sim: duplicate scenario name %q", spec.Name)
 		}
 		seen[spec.Name] = true
+		if total += jobs; total > MaxGridJobs {
+			return nil, fmt.Errorf("sim: grid plans more than %d jobs", MaxGridJobs)
+		}
 	}
-	p := &GridPlan{}
+	p := &GridPlan{Jobs: make([]GridJob, 0, total), CellOf: make([]int, 0, total)}
 	for _, spec := range specs {
 		spec := spec.withDefaults()
 		for _, algName := range spec.Algs {
@@ -386,9 +392,9 @@ type runtimeJob struct {
 }
 
 // bindJobs binds the jobs left to run to their scenarios and algorithms.
-// A scenario's cost model (one BFS per rack over the whole fat-tree
-// graph) is built once, and only if one of its jobs is left to run: a
-// fully resumed grid builds none.
+// A scenario's cost model (a racks² distance table) is built once, and
+// only if one of its jobs is left to run: a fully resumed grid builds
+// none.
 func bindJobs(specs []ScenarioSpec, run []runtimeJob) error {
 	byName := make(map[string]ScenarioSpec, len(specs))
 	for _, s := range specs {

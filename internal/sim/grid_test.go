@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -143,6 +144,28 @@ func TestRunGridValidation(t *testing.T) {
 	bad[0].Name = "comma,name"
 	if _, err := RunGrid(bad, GridOptions{}); err == nil {
 		t.Fatal("CSV-breaking scenario name accepted")
+	}
+	for _, racks := range []int{0, 1} {
+		bad = testGridSpecs()
+		bad[0].Family, bad[0].Racks, bad[0].Params = "microsoft", racks, nil
+		if _, err := RunGrid(bad, GridOptions{}); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("got %d", racks)) {
+			t.Fatalf("microsoft with %d racks: err = %v, want one naming the rack count", racks, err)
+		}
+	}
+	bad = testGridSpecs()
+	bad[0].Family, bad[0].Racks, bad[0].Params = "uniform", MaxRacks+1, nil
+	if _, err := RunGrid(bad, GridOptions{}); err == nil || !strings.Contains(err.Error(), "racks") {
+		t.Fatalf("%d racks: err = %v, want the rack bound", MaxRacks+1, err)
+	}
+	bad = testGridSpecs()
+	bad[0].Reps = 1_000_000_000
+	if _, err := RunGrid(bad, GridOptions{}); err == nil || !strings.Contains(err.Error(), "jobs") {
+		t.Fatalf("a billion reps: err = %v, want the job bound", err)
+	}
+	bad = testGridSpecs()
+	bad[0].Reps, bad[1].Reps = MaxGridJobs/8, MaxGridJobs/4 // 5 and 2 cells
+	if _, err := RunGrid(bad, GridOptions{}); err == nil || !strings.Contains(err.Error(), "grid plans more than") {
+		t.Fatalf("specs each under the job bound, together over it: err = %v", err)
 	}
 }
 

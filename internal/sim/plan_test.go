@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -115,6 +116,52 @@ func TestPlanGridCostIndependentOfRacks(t *testing.T) {
 	}
 	if small, big := resumedAllocs(50), resumedAllocs(400); small != big {
 		t.Fatalf("fully resumed RunGrid allocs: %v at 50 racks, %v at 400 racks", small, big)
+	}
+}
+
+// TestModelAllocsIndependentOfRacks: a scenario's cost model is the
+// closed-form fat-tree metric, so building one allocates the same at 50
+// and at 400 racks; building the fat-tree graph allocates more the larger
+// the tree.
+func TestModelAllocsIndependentOfRacks(t *testing.T) {
+	allocs := func(racks int) float64 {
+		spec := ScenarioSpec{Name: "m", Family: "uniform", Racks: racks, Requests: 1, Bs: []int{2}}
+		return testing.AllocsPerRun(10, func() { spec.Model() })
+	}
+	if small, big := allocs(50), allocs(400); small != big {
+		t.Fatalf("Model allocs: %v at 50 racks, %v at 400 racks", small, big)
+	}
+}
+
+// TestValidateBytesLinearInRacks: constructing a workload stream builds no
+// table sized by the rack pairs, so for every registered family the bytes
+// one Validate allocates grow at most 5× from 100 to 400 racks (linear
+// growth is 4×, a racks² table 16×).
+func TestValidateBytesLinearInRacks(t *testing.T) {
+	validateBytes := func(spec ScenarioSpec) float64 {
+		const runs = 20
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if err := spec.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	for _, family := range Families() {
+		spec := func(racks int) ScenarioSpec {
+			return ScenarioSpec{Name: "v", Family: family, Racks: racks, Requests: 1000, Seed: 1, Bs: []int{4}}
+		}
+		small, big := validateBytes(spec(100)), validateBytes(spec(400))
+		if big > 5*small {
+			t.Errorf("%s: Validate allocates %.0f B at 100 racks, %.0f B at 400 racks (%.1f×, want <= 5×)",
+				family, small, big, big/small)
+		}
 	}
 }
 

@@ -71,12 +71,22 @@ func (s ScenarioSpec) withDefaults() ScenarioSpec {
 	return s
 }
 
+// Bounds on the spec values that size allocations.
+const (
+	// MaxRacks bounds a scenario's rack count. A cost model is a racks²
+	// int32 table, 64 MiB at the bound; the paper uses 50 and 100 racks.
+	MaxRacks = 4096
+	// MaxGridJobs bounds the jobs one spec list plans, so a huge Reps or
+	// sweep is refused before the job list is allocated.
+	MaxGridJobs = 1 << 20
+)
+
 // Validate reports whether the spec is runnable: everything PlanGrid
-// checks, plus the family parameters. The family builder checks those,
-// so Validate builds the workload generator (for the Facebook families a
-// Zipf table over racks² pairs) and costs what one trace setup costs.
+// checks, plus the family parameters. The family builder checks those by
+// constructing the workload stream, which builds no table sized by the
+// rack count, so Validate costs microseconds and O(racks) memory.
 func (s ScenarioSpec) Validate() error {
-	if err := s.checkPlan(); err != nil {
+	if _, err := s.checkPlan(); err != nil {
 		return err
 	}
 	if _, err := s.NewStream(); err != nil {
@@ -86,45 +96,61 @@ func (s ScenarioSpec) Validate() error {
 }
 
 // checkPlan checks the fields planning reads, plus what costs a registry
-// lookup: the name, the sweep, alpha, the plane count, and that the
-// family and algorithms are registered. It builds nothing, so its cost
-// does not depend on the rack count.
-func (s ScenarioSpec) checkPlan() error {
+// lookup: the name, the rack count's upper bound, the sweep, alpha, the
+// plane count, that the family and algorithms are registered, and that
+// the spec plans at most MaxGridJobs jobs. It returns that job count. It
+// builds nothing, so its cost does not depend on the rack count.
+func (s ScenarioSpec) checkPlan() (jobs int, err error) {
 	s = s.withDefaults()
 	if s.Name == "" {
-		return fmt.Errorf("sim: scenario without a name")
+		return 0, fmt.Errorf("sim: scenario without a name")
+	}
+	if s.Racks > MaxRacks {
+		return 0, fmt.Errorf("sim: scenario %q: racks = %d, at most %d", s.Name, s.Racks, MaxRacks)
 	}
 	if len(s.Bs) == 0 {
-		return fmt.Errorf("sim: scenario %q needs a b sweep", s.Name)
+		return 0, fmt.Errorf("sim: scenario %q needs a b sweep", s.Name)
 	}
 	if s.Reps < 1 {
-		return fmt.Errorf("sim: scenario %q needs Reps >= 1", s.Name)
+		return 0, fmt.Errorf("sim: scenario %q needs Reps >= 1", s.Name)
 	}
 	if s.Alpha < 1 {
-		return fmt.Errorf("sim: scenario %q: alpha = %v, need >= 1", s.Name, s.Alpha)
+		return 0, fmt.Errorf("sim: scenario %q: alpha = %v, need >= 1", s.Name, s.Alpha)
 	}
 	if strings.ContainsAny(s.Name, ",\"\n") {
-		return fmt.Errorf("sim: scenario name %q must not contain commas, quotes or newlines (it names CSV rows)", s.Name)
+		return 0, fmt.Errorf("sim: scenario name %q must not contain commas, quotes or newlines (it names CSV rows)", s.Name)
 	}
 	if s.Shards < 0 || s.Shards > s.Racks {
-		return fmt.Errorf("sim: scenario %q: shards = %d out of [0, racks = %d]", s.Name, s.Shards, s.Racks)
+		return 0, fmt.Errorf("sim: scenario %q: shards = %d out of [0, racks = %d]", s.Name, s.Shards, s.Racks)
 	}
+	cells := 0
 	for _, a := range s.Algs {
-		if _, err := algFor(a); err != nil {
-			return fmt.Errorf("sim: scenario %q: %w (have %v)", s.Name, err, Algorithms())
+		e, err := algFor(a)
+		if err != nil {
+			return 0, fmt.Errorf("sim: scenario %q: %w (have %v)", s.Name, err, Algorithms())
+		}
+		if e.fixedB >= 0 {
+			cells++
+		} else {
+			cells += len(s.Bs)
 		}
 	}
-	if _, err := familyFor(s.Family); err != nil {
-		return fmt.Errorf("sim: scenario %q: %w", s.Name, err)
+	if cells > MaxGridJobs/s.Reps {
+		return 0, fmt.Errorf("sim: scenario %q plans %d cells × %d reps, more than %d jobs", s.Name, cells, s.Reps, MaxGridJobs)
 	}
-	return nil
+	if _, err := familyFor(s.Family); err != nil {
+		return 0, fmt.Errorf("sim: scenario %q: %w", s.Name, err)
+	}
+	return cells * s.Reps, nil
 }
 
 // Model returns the scenario's cost model: a fat-tree over Racks with the
-// spec's alpha — the same construction as the paper's figures.
+// spec's alpha — the same construction as the paper's figures. The metric
+// is the closed-form graph.FatTreeMetric, so a model costs one racks²
+// table fill and no graph search.
 func (s ScenarioSpec) Model() core.CostModel {
 	s = s.withDefaults()
-	return core.CostModel{Metric: graph.FatTreeRacks(s.Racks).Metric(), Alpha: s.Alpha}
+	return core.CostModel{Metric: graph.FatTreeMetric(s.Racks), Alpha: s.Alpha}
 }
 
 // NewStream builds the scenario's raw workload stream from its family.
@@ -257,11 +283,17 @@ func algFor(name string) (algEntry, error) {
 // instance a grid job for (spec, name, b, rep) would replay with, shard
 // planes and per-plane seeding included. Algorithms with a pinned degree
 // (oblivious) ignore b. The live engine builds its per-session instances
-// through this path, so an engine session and an offline grid job with
+// through this path (BuildAlgorithmWith, passing the model it compiles
+// requests against), so an engine session and an offline grid job with
 // the same parameters are seeded identically.
 func (s ScenarioSpec) BuildAlgorithm(name string, b int, rep uint64) (core.Algorithm, error) {
-	s = s.withDefaults()
-	as, err := s.algSpec(name, s.Model())
+	return s.BuildAlgorithmWith(s.Model(), name, b, rep)
+}
+
+// BuildAlgorithmWith is BuildAlgorithm against a cost model the caller
+// has already built with Model, for callers that also need the model.
+func (s ScenarioSpec) BuildAlgorithmWith(model core.CostModel, name string, b int, rep uint64) (core.Algorithm, error) {
+	as, err := s.algSpec(name, model)
 	if err != nil {
 		return nil, err
 	}

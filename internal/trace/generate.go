@@ -152,7 +152,7 @@ func FacebookPreset(c Cluster, racks int, seed uint64) FacebookParams {
 func MicrosoftStyle(n, count int, seed uint64) *Trace {
 	s, err := NewMicrosoftStream(n, count, seed)
 	if err != nil {
-		panic(err) // matches the historical behavior: bad n panicked in SkewedMatrix
+		panic(err) // matches the historical behavior: bad n panicked
 	}
 	return Collect(s)
 }

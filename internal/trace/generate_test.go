@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -173,6 +175,23 @@ func TestPhaseShiftValidation(t *testing.T) {
 	}
 	if _, err := PhaseShift(10, 100, 0, 1); err == nil {
 		t.Error("phases=0 accepted")
+	}
+}
+
+// TestConstructorsRejectWhatTheyCannotBuild: the stream constructors build
+// no tables, so they must reject every parameter a table build would
+// fail on, with an error instead of a panic.
+func TestConstructorsRejectWhatTheyCannotBuild(t *testing.T) {
+	for _, n := range []int{-1, 0, 1} {
+		if _, err := NewMicrosoftStream(n, 100, 1); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("got %d", n)) {
+			t.Errorf("microsoft with %d racks: err = %v, want one naming the rack count", n, err)
+		}
+	}
+	if _, err := NewTenantMixStream(TenantMixParams{Racks: 16, Requests: 10, Tenants: 1 << 62}); err == nil {
+		t.Error("2^62 tenants on 16 racks accepted")
+	}
+	if _, err := NewHotspotStream(HotspotParams{Racks: 16, Requests: 10, Hotspots: maxHotspots + 1}); err == nil {
+		t.Errorf("%d hotspots accepted", maxHotspots+1)
 	}
 }
 

@@ -63,7 +63,7 @@ func (p *DiurnalParams) Validate() error {
 type diurnalStream struct {
 	p         DiurnalParams
 	r         *stats.Rand
-	peak, off *stats.Zipf
+	peak, off *stats.Zipf // nil until the first Reset or Next
 	perm      []int
 	pos       int
 }
@@ -76,27 +76,29 @@ func NewDiurnalStream(p DiurnalParams) (Stream, error) {
 		return nil, err
 	}
 	q := p.withDefaults()
-	s := &diurnalStream{
-		p:    q,
-		r:    stats.NewRand(q.Seed),
-		peak: stats.NewZipf(NumPairs(q.Racks), q.PeakSkew),
-		off:  stats.NewZipf(NumPairs(q.Racks), q.OffSkew),
-	}
-	s.Reset()
-	return s, nil
+	return &diurnalStream{p: q, r: stats.NewRand(q.Seed)}, nil
 }
 
 func (s *diurnalStream) Name() string  { return s.p.Name }
 func (s *diurnalStream) NumRacks() int { return s.p.Racks }
 func (s *diurnalStream) Len() int      { return s.p.Requests }
 
+// Reset redraws the shared permutation. The first Reset also builds the
+// two Zipf tables, which draw nothing from the RNG.
 func (s *diurnalStream) Reset() {
+	if s.peak == nil {
+		s.peak = stats.NewZipf(NumPairs(s.p.Racks), s.p.PeakSkew)
+		s.off = stats.NewZipf(NumPairs(s.p.Racks), s.p.OffSkew)
+	}
 	s.r.Seed(s.p.Seed)
 	s.perm = s.r.Perm(NumPairs(s.p.Racks))
 	s.pos = 0
 }
 
 func (s *diurnalStream) Next(buf []Request) int {
+	if s.peak == nil {
+		s.Reset()
+	}
 	n := 0
 	for n < len(buf) && s.pos < s.p.Requests {
 		// Peak intensity: 0 at midnight, 1 at noon, sinusoidal in between.
@@ -125,7 +127,7 @@ type HotspotParams struct {
 	Racks        int
 	Requests     int
 	Seed         uint64
-	Hotspots     int     // size of the hot set (default 8)
+	Hotspots     int     // size of the hot set (default 8, at most maxHotspots)
 	HotProb      float64 // P(request hits the hot set) (default 0.8)
 	MigrateEvery int     // requests between single-hotspot migrations (default 5000)
 	Name         string
@@ -148,6 +150,11 @@ func (p *HotspotParams) withDefaults() HotspotParams {
 	return q
 }
 
+// maxHotspots bounds the hot set, which the stream allocates once and
+// redraws on every Reset: a hot set is a handful of elephant pairs, and
+// the bound keeps a mistyped parameter from sizing a multi-gigabyte table.
+const maxHotspots = 1 << 16
+
 // Validate reports whether the parameters are usable.
 func (p *HotspotParams) Validate() error {
 	q := p.withDefaults()
@@ -156,8 +163,8 @@ func (p *HotspotParams) Validate() error {
 		return fmt.Errorf("trace: HotspotParams.Racks = %d, need >= 2", q.Racks)
 	case q.Requests < 0:
 		return fmt.Errorf("trace: HotspotParams.Requests = %d, need >= 0", q.Requests)
-	case q.Hotspots < 1:
-		return fmt.Errorf("trace: HotspotParams.Hotspots = %d, need >= 1", q.Hotspots)
+	case q.Hotspots < 1 || q.Hotspots > maxHotspots:
+		return fmt.Errorf("trace: HotspotParams.Hotspots = %d, need in [1, %d]", q.Hotspots, maxHotspots)
 	case q.HotProb < 0 || q.HotProb > 1:
 		return fmt.Errorf("trace: HotspotParams.HotProb = %v, need in [0,1]", q.HotProb)
 	case q.MigrateEvery < 1:
@@ -169,7 +176,7 @@ func (p *HotspotParams) Validate() error {
 type hotspotStream struct {
 	p   HotspotParams
 	r   *stats.Rand
-	hot []pairUV
+	hot []pairUV // nil until the first Reset or Next
 	pos int
 }
 
@@ -179,9 +186,7 @@ func NewHotspotStream(p HotspotParams) (Stream, error) {
 		return nil, err
 	}
 	q := p.withDefaults()
-	s := &hotspotStream{p: q, r: stats.NewRand(q.Seed), hot: make([]pairUV, q.Hotspots)}
-	s.Reset()
-	return s, nil
+	return &hotspotStream{p: q, r: stats.NewRand(q.Seed)}, nil
 }
 
 func (s *hotspotStream) Name() string  { return s.p.Name }
@@ -198,6 +203,9 @@ func (s *hotspotStream) drawPair() pairUV {
 }
 
 func (s *hotspotStream) Reset() {
+	if s.hot == nil {
+		s.hot = make([]pairUV, s.p.Hotspots)
+	}
 	s.r.Seed(s.p.Seed)
 	for i := range s.hot {
 		s.hot[i] = s.drawPair()
@@ -206,6 +214,9 @@ func (s *hotspotStream) Reset() {
 }
 
 func (s *hotspotStream) Next(buf []Request) int {
+	if s.hot == nil {
+		s.Reset()
+	}
 	n := 0
 	for n < len(buf) && s.pos < s.p.Requests {
 		if s.pos > 0 && s.pos%s.p.MigrateEvery == 0 {
@@ -265,8 +276,8 @@ func (p *TenantMixParams) Validate() error {
 	switch {
 	case q.Tenants < 1:
 		return fmt.Errorf("trace: TenantMixParams.Tenants = %d, need >= 1", q.Tenants)
-	case q.Racks < 2*q.Tenants:
-		return fmt.Errorf("trace: TenantMixParams.Racks = %d, need >= 2·Tenants = %d", q.Racks, 2*q.Tenants)
+	case q.Tenants > q.Racks/2: // not Racks < 2·Tenants, which overflows
+		return fmt.Errorf("trace: TenantMixParams.Racks = %d, need >= 2·Tenants for Tenants = %d", q.Racks, q.Tenants)
 	case q.Requests < 0:
 		return fmt.Errorf("trace: TenantMixParams.Requests = %d, need >= 0", q.Requests)
 	case q.TenantSkew < 0 || q.PairSkew < 0:
@@ -287,7 +298,7 @@ type tenant struct {
 type tenantMixStream struct {
 	p       TenantMixParams
 	r       *stats.Rand
-	tenants []tenant
+	tenants []tenant // nil until the first Reset or Next
 	tzipf   *stats.Zipf
 	pos     int
 }
@@ -298,33 +309,31 @@ func NewTenantMixStream(p TenantMixParams) (Stream, error) {
 		return nil, err
 	}
 	q := p.withDefaults()
-	s := &tenantMixStream{
-		p:       q,
-		r:       stats.NewRand(q.Seed),
-		tenants: make([]tenant, q.Tenants),
-		tzipf:   stats.NewZipf(q.Tenants, q.TenantSkew),
-	}
-	// Rack-range partition and per-tenant Zipf tables draw nothing from the
-	// RNG, so they are built once; only the permutations are re-drawn on
-	// Reset.
-	per := q.Racks / q.Tenants
-	for i := range s.tenants {
-		lo := i * per
-		hi := lo + per
-		if i == q.Tenants-1 {
-			hi = q.Racks
-		}
-		s.tenants[i] = tenant{lo: lo, hi: hi, zipf: stats.NewZipf(NumPairs(hi-lo), q.PairSkew)}
-	}
-	s.Reset()
-	return s, nil
+	return &tenantMixStream{p: q, r: stats.NewRand(q.Seed)}, nil
 }
 
 func (s *tenantMixStream) Name() string  { return s.p.Name }
 func (s *tenantMixStream) NumRacks() int { return s.p.Racks }
 func (s *tenantMixStream) Len() int      { return s.p.Requests }
 
+// Reset redraws the per-tenant permutations. The first Reset also builds
+// the rack-range partition and the Zipf tables, which draw nothing from
+// the RNG.
 func (s *tenantMixStream) Reset() {
+	if s.tenants == nil {
+		q := s.p
+		s.tzipf = stats.NewZipf(q.Tenants, q.TenantSkew)
+		s.tenants = make([]tenant, q.Tenants)
+		per := q.Racks / q.Tenants
+		for i := range s.tenants {
+			lo := i * per
+			hi := lo + per
+			if i == q.Tenants-1 {
+				hi = q.Racks
+			}
+			s.tenants[i] = tenant{lo: lo, hi: hi, zipf: stats.NewZipf(NumPairs(hi-lo), q.PairSkew)}
+		}
+	}
 	s.r.Seed(s.p.Seed)
 	for i := range s.tenants {
 		t := &s.tenants[i]
@@ -334,6 +343,9 @@ func (s *tenantMixStream) Reset() {
 }
 
 func (s *tenantMixStream) Next(buf []Request) int {
+	if s.tenants == nil {
+		s.Reset()
+	}
 	n := 0
 	for n < len(buf) && s.pos < s.p.Requests {
 		var u, v int

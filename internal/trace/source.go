@@ -76,10 +76,16 @@ type streamSource struct {
 	idx  *PairIndex
 	raw  []Request // scratch for the uncompiled chunk, grown to chunk capacity
 	pos  int       // requests emitted so far (error reporting)
+	// atStart reports that nothing was read since the last Reset, so the
+	// next Reset has nothing to rewind: a replay's Reset right after
+	// NewSource does not redo the stream's setup draws.
+	atStart bool
 }
 
 // NewSource wraps a raw request stream into a Source compiling against
 // dist, the rack-to-rack distance oracle (typically graph.Metric.Dist).
+// It rewinds the stream, which builds the stream's tables, so the first
+// Next reads requests only.
 func NewSource(s Stream, dist func(u, v int) int) (Source, error) {
 	if s.NumRacks() < 2 {
 		return nil, fmt.Errorf("trace: source %q: NumRacks = %d, need >= 2", s.Name(), s.NumRacks())
@@ -96,7 +102,14 @@ func (c *streamSource) Name() string      { return c.s.Name() }
 func (c *streamSource) NumRacks() int     { return c.s.NumRacks() }
 func (c *streamSource) Len() int          { return c.s.Len() }
 func (c *streamSource) Index() *PairIndex { return c.idx }
-func (c *streamSource) Reset()            { c.s.Reset(); c.pos = 0 }
+
+func (c *streamSource) Reset() {
+	if !c.atStart {
+		c.s.Reset()
+		c.pos = 0
+		c.atStart = true
+	}
+}
 
 func (c *streamSource) Next(chunk *CompiledChunk) (int, error) {
 	capN := chunk.size
@@ -107,6 +120,7 @@ func (c *streamSource) Next(chunk *CompiledChunk) (int, error) {
 		c.raw = make([]Request, capN)
 	}
 	buf := chunk.fillBuf()
+	c.atStart = false
 	n := c.s.Next(c.raw[:capN])
 	chunk.Reqs = buf[:n]
 	if n == 0 {

@@ -23,6 +23,14 @@ import (
 // re-run from its (family, parameters, seed) triple reproduces the same
 // requests, so persisted results stay valid (see internal/report).
 //
+// Constructors check the parameters and allocate O(racks) at most: the
+// tables over the rack pairs (a Zipf or alias table, a permutation of the
+// pairs) and the setup draws that fill them come on the first Reset or
+// Next.
+// Constructing a stream is therefore the cheap way to validate its
+// parameters, and a job that constructs, wraps and replays a stream
+// builds its tables once (see NewSource).
+//
 // Streams are not safe for concurrent use; replays that run in parallel
 // each build their own stream from the same parameters.
 type Stream interface {
@@ -37,7 +45,8 @@ type Stream interface {
 	// sequence is bit-identical to the one after construction.
 	Reset()
 	// Next fills buf with the next requests and returns how many were
-	// produced; 0 means the stream is exhausted.
+	// produced; 0 means the stream is exhausted. The first Next of a
+	// fresh stream sets it up as Reset does.
 	Next(buf []Request) int
 }
 
@@ -68,7 +77,7 @@ type facebookStream struct {
 	p        FacebookParams
 	name     string
 	r        *stats.Rand
-	zipf     *stats.Zipf
+	zipf     *stats.Zipf // nil until the first Reset or Next
 	perm     []int
 	ws       []pairUV
 	burst    *stats.BurstChain
@@ -86,17 +95,12 @@ func NewFacebookStream(p FacebookParams) (Stream, error) {
 	if name == "" {
 		name = fmt.Sprintf("facebook-style(n=%d,s=%.2f)", p.Racks, p.ZipfSkew)
 	}
-	s := &facebookStream{
-		p:    p,
-		name: name,
-		r:    stats.NewRand(p.Seed),
-		// The Zipf table draws nothing from the RNG, so it is built once.
-		zipf:  stats.NewZipf(NumPairs(p.Racks), p.ZipfSkew),
-		ws:    make([]pairUV, p.WorkingSet),
+	return &facebookStream{
+		p:     p,
+		name:  name,
+		r:     stats.NewRand(p.Seed),
 		burst: stats.NewBurstChain(p.BurstProb, p.BurstLen),
-	}
-	s.Reset()
-	return s, nil
+	}, nil
 }
 
 func (s *facebookStream) Name() string  { return s.name }
@@ -104,8 +108,15 @@ func (s *facebookStream) NumRacks() int { return s.p.Racks }
 func (s *facebookStream) Len() int      { return s.p.Requests }
 
 // Reset redoes the setup draws of the materialized generator in the same
-// order: permutation, working-set fill, burst-chain initial state.
+// order: permutation, working-set fill, burst-chain initial state. The
+// first Reset also builds the Zipf table over the rack pairs and the
+// working set; the table draws nothing from the RNG, so later Resets keep
+// it.
 func (s *facebookStream) Reset() {
+	if s.zipf == nil {
+		s.zipf = stats.NewZipf(NumPairs(s.p.Racks), s.p.ZipfSkew)
+		s.ws = make([]pairUV, s.p.WorkingSet)
+	}
 	s.r.Seed(s.p.Seed)
 	s.perm = s.r.Perm(NumPairs(s.p.Racks))
 	for i := range s.ws {
@@ -125,6 +136,9 @@ func (s *facebookStream) drawGlobal() (int, int) {
 }
 
 func (s *facebookStream) Next(buf []Request) int {
+	if s.zipf == nil {
+		s.Reset()
+	}
 	n := 0
 	for n < len(buf) && s.pos < s.p.Requests {
 		var cur pairUV
@@ -188,54 +202,67 @@ func (s *uniformStream) Next(buf []Request) int {
 }
 
 // iidStream samples a traffic matrix's pair distribution i.i.d. — the
-// resumable form of TrafficMatrix.SampleIID. The alias table is built once
-// (it draws nothing from the RNG); only the per-request sampling consumes
-// the stream's random state.
+// resumable form of TrafficMatrix.SampleIID. The first Reset or Next
+// builds the matrix and its alias table, which draw nothing from the
+// stream's RNG; only the per-request sampling consumes its random state.
 type iidStream struct {
-	name  string
-	n     int
-	count int
-	seed  uint64
-	pairs []PairKey
-	alias *stats.Alias
-	r     *stats.Rand
-	pos   int
+	name   string
+	n      int
+	count  int
+	seed   uint64
+	matrix func() *TrafficMatrix // builds the distribution; nil once alias is built
+	pairs  []PairKey
+	alias  *stats.Alias
+	r      *stats.Rand
+	pos    int
 }
 
 // NewIIDStream returns the streaming form of m.SampleIID(count, seed).
 // name overrides the trace name ("" keeps SampleIID's default).
 func NewIIDStream(m *TrafficMatrix, count int, seed uint64, name string) (Stream, error) {
+	return newIIDStream(m.N(), count, seed, name, func() *TrafficMatrix { return m })
+}
+
+// newIIDStream checks the parameters of an i.i.d. stream over n racks
+// whose pair distribution matrix builds on first use.
+func newIIDStream(n, count int, seed uint64, name string, matrix func() *TrafficMatrix) (Stream, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("trace: NewIIDStream requires count >= 0, got %d", count)
 	}
 	if name == "" {
-		name = fmt.Sprintf("iid-matrix(n=%d)", m.N())
+		name = fmt.Sprintf("iid-matrix(n=%d)", n)
 	}
-	pairs, weights := m.PairWeights()
-	return &iidStream{
-		name:  name,
-		n:     m.N(),
-		count: count,
-		seed:  seed,
-		pairs: pairs,
-		alias: stats.NewAlias(weights),
-		r:     stats.NewRand(seed),
-	}, nil
+	return &iidStream{name: name, n: n, count: count, seed: seed, matrix: matrix, r: stats.NewRand(seed)}, nil
 }
 
 // NewMicrosoftStream returns the streaming form of MicrosoftStyle(n, count,
 // seed): i.i.d. samples from the skewed synthetic traffic matrix.
 func NewMicrosoftStream(n, count int, seed uint64) (Stream, error) {
-	m := SkewedMatrix(n, 1.0, n/2, 8, seed)
-	return NewIIDStream(m, count, seed+1, "microsoft")
+	if n < 2 {
+		return nil, fmt.Errorf("trace: NewMicrosoftStream requires n >= 2 racks, got %d", n)
+	}
+	return newIIDStream(n, count, seed+1, "microsoft", func() *TrafficMatrix {
+		return SkewedMatrix(n, 1.0, n/2, 8, seed)
+	})
 }
 
 func (s *iidStream) Name() string  { return s.name }
 func (s *iidStream) NumRacks() int { return s.n }
 func (s *iidStream) Len() int      { return s.count }
-func (s *iidStream) Reset()        { s.r.Seed(s.seed); s.pos = 0 }
+
+func (s *iidStream) Reset() {
+	if s.alias == nil {
+		pairs, weights := s.matrix().PairWeights()
+		s.pairs, s.alias, s.matrix = pairs, stats.NewAlias(weights), nil
+	}
+	s.r.Seed(s.seed)
+	s.pos = 0
+}
 
 func (s *iidStream) Next(buf []Request) int {
+	if s.alias == nil {
+		s.Reset()
+	}
 	n := 0
 	for n < len(buf) && s.pos < s.count {
 		u, v := s.pairs[s.alias.Sample(s.r)].Endpoints()
@@ -255,9 +282,9 @@ type phaseShiftStream struct {
 	seed             uint64
 	per              int // requests per phase (last phase takes the remainder)
 
-	ph       int // current phase
-	phasePos int // requests emitted within the current phase
-	phase    Stream
+	ph       int    // current phase
+	phasePos int    // requests emitted within the current phase
+	phase    Stream // nil until the first Reset or Next
 	pos      int
 }
 
@@ -270,9 +297,7 @@ func NewPhaseShiftStream(n, count, phases int, seed uint64) (Stream, error) {
 	if count < phases || phases < 1 {
 		return nil, fmt.Errorf("trace: PhaseShift requires count >= phases >= 1")
 	}
-	s := &phaseShiftStream{n: n, count: count, phases: phases, seed: seed, per: count / phases}
-	s.Reset()
-	return s, nil
+	return &phaseShiftStream{n: n, count: count, phases: phases, seed: seed, per: count / phases}, nil
 }
 
 func (s *phaseShiftStream) Name() string {
@@ -282,7 +307,6 @@ func (s *phaseShiftStream) NumRacks() int { return s.n }
 func (s *phaseShiftStream) Len() int      { return s.count }
 
 func (s *phaseShiftStream) Reset() {
-	s.ph = -1
 	s.pos = 0
 	s.enterPhase(0)
 }
@@ -309,6 +333,9 @@ func (s *phaseShiftStream) enterPhase(ph int) {
 }
 
 func (s *phaseShiftStream) Next(buf []Request) int {
+	if s.phase == nil {
+		s.Reset()
+	}
 	n := 0
 	for n < len(buf) && s.pos < s.count {
 		if s.phasePos == s.phaseLen(s.ph) {

@@ -150,6 +150,8 @@ func TestStreamResetReproducesSequence(t *testing.T) {
 			s.Next(partial)
 			s.Reset()
 			first := drainSizes(s, 4096)
+			// Two Resets in a row rewind exactly as one does.
+			s.Reset()
 			s.Reset()
 			second := drainSizes(s, 4096)
 			if !reflect.DeepEqual(first, second) {
@@ -230,6 +232,52 @@ func TestSourceEOFAndReset(t *testing.T) {
 	src.Reset()
 	if n, err := src.Next(chunk); err != nil || n != 64 {
 		t.Fatalf("post-Reset Next = (%d, %v), want (64, nil)", n, err)
+	}
+}
+
+// resetCounter is a stream that counts its Resets.
+type resetCounter struct {
+	Stream
+	resets int
+}
+
+func (c *resetCounter) Reset() { c.resets++; c.Stream.Reset() }
+
+// TestSourceResetsStreamOnlyAfterReads: NewSource rewinds the stream once,
+// and a source Reset with nothing read since the last one leaves the
+// stream alone, so a replay that wraps a fresh stream and resets the
+// source draws the stream's setup state once.
+func TestSourceResetsStreamOnlyAfterReads(t *testing.T) {
+	for _, f := range streamFamilies(t) {
+		t.Run(f.name, func(t *testing.T) {
+			st, err := f.stream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &resetCounter{Stream: st}
+			src, err := NewSource(c, func(u, v int) int { return 2 })
+			if err != nil {
+				t.Fatal(err)
+			}
+			src.Reset()
+			first, err := DrainSource(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.resets != 1 {
+				t.Fatalf("stream reset %d times before the first drain, want 1", c.resets)
+			}
+			second, err := DrainSource(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.resets != 2 {
+				t.Fatalf("stream reset %d times after a second drain, want 2", c.resets)
+			}
+			if !reflect.DeepEqual(first.Reqs, second.Reqs) {
+				t.Fatal("source Reset after a drain does not reproduce the sequence")
+			}
+		})
 	}
 }
 

@@ -24,16 +24,16 @@ func serveMain(args []string) {
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address")
 		storeRoot   = fs.String("store-root", "runs/serve", "root directory holding one run store per job (the durable queue + result cache)")
-		workers     = fs.Int("workers", 1, "grids executed concurrently by this process (0 = coordinator-only: grids progress via fleet workers)")
+		workers     = fs.Int("workers", 1, "local workers: shards leased and run by this process, like a fleet worker's (0 = coordinator-only: grids progress via fleet workers)")
 		queueDepth  = fs.Int("queue", 16, "max queued jobs before submissions get 429")
-		gridWorkers = fs.Int("grid-workers", 0, "sim worker pool per grid (0 = GOMAXPROCS)")
+		gridWorkers = fs.Int("grid-workers", 0, "sim worker pool per local shard run (0 = GOMAXPROCS)")
 		chunk       = fs.Int("chunk", 0, "streaming chunk size in requests (0 = default)")
 		parallel    = fs.Int("parallel", 1, "replay goroutines per multi-plane job (shards > 1); results are identical for every value")
 		curvePts    = fs.Int("curve-points", 10, "cost-curve checkpoints per job (part of the job identity)")
-		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "fleet shard-lease TTL: a worker missing heartbeats this long is presumed dead and its shard requeued")
-		shardSize   = fs.Int("shard-size", 16, "target grid jobs per leasable fleet shard")
-		leaseWAL    = fs.Bool("lease-wal", true, "journal fleet lease/queue state to a per-job WAL so a crashed (kill -9) coordinator restarts into live leases instead of a requeued grid")
-		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget before in-flight grids are interrupted (they stay resumable)")
+		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "shard-lease TTL: a worker missing heartbeats this long is presumed dead and its shard requeued")
+		shardSize   = fs.Int("shard-size", 16, "target grid jobs per leasable shard")
+		leaseWAL    = fs.Bool("lease-wal", true, "journal lease state to a per-job WAL so a crashed (kill -9) coordinator restarts into its fleet's live leases instead of a requeued grid")
+		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget before in-flight local shards are interrupted and handed back (they stay resumable)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "Usage: experiments serve [flags]\n\n"+
@@ -53,14 +53,15 @@ func serveMain(args []string) {
 			"  GET  /metrics                      Prometheus text exposition (obm_serve_* + obm_grid_*)\n"+
 			"  GET  /healthz\n\n"+
 			"Identical spec lists dedupe onto one job (the run's SHA-256 spec hash);\n"+
-			"a finished job is a cache hit, across restarts. Grids execute on this\n"+
-			"process's pool (-workers) and/or on a fleet of `experiments worker`\n"+
-			"processes leasing shards of -shard-size grid jobs under -lease-ttl.\n"+
-			"On SIGINT/SIGTERM the service drains in-flight grids, then interrupts\n"+
-			"them at a chunk boundary — every completed grid job is already\n"+
-			"persisted, so a restart on the same -store-root resumes mid-grid.\n"+
-			"Fleet lease state is journaled per job (-lease-wal), so even a\n"+
-			"kill -9'd coordinator restarts into its outstanding leases.\n\n")
+			"a finished job is a cache hit, across restarts. Each grid is split into\n"+
+			"shards of -shard-size grid jobs, leased under -lease-ttl by this\n"+
+			"process's local workers (-workers) and by any `experiments worker`\n"+
+			"fleet, both at once on one job if need be. On SIGINT/SIGTERM the\n"+
+			"service lets local workers finish their shards, then interrupts them\n"+
+			"at a chunk boundary and absorbs their partial logs — every completed\n"+
+			"grid job is persisted, so a restart on the same -store-root resumes\n"+
+			"mid-grid. Lease state is journaled per job (-lease-wal), so even a\n"+
+			"kill -9'd coordinator restarts into its fleet's outstanding leases.\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

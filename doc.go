@@ -41,7 +41,8 @@
 // merge are guarded by a SHA-256 spec hash so a store never absorbs
 // results from a different grid. On top of the stores sits the experiment
 // service (internal/serve, `experiments serve`): an HTTP/JSON API that
-// queues submitted grids on a bounded worker pool, deduplicates them by
+// queues submitted grids, drains them shard by shard through leases taken
+// by its own local workers (and any fleet), deduplicates them by
 // spec hash into a content-addressed result cache (an identical grid
 // submitted twice — even across restarts — is served from its finished
 // store), streams per-job progress over SSE, and recovers interrupted

@@ -22,7 +22,7 @@ func ExampleNew() {
 
 	s, err := serve.New(serve.Options{
 		StoreRoot: root, // the durable queue + content-addressed result cache
-		Workers:   1,    // grids executed concurrently by this process
+		Workers:   1,    // local workers leasing shards in this process
 	})
 	if err != nil {
 		panic(err)

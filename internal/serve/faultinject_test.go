@@ -237,9 +237,10 @@ func driveFleet(t *testing.T, s *Server, j *job, logs map[int][]byte) (done bool
 // TestFaultInjectionSweep is the acceptance harness: for every family and
 // every crash point, kill the coordinator at that point mid-run, restart
 // it over the same root, finish the run, and require the summary to be
-// byte-identical to the uninterrupted reference. In -short mode (the race
-// job) only the uniform family runs; the dedicated smoke job runs the
-// full 4-family sweep.
+// byte-identical to the uninterrupted reference; then once more with a
+// local worker's lease outstanding at the crash (crashWithLocalLease). In
+// -short mode (the race job) only the uniform family runs; the dedicated
+// smoke job runs the full 4-family sweep.
 func TestFaultInjectionSweep(t *testing.T) {
 	families := faultFamilies
 	if testing.Short() {
@@ -290,8 +291,60 @@ func TestFaultInjectionSweep(t *testing.T) {
 					s.Shutdown(t.Context())
 				})
 			}
+			t.Run("local-lease", func(t *testing.T) { crashWithLocalLease(t, family, logs, want) })
 		})
 	}
+}
+
+// crashWithLocalLease is the sweep's local-worker leg: the coordinator
+// dies while a fleet worker holds one shard and its own local worker
+// another. The driver takes the second lease under the local worker's
+// name — recovery sees only the journaled holder, so the crash leaves
+// exactly the WAL a local worker's lease leaves. After the restart (TTL
+// still one hour) the fleet lease is re-armed, but the local worker died
+// with the coordinator, so its shard must be leasable at once.
+func crashWithLocalLease(t *testing.T, family string, logs map[int][]byte, want []byte) {
+	root := t.TempDir()
+	s := faultCoordinator(t, root)
+	st, err := s.Submit(faultSpecs(family))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := s.lookup(st.ID)
+	fleet, err := s.lease(j, "driver")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := s.lease(j, localWorkerPrefix+"0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := armCrash(s, crashPostHeartbeat)
+	if !crashing(t, func() { s.heartbeat(j, local.Shard, local.Token, 1) }) || !fired.Load() {
+		t.Fatal("the local worker's heartbeat did not crash the coordinator")
+	}
+
+	s = faultCoordinator(t, root)
+	j, _ = s.lookup(st.ID)
+	if s.met.walReplayed.Value() == 0 || s.met.walRecoveredLeases.Value() != 1 {
+		t.Fatalf("restart replayed %d WAL records and re-armed %d leases, want >0 and 1 (the fleet's)",
+			s.met.walReplayed.Value(), s.met.walRecoveredLeases.Value())
+	}
+	requireHolder(t, s, j, fleet.Shard, "driver")
+	l, err := s.lease(j, "driver")
+	if err != nil || l.Shard != local.Shard {
+		t.Fatalf("first lease after the restart = %+v, %v; want the dead local lease's shard %d", l, err, local.Shard)
+	}
+	if _, err := s.heartbeat(j, local.Shard, local.Token, 2); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("the dead local lease's heartbeat: %v, want ErrLeaseLost", err)
+	}
+	if !driveFleet(t, s, j, logs) {
+		t.Fatal("crash with no crash point armed")
+	}
+	if got := summaryBytes(t, s, j); !bytes.Equal(got, want) {
+		t.Fatalf("summary after a crash with a local lease differs from uninterrupted run:\n--- recovered\n%s--- direct\n%s", got, want)
+	}
+	s.Shutdown(t.Context())
 }
 
 // summaryBytes reads the job's rendered summary, rendering it first if

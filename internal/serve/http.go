@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 
 	"obm/internal/report"
 	"obm/internal/sim"
@@ -27,7 +28,8 @@ import (
 //	GET  /api/v1/jobs/{id}/curves.json aggregated cost-curve points (done jobs)
 //
 // Fleet-worker routes (the coordinator/worker protocol; see lease.go and
-// internal/work):
+// internal/work — the coordinator's local workers make the same three
+// calls in process):
 //
 //	POST /api/v1/jobs/{id}/lease               claim a shard lease ({"worker": name};
 //	                                           200 Lease, 204 nothing to lease)
@@ -179,7 +181,7 @@ func (s *Server) artifact(name, contentType string) func(http.ResponseWriter, *h
 
 // render re-renders a done job's artifacts from its store.
 func (s *Server) render(j *job) error {
-	store, err := s.openStore(j)
+	store, err := report.Open(j.dir)
 	if err != nil {
 		return err
 	}
@@ -201,7 +203,8 @@ func (s *Server) withShard(h func(http.ResponseWriter, *http.Request, *job, int)
 }
 
 // handleLease grants a shard lease: 200 with the Lease body, 204 when
-// the job has nothing to lease, 503 during shutdown.
+// the job has nothing to lease, 400 for a worker name the local workers
+// reserve, 503 during shutdown.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request, j *job) {
 	var req struct {
 		Worker string `json:"worker"`
@@ -211,6 +214,10 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request, j *job) {
 	}
 	if req.Worker == "" {
 		req.Worker = r.RemoteAddr
+	}
+	if strings.HasPrefix(req.Worker, localWorkerPrefix) {
+		httpError(w, http.StatusBadRequest, "worker names starting with %q are reserved for the coordinator's local workers", localWorkerPrefix)
+		return
 	}
 	l, err := s.lease(j, req.Worker)
 	switch {
@@ -272,7 +279,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request, j *job, 
 }
 
 // handleShards reports the job's shard lease states (empty until the
-// fleet first touches the job).
+// job's first lease).
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request, j *job) {
 	shards := s.shardStatuses(j)
 	if shards == nil {
@@ -287,7 +294,7 @@ func (s *Server) handleCurves(w http.ResponseWriter, r *http.Request, j *job) {
 	if !requireDone(w, j) {
 		return
 	}
-	store, err := s.openStore(j)
+	store, err := report.Open(j.dir)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return

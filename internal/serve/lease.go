@@ -19,7 +19,8 @@ import (
 // A job's grid is partitioned into ceil(total/ShardSize) modulo shards —
 // the same static partition sim.GridOptions.Shard/Shards executes and
 // report.Merge folds, so a shard's log is an ordinary run-store log.
-// Fleet workers drain the shards through three verbs:
+// Lease consumers — fleet workers over HTTP, the coordinator's own local
+// workers in process — drain the shards through three verbs:
 //
 //	lease      claim a pending shard; the response carries everything a
 //	           worker needs to rebuild the shard's manifest (specs,
@@ -39,13 +40,9 @@ import (
 // therefore byte-identical to a single-process run regardless of worker
 // count, crashes, or duplicate completions.
 //
-// Lease state lives in memory but is journaled: every transition appends
-// one record to the job's lease WAL (see wal.go), so a restarted
-// coordinator replays the journal, re-arms live leases and requeues dead
-// ones — a fleet survives a coordinator crash without losing a shard.
-// The shard logs absorbed into the job's store remain the durable truth
-// for outcomes; a missing or corrupt WAL degrades to re-enqueue-and-
-// resume, never to wrong results.
+// Lease state lives in memory and is journaled in the job's lease WAL
+// (see wal.go); the shard logs absorbed into the job's store remain the
+// durable truth for outcomes.
 
 // shardPhase is a leasable shard's lifecycle state.
 type shardPhase string
@@ -56,7 +53,7 @@ const (
 	shardDone    shardPhase = "done"
 )
 
-// shardState tracks one leasable shard of a fleet-claimed job.
+// shardState tracks one leasable shard of a job.
 type shardState struct {
 	phase    shardPhase
 	jobs     []sim.GridJob // the shard's slice of the plan, for exactness checks
@@ -67,7 +64,7 @@ type shardState struct {
 	attempts int // leases granted, including requeues
 }
 
-// distJob is a job's lease bookkeeping, created on the first fleet lease.
+// distJob is a job's lease bookkeeping, created on the job's first lease.
 type distJob struct {
 	shards   []shardState
 	recorded int // jobs in the coordinator's store at the last absorb
@@ -90,7 +87,9 @@ type Lease struct {
 }
 
 // ShardStatus is the JSON shape of one shard's lease state, returned by
-// the shards endpoint for operators watching a fleet drain.
+// the shards endpoint for operators watching a job drain. Worker names
+// the holder of a leased shard: a fleet worker, or local/N for the
+// coordinator's own local workers.
 type ShardStatus struct {
 	Index     int    `json:"index"`
 	State     string `json:"state"`
@@ -107,8 +106,8 @@ type ShardStatus struct {
 var ErrLeaseLost = errors.New("serve: lease lost")
 
 // ErrNoLease reports that a job has no shard to lease right now (all
-// leased or done, or the job is terminal or locally owned); the HTTP
-// layer maps it to 204 No Content.
+// leased or done, or the job is terminal); the HTTP layer maps it to 204
+// No Content.
 var ErrNoLease = errors.New("serve: nothing to lease")
 
 // newToken mints an unguessable lease token.
@@ -122,8 +121,8 @@ func newToken() string {
 
 // initDist plans the job's shard partition and consults the job's store
 // so shards whose every job is already recorded (a recovered partial
-// grid, an earlier failed local run) start out done instead of being
-// re-executed by the fleet. It runs without j.mu (it does disk I/O);
+// grid, an earlier failed run) start out done instead of being
+// re-executed. It runs without j.mu (it does disk I/O);
 // absorbMu keeps the read-only open from racing a concurrent upload's
 // append, whose torn tail Open would otherwise trim away.
 func (s *Server) initDist(j *job) error {
@@ -131,10 +130,7 @@ func (s *Server) initDist(j *job) error {
 	if err != nil {
 		return err
 	}
-	n := (len(plan.Jobs) + s.opt.ShardSize - 1) / s.opt.ShardSize
-	if n < 1 {
-		n = 1
-	}
+	n := s.shardCount(plan)
 	shards := make([]shardState, n)
 	for k := range shards {
 		shards[k] = shardState{phase: shardPending, jobs: plan.ShardSlice(k, n)}
@@ -148,14 +144,7 @@ func (s *Server) initDist(j *job) error {
 	}
 	recorded := store.Len()
 	for k := range shards {
-		done := true
-		for _, gj := range shards[k].jobs {
-			if _, ok := store.Lookup(gj); !ok {
-				done = false
-				break
-			}
-		}
-		if done {
+		if recordedAll(store, shards[k].jobs) {
 			shards[k].phase = shardDone
 		}
 	}
@@ -188,6 +177,21 @@ func (s *Server) initDist(j *job) error {
 	return nil
 }
 
+// shardCount is the number of leasable shards plan is partitioned into.
+func (s *Server) shardCount(plan *sim.GridPlan) int {
+	return max(1, (len(plan.Jobs)+s.opt.ShardSize-1)/s.opt.ShardSize)
+}
+
+// recordedAll reports whether store holds an outcome for every job.
+func recordedAll(store *report.Store, jobs []sim.GridJob) bool {
+	for _, gj := range jobs {
+		if _, ok := store.Lookup(gj); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // reapExpired requeues every leased shard whose TTL lapsed and refreshes
 // the job's progress counter. Called with j.mu held; returns the indices
 // requeued (for logging outside the lock via logRequeued).
@@ -212,13 +216,32 @@ func (j *job) reapExpired(now time.Time) []int {
 	return requeued
 }
 
-// logRequeued reports and counts reaped leases; call it after releasing
-// j.mu.
+// logRequeued reports and counts reaped leases, wakes idle local workers
+// to take the shards over, and marks the persistence boundary of their
+// requeue records; call it after releasing j.mu.
 func (s *Server) logRequeued(j *job, requeued []int) {
+	if len(requeued) == 0 {
+		return
+	}
 	s.met.leasesExpired.Add(uint64(len(requeued)))
 	for _, k := range requeued {
 		s.opt.Logf("serve: job %.12s shard %d lease expired — requeued", j.id, k)
 	}
+	s.wakeWorkers()
+	s.crashAt(crashPostRequeue)
+}
+
+// leased reports whether any shard of j is leased. Called with j.mu held.
+func (j *job) leased() bool {
+	if j.dist == nil {
+		return false
+	}
+	for k := range j.dist.shards {
+		if j.dist.shards[k].phase == shardLeased {
+			return true
+		}
+	}
+	return false
 }
 
 // fleetDone recomputes the job's progress counter from the absorbed
@@ -236,64 +259,36 @@ func (j *job) fleetDone() int {
 	return min(done, j.total)
 }
 
-// lease claims a pending shard of j for worker. The first lease of a
-// queued job claims the whole job for the fleet (the local pool skips
-// it from then on). Returns ErrNoLease when the job has nothing to
-// lease, ErrClosed during shutdown.
+// lease grants a pending shard of j to worker — a fleet worker or one of
+// the coordinator's local workers, which call it alike. The first lease
+// of a job plans its shard table (initDist), and the first grant moves it
+// to running. Returns ErrNoLease when the job has nothing to lease,
+// ErrClosed during shutdown.
 func (s *Server) lease(j *job, worker string) (Lease, error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
 		return Lease{}, ErrClosed
 	}
 	j.mu.Lock()
-	if j.state == StateDone || j.state == StateFailed || j.claim == claimLocal {
-		j.mu.Unlock()
-		s.mu.Unlock()
-		return Lease{}, ErrNoLease
-	}
-	if j.claim == claimNone {
-		// First fleet touch: claim the job and release its queue slot —
-		// the channel entry becomes a ghost the local pool skips.
-		j.claim = claimFleet
-		j.state = StateRunning
-		if !j.dequeued {
-			j.dequeued = true
-			s.pending--
-		}
-	}
+	terminal := j.state == StateDone || j.state == StateFailed
 	needDist := j.dist == nil
 	j.mu.Unlock()
-	s.mu.Unlock()
-
+	if terminal {
+		return Lease{}, ErrNoLease
+	}
 	if needDist {
 		if err := s.initDist(j); err != nil {
-			// A job the fleet cannot plan must not stay stuck "running":
-			// hand it back to the local queue — including a fresh channel
-			// entry, since the original one may already have been consumed
-			// as a ghost while the job was fleet-claimed. (Revert only if
-			// no concurrent lease succeeded meanwhile.)
-			s.mu.Lock()
-			j.mu.Lock()
-			if j.claim == claimFleet && j.dist == nil {
-				j.claim = claimNone
-				j.state = StateQueued
-				if j.dequeued {
-					j.dequeued = false
-					s.pending++
-				}
-				s.enqueueLocked(j)
-			}
-			j.mu.Unlock()
-			s.mu.Unlock()
 			return Lease{}, err
 		}
 	}
 
 	now := time.Now()
 	j.mu.Lock()
-	if j.dist == nil {
-		// A failed-job resubmission reset the lease state under us.
+	if j.dist == nil || j.state == StateDone || j.state == StateFailed {
+		// The job finished, or a failed-job resubmission reset the lease
+		// state, under us.
 		j.mu.Unlock()
 		return Lease{}, ErrNoLease
 	}
@@ -317,18 +312,16 @@ func (s *Server) lease(j *job, worker string) (Lease, error) {
 		}
 		j.mu.Unlock()
 		s.logRequeued(j, requeued)
-		if len(requeued) > 0 {
-			s.crashAt(crashPostRequeue)
-		}
 		if allDone {
 			// Every shard was already recorded when lease state was
 			// (re)built — e.g. a job that failed at the render step and
 			// was resubmitted. No upload will ever arrive to trigger the
 			// terminal path, so finish it here.
-			s.finalizeFleetJob(j)
+			s.finalizeJob(j)
 		}
 		return Lease{}, ErrNoLease
 	}
+	j.state = StateRunning
 	grant.phase = shardLeased
 	grant.token = newToken()
 	grant.worker = worker
@@ -351,9 +344,6 @@ func (s *Server) lease(j *job, worker string) (Lease, error) {
 	}
 	j.mu.Unlock()
 	s.logRequeued(j, requeued)
-	if len(requeued) > 0 {
-		s.crashAt(crashPostRequeue)
-	}
 	s.crashAt(crashPostLease)
 	s.met.leasesGranted.Inc()
 	s.opt.Logf("serve: job %.12s shard %d/%d leased to %s (%d grid jobs, attempt %d)",
@@ -377,9 +367,6 @@ func (s *Server) heartbeat(j *job, shard int, token string, done int) (time.Dura
 	if sh.phase != shardLeased || sh.token != token {
 		j.mu.Unlock()
 		s.logRequeued(j, requeued)
-		if len(requeued) > 0 {
-			s.crashAt(crashPostRequeue)
-		}
 		return 0, ErrLeaseLost
 	}
 	sh.expires = time.Now().Add(s.opt.LeaseTTL)
@@ -390,9 +377,6 @@ func (s *Server) heartbeat(j *job, shard int, token string, done int) (time.Dura
 	j.done = j.fleetDone()
 	j.mu.Unlock()
 	s.logRequeued(j, requeued)
-	if len(requeued) > 0 {
-		s.crashAt(crashPostRequeue)
-	}
 	s.crashAt(crashPostHeartbeat)
 	s.met.heartbeats.Inc()
 	j.publish()
@@ -409,12 +393,8 @@ func (s *Server) heartbeat(j *job, shard int, token string, done int) (time.Dura
 // still absorbed and the shard requeues for another attempt.
 func (s *Server) completeShard(j *job, shard int, token, worker, failMsg string, log io.Reader) (Status, error) {
 	j.mu.Lock()
-	if j.state == StateDone || j.state == StateFailed || j.claim == claimLocal {
-		// The job already reached a terminal state, or the local pool
-		// owns it (a stale upload racing a local run must not interleave
-		// appends with it): either way the upload is moot — dropping it
-		// loses nothing the job's own path will not (or deliberately
-		// should not) record.
+	if j.state == StateDone || j.state == StateFailed {
+		// The job already reached a terminal state: the upload is moot.
 		j.mu.Unlock()
 		return j.status(), nil
 	}
@@ -430,12 +410,9 @@ func (s *Server) completeShard(j *job, shard int, token, worker, failMsg string,
 
 	// Absorb outside j.mu (disk I/O); absorbMu serializes concurrent
 	// uploads for the same job so duplicate detection cannot race. Each
-	// upload reopens the store, replaying its log: O(recorded) work per
-	// upload. On the fleet-drain benchmark (112 jobs in 4-job shards, a
-	// 2-vCPU Xeon) one whole upload takes about 2 ms at the median
-	// (serve.complete_ms_p50), and reopening the finished 112-record
-	// store about 2 ms (report.open_ms), against about 18 ms of worker
-	// time per shard.
+	// upload reopens the store, replaying its log: O(recorded) work. On
+	// the fleet-drain benchmark (112 jobs in 4-job shards, a 2-vCPU Xeon)
+	// one upload takes about 0.9 ms at the median, most of it the reopen.
 	j.absorbMu.Lock()
 	store, err := report.Open(j.dir)
 	if err != nil {
@@ -451,13 +428,7 @@ func (s *Server) completeShard(j *job, shard int, token, worker, failMsg string,
 	shardComplete := false
 	missing := -1
 	if aerr == nil && storageErr == nil {
-		shardComplete = true
-		for _, gj := range shardJobs {
-			if _, ok := store.Lookup(gj); !ok {
-				shardComplete = false
-				break
-			}
-		}
+		shardComplete = recordedAll(store, shardJobs)
 		if m, merr := store.Missing(); merr != nil {
 			storageErr = merr
 		} else {
@@ -498,7 +469,7 @@ func (s *Server) completeShard(j *job, shard int, token, worker, failMsg string,
 	// holds these records.
 	s.crashAt(crashPostStoreAbsorb)
 
-	var terminal bool
+	var terminal, requeued bool
 	var crash crashPoint
 	j.mu.Lock()
 	if j.dist != nil && shard < len(j.dist.shards) {
@@ -518,13 +489,14 @@ func (s *Server) completeShard(j *job, shard int, token, worker, failMsg string,
 				crash = crashPostComplete
 			}
 		case owns:
-			// The current leaseholder failed or under-delivered: its
-			// partial work is absorbed, the shard requeues for another
+			// The current leaseholder failed, stopped or under-delivered:
+			// its partial work is absorbed, the shard requeues for another
 			// attempt.
 			sh.phase = shardPending
 			sh.token, sh.worker, sh.done = "", "", 0
 			s.walAppend(j, walRecAbsorb(shard, recorded))
 			crash = crashPostAbsorb
+			requeued = true
 		default:
 			// A stale partial upload from an expired lease: the absorbed
 			// records still count, but the shard's current owner keeps
@@ -542,6 +514,9 @@ func (s *Server) completeShard(j *job, shard int, token, worker, failMsg string,
 	if crash != "" {
 		s.crashAt(crash)
 	}
+	if requeued {
+		s.wakeWorkers()
+	}
 
 	if failMsg != "" {
 		s.opt.Logf("serve: job %.12s shard %d failed on %s (%s) — absorbed %d jobs, requeued", j.id, shard, worker, failMsg, added)
@@ -556,16 +531,16 @@ func (s *Server) completeShard(j *job, shard int, token, worker, failMsg string,
 	return j.status(), nil
 }
 
-// finalizeFleetJob finishes a fleet-claimed job whose grid is already
-// fully recorded but which no upload will ever complete (all shards
-// were done the moment lease state was built). Verifies against the
-// store before rendering; finishJob is idempotent for done jobs, so a
-// race with a straggling upload's terminal path is benign.
-func (s *Server) finalizeFleetJob(j *job) {
+// finalizeJob finishes a job whose grid is already fully recorded but
+// which no upload will ever complete (all shards were done the moment
+// lease state was built). Verifies against the store before rendering;
+// finishJob is idempotent for done jobs, so a race with a straggling
+// upload's terminal path is benign.
+func (s *Server) finalizeJob(j *job) {
 	j.mu.Lock()
-	ours := j.state == StateRunning && j.claim == claimFleet
+	terminal := j.state == StateDone || j.state == StateFailed
 	j.mu.Unlock()
-	if !ours {
+	if terminal {
 		return
 	}
 	j.absorbMu.Lock()
@@ -592,19 +567,16 @@ func (s *Server) renderJob(j *job) error {
 }
 
 // shardStatuses snapshots a job's lease state for the shards endpoint.
-// A job untouched by the fleet has none.
+// A job not leased yet has none.
 func (s *Server) shardStatuses(j *job) []ShardStatus {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.dist == nil {
+		j.mu.Unlock()
 		return nil
 	}
-	// Atomic counter adds are safe under j.mu; requeues noticed by a
-	// status poll still count.
-	if reaped := j.reapExpired(time.Now()); len(reaped) > 0 {
-		s.met.leasesExpired.Add(uint64(len(reaped)))
-		s.walRequeues(j, reaped)
-	}
+	// Requeues noticed by a status poll are journaled and count too.
+	reaped := j.reapExpired(time.Now())
+	s.walRequeues(j, reaped)
 	out := make([]ShardStatus, len(j.dist.shards))
 	for k := range j.dist.shards {
 		sh := &j.dist.shards[k]
@@ -620,5 +592,7 @@ func (s *Server) shardStatuses(j *job) []ShardStatus {
 			out[k].ExpiresAt = sh.expires.UTC().Format(time.RFC3339)
 		}
 	}
+	j.mu.Unlock()
+	s.logRequeued(j, reaped)
 	return out
 }

@@ -3,7 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -70,9 +73,10 @@ func TestLeasePartitionAndExhaustion(t *testing.T) {
 		l0.Token == "" || l0.JobID != j.id {
 		t.Fatalf("lease = %+v (want %d shards over %d jobs)", l0, wantShards, len(plan.Jobs))
 	}
-	if got := j.status(); got.State != StateRunning || got.Claim != "fleet" {
+	if got := j.status(); got.State != StateRunning {
 		t.Fatalf("after first lease, status = %+v", got)
 	}
+	requireHolder(t, s, j, l0.Shard, "w0")
 	// The lease carries enough to reproduce the job id.
 	m, err := report.NewManifest(l0.Name, l0.Specs, l0.CurvePoints, report.Shard{Index: l0.Shard, Count: l0.Shards})
 	if err != nil {
@@ -158,11 +162,10 @@ func runLeasedShard(t *testing.T, dir string, l Lease) []byte {
 	return blob
 }
 
-// TestSubmitNeverBlocksOnGhostQueueSlots: fleet claims release a job's
-// pending slot but leave its channel entry behind as a ghost. Submit
-// must park jobs that do not fit on the overflow list instead of
-// blocking on the full channel while holding the server lock — which
-// would freeze every endpoint permanently.
+// TestSubmitNeverBlocksOnGhostQueueSlots: a lease moves a job out of
+// state queued, which frees its slot under QueueDepth. Submit must then
+// accept new jobs and return promptly, never block while holding the
+// server lock — which would freeze every endpoint permanently.
 func TestSubmitNeverBlocksOnGhostQueueSlots(t *testing.T) {
 	s, err := New(Options{StoreRoot: t.TempDir(), Workers: -1, QueueDepth: 2, ShardSize: 100})
 	if err != nil {
@@ -186,8 +189,7 @@ func TestSubmitNeverBlocksOnGhostQueueSlots(t *testing.T) {
 	if _, err := s.Submit(specsAt(102)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit at depth 2: %v, want ErrQueueFull", err)
 	}
-	// The fleet claims both queued jobs, freeing their pending slots —
-	// but their channel entries stay (nothing dequeues with Workers<0).
+	// The fleet leases both queued jobs, freeing their queue slots.
 	for seed := uint64(100); seed < 102; seed++ {
 		st, _ := s.Submit(specsAt(seed)) // dedupe hit to get the id
 		j, _ := s.lookup(st.ID)
@@ -195,12 +197,9 @@ func TestSubmitNeverBlocksOnGhostQueueSlots(t *testing.T) {
 			t.Fatalf("lease seed %d: %v", seed, err)
 		}
 	}
-	// Fresh submissions must be accepted (pending slots are free) and
-	// must return promptly even though the channel is full of ghosts —
-	// before the overflow list, the send blocked here holding s.mu and
-	// froze the whole service. Each new job is fleet-claimed in turn,
-	// the lifecycle that keeps a coordinator-only server accepting work
-	// indefinitely.
+	// Fresh submissions must be accepted (the queue slots are free) and
+	// must return promptly. Each new job is leased in turn, the lifecycle
+	// that keeps a coordinator-only server accepting work indefinitely.
 	done := make(chan error, 1)
 	go func() {
 		for seed := uint64(102); seed < 107; seed++ {
@@ -223,7 +222,7 @@ func TestSubmitNeverBlocksOnGhostQueueSlots(t *testing.T) {
 			t.Fatalf("submit after fleet claims: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Submit blocked on a ghost-filled queue (deadlock regression)")
+		t.Fatal("Submit blocked after leases freed the queue (deadlock regression)")
 	}
 }
 
@@ -473,28 +472,13 @@ func TestTruncatedUploadDoesNotFailJob(t *testing.T) {
 	}
 }
 
-// TestLocalClaimExcludesLeases: a grid the local pool is executing is
-// not leasable, and a stale fleet upload for it is dropped rather than
-// interleaved with the local run's appends.
+// TestLocalClaimExcludesLeases: a shard a local worker holds is not
+// leased to the fleet, and a stale upload for it — one that does not
+// carry the local worker's token — leaves both the local lease and the
+// job's store untouched.
 func TestLocalClaimExcludesLeases(t *testing.T) {
-	release := make(chan struct{})
-	var once sync.Once
-	free := func() { once.Do(func() { close(release) }) }
-	defer free()
-	sim.RegisterFamily("lease-local-test", func(spec sim.ScenarioSpec) (trace.Stream, error) {
-		return &blockingStream{n: spec.Racks, count: spec.Requests, release: release}, nil
-	})
-
-	s, err := New(Options{StoreRoot: t.TempDir(), Workers: 1, GridWorkers: 1, CurvePoints: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		free()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
+	s, _ := newTestServer(t, Options{StoreRoot: t.TempDir(), Workers: 1, GridWorkers: 1, CurvePoints: 0})
+	free := gatedFamily(t, "lease-local-test")
 	st, err := s.Submit([]sim.ScenarioSpec{{
 		Name: "local-owned", Family: "lease-local-test",
 		Racks: 8, Requests: 3000, Seed: 5,
@@ -511,16 +495,25 @@ func TestLocalClaimExcludesLeases(t *testing.T) {
 			t.Fatal("job never started locally")
 		}
 	}
-	if got := j.status().Claim; got != "local" {
-		t.Fatalf("running job claim = %q, want local", got)
-	}
+	holder := requireHolder(t, s, j, 0, "local/0")
 	if _, err := s.lease(j, "w0"); !errors.Is(err, ErrNoLease) {
-		t.Fatalf("lease on a locally owned job: %v", err)
+		t.Fatalf("lease of a locally held shard: %v", err)
 	}
-	// A stale upload (from a worker that leased before a coordinator
-	// restart, say) is acknowledged but must not touch the store.
-	if _, err := s.completeShard(j, 0, "stale-token", "w0", "", strings.NewReader("garbage that must never be parsed\n")); err != nil {
-		t.Fatalf("stale upload not dropped cleanly: %v", err)
+	// Stale uploads (from a worker that leased before a coordinator
+	// restart, say): a torn log is rejected before it touches the store,
+	// and a failure report under the wrong token absorbs nothing and
+	// requeues nothing.
+	if _, err := s.completeShard(j, 0, "stale-token", "w0", "", strings.NewReader("garbage that must never be parsed\n")); err == nil {
+		t.Fatal("garbage upload accepted")
+	}
+	if _, err := s.completeShard(j, 0, "stale-token", "w0", "worker exploded", strings.NewReader("")); err != nil {
+		t.Fatalf("stale failure report: %v", err)
+	}
+	if got := requireHolder(t, s, j, 0, "local/0"); got.Attempts != holder.Attempts {
+		t.Fatalf("stale uploads changed the local lease: %+v, was %+v", got, holder)
+	}
+	if info, err := report.Inspect(j.dir); err != nil || info.Recorded != 0 {
+		t.Fatalf("stale uploads touched the store: %+v, %v", info, err)
 	}
 	free()
 	deadline = time.Now().Add(30 * time.Second)
@@ -533,6 +526,17 @@ func TestLocalClaimExcludesLeases(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// requireHolder asserts that the shards endpoint shows shard k of j
+// leased to worker, and returns that shard's status.
+func requireHolder(t *testing.T, s *Server, j *job, k int, worker string) ShardStatus {
+	t.Helper()
+	shards := s.shardStatuses(j)
+	if k >= len(shards) || shards[k].State != string(shardLeased) || shards[k].Worker != worker {
+		t.Fatalf("shard %d not leased to %s: %+v", k, worker, shards)
+	}
+	return shards[k]
 }
 
 // TestShutdownClosesHubsOfRequeuedJobs is the regression test for the
@@ -587,5 +591,181 @@ func TestShutdownClosesHubsOfRequeuedJobs(t *testing.T) {
 	case <-closed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("subscriber channel still open after Shutdown: drain leaks SSE subscribers")
+	}
+}
+
+// gatedFamily registers a trace family whose streams block until the
+// returned release func is called, and cleans up by releasing it — call
+// it after creating the server, so the release runs before the server's
+// shutdown.
+func gatedFamily(t *testing.T, name string) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	sim.RegisterFamily(name, func(spec sim.ScenarioSpec) (trace.Stream, error) {
+		return &blockingStream{n: spec.Racks, count: spec.Requests, release: gate}, nil
+	})
+	return release
+}
+
+// getShards reads a job's lease table from the shards endpoint.
+func getShards(t *testing.T, ts *httptest.Server, id string) []ShardStatus {
+	t.Helper()
+	code, body := fetch(t, ts, "/api/v1/jobs/"+id+"/shards")
+	if code != http.StatusOK {
+		t.Fatalf("shards: status %d", code)
+	}
+	var resp struct {
+		Shards []ShardStatus `json:"shards"`
+	}
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp.Shards
+}
+
+// waitShards polls the shards endpoint until ok accepts the table.
+func waitShards(t *testing.T, ts *httptest.Server, id string, ok func([]ShardStatus) bool) []ShardStatus {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		shards := getShards(t, ts, id)
+		if ok(shards) {
+			return shards
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shards never reached the awaited state: %+v", shards)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestLocalAndFleetWorkersDrainOneJob: the coordinator's local worker and
+// a fleet worker drain one multi-shard job together. The shards endpoint
+// shows each shard held and then completed by its worker, and the summary
+// is byte-identical to a direct RunGrid.
+func TestLocalAndFleetWorkersDrainOneJob(t *testing.T) {
+	specs := []sim.ScenarioSpec{{
+		Name: "mixed", Family: "mixed-drain-test",
+		Racks: 8, Requests: 3000, Seed: 3,
+		Bs: []int{2, 3}, Reps: 2,
+		Algs: []string{"r-bma", "oblivious"},
+	}} // 6 grid jobs → 3 shards of 2
+	s, ts := newTestServer(t, Options{StoreRoot: t.TempDir(), Workers: 1, GridWorkers: 1, ShardSize: 2, CurvePoints: 4})
+	release := gatedFamily(t, "mixed-drain-test")
+	st, code := submit(t, ts, specs)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	j, _ := s.lookup(st.ID)
+
+	// The local worker takes shard 0 and blocks inside it; the fleet
+	// worker leases the rest meanwhile.
+	waitShards(t, ts, st.ID, func(sh []ShardStatus) bool {
+		return len(sh) == 3 && sh[0].State == "leased" && sh[0].Worker == "local/0"
+	})
+	var fleet []Lease
+	for {
+		l, err := s.lease(j, "fleet-w")
+		if errors.Is(err, ErrNoLease) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet = append(fleet, l)
+	}
+	if len(fleet) != 2 || fleet[0].Shard != 1 || fleet[1].Shard != 2 {
+		t.Fatalf("fleet leased %+v, want shards 1 and 2", fleet)
+	}
+	shards := getShards(t, ts, st.ID)
+	for k, want := range []string{"local/0", "fleet-w", "fleet-w"} {
+		if shards[k].State != "leased" || shards[k].Worker != want {
+			t.Fatalf("shard %d = %+v, want leased to %s", k, shards[k], want)
+		}
+	}
+
+	// Open the gate: the local worker completes shard 0 while the fleet
+	// completes shard 1, then shard 2 finishes the job.
+	release()
+	blob1 := runLeasedShard(t, t.TempDir(), fleet[0])
+	if _, err := s.completeShard(j, 1, fleet[0].Token, "fleet-w", "", bytes.NewReader(blob1)); err != nil {
+		t.Fatal(err)
+	}
+	shards = waitShards(t, ts, st.ID, func(sh []ShardStatus) bool { return sh[0].State == "done" })
+	if shards[1].State != "done" || shards[2].State != "leased" || shards[2].Worker != "fleet-w" {
+		t.Fatalf("before the last upload: %+v", shards)
+	}
+	if got := j.status(); got.State != StateRunning {
+		t.Fatalf("job with a shard still leased = %+v", got)
+	}
+	blob2 := runLeasedShard(t, t.TempDir(), fleet[1])
+	if st, err := s.completeShard(j, 2, fleet[1].Token, "fleet-w", "", bytes.NewReader(blob2)); err != nil || st.State != StateDone {
+		t.Fatalf("last upload: %+v, %v", st, err)
+	}
+	for _, sh := range getShards(t, ts, st.ID) {
+		if sh.State != "done" || sh.Attempts != 1 {
+			t.Errorf("shard %d = %+v, want done on its first lease", sh.Index, sh)
+		}
+	}
+	code, got := fetch(t, ts, "/api/v1/jobs/"+st.ID+"/summary.csv")
+	if code != http.StatusOK {
+		t.Fatalf("summary.csv: status %d", code)
+	}
+	if want := directSummary(t, specs, 4); !bytes.Equal(got, want) {
+		t.Errorf("mixed-drain summary differs from RunGrid:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(j.dir, localShardsDir)); !os.IsNotExist(err) {
+		t.Errorf("local shard stores left after the job finished: %v", err)
+	}
+}
+
+// TestLocalWorkerTakesOverExpiredFleetLease: a fleet worker leases a
+// job's only shard and never heartbeats. Once the lease expires, the idle
+// local worker — with no request from anyone to wake it — reaps it,
+// re-runs the shard and finishes the job, byte-identical to RunGrid.
+func TestLocalWorkerTakesOverExpiredFleetLease(t *testing.T) {
+	s, ts := newTestServer(t, Options{StoreRoot: t.TempDir(), Workers: 1, GridWorkers: 1, LeaseTTL: 150 * time.Millisecond, CurvePoints: 4})
+	release := gatedFamily(t, "takeover-test")
+
+	// Keep the only local worker busy so the fleet leases the target first.
+	busy, code := submit(t, ts, []sim.ScenarioSpec{{
+		Name: "takeover-busy", Family: "takeover-test",
+		Racks: 8, Requests: 3000, Seed: 1,
+		Bs: []int{2}, Reps: 1,
+		Algs: []string{"oblivious"},
+	}})
+	if code != http.StatusAccepted {
+		t.Fatalf("busy submit: status %d", code)
+	}
+	waitState(t, ts, busy.ID, StateRunning)
+	target, code := submit(t, ts, tinySpecs())
+	if code != http.StatusAccepted {
+		t.Fatalf("target submit: status %d", code)
+	}
+	tj, _ := s.lookup(target.ID)
+	silent, err := s.lease(tj, "silent-fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release()
+	waitState(t, ts, busy.ID, StateDone)
+	waitState(t, ts, target.ID, StateDone)
+	shards := getShards(t, ts, target.ID)
+	if len(shards) != 1 || shards[0].State != "done" || shards[0].Attempts != 2 {
+		t.Fatalf("target shards = %+v, want one shard done on its second lease", shards)
+	}
+	if _, err := s.heartbeat(tj, silent.Shard, silent.Token, 1); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("late heartbeat of the expired fleet lease: %v, want ErrLeaseLost", err)
+	}
+	code, got := fetch(t, ts, "/api/v1/jobs/"+target.ID+"/summary.csv")
+	if code != http.StatusOK {
+		t.Fatalf("summary.csv: status %d", code)
+	}
+	if want := directSummary(t, tinySpecs(), 4); !bytes.Equal(got, want) {
+		t.Errorf("taken-over summary differs from RunGrid:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -12,7 +12,7 @@ import (
 type serverMetrics struct {
 	submissions     *obs.Counter // valid Submit calls (dedup hits included)
 	cacheHits       *obs.Counter // submissions answered from a finished store
-	leasesGranted   *obs.Counter // shard leases handed to fleet workers
+	leasesGranted   *obs.Counter // shard leases handed to fleet and local workers
 	leasesExpired   *obs.Counter // leases reaped past their TTL (requeues)
 	heartbeats      *obs.Counter // successful lease renewals
 	shardsCompleted *obs.Counter // shards proven fully recorded by an upload
@@ -31,7 +31,7 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 	return serverMetrics{
 		submissions:     r.Counter("obm_serve_submissions_total", "Valid grid submissions (including duplicates deduped onto live jobs)."),
 		cacheHits:       r.Counter("obm_serve_cache_hits_total", "Submissions answered from an already-finished store."),
-		leasesGranted:   r.Counter("obm_serve_leases_granted_total", "Shard leases granted to fleet workers."),
+		leasesGranted:   r.Counter("obm_serve_leases_granted_total", "Shard leases granted to fleet and local workers."),
 		leasesExpired:   r.Counter("obm_serve_leases_expired_total", "Shard leases reaped past their TTL and requeued."),
 		heartbeats:      r.Counter("obm_serve_heartbeats_total", "Successful shard-lease renewals."),
 		shardsCompleted: r.Counter("obm_serve_shards_completed_total", "Shards proven fully recorded by an absorbed upload."),
@@ -51,15 +51,11 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 // state is always emitted (zero included) so dashboards see stable
 // series from the first scrape.
 func (s *Server) collect(x *obs.Exposition) {
-	s.mu.Lock()
-	pending := s.pending
-	s.mu.Unlock()
-	x.Gauge("obm_serve_queue_depth", "Jobs queued but not yet claimed by the pool or the fleet.", float64(pending))
-
 	counts := map[State]int{StateQueued: 0, StateRunning: 0, StateDone: 0, StateFailed: 0}
 	for _, st := range s.Jobs() {
 		counts[st.State]++
 	}
+	x.Gauge("obm_serve_queue_depth", "Jobs queued with no shard leased yet (the -queue bound applies to these).", float64(counts[StateQueued]))
 	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed} {
 		x.Gauge("obm_serve_jobs", "Known jobs by lifecycle state.", float64(counts[st]),
 			obs.Label{Key: "state", Value: string(st)})
@@ -70,6 +66,6 @@ func (s *Server) collect(x *obs.Exposition) {
 // GET /metrics).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// GridMetrics returns the obm_grid_* instruments wired into locally
-// executed grids, for callers embedding the server.
+// GridMetrics returns the obm_grid_* instruments wired into the local
+// workers' shard runs, for callers embedding the server.
 func (s *Server) GridMetrics() *sim.Metrics { return s.sim }

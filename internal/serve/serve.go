@@ -9,31 +9,34 @@
 // already-finished (or in-flight) job instead of recomputing, across
 // restarts, because the cache is the store root directory itself.
 //
-// Execution is a bounded job queue feeding a fixed worker pool; each
-// worker drives one grid at a time through sim.RunGridContext with the
-// job's run store wired in via the durability hooks. Alternatively (or
-// additionally) a fleet of external worker processes (internal/work,
-// `experiments worker`) drains grids cooperatively: the coordinator
-// partitions a job's grid into leasable shards, workers pull shard
-// leases over HTTP, execute them against local shard stores, and upload
-// their logs, which the coordinator folds back into the job's store
-// under exact-agreement conflict checks (see lease.go). Everything
-// durable lives in the store root:
+// Execution is shard leasing. The coordinator partitions a job's grid
+// into leasable shards (see lease.go), and lease consumers drain them:
+// the Options.Workers local workers inside this process, a fleet of
+// external worker processes (internal/work, `experiments worker`), or
+// both at once on the same job. Every consumer leases a shard, executes
+// it against a shard store of its own through RunShard (shard.go),
+// heartbeats to keep the lease, and hands the shard's log in; the
+// coordinator folds it into the job's store under exact-agreement
+// conflict checks. Local workers make the same three calls in process
+// that fleet workers make over HTTP. Everything durable lives in the
+// store root:
 //
 //	root/
 //	├── <spec-hash[:16]>/    one run store per submitted grid
 //	│   ├── manifest.json    (written at submission — the durable queue)
-//	│   ├── jobs.jsonl       (appended as the grid executes)
-//	│   ├── lease.wal        (fleet lease journal, while a fleet drains it)
+//	│   ├── jobs.jsonl       (appended as shard logs are absorbed)
+//	│   ├── lease.wal        (lease journal, from the job's first lease until it finishes)
+//	│   ├── shards/          (local workers' shard stores, removed when the job finishes)
 //	│   ├── summary.csv      (rendered on completion)
 //	│   └── report.md        (rendered on completion)
-//	└── queue.json           (pending order, written on graceful shutdown)
+//	└── queue.json           (queued-job order, written on graceful shutdown)
 //
 // Crash recovery is therefore discovery: on startup the service scans the
-// root; complete stores re-register as cache hits, incomplete ones
-// re-enqueue and resume mid-grid (completed jobs short-circuit through
-// the store's log). queue.json only preserves submission order — losing
-// it (a hard kill) loses no work.
+// root; complete stores re-register as cache hits, incomplete ones are
+// queued again and resume mid-grid (their absorbed jobs are never re-run),
+// and a lease WAL restores the lease table of a job a fleet is still
+// draining. queue.json only orders the queued jobs — losing it (a hard
+// kill) or finding it torn loses no work.
 package serve
 
 import (
@@ -56,15 +59,16 @@ import (
 type Options struct {
 	// StoreRoot is the directory holding one run store per job (required).
 	StoreRoot string
-	// Workers is the number of grids executed concurrently by this
-	// process's own pool (default 1). A negative value disables local
-	// execution entirely: the server is then a pure coordinator and jobs
-	// only progress when fleet workers lease their shards.
+	// Workers is the number of local workers: lease consumers inside this
+	// process that drain shards through the same leases as fleet workers
+	// (default 1). A negative value starts none: the server is then a pure
+	// coordinator and jobs only progress when fleet workers lease their
+	// shards.
 	Workers int
-	// QueueDepth bounds the number of queued-but-not-running jobs; a
-	// submission beyond it is refused with 429 (default 16).
+	// QueueDepth bounds the number of jobs in state queued (no shard
+	// leased yet); a submission beyond it is refused with 429 (default 16).
 	QueueDepth int
-	// GridWorkers sizes the sim worker pool inside each grid run
+	// GridWorkers sizes the sim worker pool inside each local shard run
 	// (default GOMAXPROCS).
 	GridWorkers int
 	// ChunkSize is the streaming chunk size per grid worker (0 = default).
@@ -78,9 +82,8 @@ type Options struct {
 	// (default 10; it is part of the spec hash, so changing it changes
 	// every job identity).
 	CurvePoints int
-	// LeaseTTL is how long a fleet worker's shard lease stays valid
-	// without a heartbeat before the shard is requeued for another
-	// worker (default 30s).
+	// LeaseTTL is how long a shard lease stays valid without a heartbeat
+	// before the shard is requeued for another worker (default 30s).
 	LeaseTTL time.Duration
 	// ShardSize is the target number of grid jobs per leasable shard;
 	// a job's grid is partitioned into ceil(total/ShardSize) modulo
@@ -88,7 +91,7 @@ type Options struct {
 	ShardSize int
 	// NoLeaseWAL disables the per-job lease WAL. A coordinator crash then
 	// loses lease bookkeeping (every outstanding lease is stranded until
-	// the fleet re-claims the job) but never loses results — the store is
+	// the job is leased afresh) but never loses results — the store is
 	// the durable truth either way. For debugging and comparison only.
 	NoLeaseWAL bool
 	// Logf, when non-nil, receives one line per job state change.
@@ -104,7 +107,7 @@ func (o Options) withDefaults() Options {
 		o.Workers = 1
 	}
 	if o.Workers < 0 {
-		o.Workers = 0 // coordinator-only: no local grid execution
+		o.Workers = 0 // coordinator-only: no local workers
 	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 30 * time.Second
@@ -134,21 +137,18 @@ const (
 	StateFailed  State = "failed"
 )
 
-// queueFile persists pending-job order across graceful restarts.
+// queueFile persists queued-job order across graceful restarts.
 const queueFile = "queue.json"
 
-// claim records which execution path owns a job's grid: the local worker
-// pool runs whole grids; the fleet drains a grid shard by shard through
-// leases. The two paths exclude each other per job — whichever claims a
-// queued job first owns it to completion (or, for the fleet, until a
-// coordinator restart resets in-memory lease state).
-type claim string
+// localShardsDir holds the local workers' shard stores inside a job's
+// store directory — not at the store root, where report.Discover would
+// take a shard store (it carries the job's spec hash) for a job.
+const localShardsDir = "shards"
 
-const (
-	claimNone  claim = ""
-	claimLocal claim = "local"
-	claimFleet claim = "fleet"
-)
+// localWorkerPrefix names the local workers in lease state ("local/0",
+// "local/1", …). Recovery requeues their leases at once — they died with
+// the process that granted them — so fleet workers may not use it.
+const localWorkerPrefix = "local/"
 
 // job is one submitted grid: a run store plus in-memory execution state.
 type job struct {
@@ -159,15 +159,12 @@ type job struct {
 
 	mu         sync.Mutex
 	state      State
-	claim      claim
-	dequeued   bool // the queue-channel entry was consumed (or superseded by a fleet claim)
-	done       int  // completed grid jobs (including previously persisted)
+	done       int // completed grid jobs (including previously persisted)
 	errMsg     string
 	createdAt  time.Time
 	finishedAt time.Time
-	cancel     context.CancelFunc // set while running locally
-	dist       *distJob           // lease state, created on the first fleet lease
-	wal        *wal.Log           // lease-state journal; nil until the first fleet lease, after an append failure, or with NoLeaseWAL
+	dist       *distJob // lease state, created on the job's first lease
+	wal        *wal.Log // lease-state journal; nil until the first lease, after an append failure, or with NoLeaseWAL
 	hub        *hub
 
 	// absorbMu serializes shard-log absorption into the job's store
@@ -179,13 +176,10 @@ type job struct {
 // Status is the JSON shape of a job's state, returned by the status and
 // list endpoints and carried by every SSE event.
 type Status struct {
-	ID    string `json:"id"`
-	State State  `json:"state"`
-	Done  int    `json:"done"`
-	Total int    `json:"total"`
-	// Claim says which execution path owns a running job: "local" (this
-	// process's pool) or "fleet" (shard leases). Empty while queued.
-	Claim      string `json:"claim,omitempty"`
+	ID         string `json:"id"`
+	State      State  `json:"state"`
+	Done       int    `json:"done"`
+	Total      int    `json:"total"`
 	Error      string `json:"error,omitempty"`
 	Cached     bool   `json:"cached,omitempty"`
 	CreatedAt  string `json:"created_at,omitempty"`
@@ -200,7 +194,6 @@ func (j *job) status() Status {
 		State: j.state,
 		Done:  j.done,
 		Total: j.total,
-		Claim: string(j.claim),
 		Error: j.errMsg,
 	}
 	if !j.createdAt.IsZero() {
@@ -229,19 +222,22 @@ type Server struct {
 	opt Options
 	reg *obs.Registry
 	met serverMetrics
-	sim *sim.Metrics // obm_grid_* instruments for locally executed grids
+	sim *sim.Metrics // obm_grid_* instruments for local workers' shard runs
 
-	mu       sync.Mutex
-	jobs     map[string]*job // by spec hash
-	order    []string        // submission order, for the list endpoint
-	queue    chan *job
-	overflow []*job // jobs the channel had no room for (fleet claims leave ghost slots); workers refill from here
-	pending  int    // queued-but-not-dequeued jobs; bounds new submissions
-	closed   bool
+	mu     sync.Mutex
+	jobs   map[string]*job // by spec hash
+	order  []string        // submission order: the list endpoint's and the local workers' lease order
+	closed bool
 
-	stop     chan struct{} // closed by Shutdown: workers stop dequeuing
-	wg       sync.WaitGroup
-	shutOnce sync.Once
+	// wake holds up to one token per local worker: a job may have a
+	// shard to lease.
+	wake chan struct{}
+
+	stop      chan struct{} // closed by Shutdown: idle local workers exit, SSE streams end
+	runCtx    context.Context
+	cancelRun context.CancelFunc // interrupts local shard runs when Shutdown's drain budget runs out
+	wg        sync.WaitGroup
+	shutOnce  sync.Once
 
 	// crashHook, when non-nil, is invoked at every lease-WAL persistence
 	// boundary (see crashPoint). Production servers never set it; the
@@ -251,8 +247,8 @@ type Server struct {
 }
 
 // New builds the service and recovers the store root: finished stores
-// become cache entries, interrupted ones are re-enqueued (in queue.json
-// order where available) and will resume mid-grid. Workers start
+// become cache entries, interrupted ones are queued again (in queue.json
+// order where available) and will resume mid-grid. Local workers start
 // immediately.
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
@@ -272,121 +268,99 @@ func New(opt Options) (*Server, error) {
 		met:  newServerMetrics(reg),
 		sim:  sim.NewMetrics(reg),
 		jobs: make(map[string]*job),
+		wake: make(chan struct{}, opt.Workers),
 		stop: make(chan struct{}),
 	}
+	s.runCtx, s.cancelRun = context.WithCancel(context.Background())
 	reg.Collect(s.collect)
-	recovered, err := s.recover()
-	if err != nil {
-		return nil, err
-	}
-	// The queue must hold every recovered job plus QueueDepth new ones —
-	// recovery must never be the thing that trips backpressure.
-	s.queue = make(chan *job, opt.QueueDepth+len(recovered))
-	for _, j := range recovered {
-		s.pending++
-		s.queue <- j
-	}
+	s.recover()
 	for w := 0; w < opt.Workers; w++ {
 		s.wg.Add(1)
-		go s.worker()
+		go s.localWorker(fmt.Sprintf("%s%d", localWorkerPrefix, w))
 	}
 	return s, nil
 }
 
 // recover scans the store root and registers every existing store:
-// complete ones as done (cache hits), incomplete ones as queued.
-// queue.json, when present, fixes the order of the queued ones; stores it
-// does not mention (hard kill, manual drops) follow in directory order.
-func (s *Server) recover() ([]*job, error) {
+// complete ones as done (cache hits), incomplete ones as queued — or as
+// running, when their lease WAL shows a fleet still draining them.
+// queue.json, when present and readable, orders the incomplete ones;
+// stores it does not mention (hard kill, manual drops) follow in
+// directory order.
+func (s *Server) recover() {
 	// Discover is best-effort: a corrupt store must not take the healthy
 	// ones (and the whole service) down with it — log and skip.
 	infos, err := report.Discover(s.opt.StoreRoot)
 	if err != nil {
 		s.opt.Logf("serve: store root has unreadable stores (skipped): %v", err)
 	}
-	byHash := make(map[string]report.StoreInfo, len(infos))
-	for _, info := range infos {
-		byHash[info.Manifest.SpecHash] = info
-	}
-
 	var order []string
 	qPath := filepath.Join(s.opt.StoreRoot, queueFile)
 	if blob, err := os.ReadFile(qPath); err == nil {
 		if err := json.Unmarshal(blob, &order); err != nil {
-			return nil, fmt.Errorf("serve: corrupt %s: %w", qPath, err)
+			// The file only orders recovery: a torn one costs the order,
+			// never work or the service.
+			s.opt.Logf("serve: ignoring corrupt %s (recovering in directory order): %v", qPath, err)
+			order = nil
 		}
 		os.Remove(qPath) // consumed; from here the stores are the truth
 	}
 
 	now := time.Now()
-	seen := make(map[string]bool)
-	var pendingHashes []string
-	for _, h := range order {
-		// Only incomplete stores re-enqueue; a store can be complete yet
-		// listed in queue.json (shutdown landed between the grid's last
-		// Persist and its return) — re-running it would flip a finished
-		// job back to running in clients' eyes.
-		if info, ok := byHash[h]; ok && !seen[h] && !info.Complete() {
-			seen[h] = true
-			pendingHashes = append(pendingHashes, h)
-		}
-	}
 	for _, info := range infos { // directory order: deterministic
 		h := info.Manifest.SpecHash
-		if !info.Complete() && !seen[h] {
-			seen[h] = true // two stores can share a hash (hand-placed shards)
-			pendingHashes = append(pendingHashes, h)
-		}
-	}
-
-	var recovered []*job
-	for _, info := range infos {
-		h := info.Manifest.SpecHash
+		order = append(order, h)
 		j := &job{
 			id:        h,
 			dir:       info.Dir,
 			total:     info.Manifest.TotalJobs,
 			manifest:  info.Manifest,
 			done:      info.Recorded,
-			createdAt: time.Now(),
+			createdAt: now,
 			hub:       newHub(),
 		}
-		if info.Complete() {
-			j.state = StateDone
-			j.finishedAt = time.Now()
-			j.publish()
-			j.hub.close()
-			// A complete store may predate rendering (killed between the
-			// last append and Render); rendered artifacts are re-derivable,
-			// so artifact handlers re-render on demand instead of blocking
-			// startup here.
-			// A lease WAL next to a finished store is a stale journal of
-			// the run that completed it — never replay it.
-			os.Remove(filepath.Join(info.Dir, leaseWALFile))
-		} else {
+		s.jobs[h] = j // two stores can share a hash (hand-placed shards): the last one wins
+		if !info.Complete() {
 			j.state = StateQueued
-			// A lease WAL means a fleet was draining this job when the
+			// A lease WAL means the job was being drained when the
 			// previous coordinator died; restore the lease table so live
-			// workers keep their shards (the job then skips the local
-			// queue — the fleet owns it again).
+			// fleet workers keep their shards.
 			s.recoverDist(j, now)
+			continue
 		}
-		s.jobs[h] = j
-		s.order = append(s.order, h)
+		j.state = StateDone
+		j.finishedAt = now
+		j.publish()
+		j.hub.close()
+		// A complete store may predate rendering (killed between the last
+		// append and Render); rendered artifacts are re-derivable, so
+		// artifact handlers re-render on demand instead of blocking
+		// startup here. A lease WAL or local shard stores next to a
+		// finished store are leftovers of the run that completed it —
+		// never replay them.
+		os.Remove(filepath.Join(info.Dir, leaseWALFile))
+		os.RemoveAll(filepath.Join(info.Dir, localShardsDir))
 	}
-	for _, h := range pendingHashes {
-		j := s.jobs[h]
-		if j.state != StateQueued {
-			continue // recovered straight into a live fleet claim from its lease WAL
+	// Finished jobs are listed first, then the others in recovery order:
+	// the order local workers lease in.
+	listed := make(map[string]bool)
+	for _, done := range []bool{true, false} {
+		for _, h := range order {
+			j, ok := s.jobs[h]
+			if !ok || listed[h] || (j.state == StateDone) != done {
+				continue
+			}
+			listed[h] = true
+			s.order = append(s.order, h)
+			if j.state == StateQueued {
+				s.opt.Logf("serve: recovered job %.12s (%d/%d done)", h, j.done, j.total)
+			}
 		}
-		recovered = append(recovered, j)
-		s.opt.Logf("serve: recovered job %.12s (%d/%d done)", h, j.done, j.total)
 	}
-	return recovered, nil
 }
 
-// ErrQueueFull is returned by Submit when the pending queue is at
-// capacity; the HTTP layer maps it to 429 Too Many Requests.
+// ErrQueueFull is returned by Submit when QueueDepth jobs are already
+// queued; the HTTP layer maps it to 429 Too Many Requests.
 var ErrQueueFull = errors.New("serve: job queue is full")
 
 // ErrClosed is returned by Submit after Shutdown has begun.
@@ -399,10 +373,11 @@ var ErrStorage = errors.New("serve: run-store storage error")
 // Submit registers the grid described by specs and returns its job plus
 // whether the result was already available (a cache hit: the identical
 // spec list was run before, possibly in a previous process). A fresh
-// submission creates the job's run store (manifest only) before
-// enqueueing, so an accepted job survives any crash. Resubmitting a
-// failed grid re-enqueues it — its store is intact, so the retry resumes
-// past everything that succeeded before the failure.
+// submission creates the job's run store (manifest only) before queueing
+// it, so an accepted job survives any crash. Resubmitting a failed grid
+// queues it again — its store is intact, so the retry resumes past
+// everything that succeeded before the failure. The returned status is
+// taken before any worker can lease the job.
 func (s *Server) Submit(specs []sim.ScenarioSpec) (Status, error) {
 	m, err := report.NewManifest("experiments serve", specs, s.opt.CurvePoints, report.Shard{})
 	if err != nil {
@@ -414,9 +389,9 @@ func (s *Server) Submit(specs []sim.ScenarioSpec) (Status, error) {
 		s.mu.Unlock()
 		return Status{}, ErrClosed
 	}
-	if j, ok := s.jobs[m.SpecHash]; ok {
-		st := j.status()
-		if st.State != StateFailed {
+	j, known := s.jobs[m.SpecHash]
+	if known {
+		if st := j.status(); st.State != StateFailed {
 			st.Cached = st.State == StateDone
 			s.mu.Unlock()
 			if st.Cached {
@@ -424,39 +399,34 @@ func (s *Server) Submit(specs []sim.ScenarioSpec) (Status, error) {
 			}
 			return st, nil
 		}
-		// Failed jobs must not poison their hash: re-enqueue (the store
+	}
+	if s.queuedLocked() >= s.opt.QueueDepth {
+		s.mu.Unlock()
+		return Status{}, ErrQueueFull
+	}
+	if known {
+		// Failed jobs must not poison their hash: queue again (the store
 		// keeps every job that succeeded, so the retry is a resume).
-		if s.pending >= s.opt.QueueDepth {
-			s.mu.Unlock()
-			return Status{}, ErrQueueFull
-		}
 		j.mu.Lock()
 		j.state = StateQueued
-		j.claim = claimNone
-		j.dequeued = false
 		j.dist = nil // stale lease bookkeeping; a retry re-plans its shards
 		j.walDrop()  // and journals from scratch
 		j.errMsg = ""
 		j.finishedAt = time.Time{}
 		j.hub = newHub() // the failed run's hub is closed; subscribers need a live one
 		j.mu.Unlock()
-		s.pending++
-		s.enqueueLocked(j)
-		st = j.status()
+		st := j.status()
 		s.mu.Unlock()
+		s.wakeWorkers()
 		s.opt.Logf("serve: re-queued failed job %.12s", m.SpecHash)
 		return st, nil
 	}
-	if s.pending >= s.opt.QueueDepth {
-		s.mu.Unlock()
-		return Status{}, ErrQueueFull
-	}
-	// Reserve the hash (so duplicates dedupe onto this job and the
-	// pending bound holds), then do the store-creation disk I/O outside
-	// the server lock — status/list/health requests must not stall
-	// behind a slow filesystem.
+	// Reserve the hash (so duplicates dedupe onto this job and the queue
+	// bound holds), then do the store-creation disk I/O outside the server
+	// lock — status/list/health requests must not stall behind a slow
+	// filesystem.
 	dir := report.DirForHash(s.opt.StoreRoot, m.SpecHash)
-	j := &job{
+	j = &job{
 		id:        m.SpecHash,
 		dir:       dir,
 		total:     m.TotalJobs,
@@ -467,7 +437,6 @@ func (s *Server) Submit(specs []sim.ScenarioSpec) (Status, error) {
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	s.pending++
 	s.mu.Unlock()
 
 	store, err := report.Create(dir, m)
@@ -484,43 +453,27 @@ func (s *Server) Submit(specs []sim.ScenarioSpec) (Status, error) {
 				break
 			}
 		}
-		s.pending--
 		s.mu.Unlock()
 		return Status{}, fmt.Errorf("%w: creating run store: %v", ErrStorage, err)
 	}
-	s.enqueueLocked(j)
+	st := j.status()
 	s.mu.Unlock()
+	s.wakeWorkers()
 	s.opt.Logf("serve: queued job %.12s (%d grid jobs)", j.id, j.total)
-	return j.status(), nil
+	return st, nil
 }
 
-// enqueueLocked hands j to the local pool without ever blocking (the
-// caller holds s.mu, which every endpoint needs — a blocked send here
-// would freeze the whole service). The channel can be full of ghost
-// entries for fleet-claimed jobs, whose pending slots were released at
-// claim time; jobs that do not fit are parked on the overflow list,
-// which workers refill from after every dequeue. The fleet needs
-// neither — it leases straight from the jobs map.
-func (s *Server) enqueueLocked(j *job) {
-	select {
-	case s.queue <- j:
-	default:
-		s.overflow = append(s.overflow, j)
-	}
-}
-
-// refill moves overflow jobs into the channel slots freed by dequeues.
-func (s *Server) refill() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.overflow) > 0 {
-		select {
-		case s.queue <- s.overflow[0]:
-			s.overflow = s.overflow[1:]
-		default:
-			return
+// queuedLocked counts the jobs in state queued. Callers hold s.mu.
+func (s *Server) queuedLocked() int {
+	n := 0
+	for _, j := range s.jobs {
+		j.mu.Lock()
+		if j.state == StateQueued {
+			n++
 		}
+		j.mu.Unlock()
 	}
+	return n
 }
 
 // Job returns the status of the job with the given id (the spec hash).
@@ -550,125 +503,123 @@ func (s *Server) lookup(id string) (*job, bool) {
 	return j, ok
 }
 
-// worker executes queued jobs until the queue closes or Shutdown begins.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
+// wakeWorkers wakes the idle local workers: a shard may have become
+// leasable (a submission, a requeue, a resubmitted failure). A worker
+// busy looking finds a token when it is done, so no wake-up is lost.
+func (s *Server) wakeWorkers() {
+	for range cap(s.wake) {
 		select {
-		case <-s.stop:
+		case s.wake <- struct{}{}:
+		default:
 			return
-		case j, ok := <-s.queue:
-			if !ok {
-				return
-			}
-			s.refill() // the dequeue freed a slot for parked overflow jobs
-			if !s.claimLocal(j) {
-				// The fleet claimed this job while it sat in the queue
-				// (or it already finished): the channel entry is a ghost.
-				continue
-			}
-			s.runJob(j)
 		}
 	}
 }
 
-// claimLocal marks the dequeued job as owned by the local pool. The
-// pending count is released exactly once per enqueue — at local dequeue
-// or at the first fleet lease, whichever came first.
-func (s *Server) claimLocal(j *job) bool {
+// localWorker is one of the Options.Workers lease consumers inside the
+// coordinator. It leases shards in submission order through the same
+// lease call a fleet worker's HTTP request makes and runs each through
+// RunShard. With nothing to lease it idles until woken, or for a third
+// of the lease TTL — the next look reaps fleet leases that expired
+// meanwhile and takes their shards over.
+func (s *Server) localWorker(name string) {
+	defer s.wg.Done()
+	for {
+		j, l, err := s.leaseNext(name)
+		if errors.Is(err, ErrClosed) {
+			return
+		}
+		if err == nil {
+			s.runLocalShard(j, l, name)
+			continue
+		}
+		select {
+		case <-s.stop:
+			return
+		case <-s.wake:
+		case <-time.After(s.opt.LeaseTTL / 3):
+		}
+	}
+}
+
+// leaseNext leases the first pending shard of any job, in submission
+// order. ErrNoLease means there is nothing to lease anywhere.
+func (s *Server) leaseNext(worker string) (*job, Lease, error) {
 	s.mu.Lock()
-	j.mu.Lock()
-	if !j.dequeued {
-		j.dequeued = true
-		s.pending--
+	jobs := make([]*job, len(s.order))
+	for i, id := range s.order {
+		jobs[i] = s.jobs[id]
 	}
-	ok := j.claim == claimNone && j.state == StateQueued
-	if ok {
-		j.claim = claimLocal
-	}
-	j.mu.Unlock()
 	s.mu.Unlock()
-	return ok
+	for _, j := range jobs {
+		l, err := s.lease(j, worker)
+		switch {
+		case err == nil:
+			return j, l, nil
+		case errors.Is(err, ErrClosed):
+			return nil, Lease{}, err
+		case !errors.Is(err, ErrNoLease):
+			s.opt.Logf("serve: %s: leasing job %.12s: %v", worker, j.id, err)
+		}
+	}
+	return nil, Lease{}, ErrNoLease
 }
 
-// runJob drives one job's grid to completion (or cancellation/failure),
-// resuming from whatever its store already holds.
-func (s *Server) runJob(j *job) {
-	if j.status().State == StateDone {
-		// Defense in depth: a finished job must never regress to running
-		// (e.g. a stale queue entry).
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	store, err := report.Open(j.dir)
-	if err != nil {
-		s.finishJob(j, fmt.Errorf("opening run store: %w", err))
-		return
-	}
-	defer store.Close()
-
-	pre := store.Len()
-	j.mu.Lock()
-	j.state = StateRunning
-	j.done = pre
-	j.cancel = cancel
-	j.mu.Unlock()
-	j.publish()
-	s.opt.Logf("serve: running job %.12s (resuming at %d/%d)", j.id, pre, j.total)
-
-	base := sim.GridOptions{
-		Workers:   s.opt.GridWorkers,
-		ChunkSize: s.opt.ChunkSize,
-		Parallel:  s.opt.Parallel,
-		Metrics:   s.sim,
-		// sim reports every attempt (done counts failures and aborts
-		// too); job progress counts persisted successes only, so status
-		// never overstates what a resume would find in the store.
-		Progress: func(done, total int, gj sim.GridJob, err error) {
-			if err != nil {
-				return
-			}
-			j.mu.Lock()
-			j.done++
-			j.mu.Unlock()
-			j.publish()
+// runLocalShard runs one leased shard in process: RunShard, as on a fleet
+// worker, with direct calls for transport and a heartbeat after every
+// finished grid job, so status and SSE move job by job. A shard that
+// fails here fails its job, as a grid run does — retrying it in this
+// process would only fail again; resubmitting the job retries it.
+func (s *Server) runLocalShard(j *job, l Lease, name string) {
+	logf := func(format string, args ...any) { s.opt.Logf("serve: %s "+format, append([]any{name}, args...)...) }
+	res := RunShard(s.runCtx, ShardRun{
+		Lease: l,
+		Dir:   filepath.Join(j.dir, localShardsDir, fmt.Sprintf("%d-of-%d", l.Shard, l.Shards)),
+		Grid: sim.GridOptions{
+			Workers:   s.opt.GridWorkers,
+			ChunkSize: s.opt.ChunkSize,
+			Parallel:  s.opt.Parallel,
+			Metrics:   s.sim,
 		},
+		Heartbeat: func(_ context.Context, done int) error {
+			_, err := s.heartbeat(j, l.Shard, l.Token, done)
+			return err
+		},
+		BeatPerJob: true,
+		Complete: func(_ context.Context, logPath, failMsg string) error {
+			log, err := os.Open(logPath)
+			if err != nil {
+				return err
+			}
+			defer log.Close()
+			_, err = s.completeShard(j, l.Shard, l.Token, name, failMsg, log)
+			return err
+		},
+		Logf: logf,
+	})
+	switch res.Outcome {
+	case ShardNotRun, ShardFailed:
+		s.finishJob(j, res.RunErr)
+	case ShardLeaseLost:
+		logf("lost the lease on shard %d of job %.12s — aborted at a chunk boundary", l.Shard, l.JobID)
 	}
-	_, err = store.RunContext(ctx, base)
-	if serr := store.Sync(); err == nil && serr != nil {
-		err = serr
+	if res.CompleteErr != nil {
+		logf("handing in shard %d of job %.12s: %v", l.Shard, l.JobID, res.CompleteErr)
 	}
-	if err != nil && errors.Is(err, context.Canceled) {
-		// Shutdown cancelled the grid: the store keeps every persisted
-		// job, and the job goes back to queued so a restart resumes it.
-		j.mu.Lock()
-		j.state = StateQueued
-		j.claim = claimNone
-		j.cancel = nil
-		j.mu.Unlock()
-		j.publish()
-		s.opt.Logf("serve: interrupted job %.12s at %d/%d (will resume)", j.id, j.done, j.total)
-		return
-	}
-	if err == nil {
-		_, _, err = store.Render()
-	}
-	s.finishJob(j, err)
 }
 
-// finishJob moves a job to its terminal state and closes its event hub.
-// Finishing an already-done job is a no-op, so racing completion paths
-// (an upload's terminal check vs. lease-time finalization) are benign.
+// finishJob moves a job to its terminal state, closes its event hub and
+// removes the local workers' shard stores: everything they hold is in
+// the job's store (a failed shard's partial log is absorbed before the
+// job fails). Finishing an already-done job is a no-op, so racing
+// completion paths (an upload's terminal check vs. lease-time
+// finalization) are benign.
 func (s *Server) finishJob(j *job, err error) {
 	j.mu.Lock()
 	if j.state == StateDone {
 		j.mu.Unlock()
 		return
 	}
-	j.claim = claimNone
-	j.cancel = nil
 	j.walDrop() // terminal state: the journal must never be replayed
 	j.finishedAt = time.Now()
 	if err != nil {
@@ -680,6 +631,7 @@ func (s *Server) finishJob(j *job, err error) {
 	}
 	h := j.hub
 	j.mu.Unlock()
+	os.RemoveAll(filepath.Join(j.dir, localShardsDir))
 	h.publish(j.status())
 	h.close()
 	if err != nil {
@@ -689,59 +641,40 @@ func (s *Server) finishJob(j *job, err error) {
 	}
 }
 
-// openStore opens a job's run store read-only for the artifact endpoints.
-// Rendered files may be missing on a store completed by a previous
-// process that died before rendering — Render is idempotent, so artifact
-// handlers re-render on demand.
-func (s *Server) openStore(j *job) (*report.Store, error) {
-	return report.Open(j.dir)
-}
-
 // Shutdown stops the service gracefully: submissions and new leases are
-// refused, workers stop picking up queued jobs, and in-flight grids are
-// drained — until ctx expires, at which point they are cancelled at the
-// next chunk boundary (their stores stay partial-but-persisted). Event
-// hubs of every non-terminal job are closed so SSE subscribers are
-// released rather than left waiting on a process that will publish
-// nothing more. Pending job order is written to queue.json so a restart
-// resumes in submission order.
+// refused, idle local workers exit, and busy ones finish their in-flight
+// shards — until ctx expires, at which point they stop at the next chunk
+// boundary and hand each partial log in as a failed shard, so the shard
+// requeues and the lease WAL records it. A job left with no leased shard
+// goes back to queued; their order is written to queue.json so a restart
+// resumes them in submission order. A job a fleet worker still holds a
+// lease on stays running, its WAL kept for the next process. Event hubs
+// of every live job are closed so SSE subscribers are released rather
+// than left waiting on a process that will publish nothing more.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
 	s.shutOnce.Do(func() { close(s.stop) })
 
-	// Drain: wait for in-flight jobs, or cancel them when ctx expires.
-	drained := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-	case <-ctx.Done():
-		s.mu.Lock()
-		for _, j := range s.jobs {
-			j.mu.Lock()
-			if j.cancel != nil {
-				j.cancel()
-			}
-			j.mu.Unlock()
-		}
-		s.mu.Unlock()
-		<-drained
-	}
+	interrupt := context.AfterFunc(ctx, s.cancelRun)
+	s.wg.Wait()
+	interrupt()
+	s.cancelRun()
 
-	// The drain is over: every job that is not terminal — requeued by the
-	// cancellation above, never started, or fleet-claimed — will make no
-	// further progress in this process, so its hub closes now. Subscribers
-	// get their channels closed (after the final snapshot) instead of
-	// hanging on a hub nothing will ever publish to again; recovery in the
-	// next process builds fresh hubs.
+	var queued []string
 	s.mu.Lock()
-	for _, j := range s.jobs {
+	for _, id := range s.order {
+		j := s.jobs[id]
 		j.mu.Lock()
-		h, terminal := j.hub, j.state == StateDone || j.state == StateFailed
+		live := j.state == StateQueued || j.state == StateRunning
+		requeued := j.state == StateRunning && !j.leased()
+		if requeued {
+			j.state = StateQueued
+		}
+		if j.state == StateQueued {
+			queued = append(queued, id)
+		}
 		if j.wal != nil {
 			// Keep the journal (the next process replays it and the fleet
 			// carries on) but flush and release the handle.
@@ -749,52 +682,47 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			j.wal.Close()
 			j.wal = nil
 		}
+		h := j.hub
 		j.mu.Unlock()
-		if !terminal {
+		if requeued {
+			h.publish(j.status())
+		}
+		if live {
 			h.close()
 		}
 	}
 	s.mu.Unlock()
 
-	// Persist pending order: queued jobs still in the channel plus any
-	// interrupted in-flight ones (those resume first).
-	var pending []string
-	s.mu.Lock()
-drain:
-	for {
-		select {
-		case j := <-s.queue:
-			pending = append(pending, j.id)
-		default:
-			break drain
-		}
-	}
-	var interrupted []string
-	for _, id := range s.order {
-		j := s.jobs[id]
-		st := j.status()
-		if st.State == StateQueued {
-			found := false
-			for _, p := range pending {
-				if p == id {
-					found = true
-					break
-				}
-			}
-			if !found {
-				interrupted = append(interrupted, id)
-			}
-		}
-	}
-	pending = append(interrupted, pending...)
-	s.mu.Unlock()
-
-	if len(pending) == 0 {
+	if len(queued) == 0 {
 		return nil
 	}
-	blob, err := json.Marshal(pending)
+	return writeQueue(s.opt.StoreRoot, queued)
+}
+
+// writeQueue replaces root/queue.json through a temp file that is synced
+// and then renamed over it, so a crash leaves the old file or the new
+// one, never a torn one.
+func writeQueue(root string, ids []string) error {
+	blob, err := json.Marshal(ids)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(s.opt.StoreRoot, queueFile), append(blob, '\n'), 0o644)
+	tmp, err := os.CreateTemp(root, queueFile+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(append(blob, '\n'))
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(root, queueFile))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

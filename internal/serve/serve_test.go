@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -615,5 +616,73 @@ func TestFailedJobResubmitRetries(t *testing.T) {
 	waitState(t, ts, st.ID, StateDone)
 	if code, _ := fetch(t, ts, "/api/v1/jobs/"+st.ID+"/summary.csv"); code != http.StatusOK {
 		t.Fatalf("summary.csv after retry: status %d", code)
+	}
+}
+
+// TestTornQueueFileDoesNotStopRecovery: queue.json only orders recovery,
+// so a torn one — a kill while it was being written — must not keep the
+// service from starting. New logs it with its path and drops it, and the
+// incomplete store beside it resumes to a summary byte-identical to
+// RunGrid.
+func TestTornQueueFileDoesNotStopRecovery(t *testing.T) {
+	root := t.TempDir()
+	// Half a grid: one of two shards absorbed, then a graceful shutdown,
+	// which writes queue.json.
+	s1, err := New(Options{StoreRoot: root, Workers: -1, ShardSize: 2, CurvePoints: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s1.Submit(tinySpecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1, _ := s1.lookup(st.ID)
+	l, err := s1.lease(j1, "w0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.completeShard(j1, l.Shard, l.Token, "w0", "", bytes.NewReader(runLeasedShard(t, t.TempDir(), l))); err != nil {
+		t.Fatal(err)
+	}
+	s1.Shutdown(t.Context())
+	qPath := filepath.Join(root, queueFile)
+	if _, err := os.Stat(qPath); err != nil {
+		t.Fatalf("queue.json not written on shutdown: %v", err)
+	}
+	if err := os.WriteFile(qPath, []byte(`["abc`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
+	_, ts := newTestServer(t, Options{StoreRoot: root, ShardSize: 2, CurvePoints: 4, Logf: logf})
+	if got := waitState(t, ts, st.ID, StateDone); got.Done != got.Total {
+		t.Fatalf("resumed job = %+v", got)
+	}
+	code, got := fetch(t, ts, "/api/v1/jobs/"+st.ID+"/summary.csv")
+	if code != http.StatusOK {
+		t.Fatalf("summary.csv: status %d", code)
+	}
+	if want := directSummary(t, tinySpecs(), 4); !bytes.Equal(got, want) {
+		t.Errorf("summary after a torn queue.json differs from RunGrid:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	logged := false
+	for _, line := range logs {
+		logged = logged || strings.Contains(line, qPath)
+	}
+	if !logged {
+		t.Errorf("torn queue.json not logged with its path; log:\n%s", strings.Join(logs, "\n"))
+	}
+	if _, err := os.Stat(qPath); !os.IsNotExist(err) {
+		t.Errorf("torn queue.json left in place: %v", err)
 	}
 }

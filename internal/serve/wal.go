@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"obm/internal/report"
@@ -11,15 +12,10 @@ import (
 	"obm/internal/wal"
 )
 
-// The coordinator's lease/queue write-ahead log.
-//
-// PR 5's lease state was deliberately in-memory: the absorbed shard logs
-// are the durable truth for *outcomes*, so a coordinator crash lost only
-// bookkeeping. That bookkeeping still cost real time — every outstanding
-// lease was stranded until a fresh fleet claim re-planned the job — and,
-// worse, a restarted coordinator answered live workers' heartbeats with
-// 409s, aborting shards mid-replay for no reason. This file makes the
-// bookkeeping itself crash-recoverable.
+// The coordinator's lease write-ahead log. The absorbed shard logs are
+// the durable truth for outcomes; this journal makes the lease table
+// crash-recoverable too, so a restarted coordinator keeps honoring live
+// workers' heartbeats instead of aborting their shards mid-replay.
 //
 // Every lease-state transition appends one record to <job-dir>/lease.wal
 // (framing and torn-tail trimming come from internal/wal; payload
@@ -29,17 +25,16 @@ import (
 // attempt number, a heartbeat must name the current token, a requeue
 // must land on a leased shard. Any violation — duplicated, reordered or
 // hand-edited records — classifies as snap.ErrCorrupt and the whole log
-// is discarded rather than replayed into a lie (recovery then degrades
-// to PR 5 behavior, which is always safe: outcomes live in the store).
+// is discarded rather than replayed into a lie (recovery then queues the
+// job afresh, which is always safe: outcomes live in the store).
 //
 // The WAL is strictly a durability optimization with one invariant:
 // it may lag the store (a crash between an upload's absorb and its WAL
 // record), never lead it. Recovery therefore reconciles every replayed
 // shard against the store and trusts the store's verdict. Leases whose
-// TTL lapsed while the coordinator was down are requeued on the spot;
-// live ones are re-armed to a full TTL so the worker's next heartbeat
-// lands instead of 409ing — a fleet survives a coordinator restart
-// without losing a single shard of progress.
+// TTL lapsed while the coordinator was down, and leases its own local
+// workers held, are requeued on the spot; live fleet leases are re-armed
+// to a full TTL so the worker's next heartbeat lands instead of 409ing.
 
 // leaseWALFile is the per-job WAL file name, next to jobs.jsonl.
 const leaseWALFile = "lease.wal"
@@ -403,24 +398,24 @@ func (s *Server) crashAt(p crashPoint) {
 	}
 }
 
-// recoverDist restores j's fleet lease state from its lease WAL, if one
-// exists and still describes a live fleet. Returns true when j was
-// restored as a fleet-claimed running job (it must then NOT re-enter the
-// local queue). On any doubt — corrupt or semantically invalid log,
+// recoverDist restores j's lease state from its lease WAL, if one exists
+// and still describes a live fleet: then j is restored as a running job
+// whose live fleet leases are re-armed. Leases held by the previous
+// process's local workers are requeued at once — their holder died with
+// the coordinator. On any doubt — corrupt or semantically invalid log,
 // shard partition mismatch (a changed -shard-size), store disagreement,
-// or simply no lease still inside its TTL — the WAL is discarded and
-// recovery falls back to the plain re-enqueue path, which is always
-// safe: job outcomes live in the store, and the fleet re-claims on its
-// next lease.
-func (s *Server) recoverDist(j *job, now time.Time) bool {
+// or simply no fleet lease still inside its TTL — the WAL is discarded
+// and the job stays queued, which is always safe: job outcomes live in
+// the store, and the next lease re-plans the shards.
+func (s *Server) recoverDist(j *job, now time.Time) {
 	if s.opt.NoLeaseWAL {
-		return false
+		return
 	}
 	path := filepath.Join(j.dir, leaseWALFile)
 	if _, err := os.Stat(path); err != nil {
-		return false
+		return
 	}
-	discard := func(lg *wal.Log, format string, args ...any) bool {
+	discard := func(lg *wal.Log, format string, args ...any) {
 		s.met.walDiscarded.Inc()
 		s.opt.Logf("serve: job %.12s: discarding lease WAL: "+format, append([]any{j.id}, args...)...)
 		if lg != nil {
@@ -428,7 +423,6 @@ func (s *Server) recoverDist(j *job, now time.Time) bool {
 		} else {
 			os.Remove(path)
 		}
-		return false
 	}
 
 	var st walJobState
@@ -438,24 +432,22 @@ func (s *Server) recoverDist(j *job, now time.Time) bool {
 		if lg != nil {
 			lg.Close()
 		}
-		lg = nil
-		return discard(nil, "%v", err)
+		discard(nil, "%v", err)
+		return
 	}
 	if !st.inited {
 		lg.Remove() // fresh or fully torn log: nothing to restore
-		return false
+		return
 	}
 	plan, err := j.manifest.Plan()
 	if err != nil {
 		lg.Close()
-		return false
+		return
 	}
-	n := (len(plan.Jobs) + s.opt.ShardSize - 1) / s.opt.ShardSize
-	if n < 1 {
-		n = 1
-	}
+	n := s.shardCount(plan)
 	if n != len(st.shards) {
-		return discard(lg, "journaled %d shards, current partition has %d (changed shard size?)", len(st.shards), n)
+		discard(lg, "journaled %d shards, current partition has %d (changed shard size?)", len(st.shards), n)
+		return
 	}
 
 	// Reconcile against the store — the durable truth for outcomes. The
@@ -466,7 +458,7 @@ func (s *Server) recoverDist(j *job, now time.Time) bool {
 	store, err := report.Open(j.dir)
 	if err != nil {
 		lg.Close()
-		return false
+		return
 	}
 	defer store.Close()
 	recorded := store.Len()
@@ -479,42 +471,37 @@ func (s *Server) recoverDist(j *job, now time.Time) bool {
 			expires: v.expires, done: v.done, attempts: v.attempts,
 			jobs: plan.ShardSlice(k, n),
 		}
-		complete := true
-		for _, gj := range shards[k].jobs {
-			if _, ok := store.Lookup(gj); !ok {
-				complete = false
-				break
-			}
-		}
+		complete := recordedAll(store, shards[k].jobs)
 		if v.phase == shardDone && !complete {
-			return discard(lg, "shard %d journaled done but the store is missing its jobs", k)
+			discard(lg, "shard %d journaled done but the store is missing its jobs", k)
+			return
 		}
 		if complete {
 			shards[k].phase = shardDone
 			shards[k].token, shards[k].worker, shards[k].done = "", "", 0
-		} else if v.phase == shardLeased && v.expires.After(now) {
+		} else if liveFleetLease(&shards[k], now) {
 			live++
 		}
 	}
 	if live == 0 {
-		// Every lease (if any) was already dead when we came back: plain
-		// recovery — re-enqueue and resume from the store — is strictly
-		// better, and leaves the job claimable by pool and fleet alike.
+		// No fleet lease survived the outage: plain recovery — queue the
+		// job and resume from the store — is strictly better.
 		lg.Remove()
-		return false
+		return
 	}
 
 	// The fleet is still out there. Requeue leases that died while we
-	// were down (journaled, so a later replay stays linear) and re-arm
-	// the live ones to a full TTL — the recovery moment is their new
-	// heartbeat epoch, so a worker mid-replay gets its next renewal in.
+	// were down, or with us (journaled, so a later replay stays linear),
+	// and re-arm the live ones to a full TTL — the recovery moment is
+	// their new heartbeat epoch, so a worker mid-replay gets its next
+	// renewal in.
 	requeued, recovered := 0, 0
 	for k := range shards {
 		sh := &shards[k]
 		if sh.phase != shardLeased {
 			continue
 		}
-		if !sh.expires.After(now) {
+		if !liveFleetLease(sh, now) {
 			if err := lg.Append(walRecRequeue(k)); err == nil {
 				s.met.walAppends.Inc()
 			}
@@ -531,13 +518,17 @@ func (s *Server) recoverDist(j *job, now time.Time) bool {
 
 	j.mu.Lock()
 	j.state = StateRunning
-	j.claim = claimFleet
-	j.dequeued = true
 	j.dist = &distJob{shards: shards, recorded: recorded}
 	j.wal = lg
 	j.done = j.fleetDone()
 	j.mu.Unlock()
-	s.opt.Logf("serve: job %.12s: lease WAL recovered (%d records: %d live leases re-armed, %d expired leases requeued, %d/%d jobs recorded)",
+	s.opt.Logf("serve: job %.12s: lease WAL recovered (%d records: %d live leases re-armed, %d dead leases requeued, %d/%d jobs recorded)",
 		j.id, replayed, recovered, requeued, recorded, j.total)
-	return true
+}
+
+// liveFleetLease reports whether sh is a lease recovery re-arms: held by
+// a fleet worker and still inside its TTL. A local worker's lease died
+// with the process that granted it.
+func liveFleetLease(sh *shardState, now time.Time) bool {
+	return sh.phase == shardLeased && sh.expires.After(now) && !strings.HasPrefix(sh.worker, localWorkerPrefix)
 }

@@ -13,10 +13,11 @@ import (
 )
 
 // ExampleRunner wires a complete in-process fleet: a coordinator-only
-// experiment service, one worker draining its shard leases, and a
-// submitted grid that only finishes through the lease protocol — the
-// same wiring `experiments serve -workers 0` plus `experiments worker`
-// gives you as separate processes.
+// experiment service, one worker draining its shard leases over HTTP, and
+// a submitted grid that finishes through them — the same wiring
+// `experiments serve -workers 0` plus `experiments worker` gives you as
+// separate processes. (With local workers, the service drains grids
+// through the same leases in process, alongside any fleet.)
 func ExampleRunner() {
 	root, err := os.MkdirTemp("", "fleet-root")
 	if err != nil {
@@ -29,8 +30,8 @@ func ExampleRunner() {
 	}
 	defer os.RemoveAll(workdir)
 
-	// A pure coordinator: Workers < 0 disables local execution, so every
-	// grid job must flow through a shard lease.
+	// A pure coordinator: Workers < 0 starts no local workers, so every
+	// shard is leased by the fleet.
 	coord, err := serve.New(serve.Options{StoreRoot: root, Workers: -1, ShardSize: 2})
 	if err != nil {
 		panic(err)

@@ -4,14 +4,15 @@
 // drains them cooperatively with every other worker on the same
 // coordinator.
 //
-// One shard lease is executed as an ordinary sharded run store (the PR 3
-// mechanics): the worker rebuilds the shard's manifest from the lease
-// (and refuses to run unless its spec hash reproduces the job id),
-// executes the shard's job slice through sim.RunGridContext with the
-// store's durability hooks, heartbeats the coordinator to keep the lease
-// alive and stream progress, and finally uploads the store's jobs.jsonl,
-// which the coordinator folds into the job's own store under
-// exact-agreement conflict checks.
+// A leased shard runs through serve.RunShard, the shard executor the
+// coordinator's own local workers use too: it rebuilds the shard's
+// manifest from the lease (and refuses to run unless its spec hash
+// reproduces the job id), executes the shard's job slice against a shard
+// run store, heartbeats to keep the lease alive and report progress, and
+// hands the store's jobs.jsonl in, which the coordinator folds into the
+// job's own store under exact-agreement conflict checks. This package
+// supplies the HTTP side of those calls: heartbeats, and uploads retried
+// across coordinator restarts.
 //
 // Shard stores live under Options.Dir, keyed by (job, shard), so a
 // worker that crashes or is cancelled mid-shard resumes its own partial
@@ -34,11 +35,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"obm/internal/obs"
-	"obm/internal/report"
 	"obm/internal/serve"
 	"obm/internal/sim"
 )
@@ -49,7 +48,8 @@ type Options struct {
 	// e.g. "http://10.0.0.5:8080".
 	Coordinator string
 	// Name identifies this worker in coordinator logs and lease state
-	// (default "<hostname>-<pid>").
+	// (default "<hostname>-<pid>"). Names starting with "local/" are
+	// reserved for the coordinator's own workers.
 	Name string
 	// Capacity is the number of shard leases executed concurrently
 	// (default 1). Each shard internally parallelizes per GridWorkers.
@@ -219,9 +219,6 @@ func (r *Runner) acquire(ctx context.Context) (*serve.Lease, error) {
 		if st.State != serve.StateQueued && st.State != serve.StateRunning {
 			continue
 		}
-		if st.Claim == "local" {
-			continue // the coordinator's own pool owns this grid
-		}
 		lease, err := r.tryLease(ctx, st.ID)
 		if err != nil {
 			return nil, err
@@ -298,164 +295,83 @@ func (r *Runner) pruneStaleShardDirs(jobs []serve.Status) {
 	}
 }
 
-// openShardStore creates (or resumes) the local run store for a lease,
-// verifying that the lease's manifest reproduces the job id — a worker
-// must never burn CPU on a grid whose identity it cannot prove.
-func (r *Runner) openShardStore(l serve.Lease) (*report.Store, error) {
-	m, err := report.NewManifest(l.Name, l.Specs, l.CurvePoints, report.Shard{Index: l.Shard, Count: l.Shards})
-	if err != nil {
-		return nil, err
-	}
-	if m.SpecHash != l.JobID {
-		return nil, fmt.Errorf("work: lease for job %.12s carries specs hashing to %.12s — refusing to run", l.JobID, m.SpecHash)
-	}
-	dir := r.shardDir(l)
-	if report.Exists(dir) {
-		st, err := report.Open(dir)
-		if err == nil {
-			got := st.Manifest()
-			if got.SpecHash != l.JobID || got.Shard.Index != l.Shard || got.Shard.Count != l.Shards {
-				st.Close()
-				return nil, fmt.Errorf("work: %s holds a different shard (%.12s %s) than the lease (%.12s %d/%d)",
-					dir, got.SpecHash, got.Shard, l.JobID, l.Shard, l.Shards)
-			}
-			if st.Len() > 0 {
-				r.opt.Logf("work: %s resuming shard %d of job %.12s (%d jobs already recorded)",
-					r.opt.Name, l.Shard, l.JobID, st.Len())
-			}
-			return st, nil
-		}
-		return nil, err
-	}
-	return report.Create(dir, m)
-}
-
-// runShard executes one lease end to end; true means the shard's log was
-// uploaded after a clean run. A cancelled shard (ctx or lease lost) is
-// abandoned with its store intact; a shard whose grid failed uploads its
-// partial log with the failure message so the coordinator requeues it
-// without waiting for the TTL.
+// runShard executes one lease end to end through serve.RunShard; true
+// means the shard's log was uploaded after a clean run. A shard whose
+// lease was lost is abandoned with its store intact; a failed shard
+// uploads its partial log with the failure message, and a stopped one
+// hands its partial log off, so the coordinator requeues either without
+// waiting for the TTL.
 func (r *Runner) runShard(ctx context.Context, l serve.Lease) bool {
-	store, err := r.openShardStore(l)
-	if err != nil {
-		r.opt.Logf("work: shard %d of job %.12s: %v", l.Shard, l.JobID, err)
-		return false
-	}
-	logPath := store.LogPath()
-
-	shardCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var leaseLost atomic.Bool
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		r.heartbeatLoop(shardCtx, l, store, cancel, &leaseLost)
-	}()
-
-	_, runErr := store.RunContext(shardCtx, sim.GridOptions{
-		Workers:         r.opt.GridWorkers,
-		ChunkSize:       r.opt.ChunkSize,
-		Parallel:        r.opt.Parallel,
-		CheckpointEvery: r.opt.CheckpointEvery,
-		Metrics:         r.sim,
+	res := serve.RunShard(ctx, serve.ShardRun{
+		Lease: l,
+		Dir:   r.shardDir(l),
+		Grid: sim.GridOptions{
+			Workers:         r.opt.GridWorkers,
+			ChunkSize:       r.opt.ChunkSize,
+			Parallel:        r.opt.Parallel,
+			CheckpointEvery: r.opt.CheckpointEvery,
+			Metrics:         r.sim,
+		},
+		Heartbeat: func(ctx context.Context, done int) error { return r.heartbeat(ctx, l, done) },
+		Complete: func(ctx context.Context, logPath, failMsg string) error {
+			return r.upload(ctx, l, logPath, failMsg)
+		},
+		Logf: func(format string, args ...any) {
+			r.opt.Logf("work: %s "+format, append([]any{r.opt.Name}, args...)...)
+		},
 	})
-	if serr := store.Sync(); runErr == nil && serr != nil {
-		runErr = serr
-	}
-	cancel()
-	<-hbDone
-	store.Close()
-
 	switch {
-	case leaseLost.Load():
-		// The lease was requeued under us: another worker owns the shard
-		// now. Keep the local log (a future lease of the same shard
-		// resumes it) and upload nothing — the new owner's run is
-		// authoritative, and if both upload, determinism makes the
-		// duplicate verify.
+	case res.Outcome == serve.ShardNotRun:
+		r.opt.Logf("work: shard %d of job %.12s: %v", l.Shard, l.JobID, res.RunErr)
+	case res.Outcome == serve.ShardLeaseLost:
+		// Another worker owns the shard now. The local log is kept (a
+		// future lease of the same shard resumes it); if both upload,
+		// determinism makes the duplicate verify.
 		r.opt.Logf("work: %s lost the lease on shard %d of job %.12s — aborted at a chunk boundary", r.opt.Name, l.Shard, l.JobID)
-		return false
-	case runErr != nil && ctx.Err() != nil:
-		// Worker shutdown: hand the partial log to the coordinator (the
-		// upload is detached from the shutdown cancellation) so it absorbs
-		// the completed jobs and requeues the shard immediately instead of
-		// waiting out the lease TTL — whoever re-leases the shard resumes
-		// past the absorbed jobs. The local store stays too: if *this*
-		// worker re-leases it, it also resumes its own mid-job checkpoints.
-		if uerr := r.upload(ctx, l, logPath, "worker shutdown"); uerr != nil {
-			r.met.uploadErrors.Inc()
-			r.opt.Logf("work: handing off shard %d of job %.12s: %v (local log kept)", l.Shard, l.JobID, uerr)
-		} else {
-			r.met.handoffs.Inc()
-			r.opt.Logf("work: %s handed off shard %d of job %.12s (%d jobs absorbed; shard requeued)",
-				r.opt.Name, l.Shard, l.JobID, store.Len())
-		}
-		return false
-	}
-	failMsg := ""
-	if runErr != nil {
-		failMsg = runErr.Error()
-	}
-	if err := r.upload(ctx, l, logPath, failMsg); err != nil {
+	case res.CompleteErr != nil:
 		r.met.uploadErrors.Inc()
-		r.opt.Logf("work: uploading shard %d of job %.12s: %v (local log kept)", l.Shard, l.JobID, err)
-		return false
+		r.opt.Logf("work: uploading shard %d of job %.12s: %v (local log kept)", l.Shard, l.JobID, res.CompleteErr)
+	case res.Outcome == serve.ShardHandedOff:
+		// Whoever re-leases the shard resumes past the absorbed jobs; if
+		// it is this worker, also from its own mid-job checkpoints.
+		r.met.handoffs.Inc()
+		r.opt.Logf("work: %s handed off shard %d of job %.12s (%d jobs absorbed; shard requeued)",
+			r.opt.Name, l.Shard, l.JobID, res.Recorded)
+	case res.Outcome == serve.ShardFailed:
+		r.opt.Logf("work: %s reported shard %d of job %.12s failed: %v", r.opt.Name, l.Shard, l.JobID, res.RunErr)
+	default:
+		r.met.shardsCompleted.Inc()
+		r.opt.Logf("work: %s completed shard %d/%d of job %.12s (%d grid jobs)", r.opt.Name, l.Shard, l.Shards, l.JobID, l.Jobs)
+		return true
 	}
-	if failMsg != "" {
-		r.opt.Logf("work: %s reported shard %d of job %.12s failed: %s", r.opt.Name, l.Shard, l.JobID, failMsg)
-		return false
-	}
-	// The coordinator holds everything durable now; the local store is
-	// scratch and can go.
-	os.RemoveAll(r.shardDir(l))
-	r.met.shardsCompleted.Inc()
-	r.opt.Logf("work: %s completed shard %d/%d of job %.12s (%d grid jobs)", r.opt.Name, l.Shard, l.Shards, l.JobID, l.Jobs)
-	return true
+	return false
 }
 
-// heartbeatLoop renews the lease on a third of its TTL, reporting the
-// shard store's persisted-job count as progress. A 409 means the lease
-// was requeued under us — flag it and cancel the run; its next chunk
-// boundary aborts.
-func (r *Runner) heartbeatLoop(ctx context.Context, l serve.Lease, store *report.Store, cancel context.CancelFunc, leaseLost *atomic.Bool) {
-	interval := time.Duration(l.TTLMS) * time.Millisecond / 3
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
+// heartbeat renews the lease, reporting done as progress. A 409 means
+// the lease was requeued under us: serve.ErrLeaseLost.
+func (r *Runner) heartbeat(ctx context.Context, l serve.Lease, done int) error {
+	body, _ := json.Marshal(map[string]any{"token": l.Token, "done": done})
+	url := fmt.Sprintf("%s/api/v1/jobs/%s/shards/%d/heartbeat", r.opt.Coordinator, l.JobID, l.Shard)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return err
 	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		body, _ := json.Marshal(map[string]any{"token": l.Token, "done": store.Len()})
-		url := fmt.Sprintf("%s/api/v1/jobs/%s/shards/%d/heartbeat", r.opt.Coordinator, l.JobID, l.Shard)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := r.opt.HTTPClient.Do(req)
-		if err != nil {
-			// A coordinator blip is survivable as long as one heartbeat
-			// lands inside the TTL; keep trying until the lease verdict.
-			r.opt.Logf("work: heartbeat for shard %d of job %.12s: %v", l.Shard, l.JobID, err)
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusConflict {
-			r.met.leaseLost.Inc()
-			leaseLost.Store(true)
-			cancel()
-			return
-		}
-		if resp.StatusCode == http.StatusOK {
-			r.met.heartbeats.Inc()
-		}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := r.opt.HTTPClient.Do(req)
+	if err != nil {
+		return err
 	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
+		r.met.heartbeats.Inc()
+		return nil
+	case http.StatusConflict:
+		r.met.leaseLost.Inc()
+		return serve.ErrLeaseLost
+	}
+	return fmt.Errorf("work: heartbeat: HTTP %d", resp.StatusCode)
 }
 
 // uploadAttempts bounds the complete-endpoint retry loop; with the

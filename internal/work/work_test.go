@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -355,8 +356,23 @@ func TestWorkerResumesOwnShardStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A stand-in coordinator that accepts every call and keeps the uploads.
+	var (
+		mu      sync.Mutex
+		uploads [][]byte
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/complete") {
+			body, _ := io.ReadAll(r.Body)
+			mu.Lock()
+			uploads = append(uploads, body)
+			mu.Unlock()
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer ts.Close()
 	r, err := New(Options{
-		Coordinator: "http://unused.invalid",
+		Coordinator: ts.URL,
 		Name:        "resumer",
 		Dir:         t.TempDir(),
 		Logf:        t.Logf,
@@ -368,33 +384,58 @@ func TestWorkerResumesOwnShardStore(t *testing.T) {
 		JobID: m.SpecHash, Shard: 0, Shards: 2, Token: "tok",
 		TTLMS: 60000, Name: m.Name, CurvePoints: 0, Specs: m.Specs,
 	}
-	st, err := r.openShardStore(l)
+	// Simulate a partial run: the shard store recorded one job (with an
+	// outcome no replay produces), then the worker "died".
+	sm, err := report.NewManifest(l.Name, l.Specs, l.CurvePoints, report.Shard{Index: l.Shard, Count: l.Shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a partial run: record one job, then "die".
+	st, err := report.Create(r.shardDir(l), sm)
+	if err != nil {
+		t.Fatal(err)
+	}
 	job := sim.GridJob{Scenario: "resume-uni", Alg: "oblivious", B: 0, Rep: 0}
 	if err := st.Append(job, sim.JobOutcome{Routing: 42}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
 
-	re, err := r.openShardStore(l)
-	if err != nil {
+	if !r.runShard(context.Background(), l) {
+		t.Fatal("re-leased shard did not complete")
+	}
+	if len(uploads) != 1 {
+		t.Fatalf("%d uploads, want 1", len(uploads))
+	}
+	// The upload carries the partial log's record unchanged — the job was
+	// resumed, not re-run — and then the shard's other job.
+	lines := bytes.Split(bytes.TrimSpace(uploads[0]), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("upload has %d records, want 2:\n%s", len(lines), uploads[0])
+	}
+	var first struct {
+		Rep     int `json:"rep"`
+		Outcome struct {
+			Routing float64 `json:"routing"`
+		} `json:"outcome"`
+	}
+	if err := json.Unmarshal(lines[0], &first); err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if re.Len() != 1 {
-		t.Fatalf("re-leased store lost the partial log: %d records", re.Len())
+	if first.Rep != 0 || first.Outcome.Routing != 42 {
+		t.Fatalf("recorded job re-run instead of resumed: first record %s", lines[0])
 	}
-	if _, ok := re.Lookup(job); !ok {
-		t.Fatal("recorded job missing after resume")
+	if report.Exists(r.shardDir(l)) {
+		t.Fatal("shard store kept after a clean upload")
 	}
 
-	// A lease whose specs do not hash to its job id is refused.
+	// A lease whose specs do not hash to its job id is refused: nothing
+	// runs and nothing is uploaded.
 	bad := l
 	bad.JobID = "0000000000000000000000000000000000000000000000000000000000000000"
-	if _, err := r.openShardStore(bad); err == nil {
+	if r.runShard(context.Background(), bad) {
 		t.Fatal("hash-mismatched lease accepted")
+	}
+	if len(uploads) != 1 {
+		t.Fatal("hash-mismatched lease uploaded a log")
 	}
 }

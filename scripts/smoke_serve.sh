@@ -2,7 +2,9 @@
 # End-to-end smoke test of the experiment service (`experiments serve`):
 #
 #   1. start the service on a free port with a fresh store root;
-#   2. submit a tiny grid over HTTP and poll it to completion;
+#   2. submit a tiny grid over HTTP and poll it to completion, then check
+#      the shards endpoint: the local worker ran it through shard leases,
+#      so at least one shard is listed and every shard is done;
 #   3. fetch summary.csv and assert it is byte-identical to a direct
 #      `experiments grid -store` run of the same specs (the service must
 #      be a transparent front end over the same deterministic grid);
@@ -88,6 +90,15 @@ done
 if [ "$state" != "done" ]; then
 	echo "smoke_serve: job never finished (state=$state)" >&2
 	cat "$tmp/serve.log" >&2
+	exit 1
+fi
+
+# The local worker drained the job through shard leases, like a fleet
+# worker: the shard table lists every shard, all done.
+shards=$(curl -sf "http://$addr/api/v1/jobs/$job_id/shards")
+if ! grep -q '"state": "done"' <<<"$shards" || grep -q '"state": "\(pending\|leased\)"' <<<"$shards"; then
+	echo "smoke_serve: the done job's shards are not all done:" >&2
+	echo "$shards" >&2
 	exit 1
 fi
 

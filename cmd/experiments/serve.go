@@ -32,7 +32,6 @@ func serveMain(args []string) {
 		curvePts    = fs.Int("curve-points", 10, "cost-curve checkpoints per job (part of the job identity)")
 		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "shard-lease TTL: a worker missing heartbeats this long is presumed dead and its shard requeued")
 		shardSize   = fs.Int("shard-size", 16, "target grid jobs per leasable shard")
-		leaseWAL    = fs.Bool("lease-wal", true, "journal lease state to a per-job WAL so a crashed (kill -9) coordinator restarts into its fleet's live leases instead of a requeued grid")
 		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget before in-flight local shards are interrupted and handed back (they stay resumable)")
 	)
 	fs.Usage = func() {
@@ -60,8 +59,8 @@ func serveMain(args []string) {
 			"service lets local workers finish their shards, then interrupts them\n"+
 			"at a chunk boundary and absorbs their partial logs — every completed\n"+
 			"grid job is persisted, so a restart on the same -store-root resumes\n"+
-			"mid-grid. Lease state is journaled per job (-lease-wal), so even a\n"+
-			"kill -9'd coordinator restarts into its fleet's outstanding leases.\n\n")
+			"mid-grid. Lease state is journaled per job, so even a kill -9'd\n"+
+			"coordinator restarts into its fleet's outstanding leases.\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -81,7 +80,6 @@ func serveMain(args []string) {
 		CurvePoints: *curvePts,
 		LeaseTTL:    *leaseTTL,
 		ShardSize:   *shardSize,
-		NoLeaseWAL:  !*leaseWAL,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

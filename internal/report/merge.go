@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"os"
 
 	"obm/internal/sim"
 )
@@ -9,8 +10,8 @@ import (
 // Merge folds the logs of srcDirs — typically one store per shard of the
 // same grid — into a new full-grid store at dstDir. All sources must share
 // the first source's spec hash (same normalized specs, same curve
-// checkpointing). Records are written in canonical plan order; where
-// sources overlap, the deterministic fields (final routing and
+// checkpointing). Each source's log is absorbed in turn (Store.Absorb),
+// so where sources overlap, the deterministic fields (final routing and
 // reconfiguration cost, the cost curve) must agree exactly or Merge
 // fails — identical seeds must mean identical costs, so a mismatch
 // signals a real problem, not noise. Missing jobs are allowed: merging
@@ -21,7 +22,7 @@ func Merge(dstDir string, srcDirs ...string) (*Store, error) {
 	}
 	srcs := make([]*Store, len(srcDirs))
 	for i, dir := range srcDirs {
-		s, err := Open(dir)
+		s, err := Open(dir) // trims a torn tail, which Absorb would reject
 		if err != nil {
 			return nil, err
 		}
@@ -46,43 +47,15 @@ func Merge(dstDir string, srcDirs ...string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := m.Plan()
-	if err != nil {
-		dst.Close()
-		return nil, err
-	}
-	for _, j := range plan.Jobs {
-		var (
-			chosen   sim.JobOutcome
-			from     string
-			haveJob  bool
-			conflict string
-		)
-		for i, s := range srcs {
-			o, ok := s.Lookup(j)
-			if !ok {
-				continue
-			}
-			if !haveJob {
-				chosen, from, haveJob = o, srcDirs[i], true
-				continue
-			}
-			if !sameOutcome(chosen, o) {
-				conflict = srcDirs[i]
-				break
-			}
+	for _, src := range srcs {
+		log, err := os.Open(src.LogPath())
+		if err == nil {
+			_, err = dst.Absorb(log)
+			log.Close()
 		}
-		if conflict != "" {
+		if err != nil {
 			dst.Close()
-			return nil, fmt.Errorf("report: job %s has conflicting outcomes in %s and %s (identical seeds must give identical costs)",
-				j, from, conflict)
-		}
-		if !haveJob {
-			continue
-		}
-		if err := dst.Append(j, chosen); err != nil {
-			dst.Close()
-			return nil, err
+			return nil, fmt.Errorf("report: merging %s: %w", src.dir, err)
 		}
 	}
 	if err := dst.Sync(); err != nil {

@@ -13,13 +13,9 @@ import (
 // same canonical order a live sim.RunGrid over the manifest's specs uses.
 // Because repetition values are folded in plan order, the deterministic
 // columns of a resumed, sharded-and-merged, or uninterrupted run of the
-// same grid are identical.
+// same grid are identical. The error is always nil.
 func (s *Store) Result() (*sim.GridResult, error) {
-	plan, err := s.manifest.Plan()
-	if err != nil {
-		return nil, err
-	}
-	return plan.Aggregate(s.Outcomes()), nil
+	return s.plan.Aggregate(s.Outcomes()), nil
 }
 
 // WriteSummaryCSV emits the deterministic summary of a grid result: one
@@ -49,16 +45,9 @@ func WriteSummaryCSV(w io.Writer, res *sim.GridResult) error {
 // cumulative-routing-cost chart per scenario.
 func (s *Store) WriteReport(w io.Writer) error {
 	m := s.manifest
-	plan, err := m.Plan()
-	if err != nil {
-		return err
-	}
 	outcomes := s.Outcomes()
-	res := plan.Aggregate(outcomes)
-	missing, err := s.Missing()
-	if err != nil {
-		return err
-	}
+	res := s.plan.Aggregate(outcomes)
+	missing, _ := s.Missing() // never fails: the plan is fixed at open
 
 	name := m.Name
 	if name == "" {
@@ -94,7 +83,7 @@ func (s *Store) WriteReport(w io.Writer) error {
 		}
 		fmt.Fprintln(w)
 		if m.CurvePoints > 0 {
-			curves := scenarioCurves(plan, outcomes, spec.Name)
+			curves := scenarioCurves(s.plan, outcomes, spec.Name)
 			if len(curves) > 0 {
 				fmt.Fprintf(w, "```text\n%s```\n\n",
 					sim.ASCIIChart("cumulative routing cost (mean over reps)", curves, 64, 14))
@@ -163,16 +152,13 @@ type CellCurve struct {
 
 // CellCurves returns every cell's averaged cost curve, in canonical plan
 // order. Cells with no recorded curves (or inconsistent checkpoint lists)
-// are skipped; a store created with CurvePoints == 0 yields none.
+// are skipped; a store created with CurvePoints == 0 yields none. The
+// error is always nil.
 func (s *Store) CellCurves() ([]CellCurve, error) {
-	plan, err := s.manifest.Plan()
-	if err != nil {
-		return nil, err
-	}
 	outcomes := s.Outcomes()
 	var out []CellCurve
 	for _, spec := range s.manifest.Specs {
-		for _, c := range scenarioCurves(plan, outcomes, spec.Name) {
+		for _, c := range scenarioCurves(s.plan, outcomes, spec.Name) {
 			out = append(out, CellCurve{
 				Scenario: spec.Name,
 				Alg:      c.Alg,

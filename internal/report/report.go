@@ -158,12 +158,6 @@ func (m *Manifest) ownsJob(i int) bool {
 	return m.Shard.IsFull() || i%m.Shard.Count == m.Shard.Index
 }
 
-// ReadManifest loads dir's manifest without opening the store (no log
-// replay) — enough for lease planning and identity checks.
-func ReadManifest(dir string) (Manifest, error) {
-	return readManifest(dir)
-}
-
 // Exists reports whether dir already holds a run store (a manifest).
 func Exists(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, manifestFile))

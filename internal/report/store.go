@@ -39,13 +39,14 @@ func (r jobRecord) validate() error {
 	return nil
 }
 
-// Store is an open run store: the manifest plus the completed-job log,
-// loaded into memory for Lookup and kept open for appends. Lookup and
-// Append are safe for concurrent use (RunGrid serializes Persist calls,
-// but Lookup runs during planning and tests exercise both freely).
+// Store is an open run store: the manifest, its grid planned once, and
+// the completed-job log, loaded into memory for Lookup and kept open for
+// appends. Every method is safe for concurrent use.
 type Store struct {
 	dir      string
 	manifest Manifest
+	plan     *sim.GridPlan
+	planned  map[sim.GridJob]bool // the jobs of plan, for Absorb
 
 	mu       sync.Mutex
 	log      *os.File
@@ -68,17 +69,36 @@ func Create(dir string, m Manifest) (*Store, error) {
 	if m.FormatVersion != FormatVersion {
 		return nil, fmt.Errorf("report: manifest format v%d, want v%d (build it with NewManifest)", m.FormatVersion, FormatVersion)
 	}
+	s, err := newStore(dir, m)
+	if err != nil {
+		return nil, err
+	}
 	if err := writeManifest(dir, m); err != nil {
 		return nil, err
 	}
-	log, err := os.OpenFile(filepath.Join(dir, jobsFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	s.log, err = os.OpenFile(filepath.Join(dir, jobsFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// newStore plans m's grid: the one plan every later Absorb, Missing,
+// Result and CellCurves call of the store reads.
+func newStore(dir string, m Manifest) (*Store, error) {
+	plan, err := m.Plan()
+	if err != nil {
+		return nil, err
+	}
+	planned := make(map[sim.GridJob]bool, len(plan.Jobs))
+	for _, j := range plan.Jobs {
+		planned[j] = true
 	}
 	return &Store{
 		dir:      dir,
 		manifest: m,
-		log:      log,
+		plan:     plan,
+		planned:  planned,
 		outcomes: make(map[sim.GridJob]sim.JobOutcome),
 	}, nil
 }
@@ -93,10 +113,9 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		dir:      dir,
-		manifest: m,
-		outcomes: make(map[sim.GridJob]sim.JobOutcome),
+	s, err := newStore(dir, m)
+	if err != nil {
+		return nil, err
 	}
 	path := filepath.Join(dir, jobsFile)
 	if err := s.loadLog(path); err != nil {
@@ -185,6 +204,9 @@ func (s *Store) Dir() string { return s.dir }
 // Manifest returns the store's manifest.
 func (s *Store) Manifest() Manifest { return s.manifest }
 
+// Plan returns the store's full-grid plan. Callers must not modify it.
+func (s *Store) Plan() *sim.GridPlan { return s.plan }
+
 // Truncated reports how many crash-truncated trailing records Open
 // dropped (0 or 1 for a store written by one process).
 func (s *Store) Truncated() int { return s.truncated }
@@ -210,22 +232,35 @@ func (s *Store) Lookup(j sim.GridJob) (sim.JobOutcome, bool) {
 // crash tears at most the final line. It is the sim.GridOptions.Persist
 // hook of a store-backed run.
 func (s *Store) Append(j sim.GridJob, o sim.JobOutcome) error {
-	rec := jobRecord{Scenario: j.Scenario, Alg: j.Alg, B: j.B, Rep: j.Rep, Outcome: o}
+	line, err := encodeRecord(jobRecord{Scenario: j.Scenario, Alg: j.Alg, B: j.B, Rep: j.Rep, Outcome: o})
+	if err != nil {
+		return fmt.Errorf("report: %w", err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.outcomes[j]; ok {
+		return fmt.Errorf("report: job %s already recorded in %s", j, s.dir)
+	}
+	return s.appendLocked(j, o, line)
+}
+
+// encodeRecord validates rec and marshals it as one log line.
+func encodeRecord(rec jobRecord) ([]byte, error) {
 	if err := rec.validate(); err != nil {
-		return fmt.Errorf("report: job %s: %w", j, err)
+		return nil, fmt.Errorf("job %s: %w", rec.job(), err)
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("report: encoding job %s: %w", j, err)
+		return nil, fmt.Errorf("encoding job %s: %w", rec.job(), err)
 	}
-	line = append(line, '\n')
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return append(line, '\n'), nil
+}
+
+// appendLocked writes line, the encoded record of a job the store does not
+// hold yet, and records it. Callers hold s.mu.
+func (s *Store) appendLocked(j sim.GridJob, o sim.JobOutcome, line []byte) error {
 	if s.log == nil {
-		return fmt.Errorf("report: store %s is closed", s.dir)
-	}
-	if _, ok := s.outcomes[j]; ok {
-		return fmt.Errorf("report: job %s already recorded in %s", j, s.dir)
+		return fmt.Errorf("%w: %s", ErrClosed, s.dir)
 	}
 	if _, err := s.log.Write(line); err != nil {
 		return fmt.Errorf("report: appending job %s: %w", j, err)
@@ -237,6 +272,9 @@ func (s *Store) Append(j sim.GridJob, o sim.JobOutcome) error {
 // LogPath returns the path of the store's append log (jobs.jsonl) — what
 // a fleet worker uploads to the coordinator when its shard completes.
 func (s *Store) LogPath() string { return filepath.Join(s.dir, jobsFile) }
+
+// ErrClosed marks an Append or Absorb on a closed store.
+var ErrClosed = errors.New("report: store is closed")
 
 // ErrOutcomeConflict marks an Absorb failure where a record for an
 // already-recorded job disagreed on a deterministic field — a broken
@@ -254,17 +292,19 @@ var ErrOutcomeConflict = errors.New("report: conflicting outcome for an already-
 // verifies or surfaces as ErrOutcomeConflict. Records naming jobs
 // outside the store's plan are rejected. Unlike Open's torn-tail
 // handling, any malformed line is an error: an upload is a complete
-// message, not a crash artifact. Returns the number of newly appended
-// records.
+// message, not a crash artifact. The records before the first bad one
+// are kept. Returns the number of newly appended records.
+//
+// The stream is decoded before the store is locked, so a slow upload
+// never holds it; the records are then checked and appended in one
+// critical section, which makes concurrent Absorbs of overlapping logs
+// safe.
 func (s *Store) Absorb(r io.Reader) (added int, err error) {
-	plan, err := s.manifest.Plan()
-	if err != nil {
-		return 0, err
+	type decoded struct {
+		rec  jobRecord
+		line []byte
 	}
-	planned := make(map[sim.GridJob]bool, len(plan.Jobs))
-	for _, j := range plan.Jobs {
-		planned[j] = true
-	}
+	var recs []decoded
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	lineNo := 0
@@ -274,31 +314,40 @@ func (s *Store) Absorb(r io.Reader) (added int, err error) {
 			continue
 		}
 		var rec jobRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return added, fmt.Errorf("report: absorbing into %s: corrupt record on line %d: %w", s.dir, lineNo, err)
+		if err = json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			err = fmt.Errorf("report: absorbing into %s: corrupt record on line %d: %w", s.dir, lineNo, err)
+			break
 		}
-		if err := rec.validate(); err != nil {
-			return added, fmt.Errorf("report: absorbing into %s: line %d: %w", s.dir, lineNo, err)
+		line, eerr := encodeRecord(rec)
+		if eerr != nil {
+			err = fmt.Errorf("report: absorbing into %s: line %d: %w", s.dir, lineNo, eerr)
+			break
 		}
-		j := rec.job()
-		if !planned[j] {
+		recs = append(recs, decoded{rec, line})
+	}
+	if err == nil && sc.Err() != nil {
+		err = fmt.Errorf("report: absorbing into %s: %w", s.dir, sc.Err())
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, d := range recs {
+		j := d.rec.job()
+		if !s.planned[j] {
 			return added, fmt.Errorf("report: absorbing into %s: job %s is not in this store's grid", s.dir, j)
 		}
-		if have, ok := s.Lookup(j); ok {
-			if !sameOutcome(have, rec.Outcome) {
+		if have, ok := s.outcomes[j]; ok {
+			if !sameOutcome(have, d.rec.Outcome) {
 				return added, fmt.Errorf("%w: job %s (identical seeds must give identical costs)", ErrOutcomeConflict, j)
 			}
 			continue
 		}
-		if err := s.Append(j, rec.Outcome); err != nil {
-			return added, err
+		if aerr := s.appendLocked(j, d.rec.Outcome, d.line); aerr != nil {
+			return added, aerr
 		}
 		added++
 	}
-	if err := sc.Err(); err != nil {
-		return added, fmt.Errorf("report: absorbing into %s: %w", s.dir, err)
-	}
-	return added, nil
+	return added, err
 }
 
 // Outcomes returns a copy of the completed-job map, the form
@@ -315,16 +364,13 @@ func (s *Store) Outcomes() map[sim.GridJob]sim.JobOutcome {
 
 // Missing returns the jobs of this store's shard slice that have no
 // recorded outcome yet, in plan order. An empty result means the store is
-// complete (for its shard).
+// complete (for its shard). The grid is planned when the store is opened,
+// so the error is always nil.
 func (s *Store) Missing() ([]sim.GridJob, error) {
-	plan, err := s.manifest.Plan()
-	if err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var missing []sim.GridJob
-	for i, j := range plan.Jobs {
+	for i, j := range s.plan.Jobs {
 		if !s.manifest.ownsJob(i) {
 			continue
 		}

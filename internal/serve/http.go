@@ -169,7 +169,7 @@ func (s *Server) artifact(name, contentType string) func(http.ResponseWriter, *h
 		}
 		path := filepath.Join(j.dir, name)
 		if _, err := os.Stat(path); err != nil {
-			if rerr := s.render(j); rerr != nil {
+			if rerr := s.renderJob(j); rerr != nil {
 				httpError(w, http.StatusInternalServerError, "rendering %s: %v", name, rerr)
 				return
 			}
@@ -177,17 +177,6 @@ func (s *Server) artifact(name, contentType string) func(http.ResponseWriter, *h
 		w.Header().Set("Content-Type", contentType)
 		http.ServeFile(w, r, path)
 	}
-}
-
-// render re-renders a done job's artifacts from its store.
-func (s *Server) render(j *job) error {
-	store, err := report.Open(j.dir)
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-	_, _, err = store.Render()
-	return err
 }
 
 // withShard additionally resolves the {k} shard-index path segment.
@@ -278,8 +267,9 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request, j *job, 
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleShards reports the job's shard lease states (empty until the
-// job's first lease).
+// handleShards reports the job's shard lease states: every shard from
+// submission on, pending before its first lease. A finished job recovered
+// from an earlier process has no shard table and lists none.
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request, j *job) {
 	shards := s.shardStatuses(j)
 	if shards == nil {

@@ -28,7 +28,7 @@ import (
 //	heartbeat  keep the lease alive and report in-flight progress;
 //	           a lost lease answers ErrLeaseLost so the worker aborts
 //	complete   upload the shard's jobs.jsonl; the coordinator absorbs it
-//	           into the job's own store
+//	           into the job's own store, which it holds open
 //
 // A lease that misses its TTL is requeued — the worker is presumed dead
 // and another worker re-runs the shard from scratch. That makes delivery
@@ -40,9 +40,11 @@ import (
 // therefore byte-identical to a single-process run regardless of worker
 // count, crashes, or duplicate completions.
 //
+// A job's shard table is planned when its store is created or opened
+// (attach), so it exists, and /shards lists it, before the first lease.
 // Lease state lives in memory and is journaled in the job's lease WAL
-// (see wal.go); the shard logs absorbed into the job's store remain the
-// durable truth for outcomes.
+// from the first lease on (see wal.go); the shard logs absorbed into the
+// job's store remain the durable truth for outcomes.
 
 // shardPhase is a leasable shard's lifecycle state.
 type shardPhase string
@@ -64,10 +66,13 @@ type shardState struct {
 	attempts int // leases granted, including requeues
 }
 
-// distJob is a job's lease bookkeeping, created on the job's first lease.
+// distJob is a job's lease bookkeeping, planned with its store (attach).
 type distJob struct {
 	shards   []shardState
 	recorded int // jobs in the coordinator's store at the last absorb
+	// journaled is set once the first lease has created the lease WAL
+	// (or recovery reopened it); a WAL a failed append disabled stays off.
+	journaled bool
 }
 
 // Lease is the coordinator's answer to a successful shard-lease request:
@@ -119,67 +124,44 @@ func newToken() string {
 	return hex.EncodeToString(b[:])
 }
 
-// initDist plans the job's shard partition and consults the job's store
-// so shards whose every job is already recorded (a recovered partial
-// grid, an earlier failed run) start out done instead of being
-// re-executed. It runs without j.mu (it does disk I/O);
-// absorbMu keeps the read-only open from racing a concurrent upload's
-// append, whose torn tail Open would otherwise trim away.
-func (s *Server) initDist(j *job) error {
-	plan, err := j.manifest.Plan()
-	if err != nil {
-		return err
-	}
-	n := s.shardCount(plan)
+// attach hands a queued job its open store and the shard table planned
+// from it: shards whose every job the store already records (a recovered
+// partial grid, an earlier failed run) start out done instead of being
+// re-executed. It runs right after the store is created or opened.
+func (s *Server) attach(j *job, store *report.Store) {
+	plan := store.Plan()
+	n := max(1, (len(plan.Jobs)+s.opt.ShardSize-1)/s.opt.ShardSize)
 	shards := make([]shardState, n)
 	for k := range shards {
 		shards[k] = shardState{phase: shardPending, jobs: plan.ShardSlice(k, n)}
-	}
-
-	j.absorbMu.Lock()
-	store, err := report.Open(j.dir)
-	if err != nil {
-		j.absorbMu.Unlock()
-		return fmt.Errorf("%w: opening store for job %.12s: %v", ErrStorage, j.id, err)
-	}
-	recorded := store.Len()
-	for k := range shards {
 		if recordedAll(store, shards[k].jobs) {
 			shards[k].phase = shardDone
 		}
 	}
-	store.Close()
-
-	// Attach the lease table and its journal while still holding absorbMu:
-	// two racing initDist calls must not both Create the WAL file (the
-	// loser's truncation would orphan the winner's handle). The losing
-	// racer re-checks j.dist under j.mu and touches nothing.
 	j.mu.Lock()
-	journaled := false
-	if j.dist == nil { // a concurrent lease may have won the race
-		j.dist = &distJob{shards: shards, recorded: recorded}
-		j.done = recorded
-		if !s.opt.NoLeaseWAL {
-			if lg, werr := wal.Create(filepath.Join(j.dir, leaseWALFile)); werr != nil {
-				s.opt.Logf("serve: job %.12s: lease WAL disabled: %v", j.id, werr)
-			} else {
-				j.wal = lg
-				s.walAppend(j, walRecInit(len(shards), recorded))
-				journaled = j.wal != nil
-			}
-		}
-	}
+	j.store = store
+	j.dist = &distJob{shards: shards, recorded: store.Len()}
+	j.done = j.dist.recorded
 	j.mu.Unlock()
-	j.absorbMu.Unlock()
-	if journaled {
-		s.crashAt(crashPostInit)
-	}
-	return nil
 }
 
-// shardCount is the number of leasable shards plan is partitioned into.
-func (s *Server) shardCount(plan *sim.GridPlan) int {
-	return max(1, (len(plan.Jobs)+s.opt.ShardSize-1)/s.opt.ShardSize)
+// journalInit creates the job's lease WAL and journals the table's init
+// record, once: on the job's first lease. It reports whether it did.
+func (s *Server) journalInit(j *job) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.dist == nil || j.dist.journaled || j.state == StateDone || j.state == StateFailed {
+		return false
+	}
+	j.dist.journaled = true
+	lg, err := wal.Create(filepath.Join(j.dir, leaseWALFile))
+	if err != nil {
+		s.opt.Logf("serve: job %.12s: lease WAL disabled: %v", j.id, err)
+		return false
+	}
+	j.wal = lg
+	s.walAppend(j, walRecInit(len(j.dist.shards), j.dist.recorded))
+	return j.wal != nil
 }
 
 // recordedAll reports whether store holds an outcome for every job.
@@ -261,8 +243,8 @@ func (j *job) fleetDone() int {
 
 // lease grants a pending shard of j to worker — a fleet worker or one of
 // the coordinator's local workers, which call it alike. The first lease
-// of a job plans its shard table (initDist), and the first grant moves it
-// to running. Returns ErrNoLease when the job has nothing to lease,
+// of a job starts its lease WAL (journalInit), and the first grant moves
+// it to running. Returns ErrNoLease when the job has nothing to lease,
 // ErrClosed during shutdown.
 func (s *Server) lease(j *job, worker string) (Lease, error) {
 	s.mu.Lock()
@@ -271,24 +253,15 @@ func (s *Server) lease(j *job, worker string) (Lease, error) {
 	if closed {
 		return Lease{}, ErrClosed
 	}
-	j.mu.Lock()
-	terminal := j.state == StateDone || j.state == StateFailed
-	needDist := j.dist == nil
-	j.mu.Unlock()
-	if terminal {
-		return Lease{}, ErrNoLease
-	}
-	if needDist {
-		if err := s.initDist(j); err != nil {
-			return Lease{}, err
-		}
+	if s.journalInit(j) {
+		s.crashAt(crashPostInit)
 	}
 
 	now := time.Now()
 	j.mu.Lock()
 	if j.dist == nil || j.state == StateDone || j.state == StateFailed {
-		// The job finished, or a failed-job resubmission reset the lease
-		// state, under us.
+		// The job is finished, or its store is still being created or
+		// reopened.
 		j.mu.Unlock()
 		return Lease{}, ErrNoLease
 	}
@@ -313,11 +286,11 @@ func (s *Server) lease(j *job, worker string) (Lease, error) {
 		j.mu.Unlock()
 		s.logRequeued(j, requeued)
 		if allDone {
-			// Every shard was already recorded when lease state was
-			// (re)built — e.g. a job that failed at the render step and
-			// was resubmitted. No upload will ever arrive to trigger the
-			// terminal path, so finish it here.
-			s.finalizeJob(j)
+			// Every shard was already recorded when the table was
+			// planned from the store — e.g. a job that failed at the
+			// render step and was resubmitted. No upload will ever arrive
+			// to trigger the terminal path, so finish it here.
+			s.finishJob(j, s.renderJob(j))
 		}
 		return Lease{}, ErrNoLease
 	}
@@ -402,57 +375,37 @@ func (s *Server) completeShard(j *job, shard int, token, worker, failMsg string,
 		j.mu.Unlock()
 		return Status{}, fmt.Errorf("serve: job %.12s has no leased shard %d", j.id, shard)
 	}
-	// Shard job slices are immutable after initDist; snapshot so the
-	// exactness check below survives j.dist being reset concurrently
-	// (a failed-job resubmission).
+	// The store and the shard's job slice are fixed while the job is
+	// live; snapshot them so the absorb runs outside j.mu.
+	store := j.store
 	shardJobs := j.dist.shards[shard].jobs
 	j.mu.Unlock()
 
-	// Absorb outside j.mu (disk I/O); absorbMu serializes concurrent
-	// uploads for the same job so duplicate detection cannot race. Each
-	// upload reopens the store, replaying its log: O(recorded) work. On
-	// the fleet-drain benchmark (112 jobs in 4-job shards, a 2-vCPU Xeon)
-	// one upload takes about 0.9 ms at the median, most of it the reopen.
-	j.absorbMu.Lock()
-	store, err := report.Open(j.dir)
-	if err != nil {
-		j.absorbMu.Unlock()
-		return Status{}, fmt.Errorf("%w: opening store for job %.12s: %v", ErrStorage, j.id, err)
-	}
+	// Absorb into the store the job holds open: decoding the upload
+	// takes no lock, checking and appending its records one store lock,
+	// so concurrent hand-ins need no lock of their own.
 	added, aerr := store.Absorb(log)
-	var storageErr error
+	var serr error
 	if aerr == nil {
-		storageErr = store.Sync()
-	}
-	recorded := store.Len()
-	shardComplete := false
-	missing := -1
-	if aerr == nil && storageErr == nil {
-		shardComplete = recordedAll(store, shardJobs)
-		if m, merr := store.Missing(); merr != nil {
-			storageErr = merr
-		} else {
-			missing = len(m)
-		}
-	}
-	store.Close()
-	j.absorbMu.Unlock()
-	if storageErr != nil {
-		// An infrastructure failure (disk, permissions) is not a
-		// correctness verdict: report it as such and let the worker
-		// retry; the job keeps running.
-		return Status{}, fmt.Errorf("%w: job %.12s shard %d: %v", ErrStorage, j.id, shard, storageErr)
+		serr = store.Sync()
 	}
 	s.met.absorbedRecords.Add(uint64(added))
-	if aerr != nil {
-		if errors.Is(aerr, report.ErrOutcomeConflict) {
-			// A conflicting outcome is not noise — identical seeds must
-			// mean identical costs. Fail the job loudly; resubmission
-			// re-enqueues it with the store intact.
-			s.met.absorbConflicts.Inc()
-			s.finishJob(j, fmt.Errorf("absorbing shard %d from %s: %w", shard, worker, aerr))
-			return Status{}, aerr
-		}
+	switch {
+	case serr != nil || errors.Is(aerr, report.ErrClosed):
+		// An infrastructure failure (disk, permissions, a store closed
+		// by the job's end or a shutdown) is not a correctness verdict:
+		// report it as such and let the worker retry; the job keeps its
+		// state.
+		return Status{}, fmt.Errorf("%w: job %.12s shard %d: %v", ErrStorage, j.id, shard, errors.Join(aerr, serr))
+	case aerr == nil:
+	case errors.Is(aerr, report.ErrOutcomeConflict):
+		// A conflicting outcome is not noise — identical seeds must
+		// mean identical costs. Fail the job loudly; resubmission
+		// re-enqueues it with the store intact.
+		s.met.absorbConflicts.Inc()
+		s.finishJob(j, fmt.Errorf("absorbing shard %d from %s: %w", shard, worker, aerr))
+		return Status{}, aerr
+	default:
 		// Anything else (a truncated body from a worker that died
 		// mid-upload, a malformed or foreign record) invalidates only
 		// this upload, never the job: every record absorbed before the
@@ -472,11 +425,15 @@ func (s *Server) completeShard(j *job, shard int, token, worker, failMsg string,
 	var terminal, requeued bool
 	var crash crashPoint
 	j.mu.Lock()
-	if j.dist != nil && shard < len(j.dist.shards) {
+	if j.store == store { // still the live job this upload was absorbed into
+		// Read the store under j.mu, right before journaling: its count
+		// only grows, so concurrent hand-ins journal it in order.
+		recorded := store.Len()
+		missing, _ := store.Missing() // never fails: the plan is fixed at open
 		sh := &j.dist.shards[shard]
 		owns := sh.phase == shardLeased && sh.token == token
 		switch {
-		case shardComplete:
+		case recordedAll(store, shardJobs):
 			// The store now holds the whole shard: done, whoever the
 			// upload came from. A superseded leaseholder learns via its
 			// next heartbeat (lease lost) and stands down. Only an actual
@@ -508,8 +465,8 @@ func (s *Server) completeShard(j *job, shard int, token, worker, failMsg string,
 		}
 		j.dist.recorded = recorded
 		j.done = j.fleetDone()
+		terminal = len(missing) == 0
 	}
-	terminal = missing == 0
 	j.mu.Unlock()
 	if crash != "" {
 		s.crashAt(crash)
@@ -521,7 +478,7 @@ func (s *Server) completeShard(j *job, shard int, token, worker, failMsg string,
 	if failMsg != "" {
 		s.opt.Logf("serve: job %.12s shard %d failed on %s (%s) — absorbed %d jobs, requeued", j.id, shard, worker, failMsg, added)
 	} else {
-		s.opt.Logf("serve: job %.12s shard %d complete from %s (+%d jobs, %d/%d recorded)", j.id, shard, worker, added, recorded, j.total)
+		s.opt.Logf("serve: job %.12s shard %d complete from %s (+%d jobs, %d/%d recorded)", j.id, shard, worker, added, store.Len(), j.total)
 	}
 	if terminal {
 		s.finishJob(j, s.renderJob(j))
@@ -531,43 +488,26 @@ func (s *Server) completeShard(j *job, shard int, token, worker, failMsg string,
 	return j.status(), nil
 }
 
-// finalizeJob finishes a job whose grid is already fully recorded but
-// which no upload will ever complete (all shards were done the moment
-// lease state was built). Verifies against the store before rendering;
-// finishJob is idempotent for done jobs, so a race with a straggling
-// upload's terminal path is benign.
-func (s *Server) finalizeJob(j *job) {
-	j.mu.Lock()
-	terminal := j.state == StateDone || j.state == StateFailed
-	j.mu.Unlock()
-	if terminal {
-		return
-	}
-	j.absorbMu.Lock()
-	missing := -1
-	if store, err := report.Open(j.dir); err == nil {
-		if m, merr := store.Missing(); merr == nil {
-			missing = len(m)
-		}
-		store.Close()
-	}
-	j.absorbMu.Unlock()
-	if missing != 0 {
-		return // bookkeeping and store disagree; leave it to uploads
-	}
-	s.finishJob(j, s.renderJob(j))
-}
-
-// renderJob renders a completed job's artifacts (under absorbMu so a
-// racing upload never reads a half-written store).
+// renderJob writes a job's summary.csv and report.md: from the store a
+// live job holds, or, for a finished job, from its store opened afresh.
 func (s *Server) renderJob(j *job) error {
-	j.absorbMu.Lock()
-	defer j.absorbMu.Unlock()
-	return s.render(j)
+	j.mu.Lock()
+	store := j.store
+	j.mu.Unlock()
+	if store == nil {
+		var err error
+		if store, err = report.Open(j.dir); err != nil {
+			return err
+		}
+		defer store.Close()
+	}
+	_, _, err := store.Render()
+	return err
 }
 
 // shardStatuses snapshots a job's lease state for the shards endpoint.
-// A job not leased yet has none.
+// Only a job with no shard table (recovered done, or its store still
+// being created) has none.
 func (s *Server) shardStatuses(j *job) []ShardStatus {
 	j.mu.Lock()
 	if j.dist == nil {

@@ -64,6 +64,17 @@ func TestLeasePartitionAndExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantShards := (len(plan.Jobs) + 4) / 5
+	// The table is planned at submission: a queued job lists every shard
+	// as pending.
+	shards := s.shardStatuses(j)
+	if len(shards) != wantShards {
+		t.Fatalf("queued job lists %d shards, want %d", len(shards), wantShards)
+	}
+	for k, sh := range shards {
+		if sh.Index != k || sh.State != string(shardPending) || sh.Jobs != len(plan.ShardSlice(k, wantShards)) || sh.Attempts != 0 {
+			t.Fatalf("queued job's shard %d = %+v, want pending with %d jobs", k, sh, len(plan.ShardSlice(k, wantShards)))
+		}
+	}
 
 	l0, err := s.lease(j, "w0")
 	if err != nil {
@@ -280,22 +291,39 @@ func TestRecoveredShardsNotReExecuted(t *testing.T) {
 }
 
 // TestLeaseFinalizesAlreadyCompleteJob: a fleet lease against a job
-// whose store already holds every grid job (e.g. one that failed at the
+// whose store already holds every grid job (here, one that failed at the
 // render step and was resubmitted) must finish the job rather than
 // strand it in "running" — no upload will ever arrive to do it.
 func TestLeaseFinalizesAlreadyCompleteJob(t *testing.T) {
 	s, j := coordinator(t, Options{ShardSize: 5, CurvePoints: 2})
 
-	// Fill the job's own store out-of-band, simulating a grid that was
-	// fully recorded before the fleet ever touched it.
-	st, err := report.Open(j.dir)
-	if err != nil {
+	// Record the whole grid through the fleet protocol while a directory
+	// squats on summary.csv, so the completion render fails the job.
+	summary := filepath.Join(j.dir, "summary.csv")
+	if err := os.Mkdir(summary, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Run(sim.GridOptions{Workers: 2}); err != nil {
+	for {
+		l, err := s.lease(j, "w0")
+		if errors.Is(err, ErrNoLease) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.completeShard(j, l.Shard, l.Token, "w0", "", bytes.NewReader(runLeasedShard(t, t.TempDir(), l))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := j.status(); got.State != StateFailed {
+		t.Fatalf("job whose render failed = %+v, want failed", got)
+	}
+	if err := os.Remove(summary); err != nil {
 		t.Fatal(err)
 	}
-	st.Close()
+	if st, err := s.Submit(leaseSpecs()); err != nil || st.State != StateQueued {
+		t.Fatalf("resubmitting the failed job: %+v, %v", st, err)
+	}
 
 	if _, err := s.lease(j, "w0"); !errors.Is(err, ErrNoLease) {
 		t.Fatalf("lease on a fully recorded job: %v, want ErrNoLease", err)
@@ -303,7 +331,7 @@ func TestLeaseFinalizesAlreadyCompleteJob(t *testing.T) {
 	if got := j.status(); got.State != StateDone || got.Done != got.Total {
 		t.Fatalf("fully recorded job not finalized by the lease path: %+v", got)
 	}
-	if _, err := os.Stat(filepath.Join(j.dir, "summary.csv")); err != nil {
+	if _, err := os.Stat(summary); err != nil {
 		t.Fatalf("finalized job was not rendered: %v", err)
 	}
 }
@@ -382,6 +410,30 @@ func TestCompleteShardsFinishJob(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("fleet-drained summary differs from direct run:\n--- fleet\n%s--- direct\n%s", got, want)
+	}
+}
+
+// TestUploadAfterShutdownIsAStorageError: Shutdown closes a live job's
+// store. An upload that arrives after it must fail as a storage error,
+// which the worker retries, never fail the job, and append nothing.
+func TestUploadAfterShutdownIsAStorageError(t *testing.T) {
+	s, j := coordinator(t, Options{ShardSize: 100, CurvePoints: 0})
+	l, err := s.lease(j, "w0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := runLeasedShard(t, t.TempDir(), l)
+	if err := s.Shutdown(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.completeShard(j, l.Shard, l.Token, "w0", "", bytes.NewReader(blob)); !errors.Is(err, ErrStorage) {
+		t.Fatalf("upload after shutdown: %v, want ErrStorage", err)
+	}
+	if st := j.status(); st.State != StateRunning || st.Done != 0 {
+		t.Fatalf("upload after shutdown changed the job: %+v", st)
+	}
+	if info, err := report.Inspect(j.dir); err != nil || info.Recorded != 0 {
+		t.Fatalf("upload after shutdown reached the store: %+v, %v", info, err)
 	}
 }
 

@@ -18,13 +18,16 @@
 // heartbeats to keep the lease, and hands the shard's log in; the
 // coordinator folds it into the job's store under exact-agreement
 // conflict checks. Local workers make the same three calls in process
-// that fleet workers make over HTTP. Everything durable lives in the
-// store root:
+// that fleet workers make over HTTP. A queued or running job holds its
+// store open from submission (or recovery) until it finishes, together
+// with the shard table planned from it, so a hand-in costs one absorb
+// into memory and the log, never a reopen. Everything durable lives in
+// the store root:
 //
 //	root/
 //	├── <spec-hash[:16]>/    one run store per submitted grid
 //	│   ├── manifest.json    (written at submission — the durable queue)
-//	│   ├── jobs.jsonl       (appended as shard logs are absorbed)
+//	│   ├── jobs.jsonl       (appended as shard logs are absorbed; held open while the job is live)
 //	│   ├── lease.wal        (lease journal, from the job's first lease until it finishes)
 //	│   ├── shards/          (local workers' shard stores, removed when the job finishes)
 //	│   ├── summary.csv      (rendered on completion)
@@ -35,8 +38,9 @@
 // root; complete stores re-register as cache hits, incomplete ones are
 // queued again and resume mid-grid (their absorbed jobs are never re-run),
 // and a lease WAL restores the lease table of a job a fleet is still
-// draining. queue.json only orders the queued jobs — losing it (a hard
-// kill) or finding it torn loses no work.
+// draining. Only full-grid stores are jobs: a shard store found under the
+// root is logged and skipped. queue.json only orders the queued jobs —
+// losing it (a hard kill) or finding it torn loses no work.
 package serve
 
 import (
@@ -89,11 +93,6 @@ type Options struct {
 	// a job's grid is partitioned into ceil(total/ShardSize) modulo
 	// shards (default 16).
 	ShardSize int
-	// NoLeaseWAL disables the per-job lease WAL. A coordinator crash then
-	// loses lease bookkeeping (every outstanding lease is stranded until
-	// the job is leased afresh) but never loses results — the store is
-	// the durable truth either way. For debugging and comparison only.
-	NoLeaseWAL bool
 	// Logf, when non-nil, receives one line per job state change.
 	Logf func(format string, args ...any)
 	// Registry, when non-nil, is where the server registers its
@@ -151,6 +150,9 @@ const localShardsDir = "shards"
 const localWorkerPrefix = "local/"
 
 // job is one submitted grid: a run store plus in-memory execution state.
+// A queued or running job holds its store open and its shard table; both
+// are set together once the store is created or opened, and a finished
+// job drops the store. The coordinator is the only writer of that store.
 type job struct {
 	id       string // the full spec hash — job identity == result identity
 	dir      string
@@ -163,14 +165,10 @@ type job struct {
 	errMsg     string
 	createdAt  time.Time
 	finishedAt time.Time
-	dist       *distJob // lease state, created on the job's first lease
-	wal        *wal.Log // lease-state journal; nil until the first lease, after an append failure, or with NoLeaseWAL
+	store      *report.Store // open while the job is queued or running
+	dist       *distJob      // lease state; nil until store is set, and for jobs recovered done
+	wal        *wal.Log      // lease-state journal; nil until the first lease, and after an append failure
 	hub        *hub
-
-	// absorbMu serializes shard-log absorption into the job's store
-	// (open → absorb → close must not interleave between two uploads).
-	// Never acquired while holding mu.
-	absorbMu sync.Mutex
 }
 
 // Status is the JSON shape of a job's state, returned by the status and
@@ -281,12 +279,14 @@ func New(opt Options) (*Server, error) {
 	return s, nil
 }
 
-// recover scans the store root and registers every existing store:
+// recover scans the store root and registers every full-grid store:
 // complete ones as done (cache hits), incomplete ones as queued — or as
-// running, when their lease WAL shows a fleet still draining them.
-// queue.json, when present and readable, orders the incomplete ones;
-// stores it does not mention (hard kill, manual drops) follow in
-// directory order.
+// running, when their lease WAL shows a fleet still draining them. An
+// incomplete store is opened once more and held, like a submitted job's.
+// A shard store is never a job: its Missing counts only its own slice,
+// so it would pass for the whole grid. queue.json, when present and
+// readable, orders the incomplete ones; stores it does not mention (hard
+// kill, manual drops) follow in directory order.
 func (s *Server) recover() {
 	// Discover is best-effort: a corrupt store must not take the healthy
 	// ones (and the whole service) down with it — log and skip.
@@ -308,8 +308,16 @@ func (s *Server) recover() {
 
 	now := time.Now()
 	for _, info := range infos { // directory order: deterministic
+		if !info.Manifest.Shard.IsFull() {
+			s.opt.Logf("serve: skipping shard store %s (shard %s of job %.12s): only full-grid stores are jobs",
+				info.Dir, info.Manifest.Shard, info.Manifest.SpecHash)
+			continue
+		}
 		h := info.Manifest.SpecHash
-		order = append(order, h)
+		if _, dup := s.jobs[h]; dup {
+			s.opt.Logf("serve: skipping store %s: job %.12s is already recovered from another store", info.Dir, h)
+			continue
+		}
 		j := &job{
 			id:        h,
 			dir:       info.Dir,
@@ -319,27 +327,34 @@ func (s *Server) recover() {
 			createdAt: now,
 			hub:       newHub(),
 		}
-		s.jobs[h] = j // two stores can share a hash (hand-placed shards): the last one wins
 		if !info.Complete() {
+			store, err := report.Open(info.Dir)
+			if err != nil {
+				s.opt.Logf("serve: skipping store %s: %v", info.Dir, err)
+				continue
+			}
 			j.state = StateQueued
+			s.attach(j, store)
 			// A lease WAL means the job was being drained when the
 			// previous coordinator died; restore the lease table so live
 			// fleet workers keep their shards.
 			s.recoverDist(j, now)
-			continue
+		} else {
+			j.state = StateDone
+			j.finishedAt = now
+			j.publish()
+			j.hub.close()
+			// A complete store may predate rendering (killed between the
+			// last append and Render); rendered artifacts are re-derivable,
+			// so artifact handlers re-render on demand instead of blocking
+			// startup here. A lease WAL or local shard stores next to a
+			// finished store are leftovers of the run that completed it —
+			// never replay them.
+			os.Remove(filepath.Join(info.Dir, leaseWALFile))
+			os.RemoveAll(filepath.Join(info.Dir, localShardsDir))
 		}
-		j.state = StateDone
-		j.finishedAt = now
-		j.publish()
-		j.hub.close()
-		// A complete store may predate rendering (killed between the last
-		// append and Render); rendered artifacts are re-derivable, so
-		// artifact handlers re-render on demand instead of blocking
-		// startup here. A lease WAL or local shard stores next to a
-		// finished store are leftovers of the run that completed it —
-		// never replay them.
-		os.Remove(filepath.Join(info.Dir, leaseWALFile))
-		os.RemoveAll(filepath.Join(info.Dir, localShardsDir))
+		order = append(order, h)
+		s.jobs[h] = j
 	}
 	// Finished jobs are listed first, then the others in recovery order:
 	// the order local workers lease in.
@@ -376,7 +391,9 @@ var ErrStorage = errors.New("serve: run-store storage error")
 // submission creates the job's run store (manifest only) before queueing
 // it, so an accepted job survives any crash. Resubmitting a failed grid
 // queues it again — its store is intact, so the retry resumes past
-// everything that succeeded before the failure. The returned status is
+// everything that succeeded before the failure. Either way the job then
+// holds its open store and shard table until it finishes; the store is
+// created or reopened outside the server lock. The returned status is
 // taken before any worker can lease the job.
 func (s *Server) Submit(specs []sim.ScenarioSpec) (Status, error) {
 	m, err := report.NewManifest("experiments serve", specs, s.opt.CurvePoints, report.Shard{})
@@ -409,14 +426,20 @@ func (s *Server) Submit(specs []sim.ScenarioSpec) (Status, error) {
 		// keeps every job that succeeded, so the retry is a resume).
 		j.mu.Lock()
 		j.state = StateQueued
-		j.dist = nil // stale lease bookkeeping; a retry re-plans its shards
-		j.walDrop()  // and journals from scratch
+		j.dist = nil // stale lease bookkeeping; the reopen re-plans the shards
 		j.errMsg = ""
 		j.finishedAt = time.Time{}
 		j.hub = newHub() // the failed run's hub is closed; subscribers need a live one
 		j.mu.Unlock()
 		st := j.status()
 		s.mu.Unlock()
+		store, err := report.Open(j.dir)
+		if err != nil {
+			err = fmt.Errorf("%w: reopening run store: %v", ErrStorage, err)
+			s.finishJob(j, err)
+			return Status{}, err
+		}
+		s.attach(j, store)
 		s.wakeWorkers()
 		s.opt.Logf("serve: re-queued failed job %.12s", m.SpecHash)
 		return st, nil
@@ -440,12 +463,9 @@ func (s *Server) Submit(specs []sim.ScenarioSpec) (Status, error) {
 	s.mu.Unlock()
 
 	store, err := report.Create(dir, m)
-	if err == nil {
-		err = store.Close()
-	}
-	s.mu.Lock()
 	if err != nil {
 		// Roll the reservation back; the hash stays submittable.
+		s.mu.Lock()
 		delete(s.jobs, j.id)
 		for i, id := range s.order {
 			if id == j.id {
@@ -457,7 +477,7 @@ func (s *Server) Submit(specs []sim.ScenarioSpec) (Status, error) {
 		return Status{}, fmt.Errorf("%w: creating run store: %v", ErrStorage, err)
 	}
 	st := j.status()
-	s.mu.Unlock()
+	s.attach(j, store)
 	s.wakeWorkers()
 	s.opt.Logf("serve: queued job %.12s (%d grid jobs)", j.id, j.total)
 	return st, nil
@@ -608,19 +628,22 @@ func (s *Server) runLocalShard(j *job, l Lease, name string) {
 	}
 }
 
-// finishJob moves a job to its terminal state, closes its event hub and
-// removes the local workers' shard stores: everything they hold is in
-// the job's store (a failed shard's partial log is absorbed before the
-// job fails). Finishing an already-done job is a no-op, so racing
-// completion paths (an upload's terminal check vs. lease-time
-// finalization) are benign.
+// finishJob moves a job to its terminal state, closes its store and its
+// event hub, and removes the local workers' shard stores: everything
+// they hold is in the job's store (a failed shard's partial log is
+// absorbed before the job fails). Finishing an already-finished job is a
+// no-op, so racing completion paths (an upload's terminal check vs.
+// lease-time finalization) are benign. An upload racing this close fails
+// with a storage error and is retried against the finished job.
 func (s *Server) finishJob(j *job, err error) {
 	j.mu.Lock()
-	if j.state == StateDone {
+	if j.state == StateDone || j.state == StateFailed {
 		j.mu.Unlock()
 		return
 	}
 	j.walDrop() // terminal state: the journal must never be replayed
+	store := j.store
+	j.store = nil
 	j.finishedAt = time.Now()
 	if err != nil {
 		j.state = StateFailed
@@ -631,6 +654,11 @@ func (s *Server) finishJob(j *job, err error) {
 	}
 	h := j.hub
 	j.mu.Unlock()
+	if store != nil {
+		if cerr := store.Close(); cerr != nil {
+			s.opt.Logf("serve: job %.12s: closing store: %v", j.id, cerr)
+		}
+	}
 	os.RemoveAll(filepath.Join(j.dir, localShardsDir))
 	h.publish(j.status())
 	h.close()
@@ -648,9 +676,10 @@ func (s *Server) finishJob(j *job, err error) {
 // requeues and the lease WAL records it. A job left with no leased shard
 // goes back to queued; their order is written to queue.json so a restart
 // resumes them in submission order. A job a fleet worker still holds a
-// lease on stays running, its WAL kept for the next process. Event hubs
-// of every live job are closed so SSE subscribers are released rather
-// than left waiting on a process that will publish nothing more.
+// lease on stays running, its WAL kept for the next process. Live jobs'
+// stores are closed (a later upload fails with a storage error), and
+// their event hubs too, so SSE subscribers are released rather than left
+// waiting on a process that will publish nothing more.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -663,6 +692,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.cancelRun()
 
 	var queued []string
+	var stores []*report.Store
 	s.mu.Lock()
 	for _, id := range s.order {
 		j := s.jobs[id]
@@ -682,6 +712,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			j.wal.Close()
 			j.wal = nil
 		}
+		if j.store != nil { // only live jobs hold one
+			stores = append(stores, j.store)
+		}
 		h := j.hub
 		j.mu.Unlock()
 		if requeued {
@@ -692,6 +725,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	s.mu.Unlock()
+	for _, st := range stores {
+		if err := st.Close(); err != nil {
+			s.opt.Logf("serve: closing store %s: %v", st.Dir(), err)
+		}
+	}
 
 	if len(queued) == 0 {
 		return nil

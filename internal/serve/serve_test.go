@@ -686,3 +686,62 @@ func TestTornQueueFileDoesNotStopRecovery(t *testing.T) {
 		t.Errorf("torn queue.json left in place: %v", err)
 	}
 }
+
+// TestShardStoreUnderRootIsNotAJob: a shard store placed under the store
+// root holds the full grid's spec hash, but only its own slice of the
+// jobs. Recovery must skip it (and say where it is) rather than register
+// it as the grid's result: submitting the full grid then runs every job,
+// and its summary matches RunGrid byte for byte.
+func TestShardStoreUnderRootIsNotAJob(t *testing.T) {
+	root := t.TempDir()
+	m, err := report.NewManifest("hand-made shard", tinySpecs(), 4, report.Shard{Index: 0, Count: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardDir := filepath.Join(root, "hand-shard0")
+	shard, err := report.Create(shardDir, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shard.Run(sim.GridOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if missing, _ := shard.Missing(); len(missing) != 0 || shard.Len() != 2 {
+		t.Fatalf("shard store holds %d jobs, missing %v; want its 2 of 4", shard.Len(), missing)
+	}
+	shard.Close()
+
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
+	_, ts := newTestServer(t, Options{StoreRoot: root, CurvePoints: 4, Logf: logf})
+	st, code := submit(t, ts, tinySpecs())
+	if code != http.StatusAccepted || st.Cached {
+		t.Fatalf("full-grid submit over a shard store: status %d, %+v; want 202, not cached", code, st)
+	}
+	if got := waitState(t, ts, st.ID, StateDone); got.Done != 4 || got.Total != 4 {
+		t.Fatalf("finished job = %+v, want 4/4", got)
+	}
+	code, got := fetch(t, ts, "/api/v1/jobs/"+st.ID+"/summary.csv")
+	if code != http.StatusOK {
+		t.Fatalf("summary.csv: status %d", code)
+	}
+	if want := directSummary(t, tinySpecs(), 4); !bytes.Equal(got, want) {
+		t.Errorf("summary differs from RunGrid:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	logged := false
+	for _, line := range logs {
+		logged = logged || strings.Contains(line, shardDir)
+	}
+	if !logged {
+		t.Errorf("skipped shard store not logged with its path; log:\n%s", strings.Join(logs, "\n"))
+	}
+}

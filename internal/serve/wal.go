@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"obm/internal/report"
 	"obm/internal/snap"
 	"obm/internal/wal"
 )
@@ -400,17 +399,15 @@ func (s *Server) crashAt(p crashPoint) {
 
 // recoverDist restores j's lease state from its lease WAL, if one exists
 // and still describes a live fleet: then j is restored as a running job
-// whose live fleet leases are re-armed. Leases held by the previous
-// process's local workers are requeued at once — their holder died with
-// the coordinator. On any doubt — corrupt or semantically invalid log,
-// shard partition mismatch (a changed -shard-size), store disagreement,
-// or simply no fleet lease still inside its TTL — the WAL is discarded
-// and the job stays queued, which is always safe: job outcomes live in
-// the store, and the next lease re-plans the shards.
+// whose live fleet leases are re-armed over the shard table attach
+// planned from its store. Leases held by the previous process's local
+// workers are requeued at once — their holder died with the coordinator.
+// On any doubt — corrupt or semantically invalid log, shard partition
+// mismatch (a changed -shard-size), store disagreement, or simply no
+// fleet lease still inside its TTL — the WAL is discarded and the job
+// stays queued with that table, which is always safe: job outcomes live
+// in the store, and the next lease starts a fresh WAL.
 func (s *Server) recoverDist(j *job, now time.Time) {
-	if s.opt.NoLeaseWAL {
-		return
-	}
 	path := filepath.Join(j.dir, leaseWALFile)
 	if _, err := os.Stat(path); err != nil {
 		return
@@ -439,12 +436,8 @@ func (s *Server) recoverDist(j *job, now time.Time) {
 		lg.Remove() // fresh or fully torn log: nothing to restore
 		return
 	}
-	plan, err := j.manifest.Plan()
-	if err != nil {
-		lg.Close()
-		return
-	}
-	n := s.shardCount(plan)
+	table := j.dist.shards // planned from the store: a shard is done iff the store holds it
+	n := len(table)
 	if n != len(st.shards) {
 		discard(lg, "journaled %d shards, current partition has %d (changed shard size?)", len(st.shards), n)
 		return
@@ -455,13 +448,6 @@ func (s *Server) recoverDist(j *job, now time.Time) {
 	// record) but must never lead it: a journaled-done shard the store
 	// cannot corroborate means the store was tampered with or swapped,
 	// and the whole log is untrustworthy.
-	store, err := report.Open(j.dir)
-	if err != nil {
-		lg.Close()
-		return
-	}
-	defer store.Close()
-	recorded := store.Len()
 	shards := make([]shardState, n)
 	live := 0
 	for k := range shards {
@@ -469,9 +455,9 @@ func (s *Server) recoverDist(j *job, now time.Time) {
 		shards[k] = shardState{
 			phase: v.phase, token: v.token, worker: v.worker,
 			expires: v.expires, done: v.done, attempts: v.attempts,
-			jobs: plan.ShardSlice(k, n),
+			jobs: table[k].jobs,
 		}
-		complete := recordedAll(store, shards[k].jobs)
+		complete := table[k].phase == shardDone
 		if v.phase == shardDone && !complete {
 			discard(lg, "shard %d journaled done but the store is missing its jobs", k)
 			return
@@ -518,12 +504,13 @@ func (s *Server) recoverDist(j *job, now time.Time) {
 
 	j.mu.Lock()
 	j.state = StateRunning
-	j.dist = &distJob{shards: shards, recorded: recorded}
+	j.dist.shards = shards
+	j.dist.journaled = true
 	j.wal = lg
 	j.done = j.fleetDone()
 	j.mu.Unlock()
 	s.opt.Logf("serve: job %.12s: lease WAL recovered (%d records: %d live leases re-armed, %d dead leases requeued, %d/%d jobs recorded)",
-		j.id, replayed, recovered, requeued, recorded, j.total)
+		j.id, replayed, recovered, requeued, j.dist.recorded, j.total)
 }
 
 // liveFleetLease reports whether sh is a lease recovery re-arms: held by

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -435,33 +437,103 @@ func TestSSESubscribersReconnectAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestNoLeaseWALOptionDisablesJournal: with the WAL off, fleet runs work
-// exactly as before PR 10 — no journal file, and a restart falls back to
-// plain re-enqueue recovery.
-func TestNoLeaseWALOptionDisablesJournal(t *testing.T) {
+// TestConcurrentHandInsJournalInOrder: two goroutines hand in different
+// shards of one coordinator-only job at the same moment. The crash hook,
+// used here as a barrier, holds each hand-in at the store-absorb boundary
+// until the other one has absorbed too, so both journal after both
+// absorbs, in whichever order they take the job lock. The recorded
+// counts they journal must still never go backwards: a restart over the
+// same root replays the WAL without discarding it, and the job finishes
+// byte-identical to RunGrid.
+func TestConcurrentHandInsJournalInOrder(t *testing.T) {
+	want := directSummary(t, faultSpecs("uniform"), faultCurvePoints)
 	root := t.TempDir()
-	s, err := New(Options{
-		StoreRoot: root, Workers: -1, NoLeaseWAL: true,
-		ShardSize: faultShardSize, CurvePoints: faultCurvePoints, LeaseTTL: time.Hour,
-	})
+	newCoordinator := func() *Server { // 6 grid jobs in 3 shards
+		s, err := New(Options{StoreRoot: root, Workers: -1, ShardSize: 2, CurvePoints: faultCurvePoints, LeaseTTL: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s1 := newCoordinator()
+	st, err := s1.Submit(faultSpecs("uniform"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	defer func() { s.Shutdown(ctx) }()
-	st, err := s.Submit(faultSpecs("uniform"))
-	if err != nil {
-		t.Fatal(err)
+	j1, _ := s1.lookup(st.ID)
+	leases := make(map[int]Lease)
+	logs := make(map[int][]byte)
+	for {
+		l, err := s1.lease(j1, "w")
+		if errors.Is(err, ErrNoLease) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		leases[l.Shard] = l
+		logs[l.Shard] = runLeasedShard(t, t.TempDir(), l)
 	}
-	j, _ := s.lookup(st.ID)
-	if _, err := s.lease(j, "w0"); err != nil {
-		t.Fatal(err)
+	if len(leases) != 3 {
+		t.Fatalf("leased %d shards, want 3", len(leases))
 	}
-	if _, err := os.Stat(filepath.Join(j.dir, leaseWALFile)); !os.IsNotExist(err) {
-		t.Fatalf("journal created despite NoLeaseWAL: %v", err)
+
+	var arrived atomic.Int32
+	both := make(chan struct{})
+	s1.crashHook = func(p crashPoint) {
+		if p != crashPostStoreAbsorb {
+			return
+		}
+		if arrived.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+		case <-time.After(10 * time.Second):
+			t.Error("the other hand-in never reached the store-absorb boundary: hand-ins are serialised")
+		}
 	}
-	if n := s.met.walAppends.Value(); n != 0 {
-		t.Fatalf("walAppends = %d with the journal disabled", n)
+	start := make(chan struct{})
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, errs[i] = s1.completeShard(j1, i, leases[i].Token, fmt.Sprintf("w%d", i), "", bytes.NewReader(logs[i]))
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("hand-in of shard %d: %v", i, err)
+		}
+	}
+	if got := j1.status(); got.State != StateRunning || got.Done != 4 {
+		t.Fatalf("after two concurrent hand-ins: %+v, want running with 4 recorded", got)
+	}
+	// Shard 2's lease is live, so the WAL outlives a graceful shutdown.
+	s1.Shutdown(t.Context())
+
+	s2 := newCoordinator()
+	defer s2.Shutdown(t.Context())
+	if n := s2.met.walDiscarded.Value(); n != 0 {
+		t.Fatalf("restart discarded %d lease WALs, want 0", n)
+	}
+	if s2.met.walReplayed.Value() == 0 {
+		t.Fatal("restart replayed no WAL records")
+	}
+	j2, _ := s2.lookup(st.ID)
+	shards := s2.shardStatuses(j2)
+	if len(shards) != 3 || shards[0].State != "done" || shards[1].State != "done" || shards[2].State != "leased" {
+		t.Fatalf("recovered shards = %+v, want done, done, leased", shards)
+	}
+	if st, err := s2.completeShard(j2, 2, leases[2].Token, "w2", "", bytes.NewReader(logs[2])); err != nil || st.State != StateDone {
+		t.Fatalf("last hand-in after the restart: %+v, %v", st, err)
+	}
+	if got := summaryBytes(t, s2, j2); !bytes.Equal(got, want) {
+		t.Fatalf("summary after concurrent hand-ins differs from RunGrid:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

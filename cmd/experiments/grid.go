@@ -52,7 +52,7 @@ func gridMain(args []string) {
 			"Runs named scenario specs through the grid scheduler with streamed,\n"+
 			"bounded-memory trace replay. Scenarios come from the built-in registry\n"+
 			"(-scenario name,... selects a subset) or a JSON file (-scenarios).\n\n"+
-			"With -store DIR each completed job is appended to DIR/jobs.jsonl;\n"+
+			"With -store DIR each completed job is appended to DIR/jobs.log;\n"+
 			"re-invoking with -resume skips completed jobs, and -shard i/n restricts\n"+
 			"this process to a disjoint slice of the grid (fold slices together with\n"+
 			"`experiments merge`, render any store with `experiments report`).\n\n")

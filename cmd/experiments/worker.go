@@ -39,7 +39,7 @@ func workerMain(args []string) {
 			"Runs a fleet worker against an `experiments serve` coordinator: it\n"+
 			"leases shards of submitted grids (POST /api/v1/jobs/{id}/lease),\n"+
 			"executes each as a local sharded run store, heartbeats to keep the\n"+
-			"lease alive, and uploads the shard's jobs.jsonl on completion.\n\n"+
+			"lease alive, and uploads the shard's jobs.log on completion.\n\n"+
 			"Workers are disposable: a killed worker's lease expires and its shard\n"+
 			"is re-leased to another worker; exact-agreement checks on the\n"+
 			"coordinator make duplicate executions safe, so the merged summary is\n"+

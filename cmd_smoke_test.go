@@ -154,7 +154,7 @@ func TestCmdExperimentsStoreSmoke(t *testing.T) {
 	if !strings.Contains(out, "0 missing") {
 		t.Errorf("merge left jobs missing:\n%s", out)
 	}
-	for _, name := range []string{"manifest.json", "jobs.jsonl", "summary.csv", "report.md"} {
+	for _, name := range []string{"manifest.json", "jobs.log", "summary.csv", "report.md"} {
 		info, err := os.Stat(filepath.Join(base, "m", name))
 		if err != nil || info.Size() == 0 {
 			t.Errorf("merged store %s missing or empty (err=%v)", name, err)

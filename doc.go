@@ -32,14 +32,15 @@
 // algorithm × b × rep) job grid on a worker pool.
 //
 // Durable runs. Grid execution persists through internal/report: a run
-// store (manifest.json + an atomically appended jobs.jsonl log) makes a
-// grid resumable after a crash (`experiments grid -store DIR -resume`
-// re-executes only missing jobs), shardable across processes or machines
-// (`-shard i/n` owns a disjoint slice; `experiments merge` folds shard
-// logs into one store), and self-documenting (`experiments report`
-// renders Markdown summary tables and ASCII cost curves). Resume and
-// merge are guarded by a SHA-256 spec hash so a store never absorbs
-// results from a different grid. On top of the stores sits the experiment
+// store (manifest.json + jobs.log, a job log of CRC-framed records on
+// internal/wal) makes a grid resumable after a crash (`experiments grid
+// -store DIR -resume` re-executes only missing jobs), shardable across
+// processes or machines (`-shard i/n` owns a disjoint slice; `experiments
+// merge` folds shard logs into one store), and self-documenting
+// (`experiments report` renders Markdown summary tables and ASCII cost
+// curves). Resume and merge are guarded by a SHA-256 spec hash so a
+// store never absorbs results from a different grid, and every job record
+// by a CRC so a damaged log fails loudly. On top of the stores sits the experiment
 // service (internal/serve, `experiments serve`): an HTTP/JSON API that
 // queues submitted grids, drains them shard by shard through leases taken
 // by its own local workers (and any fleet), deduplicates them by

@@ -47,7 +47,7 @@ func main() {
 
 	// 2. Shard 0, first attempt: a persist hook that fails after three
 	//    appends stands in for a mid-run crash. Everything appended before
-	//    the crash is already durable in shard0/jobs.jsonl.
+	//    the crash is already durable in shard0/jobs.log.
 	shard0 := filepath.Join(dir, "shard0")
 	m0, err := report.NewManifest("runstore demo", specs, 8, report.Shard{Index: 0, Count: 2})
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"obm/internal/report"
+	"obm/internal/wal/waltest"
 )
 
 // TestAbsorbShardLog: a full-grid store absorbs a shard store's uploaded
@@ -85,28 +86,29 @@ func TestAbsorbDuplicatesVerify(t *testing.T) {
 	// Tamper with one routing cost: the absorb must fail loudly, with
 	// the sentinel that distinguishes broken determinism from a merely
 	// broken upload.
-	line := strings.SplitN(string(blob), "\n", 2)[0]
-	tampered := strings.Replace(line, `"routing":`, `"routing":1e99, "was":`, 1)
-	if _, err := dst.Absorb(strings.NewReader(tampered + "\n")); !errors.Is(err, report.ErrOutcomeConflict) {
+	first := string(waltest.Records(t, blob)[0])
+	tampered := strings.Replace(first, `"routing":`, `"routing":1e99, "was":`, 1)
+	if _, err := dst.Absorb(bytes.NewReader(waltest.Image([]byte(tampered)))); !errors.Is(err, report.ErrOutcomeConflict) {
 		t.Fatalf("conflicting absorb not rejected with ErrOutcomeConflict: %v", err)
 	}
 }
 
-// TestAbsorbRejectsGarbage: malformed lines and jobs outside the store's
-// grid are errors — an upload is a complete message, not a crash
-// artifact, so there is no torn-tail tolerance here.
+// TestAbsorbRejectsGarbage: unframed bytes, malformed records and jobs
+// outside the store's grid are errors — an upload is a complete message,
+// not a crash artifact, so there is no torn-tail tolerance here.
 func TestAbsorbRejectsGarbage(t *testing.T) {
 	dst, err := report.Create(filepath.Join(t.TempDir(), "dst"), newManifest(t, smallSpecs(), 0, report.Shard{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dst.Close()
-	for _, bad := range []string{
-		"{not json\n",
-		`{"scenario":"uni","alg":"r-bma","b":2,"rep":0,"outcome":{"routing":1,"x":[1,2],"routing_curve":[1],"reconfig_curve":[1,2]}}` + "\n",
-		`{"scenario":"nope","alg":"r-bma","b":2,"rep":0,"outcome":{"routing":1}}` + "\n",
+	for _, bad := range [][]byte{
+		[]byte("{not json\n"),
+		waltest.Image([]byte("{not json")),
+		waltest.Image([]byte(`{"scenario":"uni","alg":"r-bma","b":2,"rep":0,"outcome":{"routing":1,"x":[1,2],"routing_curve":[1],"reconfig_curve":[1,2]}}`)),
+		waltest.Image([]byte(`{"scenario":"nope","alg":"r-bma","b":2,"rep":0,"outcome":{"routing":1}}`)),
 	} {
-		if _, err := dst.Absorb(strings.NewReader(bad)); err == nil {
+		if _, err := dst.Absorb(bytes.NewReader(bad)); err == nil {
 			t.Errorf("absorb accepted %q", bad)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"obm/internal/sim"
+	"obm/internal/wal"
 )
 
 // Mid-job checkpoint files: a store-backed run persists each in-flight
@@ -37,20 +38,8 @@ func (s *Store) SaveCheckpoint(j sim.GridJob, blob []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("report: checkpoint dir for %s: %w", j, err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ck-*.tmp")
-	if err != nil {
+	if err := wal.WriteAtomic(path, blob, false); err != nil {
 		return fmt.Errorf("report: checkpoint for %s: %w", j, err)
-	}
-	_, werr := tmp.Write(blob)
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("report: checkpoint for %s: %w", j, werr)
 	}
 	return nil
 }

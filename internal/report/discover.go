@@ -76,7 +76,8 @@ func Discover(root string) ([]StoreInfo, error) {
 	return infos, firstErr
 }
 
-// Inspect opens dir read-only and summarizes it as a StoreInfo.
+// Inspect opens dir as Open does (trimming a torn tail off the job log,
+// creating a missing one) and summarizes it as a StoreInfo.
 func Inspect(dir string) (StoreInfo, error) {
 	s, err := Open(dir)
 	if err != nil {

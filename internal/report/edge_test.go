@@ -69,7 +69,7 @@ func TestStoreConcurrentAppend(t *testing.T) {
 }
 
 // TestMergeEmptyShardLog: merging a finished shard with a shard that never
-// ran a job (its jobs.jsonl is empty — or missing entirely) must yield a
+// ran a job (its jobs.log holds no record — or is missing entirely) must yield a
 // partial store holding exactly the finished shard's records, resumable to
 // completion.
 func TestMergeEmptyShardLog(t *testing.T) {
@@ -113,8 +113,8 @@ func TestMergeEmptyShardLog(t *testing.T) {
 	merged.Close()
 
 	// Same merge with the empty log file removed entirely: Open treats a
-	// store with no jobs.jsonl as zero completed jobs.
-	if err := os.Remove(filepath.Join(base, "s1", "jobs.jsonl")); err != nil {
+	// store with no jobs.log as zero completed jobs.
+	if err := os.Remove(filepath.Join(base, "s1", "jobs.log")); err != nil {
 		t.Fatal(err)
 	}
 	merged2, err := report.Merge(filepath.Join(base, "merged2"), filepath.Join(base, "s0"), filepath.Join(base, "s1"))

@@ -3,6 +3,7 @@ package report_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -52,9 +53,10 @@ func FuzzSubmitSpecs(f *testing.F) {
 // nothing; and no upload, accepted or rejected, changes an outcome the
 // store already held. The store starts with one outcome the corpus's
 // shard log does not carry. The corpus under testdata/fuzz/FuzzAbsorb
-// holds a valid shard log, the same log with a torn last line and with a
-// conflicting duplicate appended, a job outside the plan and a record
-// whose curve lengths disagree.
+// holds a valid shard log (wal frames), the same log with a torn last
+// record, with a conflicting duplicate appended and with a digit changed
+// under its CRC, a job outside the plan and a record whose curve lengths
+// disagree.
 func FuzzAbsorb(f *testing.F) {
 	m, err := report.NewManifest("fuzz", smallSpecs(), 2, report.Shard{})
 	if err != nil {
@@ -121,6 +123,58 @@ func FuzzAbsorb(f *testing.F) {
 		}
 		if len(got) != len(after) {
 			t.Fatalf("reopened store holds %d outcomes, absorb left %d in memory", len(got), len(after))
+		}
+	})
+}
+
+// FuzzStoreOpen feeds arbitrary bytes to Open as the job log of a store
+// with a valid manifest. Open may reject them but never panic; when it
+// accepts them, it has trimmed any torn tail for good, so a second Open
+// finds nothing to trim and yields the same outcomes. The corpus under
+// testdata/fuzz/FuzzStoreOpen holds a valid log, an empty file, a bare
+// header, torn headers, lengths and records, CRC mismatches mid-log and
+// in the last record, an oversized length, records that are not JSON or
+// whose curve lengths disagree, a duplicate job and a job outside the
+// plan.
+func FuzzStoreOpen(f *testing.F) {
+	m, err := report.NewManifest("fuzz", smallSpecs(), 2, report.Shard{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := filepath.Join(t.TempDir(), "store")
+		st, err := report.Create(dir, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		if err := os.WriteFile(st.LogPath(), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		first, err := report.Open(dir)
+		if err != nil {
+			return
+		}
+		want := first.Outcomes()
+		if err := first.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := report.Open(dir)
+		if err != nil {
+			t.Fatalf("second Open of an accepted log: %v", err)
+		}
+		defer again.Close()
+		if again.Truncated() != 0 {
+			t.Fatalf("second Open trimmed %d more records", again.Truncated())
+		}
+		got := again.Outcomes()
+		if len(got) != len(want) {
+			t.Fatalf("second Open holds %d outcomes, the first %d", len(got), len(want))
+		}
+		for j, o := range want {
+			if !equalOutcome(got[j], o) {
+				t.Fatalf("%s reopened as %+v, first opened as %+v", j, got[j], o)
+			}
 		}
 	})
 }

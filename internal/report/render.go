@@ -1,12 +1,13 @@
 package report
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 
 	"obm/internal/sim"
+	"obm/internal/wal"
 )
 
 // Result aggregates the store's completed jobs into grid rows, in the
@@ -103,37 +104,23 @@ func (s *Store) Render() (csvPath, mdPath string, err error) {
 	if err != nil {
 		return "", "", err
 	}
-	csvPath = filepath.Join(s.dir, "summary.csv")
-	if err := writeFileWith(csvPath, func(w io.Writer) error {
-		return WriteSummaryCSV(w, res)
-	}); err != nil {
+	var csv, md bytes.Buffer
+	if err := WriteSummaryCSV(&csv, res); err != nil {
 		return "", "", err
 	}
-	mdPath = filepath.Join(s.dir, "report.md")
-	if err := writeFileWith(mdPath, s.WriteReport); err != nil {
+	if err := s.WriteReport(&md); err != nil {
+		return "", "", err
+	}
+	// Written atomically, so readers — concurrent re-renders racing over
+	// an HTTP artifact endpoint included — only ever see a complete file.
+	csvPath, mdPath = filepath.Join(s.dir, "summary.csv"), filepath.Join(s.dir, "report.md")
+	if err := wal.WriteAtomic(csvPath, csv.Bytes(), false); err != nil {
+		return "", "", err
+	}
+	if err := wal.WriteAtomic(mdPath, md.Bytes(), false); err != nil {
 		return "", "", err
 	}
 	return csvPath, mdPath, nil
-}
-
-// writeFileWith streams write into path atomically (temp file + rename,
-// like writeManifest): readers — including concurrent re-renders racing
-// over an HTTP artifact endpoint — only ever see a complete file.
-func writeFileWith(path string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // CellCurve is one aggregated cost curve: a (scenario, algorithm, b)

@@ -8,8 +8,8 @@
 //	manifest.json   what this run is: normalized scenario specs, their
 //	                SHA-256 spec hash, curve-checkpoint count, shard
 //	                layout, total job count, creation metadata
-//	jobs.jsonl      one JSON line per completed (scenario, alg, b, rep)
-//	                job, appended atomically as jobs finish
+//	jobs.log        the job log: one CRC-framed JSON record (internal/wal)
+//	                per completed (scenario, alg, b, rep) job, appended
 //
 // Because a grid job's costs are a pure function of its identity (the
 // spec's trace seed and the rep-derived algorithm seed — see the
@@ -22,10 +22,11 @@
 // either offline via Merge, or incrementally via Store.Absorb (how the
 // experiment service folds uploaded fleet shard logs).
 //
-// The append log is crash-safe by construction: each record is one
-// write() of one newline-terminated JSON line, so a crash can lose at
-// most the line being written; Open detects a truncated tail, drops it,
-// and the next run redoes just that job.
+// The job log is crash-safe by construction: each record is one write()
+// of one wal frame, so a crash can lose at most the record being written;
+// Open detects a torn tail, drops it, and the next run redoes just that
+// job. Every record carries a CRC, so a changed byte anywhere else fails
+// Open with snap.ErrCorrupt instead of becoming a result.
 package report
 
 import (
@@ -39,16 +40,25 @@ import (
 	"time"
 
 	"obm/internal/sim"
+	"obm/internal/wal"
 )
 
-// FormatVersion identifies the on-disk run-store layout. Stores written
-// with a different major layout are rejected by Open.
-const FormatVersion = 1
+// FormatVersion identifies the on-disk run-store layout; version 2 keeps
+// the job log in wal frames (jobs.log). Stores written with a different
+// layout are rejected by Open.
+const FormatVersion = 2
 
 const (
 	manifestFile = "manifest.json"
-	jobsFile     = "jobs.jsonl"
+	jobsFile     = "jobs.log"
 )
+
+// A job record must fit one wal record, so NewManifest bounds the curve
+// points by a record's worst case: recordReserve for its keys, algorithm
+// name and six numbers, its scenario name JSON-escaped at up to 6 bytes a
+// byte, and curvePointBytes per point — an int of at most 20 characters
+// and two float64s of at most 25, each with a separator.
+const recordReserve, curvePointBytes = 1 << 10, 21 + 26 + 26
 
 // Shard names one slice of a statically partitioned grid: the jobs whose
 // plan index i satisfies i % Count == Index. The zero value (and any
@@ -87,8 +97,8 @@ type Manifest struct {
 }
 
 // NewManifest plans the grid described by specs, validates every spec
-// (ScenarioSpec.Validate, family parameters included) and assembles the
-// manifest of a store for it. It is the entry check of every store: a
+// (ScenarioSpec.Validate, family parameters included, and that its job
+// records fit the job log) and assembles the manifest of a store for it. It is the entry check of every store: a
 // stored manifest is only ever verified against its SpecHash, never
 // re-validated. Specs are normalized first, so equivalent spec lists
 // (defaults spelled out or omitted) produce the same SpecHash.
@@ -104,6 +114,10 @@ func NewManifest(name string, specs []sim.ScenarioSpec, curvePoints int, shard S
 	for _, s := range norm {
 		if err := s.Validate(); err != nil {
 			return Manifest{}, err
+		}
+		if room := wal.MaxRecord - recordReserve - 6*len(s.Name); curvePoints > room/curvePointBytes {
+			return Manifest{}, fmt.Errorf("report: %d curve points could make a job record of scenario %q exceed the job log's %d-byte record limit; use at most %d",
+				curvePoints, s.Name, wal.MaxRecord, max(room/curvePointBytes, 0))
 		}
 	}
 	if !shard.IsFull() && (shard.Index < 0 || shard.Index >= shard.Count) {
@@ -164,27 +178,14 @@ func Exists(dir string) bool {
 	return err == nil
 }
 
-// writeManifest writes m atomically (temp file + rename), so a crash
-// never leaves a half-written manifest.
+// writeManifest writes m atomically, so a crash never leaves a
+// half-written manifest.
 func writeManifest(dir string, m Manifest) error {
 	blob, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("report: encoding manifest: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, manifestFile+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(blob, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, manifestFile))
+	return wal.WriteAtomic(filepath.Join(dir, manifestFile), append(blob, '\n'), false)
 }
 
 // readManifest loads and sanity-checks dir's manifest, and verifies that

@@ -9,6 +9,7 @@ import (
 
 	"obm/internal/report"
 	"obm/internal/sim"
+	"obm/internal/wal"
 )
 
 // paperSpecs covers the paper evaluation's four trace families (§3.1):
@@ -78,11 +79,12 @@ func TestResumeAfterCrashByteIdentical(t *testing.T) {
 	}
 	st.Close()
 	// A kill mid-write also tears the last record: fake that too.
-	f, err := os.OpenFile(filepath.Join(crashDir, "jobs.jsonl"), os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(filepath.Join(crashDir, "jobs.log"), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"scenario":"fb","alg":"bma","b":`); err != nil {
+	frame := wal.AppendFrame(nil, []byte(`{"scenario":"fb","alg":"bma","b":2,"rep":1,"outcome":{"routing":1}}`))
+	if _, err := f.Write(frame[:len(frame)/2]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,9 +11,11 @@ import (
 	"sync"
 
 	"obm/internal/sim"
+	"obm/internal/snap"
+	"obm/internal/wal"
 )
 
-// jobRecord is one line of jobs.jsonl.
+// jobRecord is one record of the job log: a JSON payload in one wal frame.
 type jobRecord struct {
 	Scenario string         `json:"scenario"`
 	Alg      string         `json:"alg"`
@@ -49,10 +50,9 @@ type Store struct {
 	planned  map[sim.GridJob]bool // the jobs of plan, for Absorb
 
 	mu       sync.Mutex
-	log      *os.File
+	log      *wal.Log
 	outcomes map[sim.GridJob]sim.JobOutcome
-	order    []sim.GridJob
-	// truncated counts crash-truncated trailing records dropped by Open.
+	// truncated counts crash-torn trailing records dropped by Open.
 	truncated int
 }
 
@@ -76,8 +76,7 @@ func Create(dir string, m Manifest) (*Store, error) {
 	if err := writeManifest(dir, m); err != nil {
 		return nil, err
 	}
-	s.log, err = os.OpenFile(filepath.Join(dir, jobsFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if s.log, err = wal.Create(s.LogPath()); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -104,10 +103,10 @@ func newStore(dir string, m Manifest) (*Store, error) {
 }
 
 // Open loads the run store in dir: the manifest, verified against its
-// SpecHash, and every completed job in the log. A crash-truncated
-// trailing record is dropped (and the file trimmed back to the last whole
-// record, so subsequent appends start on a clean line); corruption
-// anywhere else is an error.
+// SpecHash, and every completed job in the log. A crash-torn trailing
+// record is dropped and trimmed off the file, so appends start on a clean
+// frame; any other damage, even a CRC mismatch in the last whole record,
+// is an error wrapping snap.ErrCorrupt.
 func Open(dir string) (*Store, error) {
 	m, err := readManifest(dir)
 	if err != nil {
@@ -117,85 +116,45 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	path := filepath.Join(dir, jobsFile)
-	if err := s.loadLog(path); err != nil {
-		return nil, err
-	}
-	s.log, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// loadLog reads the append log, keeping the first record per job and
-// trimming a torn tail.
-func (s *Store) loadLog(path string) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var (
-		r       = bufio.NewReader(f)
-		goodEnd int64 // byte offset just past the last whole record
-		lineNo  int
-	)
-	for {
-		line, err := r.ReadBytes('\n')
-		if len(line) > 0 && err == nil {
-			lineNo++
-			var rec jobRecord
-			jerr := json.Unmarshal(line, &rec)
-			if jerr == nil {
-				jerr = rec.validate()
-			}
-			if jerr != nil {
-				// A malformed line mid-log is corruption; only a torn
-				// final line (no trailing newline, handled below) is a
-				// survivable crash artifact. A malformed *last* complete
-				// line can also be a torn write that happened to end in
-				// '\n' inside a JSON string — probe whether anything
-				// follows before deciding.
-				if _, perr := r.Peek(1); perr == io.EOF {
-					s.truncated++
-					break
-				}
-				return fmt.Errorf("report: %s: corrupt record on line %d: %v", path, lineNo, jerr)
-			}
-			s.record(rec.job(), rec.Outcome)
-			goodEnd += int64(len(line))
-			continue
-		}
-		if err == io.EOF {
-			if len(line) > 0 {
-				s.truncated++ // torn tail without newline
-			}
-			break
-		}
+	log, n, err := wal.Open(s.LogPath(), func(payload []byte) error {
+		rec, err := decodeRecord(payload)
 		if err != nil {
 			return err
 		}
+		s.record(rec.job(), rec.Outcome)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("report: %s after %d records: %w", s.LogPath(), n, err)
 	}
-	if s.truncated > 0 {
-		if err := os.Truncate(path, goodEnd); err != nil {
-			return fmt.Errorf("report: %s: trimming torn tail: %w", path, err)
-		}
+	if log.Trimmed() {
+		s.truncated = 1
 	}
-	return nil
+	s.log = log
+	return s, nil
+}
+
+// decodeRecord parses and validates one job-log payload. Its frame's CRC
+// has verified, so a payload that does not parse was written wrong: it is
+// corruption, not a torn write.
+func decodeRecord(payload []byte) (jobRecord, error) {
+	var rec jobRecord
+	err := json.Unmarshal(payload, &rec)
+	if err == nil {
+		err = rec.validate()
+	}
+	if err != nil {
+		return rec, snap.Corruptf("corrupt job record: %v", err)
+	}
+	return rec, nil
 }
 
 // record keeps the first outcome per job (duplicates can only arise from
 // merged overlapping logs, which Merge verifies are identical).
 func (s *Store) record(j sim.GridJob, o sim.JobOutcome) {
-	if _, ok := s.outcomes[j]; ok {
-		return
+	if _, ok := s.outcomes[j]; !ok {
+		s.outcomes[j] = o
 	}
-	s.outcomes[j] = o
-	s.order = append(s.order, j)
 }
 
 // Dir returns the store's directory.
@@ -207,15 +166,15 @@ func (s *Store) Manifest() Manifest { return s.manifest }
 // Plan returns the store's full-grid plan. Callers must not modify it.
 func (s *Store) Plan() *sim.GridPlan { return s.plan }
 
-// Truncated reports how many crash-truncated trailing records Open
-// dropped (0 or 1 for a store written by one process).
+// Truncated reports how many crash-torn trailing records Open dropped
+// (0 or 1).
 func (s *Store) Truncated() int { return s.truncated }
 
 // Len returns the number of completed jobs in the store.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.order)
+	return len(s.outcomes)
 }
 
 // Lookup returns the persisted outcome of j, if any. It is the
@@ -227,12 +186,12 @@ func (s *Store) Lookup(j sim.GridJob) (sim.JobOutcome, bool) {
 	return o, ok
 }
 
-// Append durably records a completed job: one marshaled line handed to a
-// single append-mode write, so concurrent appenders never interleave and a
-// crash tears at most the final line. It is the sim.GridOptions.Persist
-// hook of a store-backed run.
+// Append durably records a completed job: one marshaled record framed
+// into a single append-mode write, so concurrent appenders never
+// interleave and a crash tears at most the final record. It is the
+// sim.GridOptions.Persist hook of a store-backed run.
 func (s *Store) Append(j sim.GridJob, o sim.JobOutcome) error {
-	line, err := encodeRecord(jobRecord{Scenario: j.Scenario, Alg: j.Alg, B: j.B, Rep: j.Rep, Outcome: o})
+	payload, err := encodeRecord(jobRecord{Scenario: j.Scenario, Alg: j.Alg, B: j.B, Rep: j.Rep, Outcome: o})
 	if err != nil {
 		return fmt.Errorf("report: %w", err)
 	}
@@ -241,36 +200,36 @@ func (s *Store) Append(j sim.GridJob, o sim.JobOutcome) error {
 	if _, ok := s.outcomes[j]; ok {
 		return fmt.Errorf("report: job %s already recorded in %s", j, s.dir)
 	}
-	return s.appendLocked(j, o, line)
+	return s.appendLocked(j, o, payload)
 }
 
-// encodeRecord validates rec and marshals it as one log line.
+// encodeRecord validates rec and marshals it as one log payload.
 func encodeRecord(rec jobRecord) ([]byte, error) {
 	if err := rec.validate(); err != nil {
 		return nil, fmt.Errorf("job %s: %w", rec.job(), err)
 	}
-	line, err := json.Marshal(rec)
+	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("encoding job %s: %w", rec.job(), err)
 	}
-	return append(line, '\n'), nil
+	return payload, nil
 }
 
-// appendLocked writes line, the encoded record of a job the store does not
-// hold yet, and records it. Callers hold s.mu.
-func (s *Store) appendLocked(j sim.GridJob, o sim.JobOutcome, line []byte) error {
+// appendLocked appends payload, the encoded record of a job the store
+// does not hold yet, and records it. Callers hold s.mu.
+func (s *Store) appendLocked(j sim.GridJob, o sim.JobOutcome, payload []byte) error {
 	if s.log == nil {
 		return fmt.Errorf("%w: %s", ErrClosed, s.dir)
 	}
-	if _, err := s.log.Write(line); err != nil {
+	if err := s.log.Append(payload); err != nil {
 		return fmt.Errorf("report: appending job %s: %w", j, err)
 	}
 	s.record(j, o)
 	return nil
 }
 
-// LogPath returns the path of the store's append log (jobs.jsonl) — what
-// a fleet worker uploads to the coordinator when its shard completes.
+// LogPath returns the path of the store's job log (jobs.log) — what a
+// fleet worker uploads to the coordinator when its shard completes.
 func (s *Store) LogPath() string { return filepath.Join(s.dir, jobsFile) }
 
 // ErrClosed marks an Append or Absorb on a closed store.
@@ -280,53 +239,49 @@ var ErrClosed = errors.New("report: store is closed")
 // already-recorded job disagreed on a deterministic field — a broken
 // determinism contract (or a mixed-version fleet), never noise. Callers
 // distinguish it from transport-shaped failures (truncated uploads,
-// malformed lines), which are safe to drop and retry.
+// corrupt records), which are safe to drop and retry.
 var ErrOutcomeConflict = errors.New("report: conflicting outcome for an already-recorded job")
 
-// Absorb folds a stream of jobs.jsonl records (for example, a shard log
-// uploaded by a fleet worker) into the store. New jobs are appended;
-// records for jobs the store already holds must agree exactly on the
-// deterministic fields (identical seeds must mean identical costs), so
-// at-least-once delivery — duplicate uploads, a shard re-run after its
-// worker died — can never corrupt the store: the duplicate either
-// verifies or surfaces as ErrOutcomeConflict. Records naming jobs
-// outside the store's plan are rejected. Unlike Open's torn-tail
-// handling, any malformed line is an error: an upload is a complete
-// message, not a crash artifact. The records before the first bad one
-// are kept. Returns the number of newly appended records.
+// Absorb folds a job-log image (for example, a shard log uploaded by a
+// fleet worker) into the store. New jobs are appended; records for jobs
+// the store already holds must agree exactly on the deterministic fields
+// (identical seeds must mean identical costs), so at-least-once delivery
+// — duplicate uploads, a shard re-run after its worker died — can never
+// corrupt the store: the duplicate either verifies or surfaces as
+// ErrOutcomeConflict. Records naming jobs outside the store's plan are
+// rejected. Unlike Open, a torn final record is an error wrapping
+// snap.ErrCorrupt: an upload is a complete message, not a crash
+// artifact. The records before the first bad one are kept. Empty input
+// holds no records. Returns the number of newly appended records.
 //
-// The stream is decoded before the store is locked, so a slow upload
+// The image is decoded before the store is locked, so a slow upload
 // never holds it; the records are then checked and appended in one
 // critical section, which makes concurrent Absorbs of overlapping logs
 // safe.
 func (s *Store) Absorb(r io.Reader) (added int, err error) {
 	type decoded struct {
-		rec  jobRecord
-		line []byte
+		rec     jobRecord
+		payload []byte
 	}
 	var recs []decoded
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		if len(sc.Bytes()) == 0 {
-			continue
+	data, rerr := io.ReadAll(r)
+	end, n, err := wal.Decode(data, func(p []byte) error {
+		rec, err := decodeRecord(p)
+		if err != nil {
+			return err
 		}
-		var rec jobRecord
-		if err = json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			err = fmt.Errorf("report: absorbing into %s: corrupt record on line %d: %w", s.dir, lineNo, err)
-			break
+		payload, err := encodeRecord(rec)
+		if err != nil {
+			return err
 		}
-		line, eerr := encodeRecord(rec)
-		if eerr != nil {
-			err = fmt.Errorf("report: absorbing into %s: line %d: %w", s.dir, lineNo, eerr)
-			break
-		}
-		recs = append(recs, decoded{rec, line})
+		recs = append(recs, decoded{rec, payload})
+		return nil
+	})
+	if err == nil && end < len(data) {
+		err = snap.Corruptf("upload torn after record %d (%d trailing bytes)", n, len(data)-end)
 	}
-	if err == nil && sc.Err() != nil {
-		err = fmt.Errorf("report: absorbing into %s: %w", s.dir, sc.Err())
+	if err = errors.Join(rerr, err); err != nil {
+		err = fmt.Errorf("report: absorbing into %s after %d records: %w", s.dir, n, err)
 	}
 
 	s.mu.Lock()
@@ -342,7 +297,7 @@ func (s *Store) Absorb(r io.Reader) (added int, err error) {
 			}
 			continue
 		}
-		if aerr := s.appendLocked(j, d.rec.Outcome, d.line); aerr != nil {
+		if aerr := s.appendLocked(j, d.rec.Outcome, d.payload); aerr != nil {
 			return added, aerr
 		}
 		added++

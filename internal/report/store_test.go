@@ -1,6 +1,7 @@
 package report_test
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,8 @@ import (
 
 	"obm/internal/report"
 	"obm/internal/sim"
+	"obm/internal/wal"
+	"obm/internal/wal/waltest"
 )
 
 // smallSpecs is a two-scenario grid small enough that store-mechanics
@@ -111,7 +114,7 @@ func TestStoreRefusesClobberAndMissing(t *testing.T) {
 
 // TestStoreTornTailRecovery simulates a crash mid-append: the log ends in
 // half a record. Open must drop exactly that record, trim the file, and
-// leave the store appendable on a clean line.
+// leave the store appendable on a clean record boundary.
 func TestStoreTornTailRecovery(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	st, err := report.Create(dir, newManifest(t, smallSpecs(), 0, report.Shard{}))
@@ -124,12 +127,13 @@ func TestStoreTornTailRecovery(t *testing.T) {
 	}
 	st.Close()
 
-	log := filepath.Join(dir, "jobs.jsonl")
+	log := filepath.Join(dir, "jobs.log")
 	f, err := os.OpenFile(log, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"scenario":"uni","alg":"r-bma","b":2,"rep":1,"outco`); err != nil {
+	frame := wal.AppendFrame(nil, []byte(`{"scenario":"uni","alg":"r-bma","b":2,"rep":1,"outcome":{"routing":11}}`))
+	if _, err := f.Write(frame[:len(frame)-3]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -168,10 +172,10 @@ func TestStoreCorruptMiddleFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Close()
-	log := filepath.Join(dir, "jobs.jsonl")
-	content := "not json at all\n" +
-		`{"scenario":"uni","alg":"r-bma","b":2,"rep":0,"outcome":{"routing":1,"reconfig":0,"elapsed_ms":0}}` + "\n"
-	if err := os.WriteFile(log, []byte(content), 0o644); err != nil {
+	log := filepath.Join(dir, "jobs.log")
+	content := waltest.Image([]byte("not json at all"),
+		[]byte(`{"scenario":"uni","alg":"r-bma","b":2,"rep":0,"outcome":{"routing":1,"reconfig":0,"elapsed_ms":0}}`))
+	if err := os.WriteFile(log, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := report.Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt") {
@@ -196,27 +200,22 @@ func TestStoreRejectsMismatchedCurves(t *testing.T) {
 	st.Close()
 
 	// The same shape written to disk mid-log must fail Open as corruption.
-	log := filepath.Join(dir, "jobs.jsonl")
-	content := `{"scenario":"uni","alg":"r-bma","b":2,"rep":0,"outcome":{"routing":1,"reconfig":0,"elapsed_ms":0,"x":[1,2],"routing_curve":[5],"reconfig_curve":[0,0]}}` + "\n" +
-		`{"scenario":"uni","alg":"r-bma","b":2,"rep":1,"outcome":{"routing":1,"reconfig":0,"elapsed_ms":0}}` + "\n"
-	if err := os.WriteFile(log, []byte(content), 0o644); err != nil {
+	log := filepath.Join(dir, "jobs.log")
+	mismatched := []byte(`{"scenario":"uni","alg":"r-bma","b":2,"rep":0,"outcome":{"routing":1,"reconfig":0,"elapsed_ms":0,"x":[1,2],"routing_curve":[5],"reconfig_curve":[0,0]}}`)
+	good := []byte(`{"scenario":"uni","alg":"r-bma","b":2,"rep":1,"outcome":{"routing":1,"reconfig":0,"elapsed_ms":0}}`)
+	if err := os.WriteFile(log, waltest.Image(mismatched, good), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := report.Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("mismatched curves mid-log not rejected: %v", err)
 	}
-	// As the *final* line it is indistinguishable from a torn write:
-	// dropped, not fatal.
-	if err := os.WriteFile(log, []byte(content[strings.Index(content, "\n")+1:]+content[:strings.Index(content, "\n")+1]), 0o644); err != nil {
+	// As the *final* record it is corruption too: its frame is whole and
+	// its CRC verifies, so no torn write produced it.
+	if err := os.WriteFile(log, waltest.Image(good, mismatched), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re, err := report.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Len() != 1 || re.Truncated() != 1 {
-		t.Fatalf("trailing malformed record: len=%d truncated=%d, want 1/1", re.Len(), re.Truncated())
+	if _, err := report.Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("mismatched curves as the final record not rejected: %v", err)
 	}
 }
 
@@ -244,5 +243,42 @@ func TestSpecHashNormalization(t *testing.T) {
 	specs[0].Seed--
 	if h4, _ := report.SpecHash(specs, 5); h4 == h1 {
 		t.Fatal("hash ignores curve points")
+	}
+}
+
+// TestManifestBoundsCurvePoints: NewManifest refuses a curve-point count
+// whose job record could outgrow one job-log record, and at the largest
+// count it accepts, a record of worst-case numbers still appends.
+func TestManifestBoundsCurvePoints(t *testing.T) {
+	specs := smallSpecs()
+	lo, hi := 0, 1<<21 // lo is accepted, hi refused
+	if _, err := report.NewManifest("bound", specs, hi, report.Shard{}); err == nil || !strings.Contains(err.Error(), "curve points") {
+		t.Fatalf("%d curve points: %v, want a curve-point error", hi, err)
+	}
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if _, err := report.NewManifest("bound", specs, mid, report.Shard{}); err == nil {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	if lo < 1000 {
+		t.Fatalf("only %d curve points accepted", lo)
+	}
+	st, err := report.Create(filepath.Join(t.TempDir(), "store"), newManifest(t, specs, lo, report.Shard{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const worstFloat = -1.2345678901234567e-06 // 25 characters in JSON
+	o := sim.JobOutcome{Routing: worstFloat, Reconfig: worstFloat, ElapsedMS: worstFloat}
+	for range lo {
+		o.X = append(o.X, math.MinInt64)
+		o.RoutingCurve = append(o.RoutingCurve, worstFloat)
+		o.ReconfigCurve = append(o.ReconfigCurve, worstFloat)
+	}
+	if err := st.Append(sim.GridJob{Scenario: "phase", Alg: "bma", B: math.MinInt64, Rep: math.MinInt64}, o); err != nil {
+		t.Fatalf("a worst-case record of %d curve points: %v", lo, err)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"obm/internal/sim"
+	"obm/internal/wal/waltest"
 )
 
 // The deterministic fault-injection harness.
@@ -124,6 +126,18 @@ func buildShardLogs(t *testing.T, family string) map[int][]byte {
 	return logs
 }
 
+// partialUpload cuts a shard log after its first record, the upload of a
+// worker that failed mid-shard, and returns the grid job that record holds.
+func partialUpload(t *testing.T, log []byte) ([]byte, sim.GridJob) {
+	t.Helper()
+	cut := waltest.Prefix(t, log, 1)
+	var job sim.GridJob
+	if err := json.Unmarshal(waltest.Records(t, cut)[0], &job); err != nil {
+		t.Fatal(err)
+	}
+	return cut, job
+}
+
 // expireLease rewinds one leased shard's in-memory deadline so the next
 // reap requeues it — a TTL lapse without the wall-clock wait. Only the
 // in-memory view moves (exactly like real time passing); the WAL still
@@ -198,11 +212,10 @@ func driveFleet(t *testing.T, s *Server, j *job, logs map[int][]byte) (done bool
 		}
 	}
 
-	// One failed partial upload: half the doomed shard's log under its
-	// current token — absorbed, then requeued.
+	// One failed partial upload: the first record of the doomed shard's
+	// log under its current token — absorbed, then requeued.
 	if doomed >= 0 {
-		blob := logs[doomed]
-		half := blob[:bytes.IndexByte(blob, '\n')+1]
+		half, job := partialUpload(t, logs[doomed])
 		tok := leases[doomed].Token
 		var err error
 		if crashing(t, func() { _, err = s.completeShard(j, doomed, tok, "driver", "injected failure", bytes.NewReader(half)) }) {
@@ -210,6 +223,9 @@ func driveFleet(t *testing.T, s *Server, j *job, logs map[int][]byte) (done bool
 		}
 		if err != nil {
 			t.Fatalf("partial upload: %v", err)
+		}
+		if _, ok := j.store.Lookup(job); !ok {
+			t.Fatalf("partial upload of shard %d absorbed nothing (%s missing)", doomed, job)
 		}
 	}
 

@@ -35,7 +35,7 @@ import (
 //	                                           200 Lease, 204 nothing to lease)
 //	POST /api/v1/jobs/{id}/shards/{k}/heartbeat renew a lease + report progress
 //	                                           ({"token","done"}; 409 = lease lost)
-//	POST /api/v1/jobs/{id}/shards/{k}/complete upload the shard's jobs.jsonl
+//	POST /api/v1/jobs/{id}/shards/{k}/complete upload the shard's job log
 //	                                           (?token=&worker=&failed=; body = log)
 //	GET  /api/v1/jobs/{id}/shards              shard/lease states, for operators
 
@@ -243,10 +243,10 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request, j *job,
 }
 
 // handleComplete absorbs an uploaded shard log (the request body is the
-// shard store's jobs.jsonl). 200 with the job's status on success; 409
-// on an exact-agreement conflict (the job is then failed — identical
-// seeds must mean identical costs); 400 on a bad upload (truncated or
-// malformed — the shard re-runs, the job keeps going); 500 on a
+// shard store's jobs.log, wal frames). 200 with the job's status on
+// success; 409 on an exact-agreement conflict (the job is then failed —
+// identical seeds must mean identical costs); 400 on a bad upload (torn
+// or corrupt — the shard re-runs, the job keeps going); 500 on a
 // server-side storage failure (the job keeps running; the worker may
 // retry).
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request, j *job, k int) {

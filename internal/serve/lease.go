@@ -27,7 +27,7 @@ import (
 //	           curve points, shard layout) and verify the spec hash
 //	heartbeat  keep the lease alive and report in-flight progress;
 //	           a lost lease answers ErrLeaseLost so the worker aborts
-//	complete   upload the shard's jobs.jsonl; the coordinator absorbs it
+//	complete   upload the shard's job log; the coordinator absorbs it
 //	           into the job's own store, which it holds open
 //
 // A lease that misses its TTL is requeued — the worker is presumed dead
@@ -406,10 +406,10 @@ func (s *Server) completeShard(j *job, shard int, token, worker, failMsg string,
 		s.finishJob(j, fmt.Errorf("absorbing shard %d from %s: %w", shard, worker, aerr))
 		return Status{}, aerr
 	default:
-		// Anything else (a truncated body from a worker that died
-		// mid-upload, a malformed or foreign record) invalidates only
+		// Anything else (a torn body from a worker that died
+		// mid-upload, a corrupt or foreign record) invalidates only
 		// this upload, never the job: every record absorbed before the
-		// bad line is already durable, the shard stays leased until its
+		// bad one is already durable, the shard stays leased until its
 		// TTL reaps it, and a re-run re-delivers the rest.
 		s.met.uploadsRejected.Inc()
 		s.opt.Logf("serve: job %.12s shard %d: rejected upload from %s after %d records: %v", j.id, shard, worker, added, aerr)

@@ -17,6 +17,7 @@ import (
 	"obm/internal/report"
 	"obm/internal/sim"
 	"obm/internal/trace"
+	"obm/internal/wal/waltest"
 )
 
 // leaseSpecs is a grid with enough jobs for several shards.
@@ -453,8 +454,9 @@ func TestCompleteConflictFailsJob(t *testing.T) {
 	}
 
 	// A tampered duplicate of the same shard log disagrees on a cost.
-	tampered := strings.Replace(string(blob), `"routing":`, `"routing":1e99,"x_was":`, 1)
-	if _, err := s.completeShard(j, l0.Shard, l0.Token, "evil", "", strings.NewReader(tampered)); err == nil {
+	recs := waltest.Records(t, blob)
+	recs[0] = []byte(strings.Replace(string(recs[0]), `"routing":`, `"routing":1e99,"x_was":`, 1))
+	if _, err := s.completeShard(j, l0.Shard, l0.Token, "evil", "", bytes.NewReader(waltest.Image(recs...))); err == nil {
 		t.Fatal("conflicting upload accepted")
 	}
 	if st := j.status(); st.State != StateFailed || !strings.Contains(st.Error, "absorbing shard") {
@@ -472,10 +474,9 @@ func TestCompletePartialUploadRequeues(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := runLeasedShard(t, t.TempDir(), l0)
-	lines := strings.SplitAfterN(string(blob), "\n", 3)
-	partial := lines[0] + lines[1] // 2 of 12 records
+	partial := waltest.Prefix(t, blob, 2) // 2 of 12 records
 
-	st, err := s.completeShard(j, l0.Shard, l0.Token, "w0", "worker exploded", strings.NewReader(partial))
+	st, err := s.completeShard(j, l0.Shard, l0.Token, "w0", "worker exploded", bytes.NewReader(partial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +507,7 @@ func TestTruncatedUploadDoesNotFailJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := runLeasedShard(t, t.TempDir(), l0)
-	torn := blob[:len(blob)-10] // cut inside the final JSON record
+	torn := blob[:len(blob)-10] // cut inside the final record
 
 	if _, err := s.completeShard(j, l0.Shard, l0.Token, "w0", "", bytes.NewReader(torn)); err == nil {
 		t.Fatal("torn upload accepted as complete")
@@ -515,6 +516,9 @@ func TestTruncatedUploadDoesNotFailJob(t *testing.T) {
 	}
 	if st := j.status(); st.State != StateRunning {
 		t.Fatalf("torn upload failed the job: %+v", st)
+	}
+	if got, want := j.store.Len(), len(waltest.Records(t, blob))-1; got != want || want < 1 {
+		t.Fatalf("torn upload absorbed %d records, want the %d before the tear", got, want)
 	}
 	// The records before the tear were absorbed, the lease is still
 	// live; re-delivering the full log (the shard's re-run) completes

@@ -27,7 +27,7 @@
 //	root/
 //	├── <spec-hash[:16]>/    one run store per submitted grid
 //	│   ├── manifest.json    (written at submission — the durable queue)
-//	│   ├── jobs.jsonl       (appended as shard logs are absorbed; held open while the job is live)
+//	│   ├── jobs.log         (job log: appended as shard logs are absorbed; held open while the job is live)
 //	│   ├── lease.wal        (lease journal, from the job's first lease until it finishes)
 //	│   ├── shards/          (local workers' shard stores, removed when the job finishes)
 //	│   ├── summary.csv      (rendered on completion)
@@ -737,30 +737,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return writeQueue(s.opt.StoreRoot, queued)
 }
 
-// writeQueue replaces root/queue.json through a temp file that is synced
-// and then renamed over it, so a crash leaves the old file or the new
-// one, never a torn one.
+// writeQueue replaces root/queue.json atomically and durably (synced
+// before the rename), so a crash leaves the old file or the new one,
+// never a torn one.
 func writeQueue(root string, ids []string) error {
 	blob, err := json.Marshal(ids)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(root, queueFile+".tmp*")
-	if err != nil {
-		return err
-	}
-	_, err = tmp.Write(append(blob, '\n'))
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), filepath.Join(root, queueFile))
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-	return err
+	return wal.WriteAtomic(filepath.Join(root, queueFile), append(blob, '\n'), true)
 }

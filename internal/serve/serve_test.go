@@ -230,7 +230,7 @@ func TestCacheHit(t *testing.T) {
 	}
 	waitState(t, ts, st.ID, StateDone)
 	// Tamper-proof recomputation probe: remember the log's mtime.
-	logPath := filepath.Join(report.DirForHash(root, st.ID), "jobs.jsonl")
+	logPath := filepath.Join(report.DirForHash(root, st.ID), "jobs.log")
 	before, err := os.Stat(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !after.ModTime().Equal(before.ModTime()) || after.Size() != before.Size() {
-		t.Fatal("cache hit recomputed the grid (jobs.jsonl changed)")
+		t.Fatal("cache hit recomputed the grid (jobs.log changed)")
 	}
 
 	// The cache survives a restart: a fresh server on the same root

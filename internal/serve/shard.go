@@ -136,30 +136,37 @@ func RunShard(ctx context.Context, r ShardRun) ShardResult {
 
 // openShardStore creates (or resumes) the shard store for r.Lease. A
 // worker must never burn CPU on a grid whose identity it cannot prove, so
-// the lease's manifest must hash to the job id.
+// the lease's manifest must hash to the job id. A shard store is only a
+// resume cache — the coordinator's store holds the truth — so one that
+// cannot be opened, or that holds a different shard, is logged, removed
+// and created afresh rather than blocking the shard.
 func openShardStore(r ShardRun) (*report.Store, error) {
 	l := r.Lease
-	m, err := report.NewManifest(l.Name, l.Specs, l.CurvePoints, report.Shard{Index: l.Shard, Count: l.Shards})
+	shard := report.Shard{Index: l.Shard, Count: l.Shards}
+	m, err := report.NewManifest(l.Name, l.Specs, l.CurvePoints, shard)
 	if err != nil {
 		return nil, err
 	}
 	if m.SpecHash != l.JobID {
 		return nil, fmt.Errorf("lease for job %.12s carries specs hashing to %.12s — refusing to run", l.JobID, m.SpecHash)
 	}
-	if !report.Exists(r.Dir) {
-		return report.Create(r.Dir, m)
+	if report.Exists(r.Dir) {
+		st, err := report.Open(r.Dir)
+		if err == nil {
+			got := st.Manifest()
+			if got.SpecHash == l.JobID && got.Shard == shard {
+				if st.Len() > 0 {
+					r.Logf("resuming shard %d of job %.12s (%d jobs already recorded)", l.Shard, l.JobID, st.Len())
+				}
+				return st, nil
+			}
+			st.Close()
+			err = fmt.Errorf("it holds a different shard (%.12s %s)", got.SpecHash, got.Shard)
+		}
+		r.Logf("discarding shard store %s for shard %d of job %.12s: %v", r.Dir, l.Shard, l.JobID, err)
+		if err := os.RemoveAll(r.Dir); err != nil {
+			return nil, err
+		}
 	}
-	st, err := report.Open(r.Dir)
-	if err != nil {
-		return nil, err
-	}
-	if got := st.Manifest(); got.SpecHash != l.JobID || got.Shard.Index != l.Shard || got.Shard.Count != l.Shards {
-		st.Close()
-		return nil, fmt.Errorf("%s holds a different shard (%.12s %s) than the lease (%.12s %d/%d)",
-			r.Dir, got.SpecHash, got.Shard, l.JobID, l.Shard, l.Shards)
-	}
-	if st.Len() > 0 {
-		r.Logf("resuming shard %d of job %.12s (%d jobs already recorded)", l.Shard, l.JobID, st.Len())
-	}
-	return st, nil
+	return report.Create(r.Dir, m)
 }

@@ -35,7 +35,7 @@ import (
 // workers held, are requeued on the spot; live fleet leases are re-armed
 // to a full TTL so the worker's next heartbeat lands instead of 409ing.
 
-// leaseWALFile is the per-job WAL file name, next to jobs.jsonl.
+// leaseWALFile is the per-job WAL file name, next to the job log.
 const leaseWALFile = "lease.wal"
 
 // walOp tags one lease-state transition record.
@@ -426,9 +426,6 @@ func (s *Server) recoverDist(j *job, now time.Time) {
 	lg, replayed, err := wal.Open(path, st.apply)
 	s.met.walReplayed.Add(uint64(replayed))
 	if err != nil {
-		if lg != nil {
-			lg.Close()
-		}
 		discard(nil, "%v", err)
 		return
 	}

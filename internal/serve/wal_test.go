@@ -83,10 +83,12 @@ func TestWALReplayMatchesInMemoryState(t *testing.T) {
 					}
 				case 3: // worker failure: partial log absorbed, shard requeued
 					if k, l, ok := pickLease(rng, leases); ok {
-						blob := logs[k]
-						half := blob[:bytes.IndexByte(blob, '\n')+1]
+						half, job := partialUpload(t, logs[k])
 						if _, err := s.completeShard(j, k, l.Token, "w", "injected", bytes.NewReader(half)); err != nil {
 							t.Fatal(err)
+						}
+						if _, ok := j.store.Lookup(job); !ok {
+							t.Fatalf("partial upload of shard %d absorbed nothing (%s missing)", k, job)
 						}
 						delete(leases, k)
 					}

@@ -1,7 +1,10 @@
-// Package wal is a compact append-only record log with crash-safe
-// recovery semantics, shared by every subsystem that needs a durable
-// event stream (today: the coordinator's lease/queue state in
-// internal/serve).
+// Package wal holds the repository's two durable-file mechanisms. Log
+// is a compact append-only record log with crash-safe recovery, shared by
+// every subsystem that keeps a durable event stream: the run store's job
+// log (internal/report) and the coordinator's lease WAL (internal/serve).
+// WriteAtomic replaces a whole file at once, for the small files that are
+// rewritten rather than appended to: manifests, rendered summaries,
+// replay checkpoints and the service's queue.
 //
 // It deliberately mirrors the internal/snap discipline: little-endian
 // framing, CRC-32 (IEEE) integrity trailers, and a decoder that is safe
@@ -17,32 +20,36 @@
 //	         u32 CRC-32 IEEE over the payload (LE)
 //	...      records repeat to EOF
 //
-// Recovery follows the report.Open torn-tail contract: appends are one
-// write() each, so a crash tears at most the final record. Open trims an
-// incomplete trailing record (including a partially written header of a
-// just-created file) back to the last whole record and positions the log
-// for clean appends. Anything else — a CRC mismatch, an oversized length
-// mid-file, trailing garbage that parses as neither — is corruption and
-// surfaces as snap.ErrCorrupt: the log refuses to open rather than
-// replaying a lie.
+// Recovery is the torn-tail contract: appends are one write() each, so a
+// crash tears at most the final record. Open trims an incomplete trailing
+// record (including a partially written header of a just-created file)
+// back to the last whole record and positions the log for clean appends.
+// Anything else — a CRC mismatch, even in the last whole record, an
+// oversized length mid-file, trailing garbage that parses as neither —
+// is corruption and surfaces as snap.ErrCorrupt: the log refuses to open
+// rather than replaying a lie. A torn write only ever shortens the file,
+// so a record whose whole extent is present was written whole.
 package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 
 	"obm/internal/snap"
 )
 
-// header identifies a WAL file and its format version; bump the digit to
-// invalidate old logs on an incompatible change.
-var header = []byte("OBMWAL1\n")
+// Header opens every WAL file and names its format version; bump the
+// digit to invalidate old logs on an incompatible change.
+const Header = "OBMWAL1\n"
 
-// MaxRecord caps a single record's payload. Real records are tens of
-// bytes; the cap exists so a corrupt length field can never drive an
-// attacker-sized allocation.
+// MaxRecord caps a single record's payload. Lease records are tens of
+// bytes and job records a few hundred plus their curve points, which
+// report.NewManifest bounds to fit; the cap exists so a corrupt length
+// field can never drive an attacker-sized allocation.
 const MaxRecord = 1 << 20
 
 // Log is an open write-ahead log positioned for appends. Create/Open
@@ -50,9 +57,10 @@ const MaxRecord = 1 << 20
 // A Log is not safe for concurrent use — callers serialize (the
 // coordinator appends under its per-job lock).
 type Log struct {
-	path string
-	f    *os.File
-	buf  []byte // reused append frame
+	path    string
+	f       *os.File
+	buf     []byte // reused append frame
+	trimmed bool
 }
 
 // Create truncates any existing log at path and starts a fresh one.
@@ -61,7 +69,7 @@ func Create(path string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write(header); err != nil {
+	if _, err := f.WriteString(Header); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -70,41 +78,41 @@ func Create(path string) (*Log, error) {
 
 // Open reads the log at path, invoking fn once per decoded record payload
 // in append order, then returns the log positioned for further appends
-// (trimming a torn tail first). A missing file is created empty. The
-// returned count is the number of records replayed.
+// (trimming a torn tail first; Trimmed reports whether it did). A missing
+// file is created empty. The returned count is the number of records
+// replayed.
 //
 // Decoding errors wrap snap.ErrCorrupt. An error from fn aborts the open
 // and is returned as-is — the caller decides whether a semantically
 // invalid log is discardable.
 func Open(path string, fn func(payload []byte) error) (*Log, int, error) {
 	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		l, cerr := Create(path)
-		return l, 0, cerr
-	}
-	if err != nil {
+	if err != nil && !os.IsNotExist(err) {
 		return nil, 0, err
 	}
 	goodEnd, n, err := Decode(data, fn)
 	if err != nil {
 		return nil, n, err
 	}
+	if goodEnd == 0 {
+		// A missing file, or one whose header was torn (created and
+		// killed within one write): start it over.
+		l, err := Create(path)
+		if l != nil {
+			l.trimmed = len(data) > 0
+		}
+		return l, 0, err
+	}
 	if goodEnd < len(data) {
 		if err := os.Truncate(path, int64(goodEnd)); err != nil {
 			return nil, n, fmt.Errorf("wal: trimming torn tail of %s: %w", path, err)
 		}
 	}
-	if goodEnd == 0 {
-		// Even the header was torn: the file was created and killed
-		// within one write. Start it over.
-		l, cerr := Create(path)
-		return l, 0, cerr
-	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, n, err
 	}
-	return &Log{path: path, f: f}, n, nil
+	return &Log{path: path, f: f, trimmed: goodEnd < len(data)}, n, nil
 }
 
 // Decode scans data as a WAL image, invoking fn per record payload.
@@ -113,16 +121,16 @@ func Open(path string, fn func(payload []byte) error) (*Log, int, error) {
 // the first error: snap.ErrCorrupt-wrapped for bad bytes, or fn's error
 // verbatim. It never allocates from lengths found in the input.
 func Decode(data []byte, fn func(payload []byte) error) (goodEnd, records int, err error) {
-	if len(data) < len(header) {
+	if len(data) < len(Header) {
 		// A torn header: nothing replayable, trim to zero.
 		return 0, 0, nil
 	}
-	for i := range header {
-		if data[i] != header[i] {
-			return 0, 0, snap.Corruptf("wal: bad header %q", data[:len(header)])
+	for i := range len(Header) {
+		if data[i] != Header[i] {
+			return 0, 0, snap.Corruptf("wal: bad header %q", data[:len(Header)])
 		}
 	}
-	pos := len(header)
+	pos := len(Header)
 	for {
 		rest := len(data) - pos
 		if rest == 0 {
@@ -166,17 +174,17 @@ func (l *Log) Append(payload []byte) error {
 	if len(payload) > MaxRecord {
 		return fmt.Errorf("wal: record of %d bytes exceeds max %d", len(payload), MaxRecord)
 	}
-	need := 4 + len(payload) + 4
-	if cap(l.buf) < need {
-		l.buf = make([]byte, 0, need*2)
-	}
-	b := l.buf[:0]
+	l.buf = AppendFrame(l.buf[:0], payload)
+	_, err := l.f.Write(l.buf)
+	return err
+}
+
+// AppendFrame appends payload's record frame — length, payload, CRC — to
+// b: the bytes Append writes, and what follows Header in an image.
+func AppendFrame(b, payload []byte) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
 	b = append(b, payload...)
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	l.buf = b
-	_, err := l.f.Write(b)
-	return err
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
 }
 
 // Sync flushes appended records to stable storage.
@@ -186,6 +194,9 @@ func (l *Log) Sync() error {
 	}
 	return l.f.Sync()
 }
+
+// Trimmed reports whether Open cut a torn tail off the log.
+func (l *Log) Trimmed() bool { return l.trimmed }
 
 // Path returns the log's file path.
 func (l *Log) Path() string { return l.path }
@@ -212,4 +223,26 @@ func (l *Log) Remove() error {
 		return rerr
 	}
 	return nil
+}
+
+// WriteAtomic replaces the file at path with data through a temp file in
+// the same directory that is renamed over it, so readers and a crash see
+// the old file or the new one, never a torn one. With sync, the temp file
+// is flushed to stable storage before the rename.
+func WriteAtomic(path string, data []byte, sync bool) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil && sync {
+		err = tmp.Sync()
+	}
+	if err = errors.Join(err, tmp.Close()); err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"obm/internal/snap"
@@ -89,7 +91,7 @@ func TestTornTailTrimmedAtEveryBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Offsets of each record's start.
-	bounds := []int{len(header)}
+	bounds := []int{len(Header)}
 	for _, r := range recs {
 		bounds = append(bounds, bounds[len(bounds)-1]+4+len(r)+4)
 	}
@@ -108,6 +110,9 @@ func TestTornTailTrimmedAtEveryBoundary(t *testing.T) {
 		if len(got) != wantWhole {
 			t.Fatalf("cut at %d: replayed %d records, want %d", cut, len(got), wantWhole)
 		}
+		if torn := cut > 0 && !slices.Contains(bounds, cut); l.Trimmed() != torn {
+			t.Fatalf("cut at %d: Trimmed() = %v, want %v", cut, l.Trimmed(), torn)
+		}
 		// The trim is durable: append and re-open must see whole+1.
 		if err := l.Append([]byte("tail")); err != nil {
 			t.Fatalf("cut at %d: append after trim: %v", cut, err)
@@ -115,6 +120,9 @@ func TestTornTailTrimmedAtEveryBoundary(t *testing.T) {
 		l.Close()
 		l2, got2 := collect(t, path)
 		l2.Close()
+		if l2.Trimmed() {
+			t.Fatalf("cut at %d: the reopened log trimmed again", cut)
+		}
 		if len(got2) != wantWhole+1 || !bytes.Equal(got2[wantWhole], []byte("tail")) {
 			t.Fatalf("cut at %d: after trim+append replayed %d records", cut, len(got2))
 		}
@@ -136,7 +144,7 @@ func TestCorruptionMidFileIsAnError(t *testing.T) {
 	// Flip one payload byte of the FIRST record: a CRC mismatch with more
 	// records following is corruption, not a torn tail.
 	bad := append([]byte(nil), blob...)
-	bad[len(header)+4] ^= 0xff
+	bad[len(Header)+4] ^= 0xff
 	os.WriteFile(path, bad, 0o644)
 	if _, _, err := Open(path, nil); !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("mid-file corruption: %v, want ErrCorrupt", err)
@@ -156,7 +164,7 @@ func TestCorruptionMidFileIsAnError(t *testing.T) {
 	frame = binary.LittleEndian.AppendUint32(frame, MaxRecord+1)
 	frame = append(frame, make([]byte, MaxRecord+1)...)
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame[4:]))
-	os.WriteFile(path, append(append([]byte(nil), header...), frame...), 0o644)
+	os.WriteFile(path, append([]byte(Header), frame...), 0o644)
 	if _, _, err := Open(path, nil); !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("oversized record: %v, want ErrCorrupt", err)
 	}
@@ -220,5 +228,35 @@ func TestEmptyAndMissing(t *testing.T) {
 	l3.Close()
 	if len(got) != 1 || !bytes.Equal(got[0], []byte("b")) {
 		t.Fatalf("reset empty file replay = %q", got)
+	}
+}
+
+// TestWriteAtomic: the file is replaced whole, with or without sync, and
+// a failed replace leaves the old file and no temp file behind.
+func TestWriteAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "queue.json")
+	for _, sync := range []bool{false, true} {
+		want := []byte(fmt.Sprintf("sync=%v\n", sync))
+		if err := WriteAtomic(path, want, sync); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("after WriteAtomic(sync=%v): %q, %v", sync, got, err)
+		}
+	}
+	squatted := filepath.Join(dir, "squat")
+	if err := os.MkdirAll(filepath.Join(squatted, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAtomic(squatted, []byte("x"), false); err == nil {
+		t.Fatal("WriteAtomic replaced a non-empty directory")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("temp files left behind: %v", entries)
 	}
 }

@@ -9,7 +9,7 @@
 // manifest from the lease (and refuses to run unless its spec hash
 // reproduces the job id), executes the shard's job slice against a shard
 // run store, heartbeats to keep the lease alive and report progress, and
-// hands the store's jobs.jsonl in, which the coordinator folds into the
+// hands the store's job log in, which the coordinator folds into the
 // job's own store under exact-agreement conflict checks. This package
 // supplies the HTTP side of those calls: heartbeats, and uploads retried
 // across coordinator restarts.
@@ -379,7 +379,7 @@ func (r *Runner) heartbeat(ctx context.Context, l serve.Lease, done int) error {
 // the first — comfortably past a coordinator restart.
 const uploadAttempts = 6
 
-// upload POSTs the shard's jobs.jsonl to the complete endpoint. The
+// upload POSTs the shard's job log to the complete endpoint. The
 // request is detached from the worker's shutdown cancellation (with its
 // own timeout): the shard's compute is already paid for, so a worker
 // told to stop right as a shard finishes still delivers it instead of
@@ -420,7 +420,7 @@ func (r *Runner) upload(ctx context.Context, l serve.Lease, logPath, failMsg str
 		if err != nil {
 			return err
 		}
-		req.Header.Set("Content-Type", "application/x-ndjson")
+		req.Header.Set("Content-Type", "application/octet-stream")
 		resp, err := r.opt.HTTPClient.Do(req)
 		if err != nil {
 			lastErr = err

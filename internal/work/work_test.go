@@ -18,6 +18,7 @@ import (
 	"obm/internal/report"
 	"obm/internal/serve"
 	"obm/internal/sim"
+	"obm/internal/wal/waltest"
 )
 
 // paperSpecs covers the paper evaluation's four trace families (§3.1):
@@ -263,7 +264,7 @@ func TestFleetDrainWithKilledWorker(t *testing.T) {
 // a restart), retries with backoff, and treats client-class rejections
 // as final.
 func TestUploadRetriesAcrossCoordinatorBlip(t *testing.T) {
-	logPath := filepath.Join(t.TempDir(), "jobs.jsonl")
+	logPath := filepath.Join(t.TempDir(), "jobs.log")
 	if err := os.WriteFile(logPath, []byte("{\"k\":1}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -408,9 +409,9 @@ func TestWorkerResumesOwnShardStore(t *testing.T) {
 	}
 	// The upload carries the partial log's record unchanged — the job was
 	// resumed, not re-run — and then the shard's other job.
-	lines := bytes.Split(bytes.TrimSpace(uploads[0]), []byte("\n"))
+	lines := waltest.Records(t, uploads[0])
 	if len(lines) != 2 {
-		t.Fatalf("upload has %d records, want 2:\n%s", len(lines), uploads[0])
+		t.Fatalf("upload has %d records, want 2:\n%q", len(lines), uploads[0])
 	}
 	var first struct {
 		Rep     int `json:"rep"`

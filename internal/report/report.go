@@ -84,7 +84,7 @@ func (s Shard) String() string {
 type Manifest struct {
 	FormatVersion int    `json:"format_version"`
 	Name          string `json:"name"`
-	CreatedAt     string `json:"created_at"` // RFC 3339
+	CreatedAt     string `json:"created_at"` // RFC 3339; nanoseconds, or whole seconds in older stores
 	GoVersion     string `json:"go_version"`
 	// SpecHash is the SHA-256 of the normalized spec list plus the
 	// curve-checkpoint count: two stores resume/merge only if it matches.
@@ -130,7 +130,7 @@ func NewManifest(name string, specs []sim.ScenarioSpec, curvePoints int, shard S
 	return Manifest{
 		FormatVersion: FormatVersion,
 		Name:          name,
-		CreatedAt:     time.Now().UTC().Format(time.RFC3339),
+		CreatedAt:     time.Now().UTC().Format(time.RFC3339Nano),
 		GoVersion:     runtime.Version(),
 		SpecHash:      hash,
 		CurvePoints:   curvePoints,

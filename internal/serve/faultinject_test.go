@@ -16,7 +16,7 @@ import (
 
 // The deterministic fault-injection harness.
 //
-// For every WAL crash point (see crashPoint in wal.go) the sweep drives a
+// For every crash point (see crashPoint in wal.go) the sweep drives a
 // full fleet run against a coordinator armed to die — panic through
 // crashHook — at exactly that persistence boundary, "restarts" it (a
 // fresh Server over the same store root, exactly what a process restart
@@ -382,9 +382,9 @@ func summaryBytes(t *testing.T, s *Server, j *job) []byte {
 
 // TestFaultInjectionDoubleCrash arms two successive crashes (the second
 // on the recovered coordinator) at the two most delicate points — after a
-// store absorb whose WAL record never landed, then after a completion
-// record — and still requires byte-identity. Recovery must be as
-// crash-tolerant as the original run.
+// store absorb, before the lease table moved, then after a shard
+// completed, which no WAL record marks — and still requires
+// byte-identity. Recovery must be as crash-tolerant as the original run.
 func TestFaultInjectionDoubleCrash(t *testing.T) {
 	family := "uniform"
 	want := directSummary(t, faultSpecs(family), faultCurvePoints)

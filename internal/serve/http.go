@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -192,20 +193,27 @@ func (s *Server) withShard(h func(http.ResponseWriter, *http.Request, *job, int)
 }
 
 // handleLease grants a shard lease: 200 with the Lease body, 204 when
-// the job has nothing to lease, 400 for a worker name the local workers
-// reserve, 503 during shutdown.
+// the job has nothing to lease, 400 for a body that is not JSON, a
+// worker name the local workers reserve or one longer than the lease WAL
+// holds, 503 during shutdown. An empty body names the worker by its
+// remote address.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request, j *job) {
 	var req struct {
 		Worker string `json:"worker"`
 	}
-	if r.Body != nil {
-		json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil && err != io.EOF {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	if req.Worker == "" {
 		req.Worker = r.RemoteAddr
 	}
 	if strings.HasPrefix(req.Worker, localWorkerPrefix) {
 		httpError(w, http.StatusBadRequest, "worker names starting with %q are reserved for the coordinator's local workers", localWorkerPrefix)
+		return
+	}
+	if len(req.Worker) > maxWALString {
+		httpError(w, http.StatusBadRequest, "worker name of %d bytes, at most %d", len(req.Worker), maxWALString)
 		return
 	}
 	l, err := s.lease(j, req.Worker)

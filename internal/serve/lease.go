@@ -43,8 +43,8 @@ import (
 // A job's shard table is planned when its store is created or opened
 // (attach), so it exists, and /shards lists it, before the first lease.
 // Lease state lives in memory and is journaled in the job's lease WAL
-// from the first lease on (see wal.go); the shard logs absorbed into the
-// job's store remain the durable truth for outcomes.
+// from the first lease on (see wal.go); which shards are done is known
+// only from the job's store, into which their logs are absorbed.
 
 // shardPhase is a leasable shard's lifecycle state.
 type shardPhase string
@@ -66,10 +66,19 @@ type shardState struct {
 	attempts int // leases granted, including requeues
 }
 
+// release ends sh's lease, if it holds one, and moves it to phase.
+func (sh *shardState) release(phase shardPhase) {
+	sh.phase = phase
+	sh.token, sh.worker, sh.done = "", "", 0
+}
+
 // distJob is a job's lease bookkeeping, planned with its store (attach).
 type distJob struct {
-	shards   []shardState
-	recorded int // jobs in the coordinator's store at the last absorb
+	shards []shardState
+	// recorded counts the jobs in the coordinator's store at the last
+	// absorb. It lives in memory only, and outlives the store a finished
+	// job drops, so a reap after the job's end still has it.
+	recorded int
 	// journaled is set once the first lease has created the lease WAL
 	// (or recovery reopened it); a WAL a failed append disabled stays off.
 	journaled bool
@@ -160,7 +169,7 @@ func (s *Server) journalInit(j *job) bool {
 		return false
 	}
 	j.wal = lg
-	s.walAppend(j, walRecInit(len(j.dist.shards), j.dist.recorded))
+	s.walAppend(j, walRecInit(len(j.dist.shards)))
 	return j.wal != nil
 }
 
@@ -185,10 +194,7 @@ func (j *job) reapExpired(now time.Time) []int {
 	for k := range j.dist.shards {
 		sh := &j.dist.shards[k]
 		if sh.phase == shardLeased && sh.expires.Before(now) {
-			sh.phase = shardPending
-			sh.token = ""
-			sh.worker = ""
-			sh.done = 0
+			sh.release(shardPending)
 			requeued = append(requeued, k)
 		}
 	}
@@ -416,54 +422,42 @@ func (s *Server) completeShard(j *job, shard int, token, worker, failMsg string,
 		return Status{}, fmt.Errorf("serve: job %.12s shard %d: bad upload: %w", j.id, shard, aerr)
 	}
 
-	// The upload is durable in the store; its WAL record comes next. A
-	// crash here is exactly the window the WAL may lag the store by —
-	// recovery reconciles every shard against the store, which already
-	// holds these records.
+	// The upload is durable in the store; the lease table moves next. A
+	// crash here loses nothing: recovery takes every shard's completion
+	// from the store, which already holds these records.
 	s.crashAt(crashPostStoreAbsorb)
 
 	var terminal, requeued bool
 	var crash crashPoint
 	j.mu.Lock()
 	if j.store == store { // still the live job this upload was absorbed into
-		// Read the store under j.mu, right before journaling: its count
-		// only grows, so concurrent hand-ins journal it in order.
-		recorded := store.Len()
 		missing, _ := store.Missing() // never fails: the plan is fixed at open
 		sh := &j.dist.shards[shard]
-		owns := sh.phase == shardLeased && sh.token == token
 		switch {
 		case recordedAll(store, shardJobs):
 			// The store now holds the whole shard: done, whoever the
 			// upload came from. A superseded leaseholder learns via its
-			// next heartbeat (lease lost) and stands down. Only an actual
-			// transition is journaled — replay rejects duplicate dones.
+			// next heartbeat (lease lost) and stands down.
 			if sh.phase != shardDone {
 				s.met.shardsCompleted.Inc()
-				sh.phase = shardDone
-				sh.token, sh.worker, sh.done = "", "", 0
-				s.walAppend(j, walRecShardDone(shard, recorded))
+				sh.release(shardDone)
 				crash = crashPostComplete
 			}
-		case owns:
+		case sh.phase == shardLeased && sh.token == token:
 			// The current leaseholder failed, stopped or under-delivered:
-			// its partial work is absorbed, the shard requeues for another
-			// attempt.
-			sh.phase = shardPending
-			sh.token, sh.worker, sh.done = "", "", 0
-			s.walAppend(j, walRecAbsorb(shard, recorded))
+			// its partial work is absorbed, and the shard requeues for
+			// another attempt, journaled as a reap is.
+			sh.release(shardPending)
+			s.walAppend(j, walRecRequeue(shard))
 			crash = crashPostAbsorb
 			requeued = true
-		default:
+		case added > 0:
 			// A stale partial upload from an expired lease: the absorbed
 			// records still count, but the shard's current owner keeps
 			// its lease undisturbed.
-			if added > 0 {
-				s.walAppend(j, walRecAbsorb(-1, recorded))
-				crash = crashPostAbsorb
-			}
+			crash = crashPostAbsorb
 		}
-		j.dist.recorded = recorded
+		j.dist.recorded = store.Len()
 		j.done = j.fleetDone()
 		terminal = len(missing) == 0
 	}

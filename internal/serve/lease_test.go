@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -823,5 +824,121 @@ func TestLocalWorkerTakesOverExpiredFleetLease(t *testing.T) {
 	}
 	if want := directSummary(t, tinySpecs(), 4); !bytes.Equal(got, want) {
 		t.Errorf("taken-over summary differs from RunGrid:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestLeaseRefusesWorkerNamesTheWALCannotHold: the lease endpoint refuses
+// a worker name longer than the lease WAL journals, and a body that is
+// not JSON, with 400; an empty body names the worker by its address. A
+// name at the bound is leased, and after a graceful restart /shards shows
+// the same holder, byte for byte.
+func TestLeaseRefusesWorkerNamesTheWALCannotHold(t *testing.T) {
+	root := t.TempDir()
+	opt := Options{StoreRoot: root, Workers: -1, ShardSize: 1, CurvePoints: 4, LeaseTTL: time.Hour}
+	s1, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	st, code := submit(t, ts1, tinySpecs())
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	lease := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts1.URL+"/api/v1/jobs/"+st.ID+"/lease", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	named := func(name string) string { return `{"worker":"` + name + `"}` }
+	long := strings.Repeat("w", maxWALString)
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{named(long + "x"), http.StatusBadRequest},
+		{`{"worker":`, http.StatusBadRequest},
+		{named(long), http.StatusOK}, // shard 0
+		{"", http.StatusOK},          // shard 1, held by the remote address
+	} {
+		if got := lease(c.body); got != c.want {
+			t.Fatalf("lease with body %.40q…: status %d, want %d", c.body, got, c.want)
+		}
+	}
+	var holders []string
+	for _, sh := range getShards(t, ts1, st.ID) {
+		if sh.State == string(shardLeased) {
+			holders = append(holders, sh.Worker)
+		}
+	}
+	if len(holders) != 2 || holders[0] != long || !strings.HasPrefix(holders[1], "127.0.0.1:") {
+		t.Fatalf("leased shards held by %.40q, want the %d-byte name and a remote address", holders, len(long))
+	}
+	ts1.Close()
+	if err := s1.Shutdown(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := newTestServer(t, opt)
+	var after []string
+	for _, sh := range getShards(t, ts2, st.ID) {
+		if sh.State == string(shardLeased) {
+			after = append(after, sh.Worker)
+		}
+	}
+	if !slices.Equal(after, holders) {
+		t.Fatalf("holders after a restart = %.40q, want %.40q", after, holders)
+	}
+}
+
+// TestFinishedJobReapsExpiredLeases: a finished job drops its store but
+// keeps its shard table, which heartbeats and the shards endpoint still
+// reach and reap. Reaping an expired lease of a failed job must answer
+// lease-lost, and must not touch the dropped store: a panic there holds
+// the job lock, and the next Shutdown would hang on it.
+func TestFinishedJobReapsExpiredLeases(t *testing.T) {
+	s := faultCoordinator(t, t.TempDir())
+	st, err := s.Submit(faultSpecs("uniform"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := s.lookup(st.ID)
+	var leases []Lease
+	for range 2 {
+		l, err := s.lease(j, "w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		leases = append(leases, l)
+	}
+	s.finishJob(j, errors.New("injected failure"))
+
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		a, b := leases[0], leases[1]
+		expireLease(j, a.Shard)
+		if _, err := s.heartbeat(j, a.Shard, a.Token, 1); !errors.Is(err, ErrLeaseLost) {
+			t.Errorf("heartbeat on an expired lease of a failed job: %v, want ErrLeaseLost", err)
+		}
+		expireLease(j, b.Shard)
+		if shards := s.shardStatuses(j); shards[b.Shard].State != string(shardPending) {
+			t.Errorf("shards after the reap = %+v, want shard %d pending", shards, b.Shard)
+		}
+		if _, err := s.heartbeat(j, b.Shard, b.Token, 1); !errors.Is(err, ErrLeaseLost) {
+			t.Errorf("heartbeat on a reaped lease of a failed job: %v, want ErrLeaseLost", err)
+		}
+		s.Shutdown(t.Context())
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("reaping a failed job's leases hung")
+	}
+	if got := j.status(); got.State != StateFailed {
+		t.Fatalf("job after the reaps = %+v, want failed", got)
 	}
 }

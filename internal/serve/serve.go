@@ -22,34 +22,36 @@
 // store open from submission (or recovery) until it finishes, together
 // with the shard table planned from it, so a hand-in costs one absorb
 // into memory and the log, never a reopen. Everything durable lives in
-// the store root:
+// the store root, one run store per submitted grid, and each fact has one
+// owner: the manifest records what was submitted and when, the job log
+// what is done, and the lease WAL only who holds which shard:
 //
 //	root/
-//	├── <spec-hash[:16]>/    one run store per submitted grid
-//	│   ├── manifest.json    (written at submission — the durable queue)
-//	│   ├── jobs.log         (job log: appended as shard logs are absorbed; held open while the job is live)
-//	│   ├── lease.wal        (lease journal, from the job's first lease until it finishes)
-//	│   ├── shards/          (local workers' shard stores, removed when the job finishes)
-//	│   ├── summary.csv      (rendered on completion)
-//	│   └── report.md        (rendered on completion)
-//	└── queue.json           (queued-job order, written on graceful shutdown)
+//	└── <spec-hash[:16]>/    one run store per submitted grid
+//	    ├── manifest.json    (written at submission — the durable queue; created_at orders it)
+//	    ├── jobs.log         (job log: appended as shard logs are absorbed; held open while the job is live)
+//	    ├── lease.wal        (lease journal, from the job's first lease until it finishes)
+//	    ├── shards/          (local workers' shard stores, removed when the job finishes)
+//	    ├── summary.csv      (rendered on completion)
+//	    └── report.md        (rendered on completion)
 //
 // Crash recovery is therefore discovery: on startup the service scans the
 // root; complete stores re-register as cache hits, incomplete ones are
 // queued again and resume mid-grid (their absorbed jobs are never re-run),
 // and a lease WAL restores the lease table of a job a fleet is still
-// draining. Only full-grid stores are jobs: a shard store found under the
-// root is logged and skipped. queue.json only orders the queued jobs —
-// losing it (a hard kill) or finding it torn loses no work.
+// draining. Jobs are listed, and leased, in the order of their manifests'
+// created_at, after a graceful shutdown and a hard kill alike. Only
+// full-grid stores are jobs: a shard store found under the root is logged
+// and skipped.
 package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -136,9 +138,6 @@ const (
 	StateFailed  State = "failed"
 )
 
-// queueFile persists queued-job order across graceful restarts.
-const queueFile = "queue.json"
-
 // localShardsDir holds the local workers' shard stores inside a job's
 // store directory — not at the store root, where report.Discover would
 // take a shard store (it carries the job's spec hash) for a job.
@@ -163,7 +162,7 @@ type job struct {
 	state      State
 	done       int // completed grid jobs (including previously persisted)
 	errMsg     string
-	createdAt  time.Time
+	createdAt  time.Time // the manifest's created_at: submission order
 	finishedAt time.Time
 	store      *report.Store // open while the job is queued or running
 	dist       *distJob      // lease state; nil until store is set, and for jobs recovered done
@@ -245,9 +244,8 @@ type Server struct {
 }
 
 // New builds the service and recovers the store root: finished stores
-// become cache entries, interrupted ones are queued again (in queue.json
-// order where available) and will resume mid-grid. Local workers start
-// immediately.
+// become cache entries, interrupted ones are queued again and will resume
+// mid-grid, all in submission order. Local workers start immediately.
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	if opt.StoreRoot == "" {
@@ -284,9 +282,10 @@ func New(opt Options) (*Server, error) {
 // running, when their lease WAL shows a fleet still draining them. An
 // incomplete store is opened once more and held, like a submitted job's.
 // A shard store is never a job: its Missing counts only its own slice,
-// so it would pass for the whole grid. queue.json, when present and
-// readable, orders the incomplete ones; stores it does not mention (hard
-// kill, manual drops) follow in directory order.
+// so it would pass for the whole grid. Jobs are registered in the order
+// of their manifests' created_at, the submission order: the order the
+// list endpoint shows and local workers lease in. Ties (stores written
+// with whole-second times) keep directory order.
 func (s *Server) recover() {
 	// Discover is best-effort: a corrupt store must not take the healthy
 	// ones (and the whole service) down with it — log and skip.
@@ -294,20 +293,12 @@ func (s *Server) recover() {
 	if err != nil {
 		s.opt.Logf("serve: store root has unreadable stores (skipped): %v", err)
 	}
-	var order []string
-	qPath := filepath.Join(s.opt.StoreRoot, queueFile)
-	if blob, err := os.ReadFile(qPath); err == nil {
-		if err := json.Unmarshal(blob, &order); err != nil {
-			// The file only orders recovery: a torn one costs the order,
-			// never work or the service.
-			s.opt.Logf("serve: ignoring corrupt %s (recovering in directory order): %v", qPath, err)
-			order = nil
-		}
-		os.Remove(qPath) // consumed; from here the stores are the truth
-	}
+	slices.SortStableFunc(infos, func(a, b report.StoreInfo) int {
+		return createdAt(a.Manifest).Compare(createdAt(b.Manifest))
+	})
 
 	now := time.Now()
-	for _, info := range infos { // directory order: deterministic
+	for _, info := range infos {
 		if !info.Manifest.Shard.IsFull() {
 			s.opt.Logf("serve: skipping shard store %s (shard %s of job %.12s): only full-grid stores are jobs",
 				info.Dir, info.Manifest.Shard, info.Manifest.SpecHash)
@@ -324,8 +315,11 @@ func (s *Server) recover() {
 			total:     info.Manifest.TotalJobs,
 			manifest:  info.Manifest,
 			done:      info.Recorded,
-			createdAt: now,
+			createdAt: createdAt(info.Manifest),
 			hub:       newHub(),
+		}
+		if j.createdAt.IsZero() {
+			s.opt.Logf("serve: store %s: unreadable created_at %q — listed first", info.Dir, info.Manifest.CreatedAt)
 		}
 		if !info.Complete() {
 			store, err := report.Open(info.Dir)
@@ -339,6 +333,9 @@ func (s *Server) recover() {
 			// previous coordinator died; restore the lease table so live
 			// fleet workers keep their shards.
 			s.recoverDist(j, now)
+			if j.state == StateQueued {
+				s.opt.Logf("serve: recovered job %.12s (%d/%d done)", h, j.done, j.total)
+			}
 		} else {
 			j.state = StateDone
 			j.finishedAt = now
@@ -353,25 +350,17 @@ func (s *Server) recover() {
 			os.Remove(filepath.Join(info.Dir, leaseWALFile))
 			os.RemoveAll(filepath.Join(info.Dir, localShardsDir))
 		}
-		order = append(order, h)
 		s.jobs[h] = j
+		s.order = append(s.order, h)
 	}
-	// Finished jobs are listed first, then the others in recovery order:
-	// the order local workers lease in.
-	listed := make(map[string]bool)
-	for _, done := range []bool{true, false} {
-		for _, h := range order {
-			j, ok := s.jobs[h]
-			if !ok || listed[h] || (j.state == StateDone) != done {
-				continue
-			}
-			listed[h] = true
-			s.order = append(s.order, h)
-			if j.state == StateQueued {
-				s.opt.Logf("serve: recovered job %.12s (%d/%d done)", h, j.done, j.total)
-			}
-		}
-	}
+}
+
+// createdAt parses the submission time a manifest records (RFC 3339,
+// fractional seconds optional); zero when it does not parse. Parsed, not
+// compared as strings: trimmed fractional seconds do not sort lexically.
+func createdAt(m report.Manifest) time.Time {
+	t, _ := time.Parse(time.RFC3339Nano, m.CreatedAt)
+	return t
 }
 
 // ErrQueueFull is returned by Submit when QueueDepth jobs are already
@@ -455,7 +444,7 @@ func (s *Server) Submit(specs []sim.ScenarioSpec) (Status, error) {
 		total:     m.TotalJobs,
 		manifest:  m,
 		state:     StateQueued,
-		createdAt: time.Now(),
+		createdAt: createdAt(m),
 		hub:       newHub(),
 	}
 	s.jobs[j.id] = j
@@ -674,12 +663,13 @@ func (s *Server) finishJob(j *job, err error) {
 // shards — until ctx expires, at which point they stop at the next chunk
 // boundary and hand each partial log in as a failed shard, so the shard
 // requeues and the lease WAL records it. A job left with no leased shard
-// goes back to queued; their order is written to queue.json so a restart
-// resumes them in submission order. A job a fleet worker still holds a
-// lease on stays running, its WAL kept for the next process. Live jobs'
-// stores are closed (a later upload fails with a storage error), and
-// their event hubs too, so SSE subscribers are released rather than left
-// waiting on a process that will publish nothing more.
+// goes back to queued; its manifest keeps its place in the submission
+// order for the next process. A job a fleet worker still holds a lease on
+// stays running, its WAL kept for the next process. Live jobs' stores are
+// closed (a later upload fails with a storage error), and their event
+// hubs too, so SSE subscribers are released rather than left waiting on a
+// process that will publish nothing more. The error reports stores that
+// did not close cleanly.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -691,7 +681,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	interrupt()
 	s.cancelRun()
 
-	var queued []string
 	var stores []*report.Store
 	s.mu.Lock()
 	for _, id := range s.order {
@@ -701,9 +690,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		requeued := j.state == StateRunning && !j.leased()
 		if requeued {
 			j.state = StateQueued
-		}
-		if j.state == StateQueued {
-			queued = append(queued, id)
 		}
 		if j.wal != nil {
 			// Keep the journal (the next process replays it and the fleet
@@ -725,25 +711,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	s.mu.Unlock()
+	var errs []error
 	for _, st := range stores {
 		if err := st.Close(); err != nil {
-			s.opt.Logf("serve: closing store %s: %v", st.Dir(), err)
+			errs = append(errs, fmt.Errorf("serve: closing store %s: %w", st.Dir(), err))
 		}
 	}
-
-	if len(queued) == 0 {
-		return nil
-	}
-	return writeQueue(s.opt.StoreRoot, queued)
-}
-
-// writeQueue replaces root/queue.json atomically and durably (synced
-// before the rename), so a crash leaves the old file or the new one,
-// never a torn one.
-func writeQueue(root string, ids []string) error {
-	blob, err := json.Marshal(ids)
-	if err != nil {
-		return err
-	}
-	return wal.WriteAtomic(filepath.Join(root, queueFile), append(blob, '\n'), true)
+	return errors.Join(errs...)
 }

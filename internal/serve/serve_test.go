@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -314,10 +316,6 @@ func TestKillMidGridAndResume(t *testing.T) {
 		t.Skip("grid finished before the kill could land; resume path not exercised")
 	}
 	t.Logf("killed mid-grid at %d/%d jobs", info.Recorded, info.Recorded+info.Missing)
-	// Graceful shutdown persisted the pending queue.
-	if _, err := os.Stat(filepath.Join(root, queueFile)); err != nil {
-		t.Fatalf("queue.json not written on shutdown: %v", err)
-	}
 
 	// Restart: recovery re-enqueues the interrupted job and resumes it.
 	_, ts2 := newTestServer(t, Options{StoreRoot: root, GridWorkers: 1, CurvePoints: 4})
@@ -619,15 +617,14 @@ func TestFailedJobResubmitRetries(t *testing.T) {
 	}
 }
 
-// TestTornQueueFileDoesNotStopRecovery: queue.json only orders recovery,
-// so a torn one — a kill while it was being written — must not keep the
-// service from starting. New logs it with its path and drops it, and the
-// incomplete store beside it resumes to a summary byte-identical to
-// RunGrid.
+// TestTornQueueFileDoesNotStopRecovery: the service no longer writes or
+// reads queue.json (the manifests order recovery), so a stray torn one
+// left in the root by an older version must not keep the service from
+// starting, and the incomplete store beside it resumes to a summary
+// byte-identical to RunGrid.
 func TestTornQueueFileDoesNotStopRecovery(t *testing.T) {
 	root := t.TempDir()
-	// Half a grid: one of two shards absorbed, then a graceful shutdown,
-	// which writes queue.json.
+	// Half a grid: one of two shards absorbed, then a graceful shutdown.
 	s1, err := New(Options{StoreRoot: root, Workers: -1, ShardSize: 2, CurvePoints: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -645,24 +642,11 @@ func TestTornQueueFileDoesNotStopRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Shutdown(t.Context())
-	qPath := filepath.Join(root, queueFile)
-	if _, err := os.Stat(qPath); err != nil {
-		t.Fatalf("queue.json not written on shutdown: %v", err)
-	}
-	if err := os.WriteFile(qPath, []byte(`["abc`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(root, "queue.json"), []byte(`["abc`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	var (
-		mu   sync.Mutex
-		logs []string
-	)
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		logs = append(logs, fmt.Sprintf(format, args...))
-	}
-	_, ts := newTestServer(t, Options{StoreRoot: root, ShardSize: 2, CurvePoints: 4, Logf: logf})
+	_, ts := newTestServer(t, Options{StoreRoot: root, ShardSize: 2, CurvePoints: 4})
 	if got := waitState(t, ts, st.ID, StateDone); got.Done != got.Total {
 		t.Fatalf("resumed job = %+v", got)
 	}
@@ -672,18 +656,6 @@ func TestTornQueueFileDoesNotStopRecovery(t *testing.T) {
 	}
 	if want := directSummary(t, tinySpecs(), 4); !bytes.Equal(got, want) {
 		t.Errorf("summary after a torn queue.json differs from RunGrid:\n got:\n%s\nwant:\n%s", got, want)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	logged := false
-	for _, line := range logs {
-		logged = logged || strings.Contains(line, qPath)
-	}
-	if !logged {
-		t.Errorf("torn queue.json not logged with its path; log:\n%s", strings.Join(logs, "\n"))
-	}
-	if _, err := os.Stat(qPath); !os.IsNotExist(err) {
-		t.Errorf("torn queue.json left in place: %v", err)
 	}
 }
 
@@ -743,5 +715,98 @@ func TestShardStoreUnderRootIsNotAJob(t *testing.T) {
 	}
 	if !logged {
 		t.Errorf("skipped shard store not logged with its path; log:\n%s", strings.Join(logs, "\n"))
+	}
+}
+
+// TestSubmissionOrderSurvivesRestarts: recovered jobs are listed, and
+// leased by a local worker, in submission order, which their manifests'
+// created_at records: after a graceful shutdown and after a hard kill
+// alike. The three jobs are submitted in the reverse of their store
+// directories' order, so directory order cannot pass for it.
+func TestSubmissionOrderSurvivesRestarts(t *testing.T) {
+	var lists [][]sim.ScenarioSpec
+	for seed := uint64(1); seed <= 3; seed++ {
+		specs := faultSpecs("uniform")
+		specs[0].Seed = seed
+		lists = append(lists, specs)
+	}
+	hash := func(specs []sim.ScenarioSpec) string {
+		h, err := report.SpecHash(specs, faultCurvePoints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	sort.Slice(lists, func(a, b int) bool { return hash(lists[a]) > hash(lists[b]) })
+
+	for _, stop := range []string{"graceful", "hard-kill"} {
+		t.Run(stop, func(t *testing.T) {
+			root := t.TempDir()
+			opt := Options{StoreRoot: root, Workers: -1, ShardSize: 100, CurvePoints: faultCurvePoints}
+			s1, err := New(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for _, specs := range lists {
+				st, err := s1.Submit(specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, st.ID)
+			}
+			if stop == "graceful" {
+				if err := s1.Shutdown(t.Context()); err != nil {
+					t.Fatal(err)
+				}
+			} // else s1 is abandoned with its stores open, as a kill -9 leaves them
+
+			s2, err := New(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Shutdown(t.Context())
+			var listed []string
+			for _, st := range s2.Jobs() {
+				listed = append(listed, st.ID)
+			}
+			if !slices.Equal(listed, want) {
+				t.Fatalf("recovered jobs listed in order %.12q, want submission order %.12q", listed, want)
+			}
+			for i, id := range want { // one shard per job
+				j, _, err := s2.leaseNext(localWorkerPrefix + "0")
+				if err != nil {
+					t.Fatalf("lease %d: %v", i, err)
+				}
+				if j.id != id {
+					t.Fatalf("lease %d went to job %.12s, want %.12s", i, j.id, id)
+				}
+			}
+		})
+	}
+}
+
+// TestRecoveredJobKeepsItsCreatedAt: a recovered job reports the
+// submission time its manifest records, not the time of the restart.
+func TestRecoveredJobKeepsItsCreatedAt(t *testing.T) {
+	root := t.TempDir()
+	m, err := report.NewManifest("experiments serve", tinySpecs(), 4, report.Shard{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.CreatedAt = "2020-01-01T00:00:00Z"
+	store, err := report.Create(report.DirForHash(root, m.SpecHash), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	s, err := New(Options{StoreRoot: root, Workers: -1, CurvePoints: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(t.Context())
+	if st, ok := s.Job(m.SpecHash); !ok || st.CreatedAt != m.CreatedAt {
+		t.Fatalf("recovered job = %+v (found %v), want created_at %s", st, ok, m.CreatedAt)
 	}
 }

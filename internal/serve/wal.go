@@ -11,29 +11,30 @@ import (
 	"obm/internal/wal"
 )
 
-// The coordinator's lease write-ahead log. The absorbed shard logs are
-// the durable truth for outcomes; this journal makes the lease table
+// The coordinator's lease write-ahead log. The job's run store is the
+// only record of what is done; this journal makes the lease table
 // crash-recoverable too, so a restarted coordinator keeps honoring live
 // workers' heartbeats instead of aborting their shards mid-replay.
 //
-// Every lease-state transition appends one record to <job-dir>/lease.wal
-// (framing and torn-tail trimming come from internal/wal; payload
-// encoding reuses the internal/snap primitives). Records journal the
+// Every lease transition appends one record to <job-dir>/lease.wal:
+// init (the shard count, on the job's first lease), lease, heartbeat and
+// requeue. Framing and torn-tail trimming come from internal/wal; payload
+// encoding reuses the internal/snap primitives. Records journal the
 // POST-transition state, so replay is assignment plus strict legality
-// checks: a lease record must land on a pending shard with the next
-// attempt number, a heartbeat must name the current token, a requeue
-// must land on a leased shard. Any violation — duplicated, reordered or
-// hand-edited records — classifies as snap.ErrCorrupt and the whole log
-// is discarded rather than replayed into a lie (recovery then queues the
-// job afresh, which is always safe: outcomes live in the store).
+// checks: init comes first and only once, a lease must land on a pending
+// shard with the next attempt number, a heartbeat must name the current
+// token and never lower the progress, a requeue must land on a leased
+// shard. Any violation — duplicated, reordered or hand-edited records —
+// classifies as snap.ErrCorrupt and the whole log is discarded rather
+// than replayed into a lie (recovery then queues the job afresh, which is
+// always safe: outcomes live in the store).
 //
-// The WAL is strictly a durability optimization with one invariant:
-// it may lag the store (a crash between an upload's absorb and its WAL
-// record), never lead it. Recovery therefore reconciles every replayed
-// shard against the store and trusts the store's verdict. Leases whose
-// TTL lapsed while the coordinator was down, and leases its own local
-// workers held, are requeued on the spot; live fleet leases are re-armed
-// to a full TTL so the worker's next heartbeat lands instead of 409ing.
+// No record says a shard is done: recovery overlays the replayed leases
+// on the shard table planned from the store, and the store decides which
+// shards are done (reconcile). Leases whose TTL lapsed while the
+// coordinator was down, and leases its own local workers held, are
+// requeued on the spot; live fleet leases are re-armed to a full TTL so
+// the worker's next heartbeat lands instead of 409ing.
 
 // leaseWALFile is the per-job WAL file name, next to the job log.
 const leaseWALFile = "lease.wal"
@@ -42,18 +43,16 @@ const leaseWALFile = "lease.wal"
 type walOp uint8
 
 const (
-	walOpInit      walOp = 1 // shard partition planned (shard count, recorded jobs)
+	walOpInit      walOp = 1 // shard partition planned (shard count)
 	walOpLease     walOp = 2 // shard leased to a worker
 	walOpHeartbeat walOp = 3 // lease renewed, progress reported
-	walOpRequeue   walOp = 4 // lease reaped (TTL) — shard back to pending
-	walOpShardDone walOp = 5 // upload proved the shard fully recorded
-	walOpAbsorb    walOp = 6 // partial upload absorbed (optionally requeuing its shard)
+	walOpRequeue   walOp = 4 // lease reaped, or handed back by a partial upload: shard back to pending
 )
 
 const (
-	// maxWALString caps decoded token/worker strings (tokens are 32 hex
-	// chars; worker names are short) so a corrupt length cannot size an
-	// allocation.
+	// maxWALString caps token and worker strings (tokens are 32 hex
+	// chars; the lease endpoint refuses longer worker names) so a corrupt
+	// length cannot size an allocation.
 	maxWALString = 256
 	// maxWALShards caps the decoded shard count for the same reason.
 	maxWALShards = 1 << 16
@@ -70,9 +69,6 @@ func walEncode(f func(w *snap.Writer)) []byte {
 }
 
 func walWriteString(w *snap.Writer, s string) {
-	if len(s) > maxWALString {
-		s = s[:maxWALString]
-	}
 	w.U32(uint32(len(s)))
 	w.Bytes([]byte(s))
 }
@@ -90,11 +86,10 @@ func walReadString(r *snap.Reader) (string, error) {
 	return string(b), r.Err()
 }
 
-func walRecInit(shards, recorded int) []byte {
+func walRecInit(shards int) []byte {
 	return walEncode(func(w *snap.Writer) {
 		w.U8(uint8(walOpInit))
 		w.U32(uint32(shards))
-		w.U32(uint32(recorded))
 	})
 }
 
@@ -126,54 +121,22 @@ func walRecRequeue(shard int) []byte {
 	})
 }
 
-func walRecShardDone(shard, recorded int) []byte {
-	return walEncode(func(w *snap.Writer) {
-		w.U8(uint8(walOpShardDone))
-		w.U32(uint32(shard))
-		w.U32(uint32(recorded))
-	})
-}
-
-// walRecAbsorb records a partial absorb; requeued is the shard returned
-// to pending by it, or -1 when only the recorded count moved (a stale
-// upload from an expired lease).
-func walRecAbsorb(requeued, recorded int) []byte {
-	return walEncode(func(w *snap.Writer) {
-		w.U8(uint8(walOpAbsorb))
-		w.U32(uint32(int32(requeued)))
-		w.U32(uint32(recorded))
-	})
-}
-
-// walShardView is one shard's lease state as reconstructed from the WAL
-// (shardState minus the plan-derived jobs slice, which replay re-derives
-// from the manifest).
-type walShardView struct {
-	phase    shardPhase
-	token    string
-	worker   string
-	expires  time.Time
-	done     int
-	attempts int
-}
-
-// walJobState is the lease-table state machine the WAL replays into. Its
-// apply method is strict: records must describe transitions the live
-// coordinator could actually have performed, in an order it could have
-// performed them, or the log classifies as corrupt.
+// walJobState is the lease table the WAL replays into: each shard's lease
+// state, without the plan slice (reconcile adds it). Its apply method is
+// strict: records must describe transitions the live coordinator could
+// actually have performed, in an order it could have performed them, or
+// the log classifies as corrupt.
 type walJobState struct {
-	inited   bool
-	shards   []walShardView
-	recorded int
+	shards []shardState // nil until the init record
 }
 
 // shardRef decodes a shard index and bounds-checks it.
-func (st *walJobState) shardRef(r *snap.Reader) (*walShardView, error) {
+func (st *walJobState) shardRef(r *snap.Reader) (*shardState, error) {
 	k := r.U32()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if !st.inited {
+	if st.shards == nil {
 		return nil, snap.Corruptf("serve wal: record before init")
 	}
 	if int(k) >= len(st.shards) {
@@ -192,22 +155,20 @@ func (st *walJobState) apply(payload []byte) error {
 	}
 	switch op {
 	case walOpInit:
-		n, rec := r.U32(), r.U32()
+		n := r.U32()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if st.inited {
+		if st.shards != nil {
 			return snap.Corruptf("serve wal: duplicate init record")
 		}
 		if n == 0 || n > maxWALShards {
 			return snap.Corruptf("serve wal: init names %d shards (max %d)", n, maxWALShards)
 		}
-		st.inited = true
-		st.shards = make([]walShardView, n)
+		st.shards = make([]shardState, n)
 		for k := range st.shards {
 			st.shards[k].phase = shardPending
 		}
-		st.recorded = int(rec)
 
 	case walOpLease:
 		sh, err := st.shardRef(r)
@@ -235,7 +196,6 @@ func (st *walJobState) apply(payload []byte) error {
 		sh.phase = shardLeased
 		sh.token, sh.worker = token, worker
 		sh.expires = time.Unix(0, expires)
-		sh.done = 0
 		sh.attempts = int(attempts)
 
 	case walOpHeartbeat:
@@ -268,52 +228,7 @@ func (st *walJobState) apply(payload []byte) error {
 		if sh.phase != shardLeased {
 			return snap.Corruptf("serve wal: requeue of a %s shard", sh.phase)
 		}
-		sh.phase = shardPending
-		sh.token, sh.worker, sh.done = "", "", 0
-
-	case walOpShardDone:
-		sh, err := st.shardRef(r)
-		if err != nil {
-			return err
-		}
-		rec := r.U32()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if sh.phase == shardDone {
-			return snap.Corruptf("serve wal: duplicate shard-done record")
-		}
-		if int(rec) < st.recorded {
-			return snap.Corruptf("serve wal: recorded count went backwards (%d after %d)", rec, st.recorded)
-		}
-		sh.phase = shardDone
-		sh.token, sh.worker, sh.done = "", "", 0
-		st.recorded = int(rec)
-
-	case walOpAbsorb:
-		k := int(int32(r.U32()))
-		rec := r.U32()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if !st.inited {
-			return snap.Corruptf("serve wal: record before init")
-		}
-		if int(rec) < st.recorded {
-			return snap.Corruptf("serve wal: recorded count went backwards (%d after %d)", rec, st.recorded)
-		}
-		if k != -1 {
-			if k < 0 || k >= len(st.shards) {
-				return snap.Corruptf("serve wal: shard %d out of range (have %d)", k, len(st.shards))
-			}
-			sh := &st.shards[k]
-			if sh.phase != shardLeased {
-				return snap.Corruptf("serve wal: absorb-requeue of a %s shard", sh.phase)
-			}
-			sh.phase = shardPending
-			sh.token, sh.worker, sh.done = "", "", 0
-		}
-		st.recorded = int(rec)
+		sh.release(shardPending)
 
 	default:
 		return snap.Corruptf("serve wal: unknown op %d", op)
@@ -325,6 +240,20 @@ func (st *walJobState) apply(payload []byte) error {
 		return snap.Corruptf("serve wal: trailing bytes after op %d", op)
 	}
 	return nil
+}
+
+// reconcile overlays shards, the lease state replayed from a job's WAL,
+// on table, the shard table attach planned from the job's store, in
+// place: each shard gets its plan slice, and a shard the store holds
+// whole is done, whatever its last journaled lease said. The lengths
+// must match.
+func reconcile(shards, table []shardState) {
+	for k := range shards {
+		shards[k].jobs = table[k].jobs
+		if table[k].phase == shardDone {
+			shards[k].release(shardDone)
+		}
+	}
 }
 
 // walAppend journals one lease-state record for j. Callers hold j.mu
@@ -363,11 +292,14 @@ func (j *job) walDrop() {
 }
 
 // crashPoint names a persistence boundary in the coordinator's lease
-// protocol — the instants right after a WAL append (or, for
-// post-store-absorb, right after an upload became durable in the store
-// but before its WAL record) where a crash leaves the most interesting
-// recoverable state. The fault-injection harness arms crashHook to kill
-// the coordinator at exactly these points.
+// protocol, where a crash leaves the most interesting recoverable state.
+// post-init, post-lease, post-heartbeat and post-requeue follow a WAL
+// append, and so does post-absorb when an owner's partial upload hands
+// its shard back (a requeue record). post-store-absorb follows an
+// upload's store absorb and sync, before the lease table moves; and
+// post-complete, like post-absorb for a stale upload, follows only that
+// absorb: no WAL record marks either. The fault-injection harness arms
+// crashHook to kill the coordinator at exactly these points.
 type crashPoint string
 
 const (
@@ -403,10 +335,10 @@ func (s *Server) crashAt(p crashPoint) {
 // planned from its store. Leases held by the previous process's local
 // workers are requeued at once — their holder died with the coordinator.
 // On any doubt — corrupt or semantically invalid log, shard partition
-// mismatch (a changed -shard-size), store disagreement, or simply no
-// fleet lease still inside its TTL — the WAL is discarded and the job
-// stays queued with that table, which is always safe: job outcomes live
-// in the store, and the next lease starts a fresh WAL.
+// mismatch (a changed -shard-size), or simply no fleet lease still inside
+// its TTL — the WAL is discarded and the job stays queued with that
+// table, which is always safe: job outcomes live in the store, and the
+// next lease starts a fresh WAL.
 func (s *Server) recoverDist(j *job, now time.Time) {
 	path := filepath.Join(j.dir, leaseWALFile)
 	if _, err := os.Stat(path); err != nil {
@@ -429,40 +361,19 @@ func (s *Server) recoverDist(j *job, now time.Time) {
 		discard(nil, "%v", err)
 		return
 	}
-	if !st.inited {
+	if st.shards == nil {
 		lg.Remove() // fresh or fully torn log: nothing to restore
 		return
 	}
-	table := j.dist.shards // planned from the store: a shard is done iff the store holds it
-	n := len(table)
-	if n != len(st.shards) {
+	if n := len(j.dist.shards); n != len(st.shards) {
 		discard(lg, "journaled %d shards, current partition has %d (changed shard size?)", len(st.shards), n)
 		return
 	}
-
-	// Reconcile against the store — the durable truth for outcomes. The
-	// WAL may lag it (a crash between an upload's absorb and its WAL
-	// record) but must never lead it: a journaled-done shard the store
-	// cannot corroborate means the store was tampered with or swapped,
-	// and the whole log is untrustworthy.
-	shards := make([]shardState, n)
+	shards := st.shards
+	reconcile(shards, j.dist.shards)
 	live := 0
 	for k := range shards {
-		v := &st.shards[k]
-		shards[k] = shardState{
-			phase: v.phase, token: v.token, worker: v.worker,
-			expires: v.expires, done: v.done, attempts: v.attempts,
-			jobs: table[k].jobs,
-		}
-		complete := table[k].phase == shardDone
-		if v.phase == shardDone && !complete {
-			discard(lg, "shard %d journaled done but the store is missing its jobs", k)
-			return
-		}
-		if complete {
-			shards[k].phase = shardDone
-			shards[k].token, shards[k].worker, shards[k].done = "", "", 0
-		} else if liveFleetLease(&shards[k], now) {
+		if liveFleetLease(&shards[k], now) {
 			live++
 		}
 	}
@@ -478,25 +389,21 @@ func (s *Server) recoverDist(j *job, now time.Time) {
 	// and re-arm the live ones to a full TTL — the recovery moment is
 	// their new heartbeat epoch, so a worker mid-replay gets its next
 	// renewal in.
-	requeued, recovered := 0, 0
+	requeued := 0
 	for k := range shards {
 		sh := &shards[k]
-		if sh.phase != shardLeased {
-			continue
-		}
-		if !liveFleetLease(sh, now) {
+		switch {
+		case liveFleetLease(sh, now):
+			sh.expires = now.Add(s.opt.LeaseTTL)
+		case sh.phase == shardLeased:
 			if err := lg.Append(walRecRequeue(k)); err == nil {
 				s.met.walAppends.Inc()
 			}
-			sh.phase = shardPending
-			sh.token, sh.worker, sh.done = "", "", 0
+			sh.release(shardPending)
 			requeued++
-			continue
 		}
-		sh.expires = now.Add(s.opt.LeaseTTL)
-		recovered++
 	}
-	s.met.walRecoveredLeases.Add(uint64(recovered))
+	s.met.walRecoveredLeases.Add(uint64(live))
 	s.met.leasesExpired.Add(uint64(requeued))
 
 	j.mu.Lock()
@@ -507,7 +414,7 @@ func (s *Server) recoverDist(j *job, now time.Time) {
 	j.done = j.fleetDone()
 	j.mu.Unlock()
 	s.opt.Logf("serve: job %.12s: lease WAL recovered (%d records: %d live leases re-armed, %d dead leases requeued, %d/%d jobs recorded)",
-		j.id, replayed, recovered, requeued, j.dist.recorded, j.total)
+		j.id, replayed, live, requeued, j.dist.recorded, j.total)
 }
 
 // liveFleetLease reports whether sh is a lease recovery re-arms: held by

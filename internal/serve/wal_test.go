@@ -14,7 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"obm/internal/report"
+	"obm/internal/snap"
 	"obm/internal/wal"
+	"obm/internal/wal/waltest"
 )
 
 // pickLease deterministically selects one held lease (map iteration order
@@ -35,10 +38,12 @@ func pickLease(rng *rand.Rand, leases map[int]Lease) (int, Lease, bool) {
 // TestWALReplayMatchesInMemoryState is the model-based property test:
 // random interleavings of the five lease-table operations — lease,
 // heartbeat, expire(+reap), failed partial upload, full completion —
-// applied to a live coordinator must leave a WAL whose strict replay
-// reconstructs the in-memory shard table exactly (phase, token, worker,
-// progress, attempts, recorded count). Shard 0 is never fully completed
-// so the job stays live and its journal stays on disk.
+// applied to a live coordinator must leave a WAL whose strict replay,
+// reconciled against the store as recovery does it, reconstructs the
+// in-memory shard table exactly (phase, token, worker, progress,
+// attempts). The WAL journals no completion, so only the reconciliation
+// marks completed shards done. Shard 0 is never fully completed so the
+// job stays live and its journal stays on disk.
 func TestWALReplayMatchesInMemoryState(t *testing.T) {
 	logs := buildShardLogs(t, "uniform")
 	for _, seed := range []int64{1, 7, 42, 1234} {
@@ -120,7 +125,6 @@ func TestWALReplayMatchesInMemoryState(t *testing.T) {
 				sh := &j.dist.shards[k]
 				mem[k] = view{sh.phase, sh.token, sh.worker, sh.done, sh.attempts}
 			}
-			memRecorded := j.dist.recorded
 			walPath := j.wal.Path()
 			j.mu.Unlock()
 
@@ -140,6 +144,16 @@ func TestWALReplayMatchesInMemoryState(t *testing.T) {
 			if len(replayed.shards) != len(mem) {
 				t.Fatalf("replay has %d shards, memory has %d", len(replayed.shards), len(mem))
 			}
+			// The shard table recovery plans from the store, as attach
+			// plans it for a recovered job.
+			store, err := report.Open(j.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			planned := &job{}
+			s.attach(planned, store)
+			reconcile(replayed.shards, planned.dist.shards)
 			for k := range mem {
 				got := replayed.shards[k]
 				if got.phase != mem[k].phase || got.token != mem[k].token ||
@@ -148,9 +162,6 @@ func TestWALReplayMatchesInMemoryState(t *testing.T) {
 					t.Errorf("shard %d: replay {%s %q %q done=%d att=%d} != memory %+v",
 						k, got.phase, got.token, got.worker, got.done, got.attempts, mem[k])
 				}
-			}
-			if replayed.recorded != memRecorded {
-				t.Errorf("replay recorded = %d, memory = %d", replayed.recorded, memRecorded)
 			}
 		})
 	}
@@ -442,11 +453,11 @@ func TestSSESubscribersReconnectAcrossRestart(t *testing.T) {
 // TestConcurrentHandInsJournalInOrder: two goroutines hand in different
 // shards of one coordinator-only job at the same moment. The crash hook,
 // used here as a barrier, holds each hand-in at the store-absorb boundary
-// until the other one has absorbed too, so both journal after both
-// absorbs, in whichever order they take the job lock. The recorded
-// counts they journal must still never go backwards: a restart over the
-// same root replays the WAL without discarding it, and the job finishes
-// byte-identical to RunGrid.
+// until the other one has absorbed too, so both move the lease table
+// after both absorbs, in whichever order they take the job lock. The
+// journal must still replay: a restart over the same root replays the
+// WAL without discarding it, takes both completions from the store, and
+// the job finishes byte-identical to RunGrid.
 func TestConcurrentHandInsJournalInOrder(t *testing.T) {
 	want := directSummary(t, faultSpecs("uniform"), faultCurvePoints)
 	root := t.TempDir()
@@ -537,5 +548,71 @@ func TestConcurrentHandInsJournalInOrder(t *testing.T) {
 	}
 	if got := summaryBytes(t, s2, j2); !bytes.Equal(got, want) {
 		t.Fatalf("summary after concurrent hand-ins differs from RunGrid:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRestartDiscardsParentFormatWAL is the upgrade path: a lease.wal
+// written before the WAL dropped its journaled record counts carries a
+// second field in its init record, so strict replay rejects it. A
+// restart beside a half-done store discards it once, queues the job, and
+// the job finishes byte-identical to RunGrid, its leased shard run again.
+func TestRestartDiscardsParentFormatWAL(t *testing.T) {
+	want := directSummary(t, faultSpecs("uniform"), faultCurvePoints)
+	logs := buildShardLogs(t, "uniform")
+	root := t.TempDir()
+	s1 := faultCoordinator(t, root)
+	st, err := s1.Submit(faultSpecs("uniform"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1, _ := s1.lookup(st.ID)
+	if _, err := s1.completeShard(j1, 0, "", "w0", "", bytes.NewReader(logs[0])); err != nil {
+		t.Fatal(err)
+	}
+	s1.Shutdown(t.Context())
+
+	// The old records, hand-encoded: init (shard count, recorded jobs), a
+	// live lease of shard 1, and shard 0's shard-done (op 5: shard,
+	// recorded jobs).
+	old := waltest.Image(
+		walEncode(func(w *snap.Writer) {
+			w.U8(1)
+			w.U32(uint32(len(logs)))
+			w.U32(0)
+		}),
+		walRecLease(1, &shardState{token: "tok", worker: "old-worker", expires: time.Now().Add(time.Hour), attempts: 1}),
+		walEncode(func(w *snap.Writer) {
+			w.U8(5)
+			w.U32(0)
+			w.U32(3)
+		}),
+	)
+	if err := os.WriteFile(filepath.Join(j1.dir, leaseWALFile), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := faultCoordinator(t, root)
+	defer s2.Shutdown(t.Context())
+	if n := s2.met.walDiscarded.Value(); n != 1 {
+		t.Fatalf("walDiscarded = %d, want 1", n)
+	}
+	j2, _ := s2.lookup(st.ID)
+	if got := j2.status(); got.State != StateQueued || got.Done != 3 {
+		t.Fatalf("job beside a parent-format WAL = %+v, want queued with shard 0's 3 jobs", got)
+	}
+	for {
+		l, err := s2.lease(j2, "w1")
+		if errors.Is(err, ErrNoLease) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s2.completeShard(j2, l.Shard, l.Token, "w1", "", bytes.NewReader(logs[l.Shard])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := summaryBytes(t, s2, j2); !bytes.Equal(got, want) {
+		t.Fatalf("summary after discarding a parent-format WAL differs from RunGrid:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

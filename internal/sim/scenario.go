@@ -73,9 +73,9 @@ func (s ScenarioSpec) withDefaults() ScenarioSpec {
 
 // Bounds on the spec values that size allocations.
 const (
-	// MaxRacks bounds a scenario's rack count. A cost model is a racks²
-	// int32 table, 64 MiB at the bound; the paper uses 50 and 100 racks.
-	MaxRacks = 4096
+	// MaxRacks bounds a scenario's rack count: trace.MaxRacks, the one
+	// rack bound of the stack.
+	MaxRacks = trace.MaxRacks
 	// MaxGridJobs bounds the jobs one spec list plans, so a huge Reps or
 	// sweep is refused before the job list is allocated.
 	MaxGridJobs = 1 << 20

@@ -64,6 +64,7 @@ func WriteCSVStream(w io.Writer, s Stream) error {
 
 // ReadCSV parses a trace written by WriteCSV. The "# racks=… name=…"
 // comment is optional; if absent, NumRacks is inferred as max index + 1.
+// A declared or inferred rack count above MaxRacks is an error.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -82,6 +83,9 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 					n, err := strconv.Atoi(v)
 					if err != nil {
 						return nil, fmt.Errorf("trace: line %d: bad racks= value %q", lineNo, v)
+					}
+					if n > MaxRacks {
+						return nil, fmt.Errorf("trace: line %d: racks=%d, at most %d", lineNo, n, MaxRacks)
 					}
 					t.NumRacks = n
 				} else if v, ok := strings.CutPrefix(field, "name="); ok {
@@ -107,6 +111,9 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		}
 		if u < 0 || v < 0 {
 			return nil, fmt.Errorf("trace: line %d: negative rack index", lineNo)
+		}
+		if u >= MaxRacks || v >= MaxRacks {
+			return nil, fmt.Errorf("trace: line %d: rack index %d out of range [0,%d)", lineNo, max(u, v), MaxRacks)
 		}
 		if u == v {
 			return nil, fmt.Errorf("trace: line %d: self-loop request at %d", lineNo, u)
@@ -197,7 +204,10 @@ func WriteBinaryStream(w io.Writer, s Stream) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses a trace written by WriteBinary.
+// ReadBinary parses a trace written by WriteBinary. A rack count above
+// MaxRacks is an error, and the header's request count is only a claim:
+// the request slice grows as records arrive, so a short body is an error,
+// never an allocation sized from the header.
 func ReadBinary(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -214,22 +224,22 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	if v := binary.LittleEndian.Uint32(hdr[0:]); v != binaryVersion {
 		return nil, fmt.Errorf("trace: unsupported version %d", v)
 	}
-	t := &Trace{NumRacks: int(binary.LittleEndian.Uint32(hdr[4:]))}
-	count := binary.LittleEndian.Uint64(hdr[8:])
-	const maxReasonable = 1 << 33
-	if count > maxReasonable {
-		return nil, fmt.Errorf("trace: implausible request count %d", count)
+	racks := binary.LittleEndian.Uint32(hdr[4:])
+	if racks > MaxRacks {
+		return nil, fmt.Errorf("trace: %d racks, at most %d", racks, MaxRacks)
 	}
-	t.Reqs = make([]Request, count)
-	buf := make([]byte, 8)
-	for i := range t.Reqs {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("trace: reading request %d: %w", i, err)
+	t := &Trace{NumRacks: int(racks)}
+	count := binary.LittleEndian.Uint64(hdr[8:])
+	t.Reqs = make([]Request, 0, min(count, 1<<16))
+	var buf [8]byte
+	for i := uint64(0); i < count; i++ {
+		if _, err := io.ReadFull(br, buf[:]); err != nil {
+			return nil, fmt.Errorf("trace: reading request %d of %d: %w", i, count, err)
 		}
-		t.Reqs[i] = Request{
+		t.Reqs = append(t.Reqs, Request{
 			Src: int32(binary.LittleEndian.Uint32(buf[0:])),
 			Dst: int32(binary.LittleEndian.Uint32(buf[4:])),
-		}
+		})
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -197,5 +198,48 @@ func TestWriteCSVStreamIsResumable(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("second streamed write differs from the first")
+	}
+}
+
+// TestReadBinaryHugeCountIsAnError: a 20-byte binary trace whose header
+// declares 2³² requests is a truncated body, and an error, not a 32 GiB
+// allocation sized from the header. A rack count beyond MaxRacks is an
+// error too.
+func TestReadBinaryHugeCountIsAnError(t *testing.T) {
+	hdr := func(racks uint32, count uint64) []byte {
+		b := []byte(binaryMagic)
+		b = binary.LittleEndian.AppendUint32(b, binaryVersion)
+		b = binary.LittleEndian.AppendUint32(b, racks)
+		return binary.LittleEndian.AppendUint64(b, count)
+	}
+	probe := hdr(8, 1<<32)
+	if len(probe) != 20 {
+		t.Fatalf("probe is %d bytes, want 20", len(probe))
+	}
+	if _, err := ReadBinary(bytes.NewReader(probe)); err == nil {
+		t.Fatal("a 20-byte trace declaring 2^32 requests was accepted")
+	}
+	huge := binary.LittleEndian.AppendUint64(hdr(MaxRacks+1, 1), 1)
+	if _, err := ReadBinary(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "racks") {
+		t.Fatalf("a trace of %d racks: err = %v, want the rack bound", MaxRacks+1, err)
+	}
+}
+
+// TestReadCSVHugeRackCountIsAnError: a CSV declaring 100000 racks, or one
+// whose largest index implies more than MaxRacks, is an error: the caller
+// would otherwise build a racks² table for it. An index past int32 is
+// refused too, rather than wrapped to a small one.
+func TestReadCSVHugeRackCountIsAnError(t *testing.T) {
+	for _, in := range []string{
+		"# racks=100000 name=probe\nsrc,dst\n0,1\n1,2\n",
+		"src,dst\n0,1\n1,4096\n",
+		"src,dst\n0,1\n1,4294967296\n",
+	} {
+		if tr, err := ReadCSV(strings.NewReader(in)); err == nil {
+			t.Errorf("%q: accepted as %d racks, want the %d-rack bound", in, tr.NumRacks, MaxRacks)
+		}
+	}
+	if tr, err := ReadCSV(strings.NewReader("src,dst\n0,1\n1,4095\n")); err != nil || tr.NumRacks != MaxRacks {
+		t.Fatalf("a trace at the bound: %v, %v; want %d racks", tr, err, MaxRacks)
 	}
 }

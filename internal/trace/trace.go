@@ -92,6 +92,11 @@ func (k PairKey) String() string {
 	return fmt.Sprintf("{%d,%d}", u, v)
 }
 
+// MaxRacks bounds the rack count of every trace, scenario and engine
+// session in the stack. A cost model is a racks² int32 table, 64 MiB at
+// the bound; the paper uses 50 and 100 racks.
+const MaxRacks = 4096
+
 // Trace is a finite request sequence over NumRacks racks.
 type Trace struct {
 	Name     string

@@ -3,8 +3,8 @@
 // every subsystem that keeps a durable event stream: the run store's job
 // log (internal/report) and the coordinator's lease WAL (internal/serve).
 // WriteAtomic replaces a whole file at once, for the small files that are
-// rewritten rather than appended to: manifests, rendered summaries,
-// replay checkpoints and the service's queue.
+// rewritten rather than appended to: manifests, rendered summaries and
+// replay checkpoints.
 //
 // It deliberately mirrors the internal/snap discipline: little-endian
 // framing, CRC-32 (IEEE) integrity trailers, and a decoder that is safe

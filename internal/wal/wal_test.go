@@ -235,7 +235,7 @@ func TestEmptyAndMissing(t *testing.T) {
 // a failed replace leaves the old file and no temp file behind.
 func TestWriteAtomic(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "queue.json")
+	path := filepath.Join(dir, "manifest.json")
 	for _, sync := range []bool{false, true} {
 		want := []byte(fmt.Sprintf("sync=%v\n", sync))
 		if err := WriteAtomic(path, want, sync); err != nil {

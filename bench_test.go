@@ -592,3 +592,56 @@ func BenchmarkScenarioValidate(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScenarioSource times one grid job's workload for each paper
+// trace family at the fleet-drain benchmark's size (1/100 of the paper's
+// requests, at the paper's rack counts): building the job's source and
+// draining it through a reused chunk. fresh builds the source from the
+// spec, tables included; fork takes it from a Workloads whose prototype
+// is already set up, as every grid job after a scenario's first does.
+// At this size the setup is a large share of a job's generation, so the
+// two differ by what sharing it saves.
+func BenchmarkScenarioSource(b *testing.B) {
+	for _, f := range []struct {
+		family   string
+		racks    int
+		requests int
+	}{
+		{"microsoft", 50, 1750000 / 100},
+		{"facebook-webservice", 100, 400000 / 100},
+		{"facebook-database", 100, 350000 / 100},
+		{"facebook-hadoop", 100, 185000 / 100},
+	} {
+		spec := sim.ScenarioSpec{Name: f.family, Family: f.family, Racks: f.racks, Requests: f.requests, Seed: 1, Bs: []int{6}}
+		drain := func(b *testing.B, src trace.Source, err error, chunk *trace.CompiledChunk) {
+			if err != nil {
+				b.Fatal(err)
+			}
+			for {
+				if _, err := src.Next(chunk); err != nil {
+					return
+				}
+			}
+		}
+		b.Run(f.family+"/fresh", func(b *testing.B) {
+			chunk := trace.NewChunk(0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				src, err := spec.NewSource()
+				drain(b, src, err, chunk)
+			}
+		})
+		b.Run(f.family+"/fork", func(b *testing.B) {
+			chunk := trace.NewChunk(0)
+			w := sim.NewWorkloads([]sim.ScenarioSpec{spec})
+			src, err := w.Source(spec.Name)
+			drain(b, src, err, chunk)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src, err := w.Source(spec.Name)
+				drain(b, src, err, chunk)
+			}
+		})
+	}
+}

@@ -133,10 +133,11 @@ func newToken() string {
 	return hex.EncodeToString(b[:])
 }
 
-// attach hands a queued job its open store and the shard table planned
-// from it: shards whose every job the store already records (a recovered
-// partial grid, an earlier failed run) start out done instead of being
-// re-executed. It runs right after the store is created or opened.
+// attach hands a queued job its open store, the shard table planned from
+// it and the workloads of its specs: shards whose every job the store
+// already records (a recovered partial grid, an earlier failed run) start
+// out done instead of being re-executed. It runs right after the store is
+// created or opened.
 func (s *Server) attach(j *job, store *report.Store) {
 	plan := store.Plan()
 	n := max(1, (len(plan.Jobs)+s.opt.ShardSize-1)/s.opt.ShardSize)
@@ -147,8 +148,10 @@ func (s *Server) attach(j *job, store *report.Store) {
 			shards[k].phase = shardDone
 		}
 	}
+	workloads := sim.NewWorkloads(store.Manifest().Specs)
 	j.mu.Lock()
 	j.store = store
+	j.workloads = workloads
 	j.dist = &distJob{shards: shards, recorded: store.Len()}
 	j.done = j.dist.recorded
 	j.mu.Unlock()

@@ -149,9 +149,11 @@ const localShardsDir = "shards"
 const localWorkerPrefix = "local/"
 
 // job is one submitted grid: a run store plus in-memory execution state.
-// A queued or running job holds its store open and its shard table; both
-// are set together once the store is created or opened, and a finished
-// job drops the store. The coordinator is the only writer of that store.
+// A queued or running job holds its store open, its shard table and the
+// workloads its local shard runs share (each scenario's cost model and
+// generator tables, built once per job); all three are set together once
+// the store is created or opened, and a finished job drops the store and
+// the workloads. The coordinator is the only writer of that store.
 type job struct {
 	id       string // the full spec hash — job identity == result identity
 	dir      string
@@ -164,9 +166,10 @@ type job struct {
 	errMsg     string
 	createdAt  time.Time // the manifest's created_at: submission order
 	finishedAt time.Time
-	store      *report.Store // open while the job is queued or running
-	dist       *distJob      // lease state; nil until store is set, and for jobs recovered done
-	wal        *wal.Log      // lease-state journal; nil until the first lease, and after an append failure
+	store      *report.Store  // open while the job is queued or running
+	workloads  *sim.Workloads // set and dropped with store
+	dist       *distJob       // lease state; nil until store is set, and for jobs recovered done
+	wal        *wal.Log       // lease-state journal; nil until the first lease, and after an append failure
 	hub        *hub
 }
 
@@ -576,11 +579,16 @@ func (s *Server) leaseNext(worker string) (*job, Lease, error) {
 
 // runLocalShard runs one leased shard in process: RunShard, as on a fleet
 // worker, with direct calls for transport and a heartbeat after every
-// finished grid job, so status and SSE move job by job. A shard that
-// fails here fails its job, as a grid run does — retrying it in this
-// process would only fail again; resubmitting the job retries it.
+// finished grid job, so status and SSE move job by job. The shard reads
+// the job's workloads, so the local workers set each scenario up once
+// per job. A shard that fails here fails its job, as a grid run does —
+// retrying it in this process would only fail again; resubmitting the
+// job retries it.
 func (s *Server) runLocalShard(j *job, l Lease, name string) {
 	logf := func(format string, args ...any) { s.opt.Logf("serve: %s "+format, append([]any{name}, args...)...) }
+	j.mu.Lock()
+	workloads := j.workloads // nil once the job finished: the grid makes its own
+	j.mu.Unlock()
 	res := RunShard(s.runCtx, ShardRun{
 		Lease: l,
 		Dir:   filepath.Join(j.dir, localShardsDir, fmt.Sprintf("%d-of-%d", l.Shard, l.Shards)),
@@ -589,6 +597,7 @@ func (s *Server) runLocalShard(j *job, l Lease, name string) {
 			ChunkSize: s.opt.ChunkSize,
 			Parallel:  s.opt.Parallel,
 			Metrics:   s.sim,
+			Workloads: workloads,
 		},
 		Heartbeat: func(_ context.Context, done int) error {
 			_, err := s.heartbeat(j, l.Shard, l.Token, done)
@@ -632,7 +641,7 @@ func (s *Server) finishJob(j *job, err error) {
 	}
 	j.walDrop() // terminal state: the journal must never be replayed
 	store := j.store
-	j.store = nil
+	j.store, j.workloads = nil, nil
 	j.finishedAt = time.Now()
 	if err != nil {
 		j.state = StateFailed

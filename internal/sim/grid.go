@@ -15,10 +15,13 @@ import (
 
 // The scenario-grid scheduler: a list of ScenarioSpecs is expanded into a
 // (scenario × algorithm × b × rep) job grid and executed by a worker pool.
-// Every job builds its own streaming source, so memory is O(workers ×
-// chunk) regardless of trace lengths, and jobs never share mutable state.
-// Repetitions of one (scenario, algorithm, b) cell are aggregated into a
-// stats.Summary row.
+// Every job reads its own streaming source, so memory is O(workers ×
+// chunk) regardless of trace lengths, and jobs never share mutable state:
+// a job's source is a fork of its scenario's prototype stream (see
+// Workloads), which shares only the read-only setup — the tables over the
+// rack pairs and the state after the setup draws — and owns its RNG,
+// cursor and working set. Repetitions of one (scenario, algorithm, b)
+// cell are aggregated into a stats.Summary row.
 //
 // The grid supports durable execution through three orthogonal hooks, all
 // built on the fact that a job's outcome is a pure function of its
@@ -121,6 +124,14 @@ type GridOptions struct {
 	// throughput, executed jobs, fold and checkpoint timings). Purely
 	// observational: instrumented runs produce bit-identical outcomes.
 	Metrics *Metrics
+	// Workloads, when non-nil, supplies each scenario's cost model and
+	// prototype stream, so grid runs handed the same Workloads (the
+	// shards of one job, say) set each scenario up once between them. It
+	// must be built for exactly these specs, or the grid fails; nil gives
+	// the run a private one. Like Workers, it is a throughput hook, never
+	// part of job identity: a fork replays the requests a fresh stream
+	// does, so outcomes are byte-identical with and without it.
+	Workloads *Workloads
 }
 
 // GridRow is one aggregated cell: the final costs of one (scenario,
@@ -305,6 +316,12 @@ func RunGridContext(ctx context.Context, specs []ScenarioSpec, opt GridOptions) 
 	if opt.Shards > 1 && (opt.Shard < 0 || opt.Shard >= opt.Shards) {
 		return nil, fmt.Errorf("sim: shard %d/%d out of range", opt.Shard, opt.Shards)
 	}
+	w := opt.Workloads
+	if w == nil {
+		w = newWorkloads(specs)
+	} else if err := w.check(specs); err != nil {
+		return nil, err
+	}
 
 	// Partition (sharding) and short-circuit (resume) before execution.
 	outcomes := make(map[GridJob]JobOutcome, len(plan.Jobs))
@@ -321,7 +338,7 @@ func RunGridContext(ctx context.Context, specs []ScenarioSpec, opt GridOptions) 
 		}
 		run = append(run, runtimeJob{GridJob: j})
 	}
-	if err := bindJobs(specs, run); err != nil {
+	if err := bindJobs(w, run); err != nil {
 		return nil, err
 	}
 
@@ -338,7 +355,7 @@ func RunGridContext(ctx context.Context, specs []ScenarioSpec, opt GridOptions) 
 		var res RunResult
 		return func(ji int) error {
 			j := &run[ji]
-			err := runGridJob(ctx, j.spec, j.model, j.alg, j.GridJob, &opt, chunk, &res)
+			err := runGridJob(ctx, w, j.spec, j.alg, j.GridJob, &opt, chunk, &res)
 			if err != nil {
 				err = fmt.Errorf("sim: grid %s: %w", j.GridJob, err)
 			} else {
@@ -386,30 +403,23 @@ func RunGridContext(ctx context.Context, specs []ScenarioSpec, opt GridOptions) 
 // runtimeJob is a planned job bound to what executing it needs.
 type runtimeJob struct {
 	GridJob
-	spec  ScenarioSpec
-	model core.CostModel
-	alg   AlgSpec
+	spec ScenarioSpec
+	alg  AlgSpec
 }
 
 // bindJobs binds the jobs left to run to their scenarios and algorithms.
-// A scenario's cost model (a racks² distance table) is built once, and
-// only if one of its jobs is left to run: a fully resumed grid builds
-// none.
-func bindJobs(specs []ScenarioSpec, run []runtimeJob) error {
-	byName := make(map[string]ScenarioSpec, len(specs))
-	for _, s := range specs {
-		byName[s.Name] = s.withDefaults()
-	}
-	models := make(map[string]core.CostModel, len(specs))
+// A scenario's cost model (a racks² distance table) comes from w, built
+// once and only if one of its jobs is left to run: a fully resumed grid
+// builds none.
+func bindJobs(w *Workloads, run []runtimeJob) error {
 	for i := range run {
 		j := &run[i]
-		j.spec = byName[j.Scenario]
-		if _, ok := models[j.Scenario]; !ok {
-			models[j.Scenario] = j.spec.Model()
+		sw, err := w.scenario(j.Scenario)
+		if err != nil {
+			return err
 		}
-		j.model = models[j.Scenario]
-		var err error
-		if j.alg, err = j.spec.algSpec(j.Alg, j.model); err != nil {
+		j.spec = sw.spec
+		if j.alg, err = j.spec.algSpec(j.Alg, sw.costModel()); err != nil {
 			return err
 		}
 	}
@@ -444,20 +454,16 @@ func gridCheckpoints(total, curvePoints int) []int {
 	return []int{total}
 }
 
-// runGridJob replays one grid job: it builds the job's own streaming
-// source (workers never share generator state) against the scenario's
-// pre-built model and records cumulative costs at the job's checkpoints.
+// runGridJob replays one grid job: it takes the job's own streaming
+// source from w (a fork of the scenario's prototype: workers never share
+// generator state) and records cumulative costs at the job's checkpoints.
 // Multi-plane jobs take the parallel replay path when the grid runs with
 // Parallel > 1; the outcome is identical either way. Mid-job checkpointing
 // applies only to the sequential path — the parallel path replays whole
 // jobs or not at all, but still drops any stale checkpoint it completes
 // past.
-func runGridJob(ctx context.Context, spec ScenarioSpec, model core.CostModel, as AlgSpec, j GridJob, opt *GridOptions, chunk *trace.CompiledChunk, res *RunResult) error {
-	st, err := spec.NewStream()
-	if err != nil {
-		return err
-	}
-	src, err := trace.NewSource(st, model.Metric.Dist)
+func runGridJob(ctx context.Context, w *Workloads, spec ScenarioSpec, as AlgSpec, j GridJob, opt *GridOptions, chunk *trace.CompiledChunk, res *RunResult) error {
+	src, err := w.Source(j.Scenario)
 	if err != nil {
 		return err
 	}

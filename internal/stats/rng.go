@@ -10,6 +10,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // Rand is a deterministic pseudo-random number generator based on
@@ -76,28 +77,17 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	threshold := -n % n
-	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, n)
-		if lo >= threshold {
-			return hi
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	// The rejection threshold 2⁶⁴ mod n is below n, so a low word of at
+	// least n is accepted without computing it: the division runs with
+	// probability n/2⁶⁴.
+	if lo < n {
+		threshold := -n % n
+		for lo < threshold {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
-}
-
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
+	return hi
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -161,3 +161,53 @@ func TestBoolProbability(t *testing.T) {
 		t.Fatalf("Bool(0.3) frequency = %v", p)
 	}
 }
+
+// uint64nReference is Uint64n as it was before the threshold became
+// lazy: the rejection threshold is computed on every draw, with a
+// hand-rolled 64×64→128 multiply.
+func uint64nReference(r *Rand, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	threshold := -n % n
+	for {
+		hi, lo := mul64Reference(r.Uint64(), n)
+		if lo >= threshold {
+			return hi
+		}
+	}
+}
+
+func mul64Reference(x, y uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	x0, x1 := x&mask32, x>>32
+	y0, y1 := y&mask32, y>>32
+	w0 := x0 * y0
+	t := x1*y0 + w0>>32
+	w1 := t & mask32
+	w2 := t >> 32
+	w1 += x0 * y1
+	hi = x1*y1 + w2 + w1>>32
+	lo = x * y
+	return
+}
+
+// TestUint64nMatchesReference: computing the rejection threshold only
+// when the low word is below n leaves every draw bit-identical. The n
+// just above 2⁶³ rejects about half its draws, so the rejection loop runs.
+func TestUint64nMatchesReference(t *testing.T) {
+	ns := []uint64{1, 2, 3, 7, 1225, 4950, 1<<32 - 1, 1<<32 + 1, 1<<62 + 1, 1 << 63, 1<<63 + 1, math.MaxUint64}
+	for _, seed := range []uint64{1, 42, 0xdeadbeef} {
+		for _, n := range ns {
+			got, want := NewRand(seed), NewRand(seed)
+			for i := 0; i < 100000; i++ {
+				if g, w := got.Uint64n(n), uint64nReference(want, n); g != w {
+					t.Fatalf("seed %d, n %d, draw %d: Uint64n = %d, reference = %d", seed, n, i, g, w)
+				}
+			}
+			if got.State() != want.State() {
+				t.Fatalf("seed %d, n %d: generator states diverged", seed, n)
+			}
+		}
+	}
+}

@@ -63,19 +63,6 @@ func FacebookStyle(p FacebookParams) (*Trace, error) {
 	return Collect(s), nil
 }
 
-// pairFromIndex maps a linear index in [0, n(n-1)/2) to the unordered pair
-// it denotes, enumerating pairs (0,1), (0,2), …, (0,n-1), (1,2), ….
-func pairFromIndex(idx, n int) (int, int) {
-	u := 0
-	rowLen := n - 1
-	for idx >= rowLen {
-		idx -= rowLen
-		u++
-		rowLen--
-	}
-	return u, u + 1 + idx
-}
-
 // Cluster identifies one of the paper's three Facebook workload presets.
 type Cluster int
 

@@ -10,8 +10,9 @@ import (
 //
 //	id = u·(2n−u−1)/2 + (v−u−1),
 //
-// enumerating (0,1), (0,2), …, (0,n−1), (1,2), … exactly like
-// pairFromIndex. PairID order therefore coincides with PairKey order, so
+// enumerating (0,1), (0,2), …, (0,n−1), (1,2), …, the order in which
+// the generators' pair tables index the pair universe. PairID order
+// therefore coincides with PairKey order, so
 // "smallest pair" tie-breaks are interchangeable between the two
 // representations — a property the seed-reproducibility contract of the
 // online algorithms relies on.

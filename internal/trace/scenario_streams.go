@@ -61,11 +61,20 @@ func (p *DiurnalParams) Validate() error {
 }
 
 type diurnalStream struct {
-	p         DiurnalParams
-	r         *stats.Rand
-	peak, off *stats.Zipf // nil until the first Reset or Next
+	p     DiurnalParams
+	setup *diurnalSetup // nil until the first Reset or Next; shared by forks
+	r     *stats.Rand
+	pos   int
+}
+
+// diurnalSetup is what a diurnal stream's setup computes from its
+// parameters, read-only once built: the two Zipf tables, the shared
+// permutation of the pair universe, and the RNG state after drawing it.
+type diurnalSetup struct {
+	peak, off *stats.Zipf
 	perm      []int
-	pos       int
+	idx       *PairIndex
+	r         stats.Rand // the generator after the permutation draw
 }
 
 // NewDiurnalStream builds the diurnal load-swing stream. Both distributions
@@ -83,22 +92,39 @@ func (s *diurnalStream) Name() string  { return s.p.Name }
 func (s *diurnalStream) NumRacks() int { return s.p.Racks }
 func (s *diurnalStream) Len() int      { return s.p.Requests }
 
-// Reset redraws the shared permutation. The first Reset also builds the
-// two Zipf tables, which draw nothing from the RNG.
+// Reset restores the RNG state after the permutation draw. The first
+// Reset builds the two Zipf tables, which draw nothing from the RNG, and
+// draws the permutation.
 func (s *diurnalStream) Reset() {
-	if s.peak == nil {
-		s.peak = stats.NewZipf(NumPairs(s.p.Racks), s.p.PeakSkew)
-		s.off = stats.NewZipf(NumPairs(s.p.Racks), s.p.OffSkew)
+	if s.setup == nil {
+		np := NumPairs(s.p.Racks)
+		r := stats.NewRand(s.p.Seed)
+		s.setup = &diurnalSetup{
+			peak: stats.NewZipf(np, s.p.PeakSkew),
+			off:  stats.NewZipf(np, s.p.OffSkew),
+			perm: r.Perm(np),
+			idx:  SharedPairIndex(s.p.Racks),
+			r:    *r,
+		}
 	}
-	s.r.Seed(s.p.Seed)
-	s.perm = s.r.Perm(NumPairs(s.p.Racks))
+	*s.r = s.setup.r
 	s.pos = 0
 }
 
+// Fork returns a stream at request 0 sharing the receiver's setup.
+func (s *diurnalStream) Fork() Stream {
+	f := &diurnalStream{p: s.p, setup: s.setup, r: stats.NewRand(s.p.Seed)}
+	if f.setup != nil {
+		f.Reset()
+	}
+	return f
+}
+
 func (s *diurnalStream) Next(buf []Request) int {
-	if s.peak == nil {
+	if s.setup == nil {
 		s.Reset()
 	}
+	st := s.setup
 	n := 0
 	for n < len(buf) && s.pos < s.p.Requests {
 		// Peak intensity: 0 at midnight, 1 at noon, sinusoidal in between.
@@ -106,11 +132,11 @@ func (s *diurnalStream) Next(buf []Request) int {
 		intensity := 0.5 - 0.5*math.Cos(phase)
 		var rank int
 		if s.r.Bool(intensity) {
-			rank = s.peak.Sample(s.r)
+			rank = st.peak.Sample(s.r)
 		} else {
-			rank = s.off.Sample(s.r)
+			rank = st.off.Sample(s.r)
 		}
-		u, v := pairFromIndex(s.perm[rank], s.p.Racks)
+		u, v := st.idx.Endpoints(PairID(st.perm[rank]))
 		buf[n] = Request{Src: int32(u), Dst: int32(v)}
 		s.pos++
 		n++
@@ -293,14 +319,24 @@ type tenant struct {
 	lo, hi int // rack range [lo, hi)
 	zipf   *stats.Zipf
 	perm   []int
+	idx    *PairIndex // over the tenant's hi−lo racks
 }
 
 type tenantMixStream struct {
-	p       TenantMixParams
-	r       *stats.Rand
-	tenants []tenant // nil until the first Reset or Next
+	p     TenantMixParams
+	setup *tenantMixSetup // nil until the first Reset or Next; shared by forks
+	r     *stats.Rand
+	pos   int
+}
+
+// tenantMixSetup is what a tenant-mix stream's setup computes from its
+// parameters, read-only once built: the Zipf table over the tenants, the
+// tenants with their pair tables and permutations, and the RNG state
+// after drawing the permutations.
+type tenantMixSetup struct {
 	tzipf   *stats.Zipf
-	pos     int
+	tenants []tenant
+	r       stats.Rand // the generator after the permutation draws
 }
 
 // NewTenantMixStream builds the multi-tenant overlay stream.
@@ -316,36 +352,54 @@ func (s *tenantMixStream) Name() string  { return s.p.Name }
 func (s *tenantMixStream) NumRacks() int { return s.p.Racks }
 func (s *tenantMixStream) Len() int      { return s.p.Requests }
 
-// Reset redraws the per-tenant permutations. The first Reset also builds
-// the rack-range partition and the Zipf tables, which draw nothing from
-// the RNG.
+// Reset restores the RNG state after the per-tenant permutation draws.
+// The first Reset builds the rack-range partition and the Zipf tables,
+// which draw nothing from the RNG, and draws the permutations.
 func (s *tenantMixStream) Reset() {
-	if s.tenants == nil {
-		q := s.p
-		s.tzipf = stats.NewZipf(q.Tenants, q.TenantSkew)
-		s.tenants = make([]tenant, q.Tenants)
-		per := q.Racks / q.Tenants
-		for i := range s.tenants {
-			lo := i * per
-			hi := lo + per
-			if i == q.Tenants-1 {
-				hi = q.Racks
-			}
-			s.tenants[i] = tenant{lo: lo, hi: hi, zipf: stats.NewZipf(NumPairs(hi-lo), q.PairSkew)}
-		}
+	if s.setup == nil {
+		s.setup = newTenantMixSetup(s.p)
 	}
-	s.r.Seed(s.p.Seed)
-	for i := range s.tenants {
-		t := &s.tenants[i]
-		t.perm = s.r.Perm(NumPairs(t.hi - t.lo))
-	}
+	*s.r = s.setup.r
 	s.pos = 0
 }
 
+// newTenantMixSetup partitions the racks and draws each tenant's
+// permutation in tenant order; the Zipf tables draw nothing from the RNG.
+func newTenantMixSetup(q TenantMixParams) *tenantMixSetup {
+	r := stats.NewRand(q.Seed)
+	st := &tenantMixSetup{tzipf: stats.NewZipf(q.Tenants, q.TenantSkew), tenants: make([]tenant, q.Tenants)}
+	per := q.Racks / q.Tenants
+	for i := range st.tenants {
+		lo := i * per
+		hi := lo + per
+		if i == q.Tenants-1 {
+			hi = q.Racks
+		}
+		st.tenants[i] = tenant{
+			lo: lo, hi: hi,
+			zipf: stats.NewZipf(NumPairs(hi-lo), q.PairSkew),
+			perm: r.Perm(NumPairs(hi - lo)),
+			idx:  SharedPairIndex(hi - lo),
+		}
+	}
+	st.r = *r
+	return st
+}
+
+// Fork returns a stream at request 0 sharing the receiver's setup.
+func (s *tenantMixStream) Fork() Stream {
+	f := &tenantMixStream{p: s.p, setup: s.setup, r: stats.NewRand(s.p.Seed)}
+	if f.setup != nil {
+		f.Reset()
+	}
+	return f
+}
+
 func (s *tenantMixStream) Next(buf []Request) int {
-	if s.tenants == nil {
+	if s.setup == nil {
 		s.Reset()
 	}
+	st := s.setup
 	n := 0
 	for n < len(buf) && s.pos < s.p.Requests {
 		var u, v int
@@ -356,8 +410,8 @@ func (s *tenantMixStream) Next(buf []Request) int {
 				v = s.r.Intn(s.p.Racks)
 			}
 		} else {
-			t := &s.tenants[s.tzipf.Sample(s.r)]
-			lu, lv := pairFromIndex(t.perm[t.zipf.Sample(s.r)], t.hi-t.lo)
+			t := &st.tenants[st.tzipf.Sample(s.r)]
+			lu, lv := t.idx.Endpoints(PairID(t.perm[t.zipf.Sample(s.r)]))
 			u, v = t.lo+lu, t.lo+lv
 		}
 		buf[n] = Request{Src: int32(u), Dst: int32(v)}

@@ -12,15 +12,18 @@ const DefaultChunkSize = 8192
 
 // CompiledChunk is the unit of transfer between a Source and a replay
 // loop: each Next points Reqs at up to the chunk's size in requests. A
-// generating source compiles into the chunk's private buffer, allocated
-// on first use and recycled for the whole run (the bounded-memory
-// contract of streamed replay); a materialized trace's source hands out
-// views of the trace itself. Reqs is therefore read-only, and a chunk
-// reused across source kinds never writes into a trace.
+// generating source reads raw requests into the chunk's scratch and
+// compiles them into its private buffer, both allocated on first use and
+// recycled for the whole run (the bounded-memory contract of streamed
+// replay), so a chunk reused across jobs allocates them once; a
+// materialized trace's source hands out views of the trace itself. Reqs
+// is therefore read-only, and a chunk reused across source kinds never
+// writes into a trace.
 type CompiledChunk struct {
 	Reqs []CompiledReq
 	size int
 	buf  []CompiledReq
+	raw  []Request
 }
 
 // NewChunk returns an empty chunk delivering up to size requests per Next
@@ -38,6 +41,15 @@ func (c *CompiledChunk) fillBuf() []CompiledReq {
 		c.buf = make([]CompiledReq, c.size)
 	}
 	return c.buf
+}
+
+// rawBuf returns the chunk's scratch for uncompiled requests at full
+// capacity.
+func (c *CompiledChunk) rawBuf() []Request {
+	if c.raw == nil {
+		c.raw = make([]Request, c.size)
+	}
+	return c.raw
 }
 
 // Source is a stream of compiled requests: a trace generated, resolved
@@ -74,8 +86,7 @@ type streamSource struct {
 	s    Stream
 	dist func(u, v int) int
 	idx  *PairIndex
-	raw  []Request // scratch for the uncompiled chunk, grown to chunk capacity
-	pos  int       // requests emitted so far (error reporting)
+	pos  int // requests emitted so far (error reporting)
 	// atStart reports that nothing was read since the last Reset, so the
 	// next Reset has nothing to rewind: a replay's Reset right after
 	// NewSource does not redo the stream's setup draws.
@@ -112,22 +123,18 @@ func (c *streamSource) Reset() {
 }
 
 func (c *streamSource) Next(chunk *CompiledChunk) (int, error) {
-	capN := chunk.size
-	if capN == 0 {
+	if chunk.size == 0 {
 		return 0, fmt.Errorf("trace: source %q: Next with zero-capacity chunk", c.s.Name())
 	}
-	if cap(c.raw) < capN {
-		c.raw = make([]Request, capN)
-	}
-	buf := chunk.fillBuf()
+	raw, buf := chunk.rawBuf(), chunk.fillBuf()
 	c.atStart = false
-	n := c.s.Next(c.raw[:capN])
+	n := c.s.Next(raw)
 	chunk.Reqs = buf[:n]
 	if n == 0 {
 		return 0, io.EOF
 	}
 	racks := c.s.NumRacks()
-	for i, r := range c.raw[:n] {
+	for i, r := range raw[:n] {
 		u, v := int(r.Src), int(r.Dst)
 		if u < 0 || u >= racks || v < 0 || v >= racks {
 			return 0, fmt.Errorf("trace: source %q: request %d = (%d,%d) out of range [0,%d)",

@@ -29,10 +29,14 @@ import (
 // Next.
 // Constructing a stream is therefore the cheap way to validate its
 // parameters, and a job that constructs, wraps and replays a stream
-// builds its tables once (see NewSource).
+// builds its tables once (see NewSource). Streams with tables also fork
+// (see Forker): a fork shares the tables and the state after the setup
+// draws, read-only, and owns its RNG, cursor and working set, so the
+// jobs of one scenario set it up once between them.
 //
 // Streams are not safe for concurrent use; replays that run in parallel
-// each build their own stream from the same parameters.
+// each read their own stream: one built from the same parameters, or a
+// fork of one.
 type Stream interface {
 	// Name identifies the workload (same convention as Trace.Name).
 	Name() string
@@ -48,6 +52,25 @@ type Stream interface {
 	// produced; 0 means the stream is exhausted. The first Next of a
 	// fresh stream sets it up as Reset does.
 	Next(buf []Request) int
+}
+
+// Forker is implemented by streams whose setup is worth sharing: the
+// tables over the rack pairs and the state after the setup draws, all
+// pure functions of the stream's parameters. Fork returns a new stream at
+// request 0 of the receiver's sequence. The fork shares what the
+// receiver's setup computed — read-only from then on — and owns its
+// mutable state: the RNG, the cursor and, where the sequence rewrites
+// one, its working set. So a fork costs a copy of that mutable state,
+// not a rebuild of the tables, and its sequence is bit-identical to a
+// fresh stream's.
+//
+// Fork never reads the receiver's cursor, so a fork of an advanced
+// stream still starts at request 0, and it never writes the receiver:
+// once the receiver has been Reset (or read) once, Fork is safe to call
+// from many goroutines. A fork of a receiver that was never set up
+// builds its own tables on first use.
+type Forker interface {
+	Fork() Stream
 }
 
 // Collect materializes a stream into a Trace, resetting it first. The
@@ -76,14 +99,53 @@ type pairUV struct{ u, v int }
 type facebookStream struct {
 	p        FacebookParams
 	name     string
+	setup    *facebookSetup // nil until the first Reset or Next; shared by forks
 	r        *stats.Rand
-	zipf     *stats.Zipf // nil until the first Reset or Next
-	perm     []int
 	ws       []pairUV
-	burst    *stats.BurstChain
+	burst    stats.BurstChain
 	prev     pairUV
 	havePrev bool
 	pos      int
+}
+
+// facebookSetup is what a Facebook stream's setup computes from its
+// parameters, read-only once built: the Zipf table over the rack pairs,
+// the random permutation spreading its ranks over the fabric, and the
+// state the setup draws leave behind (working set, burst chain, RNG).
+type facebookSetup struct {
+	zipf  *stats.Zipf
+	perm  []int
+	idx   *PairIndex
+	ws    []pairUV
+	burst stats.BurstChain
+	r     stats.Rand // the generator after the setup draws
+}
+
+// newFacebookSetup makes the materialized generator's setup draws in its
+// order: permutation, working-set fill, burst-chain initial state. The
+// Zipf table draws nothing from the RNG.
+func newFacebookSetup(p FacebookParams) *facebookSetup {
+	r := stats.NewRand(p.Seed)
+	st := &facebookSetup{
+		zipf:  stats.NewZipf(NumPairs(p.Racks), p.ZipfSkew),
+		perm:  r.Perm(NumPairs(p.Racks)),
+		idx:   SharedPairIndex(p.Racks),
+		ws:    make([]pairUV, p.WorkingSet),
+		burst: *stats.NewBurstChain(p.BurstProb, p.BurstLen),
+	}
+	for i := range st.ws {
+		st.ws[i] = st.drawGlobal(r)
+	}
+	st.burst.Reset(r)
+	st.r = *r
+	return st
+}
+
+// drawGlobal samples the global Zipf-over-pairs distribution (spread over
+// the fabric by the random permutation).
+func (st *facebookSetup) drawGlobal(r *stats.Rand) pairUV {
+	u, v := st.idx.Endpoints(PairID(st.perm[st.zipf.Sample(r)]))
+	return pairUV{u, v}
 }
 
 // NewFacebookStream returns the streaming form of FacebookStyle(p).
@@ -95,50 +157,46 @@ func NewFacebookStream(p FacebookParams) (Stream, error) {
 	if name == "" {
 		name = fmt.Sprintf("facebook-style(n=%d,s=%.2f)", p.Racks, p.ZipfSkew)
 	}
-	return &facebookStream{
-		p:     p,
-		name:  name,
-		r:     stats.NewRand(p.Seed),
-		burst: stats.NewBurstChain(p.BurstProb, p.BurstLen),
-	}, nil
+	return &facebookStream{p: p, name: name, r: stats.NewRand(p.Seed)}, nil
 }
 
 func (s *facebookStream) Name() string  { return s.name }
 func (s *facebookStream) NumRacks() int { return s.p.Racks }
 func (s *facebookStream) Len() int      { return s.p.Requests }
 
-// Reset redoes the setup draws of the materialized generator in the same
-// order: permutation, working-set fill, burst-chain initial state. The
-// first Reset also builds the Zipf table over the rack pairs and the
-// working set; the table draws nothing from the RNG, so later Resets keep
-// it.
+// Reset restores the state after the setup draws. The first Reset makes
+// the setup; later ones copy its working set and RNG state back, since
+// churn rewrites the working set as the stream is read.
 func (s *facebookStream) Reset() {
-	if s.zipf == nil {
-		s.zipf = stats.NewZipf(NumPairs(s.p.Racks), s.p.ZipfSkew)
-		s.ws = make([]pairUV, s.p.WorkingSet)
+	if s.setup == nil {
+		s.setup = newFacebookSetup(s.p)
 	}
-	s.r.Seed(s.p.Seed)
-	s.perm = s.r.Perm(NumPairs(s.p.Racks))
-	for i := range s.ws {
-		u, v := s.drawGlobal()
-		s.ws[i] = pairUV{u, v}
+	st := s.setup
+	if s.ws == nil {
+		s.ws = make([]pairUV, len(st.ws))
 	}
-	s.burst.Reset(s.r)
+	copy(s.ws, st.ws)
+	*s.r = st.r
+	s.burst = st.burst
 	s.prev = pairUV{}
 	s.havePrev = false
 	s.pos = 0
 }
 
-// drawGlobal samples the global Zipf-over-pairs distribution (spread over
-// the fabric by the random permutation).
-func (s *facebookStream) drawGlobal() (int, int) {
-	return pairFromIndex(s.perm[s.zipf.Sample(s.r)], s.p.Racks)
+// Fork returns a stream at request 0 sharing the receiver's setup.
+func (s *facebookStream) Fork() Stream {
+	f := &facebookStream{p: s.p, name: s.name, setup: s.setup, r: stats.NewRand(s.p.Seed)}
+	if f.setup != nil {
+		f.Reset()
+	}
+	return f
 }
 
 func (s *facebookStream) Next(buf []Request) int {
-	if s.zipf == nil {
+	if s.setup == nil {
 		s.Reset()
 	}
+	st := s.setup
 	n := 0
 	for n < len(buf) && s.pos < s.p.Requests {
 		var cur pairUV
@@ -147,14 +205,13 @@ func (s *facebookStream) Next(buf []Request) int {
 		} else if s.r.Bool(s.p.WorkingSetProb) {
 			cur = s.ws[s.r.Intn(len(s.ws))]
 		} else {
-			u, v := s.drawGlobal()
-			cur = pairUV{u, v}
+			cur = st.drawGlobal(s.r)
 		}
 		buf[n] = Request{Src: int32(cur.u), Dst: int32(cur.v)}
 		s.prev, s.havePrev = cur, true
 		if s.r.Bool(s.p.ChurnProb) {
-			u, v := s.drawGlobal()
-			s.ws[s.r.Intn(len(s.ws))] = pairUV{u, v}
+			g := st.drawGlobal(s.r) // before the slot: the generator's draw order
+			s.ws[s.r.Intn(len(s.ws))] = g
 		}
 		s.pos++
 		n++
@@ -257,6 +314,15 @@ func (s *iidStream) Reset() {
 	}
 	s.r.Seed(s.seed)
 	s.pos = 0
+}
+
+// Fork returns a stream at request 0 sharing the receiver's pairs and
+// alias table.
+func (s *iidStream) Fork() Stream {
+	return &iidStream{
+		name: s.name, n: s.n, count: s.count, seed: s.seed,
+		matrix: s.matrix, pairs: s.pairs, alias: s.alias, r: stats.NewRand(s.seed),
+	}
 }
 
 func (s *iidStream) Next(buf []Request) int {

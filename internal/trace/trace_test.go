@@ -107,6 +107,36 @@ func TestShuffledPreservesMultiset(t *testing.T) {
 	}
 }
 
+// pairFromIndex maps a linear index in [0, n(n-1)/2) to the unordered pair
+// it denotes by walking the pair triangle row by row, enumerating pairs
+// (0,1), (0,2), …, (0,n-1), (1,2), …: the reference for the generators'
+// PairIndex lookups.
+func pairFromIndex(idx, n int) (int, int) {
+	u := 0
+	rowLen := n - 1
+	for idx >= rowLen {
+		idx -= rowLen
+		u++
+		rowLen--
+	}
+	return u, u + 1 + idx
+}
+
+// TestPairIndexEndpointsMatchRowWalk: the generators map a pair-table
+// index to its endpoints through the shared PairIndex, and every index
+// lands on the pair the row-by-row walk gives.
+func TestPairIndexEndpointsMatchRowWalk(t *testing.T) {
+	for _, n := range []int{2, 3, 4, 50, 100, 101} {
+		idx := SharedPairIndex(n)
+		for i := 0; i < NumPairs(n); i++ {
+			wu, wv := pairFromIndex(i, n)
+			if u, v := idx.Endpoints(PairID(i)); u != wu || v != wv {
+				t.Fatalf("n=%d index %d: Endpoints = (%d,%d), row walk = (%d,%d)", n, i, u, v, wu, wv)
+			}
+		}
+	}
+}
+
 func TestPairFromIndexBijective(t *testing.T) {
 	n := 17
 	seen := make(map[PairKey]bool)

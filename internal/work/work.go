@@ -33,6 +33,7 @@ import (
 	neturl "net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"time"
@@ -120,6 +121,20 @@ type Runner struct {
 	reg *obs.Registry
 	met workerMetrics
 	sim *sim.Metrics // obm_grid_* instruments for leased-shard replays
+
+	// workloads holds, per job this worker is draining, the specs its
+	// leases carried and the workloads their shard runs share, so the
+	// worker sets each scenario up once per job, not once per shard.
+	// acquire drops the jobs the coordinator no longer lists as queued
+	// or running.
+	mu        sync.Mutex
+	workloads map[string]jobWorkloads
+}
+
+// jobWorkloads is one job's entry in Runner.workloads.
+type jobWorkloads struct {
+	specs []sim.ScenarioSpec
+	w     *sim.Workloads
 }
 
 // New validates opt and builds a Runner.
@@ -135,7 +150,10 @@ func New(opt Options) (*Runner, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &Runner{opt: opt, reg: reg, met: newWorkerMetrics(reg), sim: sim.NewMetrics(reg)}, nil
+	return &Runner{
+		opt: opt, reg: reg, met: newWorkerMetrics(reg), sim: sim.NewMetrics(reg),
+		workloads: map[string]jobWorkloads{},
+	}, nil
 }
 
 // Run leases and executes shards until ctx is cancelled, then waits for
@@ -215,6 +233,7 @@ func (r *Runner) acquire(ctx context.Context) (*serve.Lease, error) {
 		return nil, fmt.Errorf("work: decoding job list: %w", err)
 	}
 	r.pruneStaleShardDirs(list.Jobs)
+	r.pruneWorkloads(list.Jobs)
 	for _, st := range list.Jobs {
 		if st.State != serve.StateQueued && st.State != serve.StateRunning {
 			continue
@@ -295,6 +314,40 @@ func (r *Runner) pruneStaleShardDirs(jobs []serve.Status) {
 	}
 }
 
+// pruneWorkloads drops the workloads of every job the listing does not
+// show as queued or running: a finished job leases nothing more, and a
+// failed one that is resubmitted gets a fresh entry on its next lease.
+func (r *Runner) pruneWorkloads(jobs []serve.Status) {
+	live := make(map[string]bool, len(jobs))
+	for _, st := range jobs {
+		if st.State == serve.StateQueued || st.State == serve.StateRunning {
+			live[st.ID] = true
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for id := range r.workloads {
+		if !live[id] {
+			delete(r.workloads, id)
+		}
+	}
+}
+
+// jobWorkloadsFor returns the workloads the shards of l's job share. An
+// entry made for other specs is replaced: a lease whose specs do not
+// hash to its job id is refused by serve.RunShard, and must not leave
+// an entry that fails the job's next, valid lease.
+func (r *Runner) jobWorkloadsFor(l serve.Lease) *sim.Workloads {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.workloads[l.JobID]
+	if !ok || !reflect.DeepEqual(e.specs, l.Specs) {
+		e = jobWorkloads{specs: l.Specs, w: sim.NewWorkloads(l.Specs)}
+		r.workloads[l.JobID] = e
+	}
+	return e.w
+}
+
 // runShard executes one lease end to end through serve.RunShard; true
 // means the shard's log was uploaded after a clean run. A shard whose
 // lease was lost is abandoned with its store intact; a failed shard
@@ -311,6 +364,7 @@ func (r *Runner) runShard(ctx context.Context, l serve.Lease) bool {
 			Parallel:        r.opt.Parallel,
 			CheckpointEvery: r.opt.CheckpointEvery,
 			Metrics:         r.sim,
+			Workloads:       r.jobWorkloadsFor(l),
 		},
 		Heartbeat: func(ctx context.Context, done int) error { return r.heartbeat(ctx, l, done) },
 		Complete: func(ctx context.Context, logPath, failMsg string) error {

@@ -3,16 +3,19 @@
 //
 // Usage:
 //
-//	bmatch [-alg r-bma|bma|oblivious|so-bma] [-b 6] [-alpha 30]
-//	       [-workload facebook-database|facebook-webservice|facebook-hadoop|
-//	                  microsoft|uniform|permutation]
-//	       [-racks 100] [-requests 100000] [-seed 1] [-trace file.csv]
+//	bmatch [-alg r-bma|bma|oblivious|so-bma|…] [-b 6] [-alpha 30]
+//	       [-workload facebook-database|microsoft|uniform|…]
+//	       [-racks 100] [-requests 100000] [-seed 1] [-trace file.csv|file.bin]
+//
+// -alg takes every algorithm the scenario grid registers and -workload
+// every workload family (`experiments grid -list` prints both).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"obm/internal/core"
 	"obm/internal/graph"
@@ -22,19 +25,19 @@ import (
 
 func main() {
 	var (
-		alg      = flag.String("alg", "r-bma", "algorithm: r-bma, bma, oblivious, so-bma")
-		b        = flag.Int("b", 6, "degree cap (number of optical switches)")
-		alpha    = flag.Float64("alpha", 30, "reconfiguration cost α")
-		workload = flag.String("workload", "facebook-database", "synthetic workload name")
-		racks    = flag.Int("racks", 100, "number of racks")
-		requests = flag.Int("requests", 100000, "number of requests")
-		seed     = flag.Uint64("seed", 1, "RNG seed")
-		traceCSV = flag.String("trace", "", "CSV trace file (overrides -workload)")
-		showUtil = flag.Bool("utilization", false, "report per-link static-fabric utilization")
+		alg       = flag.String("alg", "r-bma", "algorithm: "+strings.Join(sim.Algorithms(), ", "))
+		b         = flag.Int("b", 6, "degree cap (number of optical switches)")
+		alpha     = flag.Float64("alpha", 30, "reconfiguration cost α")
+		workload  = flag.String("workload", "facebook-database", "workload family: "+strings.Join(sim.Families(), ", "))
+		racks     = flag.Int("racks", 100, "number of racks")
+		requests  = flag.Int("requests", 100000, "number of requests")
+		seed      = flag.Uint64("seed", 1, "RNG seed")
+		traceFile = flag.String("trace", "", "trace file, CSV or binary (overrides -workload)")
+		showUtil  = flag.Bool("utilization", false, "report per-link static-fabric utilization")
 	)
 	flag.Parse()
 
-	tr, err := loadTrace(*traceCSV, *workload, *racks, *requests, *seed)
+	tr, err := loadTrace(*traceFile, sim.ScenarioSpec{Family: *workload, Racks: *racks, Requests: *requests, Seed: *seed})
 	if err != nil {
 		fatal(err)
 	}
@@ -89,50 +92,27 @@ func main() {
 	}
 }
 
-func loadTrace(file, workload string, racks, requests int, seed uint64) (*trace.Trace, error) {
+// loadTrace reads the -trace file, or materializes the -workload
+// family's stream.
+func loadTrace(file string, spec sim.ScenarioSpec) (*trace.Trace, error) {
 	if file != "" {
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.ReadCSV(f)
+		return trace.ReadFile(file)
 	}
-	switch workload {
-	case "facebook-database":
-		p := trace.FacebookPreset(trace.Database, racks, seed)
-		p.Requests = requests
-		return trace.FacebookStyle(p)
-	case "facebook-webservice":
-		p := trace.FacebookPreset(trace.WebService, racks, seed)
-		p.Requests = requests
-		return trace.FacebookStyle(p)
-	case "facebook-hadoop":
-		p := trace.FacebookPreset(trace.Hadoop, racks, seed)
-		p.Requests = requests
-		return trace.FacebookStyle(p)
-	case "microsoft":
-		return trace.MicrosoftStyle(racks, requests, seed), nil
-	case "uniform":
-		return trace.Uniform(racks, requests, seed), nil
-	case "permutation":
-		return trace.Permutation(racks, requests, seed), nil
+	st, err := spec.NewStream()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown workload %q", workload)
+	return trace.Collect(st), nil
 }
 
+// buildAlg builds the named algorithm from the registry, seeded with
+// -seed itself. SO-BMA is built from the trace loaded: a -trace file has
+// no scenario to rebuild it from.
 func buildAlg(name string, tr *trace.Trace, b int, model core.CostModel, seed uint64) (core.Algorithm, error) {
-	switch name {
-	case "r-bma":
-		return core.NewRBMA(tr.NumRacks, b, model, seed)
-	case "bma":
-		return core.NewBMA(tr.NumRacks, b, model)
-	case "oblivious":
-		return core.NewOblivious(model)
-	case "so-bma":
+	if name == "so-bma" {
 		return core.NewStaticFromTrace(tr, b, model)
 	}
-	return nil, fmt.Errorf("unknown algorithm %q", name)
+	return sim.ScenarioSpec{Racks: tr.NumRacks}.NewAlgorithm(model, name, b, seed)
 }
 
 func fatal(err error) {

@@ -33,7 +33,6 @@ func gridMain(args []string) {
 		scale     = fs.Float64("scale", 1.0, "request-count scale factor in (0,1]")
 		reps      = fs.Int("reps", 0, "override repetitions per job (0 = per-spec value)")
 		workers   = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		chunk     = fs.Int("chunk", 0, "streaming chunk size in requests (0 = default)")
 		outdir    = fs.String("outdir", "results", "directory for grid.csv / grid.json output")
 		format    = fs.String("format", "csv", "output format: csv, json, or both")
 		progress  = fs.Bool("progress", true, "print per-job progress to stderr")
@@ -98,7 +97,7 @@ func gridMain(args []string) {
 	}
 	defer stopProfiles()
 
-	opt := sim.GridOptions{Workers: *workers, ChunkSize: *chunk, Parallel: *parallel, CheckpointEvery: *ckEvery}
+	opt := sim.GridOptions{Workers: *workers, Parallel: *parallel, CheckpointEvery: *ckEvery}
 	if *metrics != "" {
 		reg := obs.NewRegistry()
 		opt.Metrics = sim.NewMetrics(reg)

@@ -28,7 +28,6 @@ func workerMain(args []string) {
 		workdir     = fs.String("workdir", "work", "directory for in-flight shard stores (kept across restarts for resume)")
 		name        = fs.String("name", "", "worker name in coordinator logs (default <hostname>-<pid>)")
 		gridWorkers = fs.Int("grid-workers", 0, "sim worker pool per shard (0 = GOMAXPROCS)")
-		chunk       = fs.Int("chunk", 0, "streaming chunk size in requests (0 = default)")
 		parallel    = fs.Int("parallel", 1, "replay goroutines per multi-plane job (shards > 1); results are identical for every value")
 		ckEvery     = fs.Int("checkpoint-every", 0, "checkpoint in-flight grid jobs every N requests so a restarted worker resumes inside them (0 = off)")
 		poll        = fs.Duration("poll", 2*time.Second, "idle wait between lease attempts when nothing is leasable")
@@ -63,7 +62,6 @@ func workerMain(args []string) {
 		Capacity:        *capacity,
 		Dir:             *workdir,
 		GridWorkers:     *gridWorkers,
-		ChunkSize:       *chunk,
 		Parallel:        *parallel,
 		CheckpointEvery: *ckEvery,
 		Poll:            *poll,

@@ -9,6 +9,10 @@
 //	tracegen -workload uniform -requests 100000000 -stream -out huge.csv
 //	tracegen -analyze hadoop.csv
 //
+// -workload takes every workload family the scenario grid registers
+// (`experiments grid -list` prints them), and -analyze reads either
+// trace format.
+//
 // With -stream the trace is drained from its resumable generator chunk by
 // chunk straight into the output file — memory stays O(1) however many
 // requests are written, so traces far larger than RAM are fine. The bytes
@@ -22,30 +26,27 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
+	"obm/internal/sim"
 	"obm/internal/trace"
 )
 
 func main() {
 	var (
-		workload = flag.String("workload", "facebook-database", "workload preset")
+		workload = flag.String("workload", "facebook-database", "workload family: "+strings.Join(sim.Families(), ", "))
 		racks    = flag.Int("racks", 100, "number of racks")
 		requests = flag.Int("requests", 100000, "number of requests")
 		seed     = flag.Uint64("seed", 1, "RNG seed")
 		format   = flag.String("format", "csv", "output format: csv or bin")
 		out      = flag.String("out", "", "output file ('' = stdout, csv only)")
 		stream   = flag.Bool("stream", false, "stream the trace to the output chunk by chunk (O(1) memory, skips statistics)")
-		analyze  = flag.String("analyze", "", "analyze an existing CSV trace instead of generating")
+		analyze  = flag.String("analyze", "", "analyze an existing trace file (CSV or binary) instead of generating")
 	)
 	flag.Parse()
 
 	if *analyze != "" {
-		f, err := os.Open(*analyze)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		tr, err := trace.ReadCSV(f)
+		tr, err := trace.ReadFile(*analyze)
 		if err != nil {
 			fatal(err)
 		}
@@ -53,11 +54,11 @@ func main() {
 		return
 	}
 
+	st, err := sim.ScenarioSpec{Family: *workload, Racks: *racks, Requests: *requests, Seed: *seed}.NewStream()
+	if err != nil {
+		fatal(err)
+	}
 	if *stream {
-		st, err := newStream(*workload, *racks, *requests, *seed)
-		if err != nil {
-			fatal(err)
-		}
 		fmt.Fprintf(os.Stderr, "trace %q: %d racks, %d requests (streamed)\n",
 			st.Name(), st.NumRacks(), st.Len())
 		if err := writeTo(*format, *out, func(w io.Writer) error {
@@ -71,10 +72,7 @@ func main() {
 		return
 	}
 
-	tr, err := generate(*workload, *racks, *requests, *seed)
-	if err != nil {
-		fatal(err)
-	}
+	tr := trace.Collect(st)
 	printStats(tr)
 	if err := writeTo(*format, *out, func(w io.Writer) error {
 		if *format == "bin" {
@@ -87,93 +85,31 @@ func main() {
 }
 
 // writeTo resolves the -format/-out flags into a writer and runs write
-// against it.
+// against it. A failed Close of the output file is an error too, so a
+// short write never reads as success.
 func writeTo(format, out string, write func(io.Writer) error) error {
-	switch format {
-	case "csv":
-		w := os.Stdout
-		if out != "" {
-			f, err := os.Create(out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := write(w); err != nil {
-			return err
-		}
-	case "bin":
-		if out == "" {
-			return fmt.Errorf("binary format requires -out")
-		}
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := write(f); err != nil {
-			return err
-		}
-	default:
+	if format != "csv" && format != "bin" {
 		return fmt.Errorf("unknown format %q", format)
 	}
-	if out != "" {
-		fmt.Fprintf(os.Stderr, "wrote %s\n", out)
+	if out == "" {
+		if format == "bin" {
+			return fmt.Errorf("binary format requires -out")
+		}
+		return write(os.Stdout)
 	}
+	f, err := os.Create(out)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
 	return nil
-}
-
-func generate(workload string, racks, requests int, seed uint64) (*trace.Trace, error) {
-	switch workload {
-	case "facebook-database":
-		p := trace.FacebookPreset(trace.Database, racks, seed)
-		p.Requests = requests
-		return trace.FacebookStyle(p)
-	case "facebook-webservice":
-		p := trace.FacebookPreset(trace.WebService, racks, seed)
-		p.Requests = requests
-		return trace.FacebookStyle(p)
-	case "facebook-hadoop":
-		p := trace.FacebookPreset(trace.Hadoop, racks, seed)
-		p.Requests = requests
-		return trace.FacebookStyle(p)
-	case "microsoft":
-		return trace.MicrosoftStyle(racks, requests, seed), nil
-	case "uniform":
-		return trace.Uniform(racks, requests, seed), nil
-	case "permutation":
-		return trace.Permutation(racks, requests, seed), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q", workload)
-}
-
-// newStream maps a workload preset onto its resumable generator — the
-// same parameters as generate, never materialized. Every materialized
-// preset has a streaming twin by construction (the materialized
-// generators are Collect over these very streams).
-func newStream(workload string, racks, requests int, seed uint64) (trace.Stream, error) {
-	switch workload {
-	case "facebook-database":
-		p := trace.FacebookPreset(trace.Database, racks, seed)
-		p.Requests = requests
-		return trace.NewFacebookStream(p)
-	case "facebook-webservice":
-		p := trace.FacebookPreset(trace.WebService, racks, seed)
-		p.Requests = requests
-		return trace.NewFacebookStream(p)
-	case "facebook-hadoop":
-		p := trace.FacebookPreset(trace.Hadoop, racks, seed)
-		p.Requests = requests
-		return trace.NewFacebookStream(p)
-	case "microsoft":
-		return trace.NewMicrosoftStream(racks, requests, seed)
-	case "uniform":
-		return trace.NewUniformStream(racks, requests, seed)
-	case "permutation":
-		return trace.NewPermutationStream(racks, requests, seed)
-	}
-	return nil, fmt.Errorf("unknown workload %q", workload)
 }
 
 func printStats(tr *trace.Trace) {

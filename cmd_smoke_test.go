@@ -60,6 +60,47 @@ func TestCmdBmatchSmoke(t *testing.T) {
 	}
 }
 
+// TestCmdBmatchReadsBinaryTrace: a trace tracegen writes in the binary
+// format replays in bmatch to the same costs as the same trace in CSV,
+// and tracegen -analyze reads it to the same statistics.
+func TestCmdBmatchReadsBinaryTrace(t *testing.T) {
+	tracegen := buildBinary(t, "cmd/tracegen")
+	bmatch := buildBinary(t, "cmd/bmatch")
+	dir := t.TempDir()
+	gen := []string{"-workload", "microsoft", "-racks", "12", "-requests", "3000", "-seed", "4"}
+	costs := func(out string) string {
+		var keep []string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Contains(line, "cost") || strings.Contains(line, "final matching") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	stats := func(out string) string { _, after, _ := strings.Cut(out, "\n"); return after }
+	var gotCosts, gotStats []string
+	for _, format := range []string{"csv", "bin"} {
+		file := filepath.Join(dir, "t."+format)
+		run(t, tracegen, append(gen, "-format", format, "-out", file)...)
+		var out string
+		for _, alg := range []string{"r-bma", "so-bma"} {
+			out += costs(run(t, bmatch, "-trace", file, "-alg", alg, "-b", "3"))
+		}
+		if !strings.Contains(out, "routing cost:") {
+			t.Fatalf("bmatch -trace %s printed no costs:\n%s", file, out)
+		}
+		gotCosts = append(gotCosts, out)
+		gotStats = append(gotStats, stats(run(t, tracegen, "-analyze", file)))
+	}
+	if gotCosts[0] != gotCosts[1] {
+		t.Errorf("binary trace costs differ from CSV:\ncsv:\n%s\nbin:\n%s", gotCosts[0], gotCosts[1])
+	}
+	// The first line names the trace, which only the CSV format records.
+	if gotStats[0] != gotStats[1] {
+		t.Errorf("binary trace statistics differ from CSV:\ncsv:\n%s\nbin:\n%s", gotStats[0], gotStats[1])
+	}
+}
+
 func TestCmdTracegenSmoke(t *testing.T) {
 	bin := buildBinary(t, "cmd/tracegen")
 	csv := filepath.Join(t.TempDir(), "trace.csv")

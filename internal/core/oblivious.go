@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"obm/internal/matching"
 	"obm/internal/trace"
@@ -61,44 +60,51 @@ type Static struct {
 	n     int
 }
 
-// NewStaticFromTrace builds SO-BMA for a trace: pair weights are the total
-// routing-cost saving the pair would enjoy if matched, count_e · (ℓ_e − 1),
-// and the matching is a maximum-weight b-matching of those weights.
+// NewStaticFromTrace builds SO-BMA for a trace: NewStatic over the
+// trace's per-pair request counts.
 func NewStaticFromTrace(tr *trace.Trace, b int, model CostModel) (*Static, error) {
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	idx := trace.SharedPairIndex(tr.NumRacks)
+	counts := make([]int64, idx.NumPairs())
+	for _, r := range tr.Reqs {
+		counts[idx.ID(int(r.Src), int(r.Dst))]++
+	}
+	return NewStatic(tr.NumRacks, counts, b, model)
+}
+
+// NewStatic builds SO-BMA over n racks from per-pair request counts,
+// indexed by trace.PairID: pair weights are the total routing-cost saving
+// the pair would enjoy if matched, count_e · (ℓ_e − 1), and the matching
+// is a maximum-weight b-matching of those weights.
+func NewStatic(n int, counts []int64, b int, model CostModel) (*Static, error) {
 	if b < 1 {
-		return nil, fmt.Errorf("core: NewStaticFromTrace requires b >= 1")
+		return nil, fmt.Errorf("core: NewStatic requires b >= 1")
 	}
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
+	if n < 2 || len(counts) != trace.NumPairs(n) {
+		return nil, fmt.Errorf("core: NewStatic: %d pair counts for %d racks", len(counts), n)
 	}
-	if model.Metric.N() < tr.NumRacks {
-		return nil, fmt.Errorf("core: metric covers %d racks, trace needs %d", model.Metric.N(), tr.NumRacks)
+	if model.Metric.N() < n {
+		return nil, fmt.Errorf("core: metric covers %d racks, counts need %d", model.Metric.N(), n)
 	}
-	counts := tr.PairCounts()
-	edges := make([]matching.WeightedEdge, 0, len(counts))
-	for k, c := range counts {
-		u, v := k.Endpoints()
-		benefit := float64(c) * float64(model.Metric.Dist(u, v)-1)
-		if benefit > 0 {
+	idx := trace.SharedPairIndex(n)
+	// IteratedMWM's tie-breaking is order-sensitive, and SO-BMA
+	// construction is part of the determinism contract (two runs of one
+	// figure, or a snapshot-restored instance and its original, must agree
+	// exactly). PairID order is (u, v) order, so the edge list arrives
+	// canonically sorted.
+	var edges []matching.WeightedEdge
+	for id, c := range counts {
+		u, v := idx.Endpoints(trace.PairID(id))
+		if benefit := float64(c) * float64(model.Metric.Dist(u, v)-1); benefit > 0 {
 			edges = append(edges, matching.WeightedEdge{U: u, V: v, W: benefit})
 		}
 	}
-	// counts is a map, so the edge list arrives in randomized order — and
-	// IteratedMWM's tie-breaking is order-sensitive. Sort canonically so
-	// the same trace always yields the same matching: SO-BMA construction
-	// is part of the determinism contract (two runs of one figure, or a
-	// snapshot-restored instance and its original, must agree exactly).
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
-	chosen := matching.IteratedMWM(tr.NumRacks, edges, b)
-	idx := trace.SharedPairIndex(tr.NumRacks)
+	chosen := matching.IteratedMWM(n, edges, b)
 	s := &Static{
 		name:  "so-bma",
 		b:     b,
@@ -106,7 +112,7 @@ func NewStaticFromTrace(tr *trace.Trace, b int, model CostModel) (*Static, error
 		idx:   idx,
 		edges: make([]uint64, (idx.NumPairs()+63)/64),
 		size:  len(chosen),
-		n:     tr.NumRacks,
+		n:     n,
 	}
 	for _, k := range chosen {
 		id := idx.IDOfKey(k)

@@ -532,6 +532,22 @@ func TestCreateSessionRejectsOversizedRacks(t *testing.T) {
 	}
 }
 
+// TestCreateSessionRejectsOfflineAlgorithm: so-bma is built from a whole
+// workload before its first request, which a session never has, so
+// validation refuses it while the online figure algorithms are accepted.
+func TestCreateSessionRejectsOfflineAlgorithm(t *testing.T) {
+	e := New(Options{})
+	defer e.Close()
+	if _, err := e.CreateSession(SessionConfig{Racks: 16, B: 4, Alg: "so-bma"}); err == nil || !strings.Contains(err.Error(), "so-bma") {
+		t.Fatalf("CreateSession with so-bma: err = %v, want a refusal", err)
+	}
+	for _, alg := range []string{"r-bma-lru", "r-bma-eager", "rotor", "greedy-noevict"} {
+		if _, err := e.CreateSession(SessionConfig{ID: alg, Racks: 16, B: 4, Alg: alg}); err != nil {
+			t.Fatalf("CreateSession with %s: %v", alg, err)
+		}
+	}
+}
+
 // TestFeedBinaryAllocFree pins the tentpole's zero-allocation contract on
 // the server hot path: once the session's scratch buffer is warm, serving
 // a wire batch allocates nothing.

@@ -74,6 +74,9 @@ func (c SessionConfig) Validate() error {
 	if c.B < 1 {
 		return fmt.Errorf("engine: b = %d, need >= 1", c.B)
 	}
+	if sim.Offline(c.Alg) {
+		return fmt.Errorf("engine: %s is built from a whole workload up front, which a live session does not have", c.Alg)
+	}
 	return c.spec().Validate()
 }
 

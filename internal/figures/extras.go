@@ -1,208 +1,53 @@
 package figures
 
-import (
-	"fmt"
-
-	"obm/internal/core"
-	"obm/internal/graph"
-	"obm/internal/paging"
-	"obm/internal/sim"
-	"obm/internal/trace"
-)
+import "obm/internal/sim"
 
 // Extras returns the extension experiments that go beyond the paper's
 // figures: the reproduction's ablation experiments, runnable from
 // cmd/experiments exactly like the paper figures ("ext-…" ids).
 func Extras() []Figure {
+	// Most extensions share a 50-rack Facebook-webservice workload.
+	webservice := func(name string, bs ...int) sim.ScenarioSpec {
+		return sim.ScenarioSpec{Name: name, Family: "facebook-webservice", Racks: 50, Requests: 200000, Bs: bs}
+	}
+	ext := func(id, title string, s sim.ScenarioSpec, minRequests int, line []entry) Figure {
+		return Figure{
+			ID:          id,
+			Title:       "Extension: " + title,
+			Metric:      RoutingCost,
+			scenario:    s,
+			minRequests: minRequests,
+			algs:        line,
+			// The extensions seed each repetition with its index.
+			seed: func(rep uint64, _ int) uint64 { return rep },
+		}
+	}
 	return []Figure{
-		extCachePolicy(),
-		extLazyEager(),
-		extAlpha(),
-		extRotor(),
-		extShift(),
+		ext("ext-policy", "paging policy inside R-BMA (marking vs LRU/FIFO/random)",
+			webservice("ext-policy", 2), 1000,
+			algs("r-bma-marking", "r-bma-lru", "r-bma-fifo", "r-bma-random")),
+		ext("ext-lazy", "lazy pruning (paper footnote 2) vs eager removal",
+			webservice("ext-lazy", 2), 1000,
+			[]entry{{alg: "r-bma", label: "r-bma-lazy"}, {alg: "r-bma-eager"}}),
+		// R-BMA decides under each α while the meter charges the figure's.
+		ext("ext-alpha", "sensitivity to the reconfiguration cost α",
+			webservice("ext-alpha", 6), 1000,
+			[]entry{
+				{alg: "r-bma", label: "r-bma-a5", alpha: 5},
+				{alg: "r-bma", label: "r-bma-a30", alpha: 30},
+				{alg: "r-bma", label: "r-bma-a120", alpha: 120},
+			}),
+		ext("ext-rotor", "demand-aware R-BMA vs demand-oblivious rotor",
+			webservice("ext-rotor", 3, 6), 1000,
+			algs("r-bma", "rotor", "oblivious")),
+		ext("ext-shift", "adaptation to phase-shifting demand",
+			sim.ScenarioSpec{Name: "ext-shift", Family: "phase-shift", Racks: 50, Requests: 200000, Bs: []int{2},
+				Params: map[string]float64{"phases": 8}}, 2000,
+			algs("r-bma", "greedy-noevict", "so-bma", "oblivious")),
 	}
 }
 
 // AllWithExtras returns the paper figures followed by the extensions.
 func AllWithExtras() []Figure {
 	return append(All(), Extras()...)
-}
-
-// extConfig compiles tr against the model's metric into an extension's
-// experiment config.
-func extConfig(name string, tr *trace.Trace, model core.CostModel, bs []int, reps int) (sim.Config, error) {
-	ct, err := tr.Compile(model.Metric.Dist)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	return sim.Config{
-		Name:        name,
-		Trace:       ct,
-		Model:       model,
-		Bs:          bs,
-		Reps:        reps,
-		Checkpoints: sim.Checkpoints(tr.Len(), 10),
-	}, nil
-}
-
-// extWorkload is the workload most extensions share: a 50-rack
-// Facebook-webservice trace on a fat-tree.
-func extWorkload(name string, bs []int, scale float64, reps int, seed uint64) (sim.Config, core.CostModel, error) {
-	const racks = 50
-	model := core.CostModel{Metric: graph.FatTreeMetric(racks), Alpha: DefaultAlpha}
-	p := trace.FacebookPreset(trace.WebService, racks, seed)
-	p.Requests = max(int(200000*scale), 1000)
-	tr, err := trace.FacebookStyle(p)
-	if err != nil {
-		return sim.Config{}, core.CostModel{}, err
-	}
-	cfg, err := extConfig(name, tr, model, bs, reps)
-	return cfg, model, err
-}
-
-func extCachePolicy() Figure {
-	return Figure{
-		ID:     "ext-policy",
-		Title:  "Extension: paging policy inside R-BMA (marking vs LRU/FIFO/random)",
-		Metric: RoutingCost,
-		Build: func(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error) {
-			cfg, model, err := extWorkload("ext-policy", []int{2}, scale, reps, seed)
-			if err != nil {
-				return sim.Config{}, nil, err
-			}
-			n := cfg.Trace.NumRacks
-			policies := []struct {
-				name string
-				f    paging.Factory
-			}{
-				{"marking", paging.NewMarkingFactory},
-				{"lru", paging.NewLRUFactory},
-				{"fifo", paging.NewFIFOFactory},
-				{"random", paging.NewRandomEvictFactory},
-			}
-			var specs []sim.AlgSpec
-			for _, p := range policies {
-				p := p
-				specs = append(specs, sim.AlgSpec{
-					Name:   "r-bma-" + p.name,
-					FixedB: -1,
-					New: func(b int, rep uint64) (core.Algorithm, error) {
-						return core.NewRBMA(n, b, model, rep, core.WithCacheFactory(p.f, p.name))
-					},
-				})
-			}
-			return cfg, specs, nil
-		},
-	}
-}
-
-func extLazyEager() Figure {
-	return Figure{
-		ID:     "ext-lazy",
-		Title:  "Extension: lazy pruning (paper footnote 2) vs eager removal",
-		Metric: RoutingCost,
-		Build: func(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error) {
-			cfg, model, err := extWorkload("ext-lazy", []int{2}, scale, reps, seed)
-			if err != nil {
-				return sim.Config{}, nil, err
-			}
-			n := cfg.Trace.NumRacks
-			specs := []sim.AlgSpec{
-				{Name: "r-bma-lazy", FixedB: -1, New: func(b int, rep uint64) (core.Algorithm, error) {
-					return core.NewRBMA(n, b, model, rep)
-				}},
-				{Name: "r-bma-eager", FixedB: -1, New: func(b int, rep uint64) (core.Algorithm, error) {
-					return core.NewRBMA(n, b, model, rep, core.WithEagerRemoval())
-				}},
-			}
-			return cfg, specs, nil
-		},
-	}
-}
-
-func extAlpha() Figure {
-	return Figure{
-		ID:     "ext-alpha",
-		Title:  "Extension: sensitivity to the reconfiguration cost α",
-		Metric: RoutingCost,
-		Build: func(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error) {
-			cfg, _, err := extWorkload("ext-alpha", []int{6}, scale, reps, seed)
-			if err != nil {
-				return sim.Config{}, nil, err
-			}
-			n := cfg.Trace.NumRacks
-			metric := graph.FatTreeMetric(n)
-			var specs []sim.AlgSpec
-			for _, alpha := range []float64{5, 30, 120} {
-				model := core.CostModel{Metric: metric, Alpha: alpha}
-				alpha := alpha
-				specs = append(specs, sim.AlgSpec{
-					Name:   fmt.Sprintf("r-bma-a%g", alpha),
-					FixedB: -1,
-					New: func(b int, rep uint64) (core.Algorithm, error) {
-						return core.NewRBMA(n, b, model, rep)
-					},
-				})
-			}
-			return cfg, specs, nil
-		},
-	}
-}
-
-func extRotor() Figure {
-	return Figure{
-		ID:     "ext-rotor",
-		Title:  "Extension: demand-aware R-BMA vs demand-oblivious rotor",
-		Metric: RoutingCost,
-		Build: func(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error) {
-			cfg, model, err := extWorkload("ext-rotor", []int{3, 6}, scale, reps, seed)
-			if err != nil {
-				return sim.Config{}, nil, err
-			}
-			n := cfg.Trace.NumRacks
-			specs := []sim.AlgSpec{
-				{Name: "r-bma", FixedB: -1, New: func(b int, rep uint64) (core.Algorithm, error) {
-					return core.NewRBMA(n, b, model, rep)
-				}},
-				{Name: "rotor", FixedB: -1, New: func(b int, rep uint64) (core.Algorithm, error) {
-					return core.NewRotor(n, b, model, 100)
-				}},
-				ObliviousSpec(model),
-			}
-			return cfg, specs, nil
-		},
-	}
-}
-
-func extShift() Figure {
-	return Figure{
-		ID:     "ext-shift",
-		Title:  "Extension: adaptation to phase-shifting demand",
-		Metric: RoutingCost,
-		Build: func(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error) {
-			const racks = 50
-			model := core.CostModel{Metric: graph.FatTreeMetric(racks), Alpha: DefaultAlpha}
-			tr, err := trace.PhaseShift(racks, max(int(200000*scale), 2000), 8, seed)
-			if err != nil {
-				return sim.Config{}, nil, err
-			}
-			cfg, err := extConfig("ext-shift", tr, model, []int{2}, reps)
-			if err != nil {
-				return sim.Config{}, nil, err
-			}
-			specs := []sim.AlgSpec{
-				{Name: "r-bma", FixedB: -1, New: func(b int, rep uint64) (core.Algorithm, error) {
-					return core.NewRBMA(racks, b, model, rep)
-				}},
-				{Name: "greedy-noevict", FixedB: -1, New: func(b int, rep uint64) (core.Algorithm, error) {
-					return core.NewGreedyNoEvict(racks, b, model)
-				}},
-				{Name: "so-bma", FixedB: -1, New: func(b int, rep uint64) (core.Algorithm, error) {
-					return core.NewStaticFromTrace(tr, b, model)
-				}},
-				ObliviousSpec(model),
-			}
-			return cfg, specs, nil
-		},
-	}
 }

@@ -1,8 +1,9 @@
 // Package figures defines the reproduction of every figure in the paper's
-// evaluation (§3, Figures 1–4). Each sub-figure maps to a sim.Config plus
-// the algorithm line-up it plots; cmd/experiments and the repository-root
-// benchmarks both draw from these definitions so "the experiment" exists in
-// exactly one place.
+// evaluation (§3, Figures 1–4). Each sub-figure is a sim.ScenarioSpec
+// template plus the registered algorithms it plots; cmd/experiments and
+// the repository-root benchmarks both draw from these definitions so "the
+// experiment" exists in exactly one place, and the workloads and
+// algorithms are the ones the scenario grid runs under the same names.
 //
 // Paper setup reproduced here (§3.1):
 //   - fat-tree topology; 100 racks for the Facebook clusters, 50 for
@@ -14,15 +15,12 @@
 //   - five repetitions, averaged.
 //
 // α is not stated in the paper; we use 30 (so k_e ∈ {8, 15} on fat-tree
-// distances {4, 2}), swept in the ablation benchmarks.
+// distances {4, 2}), swept in the ext-alpha extension.
 package figures
 
 import (
 	"fmt"
-	"sync"
 
-	"obm/internal/core"
-	"obm/internal/graph"
 	"obm/internal/sim"
 	"obm/internal/trace"
 )
@@ -46,245 +44,128 @@ type Figure struct {
 	ID     string // e.g. "fig1a"
 	Title  string
 	Metric Metric
-	// Build assembles the experiment. scale in (0,1] shrinks the request
-	// count (benchmarks use small scales; the full runs use 1.0). reps is
-	// the number of averaged repetitions (paper: 5).
-	Build func(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error)
+
+	// scenario is the workload at scale 1 with the figure's b sweep; its
+	// name names the experiment in the output.
+	scenario sim.ScenarioSpec
+	// minRequests floors the scaled request count.
+	minRequests int
+	// algs is the line-up, in plotting order.
+	algs []entry
+	// seed maps a repetition and a degree cap to an algorithm seed.
+	seed func(rep uint64, b int) uint64
 }
 
-type workload struct {
-	name     string
-	racks    int
-	requests int
-	bs       []int
-	bestB    int
-	make     func(racks, requests int, seed uint64) (*trace.Trace, error)
+// entry is one plotted algorithm: a registered name, shown as label when
+// that is set, and deciding under alpha when that is set (the figure's α
+// otherwise; the cost meter always charges the figure's α).
+type entry struct {
+	alg, label string
+	alpha      float64
 }
 
-var workloads = []workload{
-	{
-		name: "facebook-database", racks: 100, requests: 350000,
-		bs: []int{6, 12, 18}, bestB: 18,
-		make: func(racks, requests int, seed uint64) (*trace.Trace, error) {
-			p := trace.FacebookPreset(trace.Database, racks, seed)
-			p.Requests = requests
-			return trace.FacebookStyle(p)
-		},
-	},
-	{
-		name: "facebook-webservice", racks: 100, requests: 400000,
-		bs: []int{6, 12, 18}, bestB: 18,
-		make: func(racks, requests int, seed uint64) (*trace.Trace, error) {
-			p := trace.FacebookPreset(trace.WebService, racks, seed)
-			p.Requests = requests
-			return trace.FacebookStyle(p)
-		},
-	},
-	{
-		name: "facebook-hadoop", racks: 100, requests: 185000,
-		bs: []int{6, 12, 18}, bestB: 18,
-		make: func(racks, requests int, seed uint64) (*trace.Trace, error) {
-			p := trace.FacebookPreset(trace.Hadoop, racks, seed)
-			p.Requests = requests
-			return trace.FacebookStyle(p)
-		},
-	},
-	{
-		name: "microsoft", racks: 50, requests: 1750000,
-		bs: []int{3, 6, 9}, bestB: 9,
-		make: func(racks, requests int, seed uint64) (*trace.Trace, error) {
-			return trace.MicrosoftStyle(racks, requests, seed), nil
-		},
-	},
+// algs lists registered algorithms plotted under their own names.
+func algs(names ...string) []entry {
+	out := make([]entry, len(names))
+	for i, n := range names {
+		out[i] = entry{alg: n}
+	}
+	return out
 }
 
-// buildConfig materializes topology, trace and model for a workload. The
-// trace is compiled once against the model's metric; the raw trace is
-// returned too, for SO-BMA's offline construction.
-func (w workload) buildConfig(scale float64, reps int, seed uint64) (sim.Config, core.CostModel, *trace.Trace, error) {
+// paper lists the workloads of Figures 1–4 at the paper's request counts,
+// with each figure's b sweep; the last b is the best-of figure's.
+var paper = []sim.ScenarioSpec{
+	{Name: "facebook-database", Family: "facebook-database", Racks: 100, Requests: 350000, Bs: []int{6, 12, 18}},
+	{Name: "facebook-webservice", Family: "facebook-webservice", Racks: 100, Requests: 400000, Bs: []int{6, 12, 18}},
+	{Name: "facebook-hadoop", Family: "facebook-hadoop", Racks: 100, Requests: 185000, Bs: []int{6, 12, 18}},
+	{Name: "microsoft", Family: "microsoft", Racks: 50, Requests: 1750000, Bs: []int{3, 6, 9}},
+}
+
+// spec is the figure's scenario at the given scale, repetitions and
+// trace seed, with the line-up's algorithms: the grid-runnable form of
+// the figure (labels and per-entry α are the figure runner's alone).
+func (f Figure) spec(scale float64, reps int, seed uint64) (sim.ScenarioSpec, error) {
 	if scale <= 0 || scale > 1 {
-		return sim.Config{}, core.CostModel{}, nil, fmt.Errorf("figures: scale %v out of (0,1]", scale)
+		return sim.ScenarioSpec{}, fmt.Errorf("figures: scale %v out of (0,1]", scale)
 	}
-	requests := int(float64(w.requests) * scale)
-	if requests < 1000 {
-		requests = 1000
+	s := f.scenario
+	s.Alpha = DefaultAlpha
+	s.Requests = max(int(float64(s.Requests)*scale), f.minRequests)
+	s.Seed, s.Reps = seed, reps
+	s.Algs = nil
+	for _, e := range f.algs {
+		s.Algs = append(s.Algs, e.alg)
 	}
-	model := core.CostModel{Metric: graph.FatTreeMetric(w.racks), Alpha: DefaultAlpha}
-	tr, err := w.make(w.racks, requests, seed)
+	return s, nil
+}
+
+// Build assembles the experiment. scale in (0,1] shrinks the request
+// count (benchmarks use small scales; the full runs use 1.0). reps is the
+// number of averaged repetitions (paper: 5). The scenario's workload is
+// materialized and compiled once against its metric, and every line-up
+// entry memoizes one instance per b (sim.ScenarioSpec.AlgSpec).
+func (f Figure) Build(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error) {
+	spec, err := f.spec(scale, reps, seed)
 	if err != nil {
-		return sim.Config{}, core.CostModel{}, nil, err
+		return sim.Config{}, nil, err
 	}
+	st, err := spec.NewStream()
+	if err != nil {
+		return sim.Config{}, nil, err
+	}
+	tr := trace.Collect(st)
+	model := spec.Model()
 	ct, err := tr.Compile(model.Metric.Dist)
 	if err != nil {
-		return sim.Config{}, core.CostModel{}, nil, err
+		return sim.Config{}, nil, err
+	}
+	specs := make([]sim.AlgSpec, len(f.algs))
+	for i, e := range f.algs {
+		m := model
+		if e.alpha != 0 {
+			m.Alpha = e.alpha
+		}
+		if specs[i], err = spec.AlgSpec(m, e.alg, f.seed); err != nil {
+			return sim.Config{}, nil, err
+		}
+		if e.label != "" {
+			specs[i].Name = e.label
+		}
 	}
 	cfg := sim.Config{
-		Name:        w.name,
+		Name:        spec.Name,
 		Trace:       ct,
 		Model:       model,
-		Bs:          w.bs,
+		Bs:          spec.Bs,
 		Reps:        reps,
 		Checkpoints: sim.Checkpoints(tr.Len(), 10),
 	}
-	return cfg, model, tr, nil
-}
-
-// RBMASpec is the paper's algorithm. One instance per b is memoized and
-// re-seeded in place across repetitions and repeated experiment runs
-// (core.Reseeder makes that exactly equivalent to fresh construction), so
-// the figure drivers stop allocating per-pair state tables once warm —
-// figures_alloc_test.go pins the steady state.
-func RBMASpec(n int, model core.CostModel) sim.AlgSpec {
-	var mu sync.Mutex
-	cache := make(map[int]*core.RBMA)
-	return sim.AlgSpec{
-		Name:   "r-bma",
-		FixedB: -1,
-		New: func(b int, rep uint64) (core.Algorithm, error) {
-			seed := rep*0x9e3779b9 + uint64(b)
-			mu.Lock()
-			defer mu.Unlock()
-			if r, ok := cache[b]; ok {
-				r.Reseed(seed)
-				return r, nil
-			}
-			r, err := core.NewRBMA(n, b, model, seed)
-			if err != nil {
-				return nil, err
-			}
-			cache[b] = r
-			return r, nil
-		},
-	}
-}
-
-// BMASpec is the deterministic baseline, with the same per-b instance
-// memoization as RBMASpec (Reset restores the initial state in place).
-func BMASpec(n int, model core.CostModel) sim.AlgSpec {
-	var mu sync.Mutex
-	cache := make(map[int]*core.BMA)
-	return sim.AlgSpec{
-		Name:   "bma",
-		FixedB: -1,
-		New: func(b int, rep uint64) (core.Algorithm, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			if a, ok := cache[b]; ok {
-				a.Reset()
-				return a, nil
-			}
-			a, err := core.NewBMA(n, b, model)
-			if err != nil {
-				return nil, err
-			}
-			cache[b] = a
-			return a, nil
-		},
-	}
-}
-
-// ObliviousSpec is the static-network-only baseline. The algorithm is
-// stateless, so a single instance serves every repetition.
-func ObliviousSpec(model core.CostModel) sim.AlgSpec {
-	var (
-		once sync.Once
-		inst *core.Oblivious
-		ierr error
-	)
-	return sim.AlgSpec{
-		Name:   "oblivious",
-		FixedB: 0,
-		New: func(b int, rep uint64) (core.Algorithm, error) {
-			once.Do(func() { inst, ierr = core.NewOblivious(model) })
-			return inst, ierr
-		},
-	}
-}
-
-// StaticSpec is SO-BMA, built offline from the full trace. A Static
-// instance is immutable once built (Serve is read-only and Reset is a
-// no-op), so the spec memoizes one instance per b: repetitions and repeated
-// experiment runs skip the expensive iterated-blossom construction.
-func StaticSpec(tr *trace.Trace, model core.CostModel) sim.AlgSpec {
-	var mu sync.Mutex
-	cache := make(map[int]*core.Static)
-	return sim.AlgSpec{
-		Name:   "so-bma",
-		FixedB: -1,
-		New: func(b int, rep uint64) (core.Algorithm, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			if s, ok := cache[b]; ok {
-				return s, nil
-			}
-			s, err := core.NewStaticFromTrace(tr, b, model)
-			if err != nil {
-				return nil, err
-			}
-			cache[b] = s
-			return s, nil
-		},
-	}
+	return cfg, specs, nil
 }
 
 // All returns every sub-figure of the paper, in order.
 func All() []Figure {
 	var figs []Figure
-	for i, w := range workloads {
-		w := w
-		figNum := i + 1
+	for i, w := range paper {
+		n := i + 1
+		best := w
+		best.Bs = w.Bs[len(w.Bs)-1:]
+		fig := func(sub, title string, metric Metric, s sim.ScenarioSpec, line ...string) Figure {
+			return Figure{
+				ID:          fmt.Sprintf("fig%d%s", n, sub),
+				Title:       fmt.Sprintf("Figure %d(%s): %s %s", n, sub, w.Name, title),
+				Metric:      metric,
+				scenario:    s,
+				minRequests: 1000,
+				algs:        algs(line...),
+				seed:        sim.AlgSeed,
+			}
+		}
 		figs = append(figs,
-			Figure{
-				ID:     fmt.Sprintf("fig%da", figNum),
-				Title:  fmt.Sprintf("Figure %d(a): %s routing cost", figNum, w.name),
-				Metric: RoutingCost,
-				Build: func(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error) {
-					cfg, model, _, err := w.buildConfig(scale, reps, seed)
-					if err != nil {
-						return sim.Config{}, nil, err
-					}
-					specs := []sim.AlgSpec{
-						RBMASpec(w.racks, model),
-						BMASpec(w.racks, model),
-						ObliviousSpec(model),
-					}
-					return cfg, specs, nil
-				},
-			},
-			Figure{
-				ID:     fmt.Sprintf("fig%db", figNum),
-				Title:  fmt.Sprintf("Figure %d(b): %s execution time", figNum, w.name),
-				Metric: ExecutionTime,
-				Build: func(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error) {
-					cfg, model, _, err := w.buildConfig(scale, reps, seed)
-					if err != nil {
-						return sim.Config{}, nil, err
-					}
-					specs := []sim.AlgSpec{
-						RBMASpec(w.racks, model),
-						BMASpec(w.racks, model),
-					}
-					return cfg, specs, nil
-				},
-			},
-			Figure{
-				ID:     fmt.Sprintf("fig%dc", figNum),
-				Title:  fmt.Sprintf("Figure %d(c): %s best-of comparison (b=%d)", figNum, w.name, w.bestB),
-				Metric: RoutingCost,
-				Build: func(scale float64, reps int, seed uint64) (sim.Config, []sim.AlgSpec, error) {
-					cfg, model, tr, err := w.buildConfig(scale, reps, seed)
-					if err != nil {
-						return sim.Config{}, nil, err
-					}
-					cfg.Bs = []int{w.bestB}
-					specs := []sim.AlgSpec{
-						RBMASpec(w.racks, model),
-						BMASpec(w.racks, model),
-						StaticSpec(tr, model),
-					}
-					return cfg, specs, nil
-				},
-			},
+			fig("a", "routing cost", RoutingCost, w, "r-bma", "bma", "oblivious"),
+			fig("b", "execution time", ExecutionTime, w, "r-bma", "bma"),
+			fig("c", fmt.Sprintf("best-of comparison (b=%d)", best.Bs[0]), RoutingCost, best, "r-bma", "bma", "so-bma"),
 		)
 	}
 	return figs

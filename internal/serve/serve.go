@@ -77,8 +77,6 @@ type Options struct {
 	// GridWorkers sizes the sim worker pool inside each local shard run
 	// (default GOMAXPROCS).
 	GridWorkers int
-	// ChunkSize is the streaming chunk size per grid worker (0 = default).
-	ChunkSize int
 	// Parallel, when > 1, replays multi-plane jobs (scenario Shards > 1)
 	// with that many goroutines each (sim.GridOptions.Parallel). Job
 	// outcomes are byte-identical for every value, so it is safe to vary
@@ -594,7 +592,6 @@ func (s *Server) runLocalShard(j *job, l Lease, name string) {
 		Dir:   filepath.Join(j.dir, localShardsDir, fmt.Sprintf("%d-of-%d", l.Shard, l.Shards)),
 		Grid: sim.GridOptions{
 			Workers:   s.opt.GridWorkers,
-			ChunkSize: s.opt.ChunkSize,
 			Parallel:  s.opt.Parallel,
 			Metrics:   s.sim,
 			Workloads: workloads,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"obm/internal/core"
@@ -21,6 +22,45 @@ type AlgSpec struct {
 	// FixedB, when >= 0, pins the algorithm to one b regardless of the
 	// sweep (used for Oblivious, which has no b).
 	FixedB int
+}
+
+// AlgSpec returns the figure runner's spec of the named registered
+// algorithm for the scenario, deciding under model and seeded by
+// seed(rep, b). It memoizes one instance per b: a later call re-seeds it
+// (core.Reseeder) or resets it in place, which is exactly equivalent to
+// a fresh construction, so repeated runs stop allocating per-pair state
+// once warm. A b's repetitions therefore run one at a time, as
+// RunExperiment runs them, and the scenario must have one plane.
+func (s ScenarioSpec) AlgSpec(model core.CostModel, name string, seed func(rep uint64, b int) uint64) (AlgSpec, error) {
+	a, err := algFor(name)
+	if err != nil {
+		return AlgSpec{}, fmt.Errorf("sim: %w", err)
+	}
+	if s.Shards > 1 {
+		return AlgSpec{}, fmt.Errorf("sim: scenario %q: the figure runner replays one plane, not shards = %d", s.Name, s.Shards)
+	}
+	s = s.withDefaults()
+	var mu sync.Mutex
+	memo := make(map[int]core.Algorithm)
+	return AlgSpec{Name: name, FixedB: a.fixedB, New: func(b int, rep uint64) (core.Algorithm, error) {
+		sd := seed(rep, b)
+		mu.Lock()
+		defer mu.Unlock()
+		if alg, ok := memo[b]; ok {
+			if r, ok := alg.(core.Reseeder); ok {
+				r.Reseed(sd)
+			} else {
+				alg.Reset()
+			}
+			return alg, nil
+		}
+		alg, err := a.build(s, model, b, sd)
+		if err != nil {
+			return nil, err
+		}
+		memo[b] = alg
+		return alg, nil
+	}}, nil
 }
 
 // Config describes one experiment: a trace replayed by several algorithm

@@ -355,7 +355,7 @@ func RunGridContext(ctx context.Context, specs []ScenarioSpec, opt GridOptions) 
 		var res RunResult
 		return func(ji int) error {
 			j := &run[ji]
-			err := runGridJob(ctx, w, j.spec, j.alg, j.GridJob, &opt, chunk, &res)
+			err := runGridJob(ctx, w, j.spec, j.model, j.GridJob, &opt, chunk, &res)
 			if err != nil {
 				err = fmt.Errorf("sim: grid %s: %w", j.GridJob, err)
 			} else {
@@ -403,14 +403,13 @@ func RunGridContext(ctx context.Context, specs []ScenarioSpec, opt GridOptions) 
 // runtimeJob is a planned job bound to what executing it needs.
 type runtimeJob struct {
 	GridJob
-	spec ScenarioSpec
-	alg  AlgSpec
+	spec  ScenarioSpec
+	model core.CostModel
 }
 
-// bindJobs binds the jobs left to run to their scenarios and algorithms.
-// A scenario's cost model (a racks² distance table) comes from w, built
-// once and only if one of its jobs is left to run: a fully resumed grid
-// builds none.
+// bindJobs binds the jobs left to run to their scenarios. A scenario's
+// cost model (a racks² distance table) comes from w, built once and only
+// if one of its jobs is left to run: a fully resumed grid builds none.
 func bindJobs(w *Workloads, run []runtimeJob) error {
 	for i := range run {
 		j := &run[i]
@@ -418,10 +417,7 @@ func bindJobs(w *Workloads, run []runtimeJob) error {
 		if err != nil {
 			return err
 		}
-		j.spec = sw.spec
-		if j.alg, err = j.spec.algSpec(j.Alg, sw.costModel()); err != nil {
-			return err
-		}
+		j.spec, j.model = sw.spec, sw.costModel()
 	}
 	return nil
 }
@@ -462,12 +458,12 @@ func gridCheckpoints(total, curvePoints int) []int {
 // applies only to the sequential path — the parallel path replays whole
 // jobs or not at all, but still drops any stale checkpoint it completes
 // past.
-func runGridJob(ctx context.Context, w *Workloads, spec ScenarioSpec, as AlgSpec, j GridJob, opt *GridOptions, chunk *trace.CompiledChunk, res *RunResult) error {
+func runGridJob(ctx context.Context, w *Workloads, spec ScenarioSpec, model core.CostModel, j GridJob, opt *GridOptions, chunk *trace.CompiledChunk, res *RunResult) error {
 	src, err := w.Source(j.Scenario)
 	if err != nil {
 		return err
 	}
-	alg, err := as.New(j.B, uint64(j.Rep))
+	alg, err := spec.BuildAlgorithmWith(model, j.Alg, j.B, uint64(j.Rep))
 	if err != nil {
 		return err
 	}

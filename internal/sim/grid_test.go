@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -231,8 +232,20 @@ func TestScenarioRegistry(t *testing.T) {
 	if len(Families()) < 9 {
 		t.Fatalf("families = %v", Families())
 	}
-	if len(Algorithms()) < 3 {
-		t.Fatalf("algorithms = %v", Algorithms())
+	// The figures' line-ups are grid algorithms, and only so-bma is
+	// built offline.
+	for _, name := range []string{"r-bma", "bma", "oblivious", "so-bma",
+		"r-bma-marking", "r-bma-lru", "r-bma-fifo", "r-bma-random", "r-bma-eager",
+		"rotor", "greedy-noevict"} {
+		if !slices.Contains(Algorithms(), name) {
+			t.Errorf("algorithm %q not registered (have %v)", name, Algorithms())
+		}
+		if got, want := Offline(name), name == "so-bma"; got != want {
+			t.Errorf("Offline(%q) = %v, want %v", name, got, want)
+		}
+	}
+	if Offline("no-such-alg") {
+		t.Error("Offline of an unknown name is true")
 	}
 	presets := Scenarios()
 	if len(presets) < 6 {

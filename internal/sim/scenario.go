@@ -8,6 +8,7 @@ import (
 
 	"obm/internal/core"
 	"obm/internal/graph"
+	"obm/internal/paging"
 	"obm/internal/trace"
 )
 
@@ -129,6 +130,9 @@ func (s ScenarioSpec) checkPlan() (jobs int, err error) {
 		if err != nil {
 			return 0, fmt.Errorf("sim: scenario %q: %w (have %v)", s.Name, err, Algorithms())
 		}
+		if e.offline && s.Shards > 1 {
+			return 0, fmt.Errorf("sim: scenario %q: %s is built from the whole workload and runs on one plane, not shards = %d", s.Name, a, s.Shards)
+		}
 		if e.fixedB >= 0 {
 			cells++
 		} else {
@@ -187,13 +191,17 @@ func (s ScenarioSpec) NewSource() (trace.Source, error) {
 // FamilyBuilder constructs a workload stream from a (defaults-filled) spec.
 type FamilyBuilder func(spec ScenarioSpec) (trace.Stream, error)
 
-// algEntry is one registered grid algorithm: the degree it is pinned to,
+// algEntry is one registered algorithm: the degree it is pinned to,
 // which planning reads without a cost model, and its constructor.
 type algEntry struct {
 	// fixedB, when >= 0, pins the algorithm to one b regardless of the
 	// sweep (oblivious routing has no b); -1 follows the sweep.
 	fixedB int
-	build  func(spec ScenarioSpec, model core.CostModel, b int, rep uint64) (core.Algorithm, error)
+	// offline marks an algorithm built from the scenario's whole workload
+	// before its first request (so-bma). It runs on one plane, and a live
+	// session, whose requests arrive one batch at a time, cannot run it.
+	offline bool
+	build   func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error)
 }
 
 var (
@@ -278,8 +286,20 @@ func algFor(name string) (algEntry, error) {
 	return a, nil
 }
 
+// Offline reports whether the named algorithm is built from its
+// scenario's whole workload before the first request (so-bma), which a
+// live session does not have.
+func Offline(name string) bool {
+	a, err := algFor(name)
+	return err == nil && a.offline
+}
+
+// AlgSeed is the algorithm seed of repetition rep at degree cap b: the
+// seed rule of grid jobs, engine sessions and the paper figures.
+func AlgSeed(rep uint64, b int) uint64 { return rep*0x9e3779b9 + uint64(b) }
+
 // BuildAlgorithm instantiates one named algorithm from the registry for
-// this spec's cost model, degree cap b and repetition seed — exactly the
+// this spec's cost model, degree cap b and repetition — exactly the
 // instance a grid job for (spec, name, b, rep) would replay with, shard
 // planes and per-plane seeding included. Algorithms with a pinned degree
 // (oblivious) ignore b. The live engine builds its per-session instances
@@ -293,27 +313,26 @@ func (s ScenarioSpec) BuildAlgorithm(name string, b int, rep uint64) (core.Algor
 // BuildAlgorithmWith is BuildAlgorithm against a cost model the caller
 // has already built with Model, for callers that also need the model.
 func (s ScenarioSpec) BuildAlgorithmWith(model core.CostModel, name string, b int, rep uint64) (core.Algorithm, error) {
-	as, err := s.algSpec(name, model)
-	if err != nil {
-		return nil, err
+	if a, err := algFor(name); err == nil && a.fixedB >= 0 {
+		b = a.fixedB
 	}
-	if as.FixedB >= 0 {
-		b = as.FixedB
-	}
-	return as.New(b, rep)
+	return s.NewAlgorithm(model, name, b, AlgSeed(rep, b))
 }
 
-// algSpec resolves an algorithm name into an AlgSpec for the scenario,
-// reusing a model the caller has already built.
-func (s ScenarioSpec) algSpec(name string, model core.CostModel) (AlgSpec, error) {
+// NewAlgorithm builds the named algorithm from the registry for the
+// spec's racks and planes, deciding under model with degree cap b, and
+// seeds it with seed itself: the caller applies its own seed rule
+// (BuildAlgorithm applies AlgSeed). Algorithms with a pinned degree
+// ignore b.
+func (s ScenarioSpec) NewAlgorithm(model core.CostModel, name string, b int, seed uint64) (core.Algorithm, error) {
 	a, err := algFor(name)
 	if err != nil {
-		return AlgSpec{}, fmt.Errorf("sim: %w", err)
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	s = s.withDefaults()
-	return AlgSpec{Name: name, FixedB: a.fixedB, New: func(b int, rep uint64) (core.Algorithm, error) {
-		return a.build(s, model, b, rep)
-	}}, nil
+	if a.fixedB >= 0 {
+		b = a.fixedB
+	}
+	return a.build(s.withDefaults(), model, b, seed)
 }
 
 // param reads a family knob with a default.
@@ -324,18 +343,43 @@ func param(spec ScenarioSpec, key string, def float64) float64 {
 	return def
 }
 
-// shardedAlg wraps an algorithm constructor into a core.Sharded when the
-// spec asks for multiple planes; Shards <= 1 builds the plain single-plane
-// algorithm directly (no wrapper, so classic scenarios are untouched).
-func shardedAlg(spec ScenarioSpec, build func(shard int) (core.Algorithm, error)) (core.Algorithm, error) {
-	if spec.Shards <= 1 {
-		return build(0)
-	}
-	part, err := core.NewPartition(spec.Racks, spec.Shards)
+// planes registers a constructor that follows the sweep and, when the
+// spec asks for multiple planes, runs one instance per plane inside a
+// core.Sharded, seeding plane k with core.ShardSeed(seed, k); Shards <= 1
+// builds the plain single-plane algorithm directly (no wrapper, so
+// classic scenarios are untouched).
+func planes(build func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error)) algEntry {
+	return algEntry{fixedB: -1, build: func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error) {
+		if spec.Shards <= 1 {
+			return build(spec, model, b, seed)
+		}
+		part, err := core.NewPartition(spec.Racks, spec.Shards)
+		if err != nil {
+			return nil, err
+		}
+		return core.NewSharded(part, func(shard int) (core.Algorithm, error) {
+			return build(spec, model, b, core.ShardSeed(seed, shard))
+		})
+	}}
+}
+
+// newStatic builds SO-BMA for the scenario from the pair counts of one
+// pass of its own workload: the counts core.NewStaticFromTrace takes
+// from the same requests materialized, so the matching is the same.
+func newStatic(spec ScenarioSpec, model core.CostModel, b int) (core.Algorithm, error) {
+	st, err := spec.NewStream()
 	if err != nil {
 		return nil, err
 	}
-	return core.NewSharded(part, build)
+	idx := trace.SharedPairIndex(spec.Racks)
+	counts := make([]int64, idx.NumPairs())
+	var buf [4096]trace.Request
+	for n := st.Next(buf[:]); n > 0; n = st.Next(buf[:]) {
+		for _, r := range buf[:n] {
+			counts[idx.ID(int(r.Src), int(r.Dst))]++
+		}
+	}
+	return core.NewStatic(spec.Racks, counts, b, model)
 }
 
 // checkParams rejects unknown knobs, the classic silent-typo failure of
@@ -435,26 +479,45 @@ func init() {
 		})
 	})
 
-	// Algorithm line-up. Seeding matches internal/figures: the randomized
-	// algorithm's seed varies per (rep, b); in multi-plane scenarios each
-	// plane derives its own seed from that base via core.ShardSeed (plane 0
-	// keeps the base, so shards = 1 is seeded exactly like the classic
-	// single-plane run).
-	algorithms["r-bma"] = algEntry{fixedB: -1, build: func(spec ScenarioSpec, model core.CostModel, b int, rep uint64) (core.Algorithm, error) {
-		base := rep*0x9e3779b9 + uint64(b)
-		return shardedAlg(spec, func(shard int) (core.Algorithm, error) {
-			return core.NewRBMA(spec.Racks, b, model, core.ShardSeed(base, shard))
+	// Algorithms: the paper's line-up, SO-BMA and the figures' ablation
+	// variants. A constructor takes the seed itself, so each caller keeps
+	// its own seed rule. In multi-plane scenarios each plane derives its
+	// own seed from it via core.ShardSeed (plane 0 keeps it, so shards = 1
+	// is seeded exactly like the classic single-plane run).
+	rbma := func(opts ...core.RBMAOption) algEntry {
+		return planes(func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error) {
+			return core.NewRBMA(spec.Racks, b, model, seed, opts...)
 		})
-	}}
-	algorithms["bma"] = algEntry{fixedB: -1, build: func(spec ScenarioSpec, model core.CostModel, b int, rep uint64) (core.Algorithm, error) {
-		return shardedAlg(spec, func(int) (core.Algorithm, error) {
-			return core.NewBMA(spec.Racks, b, model)
-		})
-	}}
-	algorithms["oblivious"] = algEntry{fixedB: 0, build: func(spec ScenarioSpec, model core.CostModel, b int, rep uint64) (core.Algorithm, error) {
+	}
+	algorithms["r-bma"] = rbma()
+	algorithms["r-bma-eager"] = rbma(core.WithEagerRemoval())
+	for _, p := range []struct {
+		name string
+		f    paging.Factory
+	}{
+		{"marking", paging.NewMarkingFactory},
+		{"lru", paging.NewLRUFactory},
+		{"fifo", paging.NewFIFOFactory},
+		{"random", paging.NewRandomEvictFactory},
+	} {
+		algorithms["r-bma-"+p.name] = rbma(core.WithCacheFactory(p.f, p.name))
+	}
+	algorithms["bma"] = planes(func(spec ScenarioSpec, model core.CostModel, b int, _ uint64) (core.Algorithm, error) {
+		return core.NewBMA(spec.Racks, b, model)
+	})
+	algorithms["greedy-noevict"] = planes(func(spec ScenarioSpec, model core.CostModel, b int, _ uint64) (core.Algorithm, error) {
+		return core.NewGreedyNoEvict(spec.Racks, b, model)
+	})
+	algorithms["rotor"] = planes(func(spec ScenarioSpec, model core.CostModel, b int, _ uint64) (core.Algorithm, error) {
+		return core.NewRotor(spec.Racks, b, model, 100)
+	})
+	algorithms["oblivious"] = algEntry{fixedB: 0, build: func(_ ScenarioSpec, model core.CostModel, _ int, _ uint64) (core.Algorithm, error) {
 		// Stateless: planes would all behave identically, so the
 		// oblivious baseline never shards.
 		return core.NewOblivious(model)
+	}}
+	algorithms["so-bma"] = algEntry{fixedB: -1, offline: true, build: func(spec ScenarioSpec, model core.CostModel, b int, _ uint64) (core.Algorithm, error) {
+		return newStatic(spec, model, b)
 	}}
 
 	// Scenario presets: one per new family (the widened workload coverage)

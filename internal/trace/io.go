@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -136,6 +137,21 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// ReadFile reads a trace file in either format: the binary format when
+// the file starts with its magic, CSV otherwise.
+func ReadFile(path string) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	if magic, _ := br.Peek(len(binaryMagic)); string(magic) == binaryMagic {
+		return ReadBinary(br)
+	}
+	return ReadCSV(br)
 }
 
 // WriteBinary writes the trace in the compact binary format.

@@ -3,6 +3,10 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -72,6 +76,33 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if got.Reqs[i] != tr.Reqs[i] {
 			t.Fatalf("request %d mismatch", i)
 		}
+	}
+}
+
+// TestReadFileSniffsFormat: ReadFile reads both formats of one trace to
+// the same requests, picking binary by its magic and CSV otherwise.
+func TestReadFileSniffsFormat(t *testing.T) {
+	tr := MicrosoftStyle(10, 2000, 7)
+	dir := t.TempDir()
+	for name, write := range map[string]func(io.Writer, *Trace) error{"t.csv": WriteCSV, "t.bin": WriteBinary} {
+		var buf bytes.Buffer
+		if err := write(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.NumRacks != tr.NumRacks || !slices.Equal(got.Reqs, tr.Reqs) {
+			t.Fatalf("%s: read a different trace", name)
+		}
+	}
+	if _, err := ReadFile(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("missing file read")
 	}
 }
 

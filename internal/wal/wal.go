@@ -53,7 +53,8 @@ const Header = "OBMWAL1\n"
 const MaxRecord = 1 << 20
 
 // Log is an open write-ahead log positioned for appends. Create/Open
-// construct it; Append adds one durable record; Close releases it.
+// construct it; Append adds one record, Sync makes the appended records
+// durable, Close releases it.
 // A Log is not safe for concurrent use — callers serialize (the
 // coordinator appends under its per-job lock).
 type Log struct {
@@ -165,8 +166,9 @@ func Decode(data []byte, fn func(payload []byte) error) (goodEnd, records int, e
 	}
 }
 
-// Append durably adds one record: length, payload and CRC framed into a
-// single write, so a crash tears at most this record and Open trims it.
+// Append adds one record: length, payload and CRC framed into a single
+// write, so a crash tears at most this record and Open trims it. Append
+// only writes; the record is durable once Sync returns.
 func (l *Log) Append(payload []byte) error {
 	if l.f == nil {
 		return fmt.Errorf("wal: %s is closed", l.path)

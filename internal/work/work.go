@@ -62,8 +62,6 @@ type Options struct {
 	// GridWorkers sizes the sim worker pool inside each shard run
 	// (default GOMAXPROCS).
 	GridWorkers int
-	// ChunkSize is the streaming chunk size per grid worker (0 = default).
-	ChunkSize int
 	// Parallel, when > 1, replays multi-plane jobs (scenario Shards > 1)
 	// with that many goroutines each (sim.GridOptions.Parallel). Outcomes
 	// are byte-identical for every value, so a heterogeneous fleet mixing
@@ -360,7 +358,6 @@ func (r *Runner) runShard(ctx context.Context, l serve.Lease) bool {
 		Dir:   r.shardDir(l),
 		Grid: sim.GridOptions{
 			Workers:         r.opt.GridWorkers,
-			ChunkSize:       r.opt.ChunkSize,
 			Parallel:        r.opt.Parallel,
 			CheckpointEvery: r.opt.CheckpointEvery,
 			Metrics:         r.sim,

@@ -2,8 +2,7 @@
 # unlinked.sh — list the internal/ functions that no binary links.
 #
 # Usage:
-#   scripts/unlinked.sh            summary, per-package counts, the list
-#   scripts/unlinked.sh -summary   the summary line only
+#   scripts/unlinked.sh    summary line, per-package counts, the list
 #
 # Builds every entry point (cmd/*, examples/*, and the obmbench harness,
 # a module of its own) with inlining off (-gcflags=all=-l), so a function
@@ -20,8 +19,6 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-summary_only=0
-[ "${1:-}" = "-summary" ] && summary_only=1
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -67,7 +64,7 @@ find internal -name '*.go' ! -name '*_test.go' | sort | while read -r f; do
     ' "$f"
 done > "$tmp/declared"
 
-awk -F '\t' -v summary_only="$summary_only" '
+awk -F '\t' '
 NR == FNR { linked[$0] = 1; next }
 {
     total++; lines += $2
@@ -79,7 +76,6 @@ NR == FNR { linked[$0] = 1; next }
 }
 END {
     printf "unlinked: %d of %d functions, %d of %d lines\n", n, total, ulines, lines
-    if (summary_only) exit
     print "by package (functions, lines):"
     for (p in pn) printf "  %-28s %4d %5d\n", p, pn[p], pl[p] | "sort"
     close("sort")

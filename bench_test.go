@@ -162,6 +162,37 @@ func BenchmarkServeBMA(b *testing.B) {
 	}
 }
 
+// BenchmarkGridGroups runs the paper's evaluation grid — the four trace
+// families, each replayed by R-BMA, BMA and oblivious routing over its b
+// sweep — at 1/20 of the paper's request counts, as the experiment
+// service's local worker runs a two-shard job: the two modulo shards in
+// turn, sharing one sim.Workloads, each on `workers` grid workers. A
+// shard runs each scenario's jobs as one group that generates the
+// scenario's trace once.
+func BenchmarkGridGroups(b *testing.B) {
+	const div = 20
+	specs := []sim.ScenarioSpec{
+		{Name: "microsoft", Family: "microsoft", Racks: 50, Requests: 1750000 / div, Seed: 1, Bs: []int{3, 6, 9}},
+		{Name: "facebook-webservice", Family: "facebook-webservice", Racks: 100, Requests: 400000 / div, Seed: 1, Bs: []int{6, 12, 18}},
+		{Name: "facebook-database", Family: "facebook-database", Racks: 100, Requests: 350000 / div, Seed: 1, Bs: []int{6, 12, 18}},
+		{Name: "facebook-hadoop", Family: "facebook-hadoop", Racks: 100, Requests: 185000 / div, Seed: 1, Bs: []int{6, 12, 18}},
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := sim.NewWorkloads(specs)
+				for shard := 0; shard < 2; shard++ {
+					opt := sim.GridOptions{Workers: workers, Shard: shard, Shards: 2, Workloads: w}
+					if _, err := sim.RunGrid(specs, opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkReplayParallel measures multi-core replay scaling: one large-n
 // uniform trace replayed through a multi-plane R-BMA (core.Sharded) with
 // one worker goroutine per plane. The shards=1 case is the sequential

@@ -29,7 +29,9 @@
 // scheduler (sim.ScenarioSpec, sim.RunGrid, `experiments grid`) expands
 // named JSON-encodable scenario specs — including the diurnal, hotspot-
 // migration and tenant-mix families beyond the paper — into a (scenario ×
-// algorithm × b × rep) job grid on a worker pool.
+// algorithm × b × rep) job grid, run in groups: the jobs of one scenario
+// read one generated trace, chunk by chunk, each through its own
+// algorithm.
 //
 // Durable runs. Grid execution persists through internal/report: a run
 // store (manifest.json + jobs.log, a job log of CRC-framed records on

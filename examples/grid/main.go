@@ -38,9 +38,10 @@ func main() {
 		},
 	}
 
-	// 2. Run the grid. Every job builds its own streaming source, so
-	//    memory stays O(workers × chunk) no matter how long the traces
-	//    are; repetitions aggregate into mean±std summary rows.
+	// 2. Run the grid. The jobs of one scenario read one streaming
+	//    source, each chunk fed to every job, so memory stays
+	//    O(workers × chunk) plus the live algorithms no matter how long
+	//    the traces are; repetitions aggregate into mean±std summary rows.
 	res, err := sim.RunGrid(specs, sim.GridOptions{
 		Workers: 4,
 		Progress: func(done, total int, job sim.GridJob, err error) {

@@ -45,9 +45,11 @@ func main() {
 		},
 	}
 
-	// 2. Shard 0, first attempt: a persist hook that fails after three
-	//    appends stands in for a mid-run crash. Everything appended before
-	//    the crash is already durable in shard0/jobs.log.
+	// 2. Shard 0, first attempt: a persist hook that fails on the third
+	//    append stands in for a mid-run crash. The grid starts no new
+	//    scenario after a failure (the failing job's scenario finishes its
+	//    other jobs), and everything appended is already durable in
+	//    shard0/jobs.log.
 	shard0 := filepath.Join(dir, "shard0")
 	m0, err := report.NewManifest("runstore demo", specs, 8, report.Shard{Index: 0, Count: 2})
 	if err != nil {

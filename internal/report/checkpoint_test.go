@@ -72,8 +72,11 @@ func TestResumeInsideJobByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cancel the run right after the second checkpoint lands: the job in
-	// flight is abandoned mid-replay with its checkpoint on disk.
+	// Cancel the run right after the second checkpoint lands. The uni
+	// group's first two jobs each save at request 512, the cancel fires
+	// inside the second save, and the group's next job sees the cancelled
+	// context before it feeds that chunk: two jobs are abandoned mid-replay
+	// with their checkpoints on disk.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opt := st.GridOptions(sim.GridOptions{Workers: 1, ChunkSize: 256, CheckpointEvery: 400})
@@ -97,7 +100,7 @@ func TestResumeInsideJobByteIdentical(t *testing.T) {
 		t.Fatalf("no checkpoint left behind after cancel: %v (%d entries)", err, len(ents))
 	}
 
-	// Resume: the interrupted job must load its checkpoint and skip the
+	// Resume: the interrupted jobs must load their checkpoints and skip the
 	// already-replayed prefix.
 	re, err := report.Open(ckDir)
 	if err != nil {
@@ -117,8 +120,8 @@ func TestResumeInsideJobByteIdentical(t *testing.T) {
 	if _, err := sim.RunGrid(re.Manifest().Specs, opt); err != nil {
 		t.Fatal(err)
 	}
-	if loads != 1 {
-		t.Fatalf("resume loaded %d checkpoints, want exactly 1", loads)
+	if loads != 2 {
+		t.Fatalf("resume loaded %d checkpoints, want exactly 2", loads)
 	}
 	if missing, _ := re.Missing(); len(missing) != 0 {
 		t.Fatalf("resumed store still missing %v", missing)

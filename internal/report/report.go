@@ -167,9 +167,10 @@ func (m *Manifest) Plan() (*sim.GridPlan, error) {
 	return sim.PlanGrid(m.Specs)
 }
 
-// ownsJob reports whether plan index i belongs to the manifest's shard.
+// ownsJob reports whether plan index i belongs to the manifest's shard
+// (sim.InShard, the grid's shard rule).
 func (m *Manifest) ownsJob(i int) bool {
-	return m.Shard.IsFull() || i%m.Shard.Count == m.Shard.Index
+	return sim.InShard(i, m.Shard.Index, m.Shard.Count)
 }
 
 // Exists reports whether dir already holds a run store (a manifest).

@@ -11,8 +11,8 @@ import (
 // through its replay — stream position, the partial cost curve, accumulated
 // decision-loop time, and an embedded "OBMI" algorithm snapshot — so a
 // killed run resumes *inside* a long job instead of replaying it from
-// request zero. Resume fast-forwards the job's own deterministic source to
-// the frozen position and continues; by the snapshot equivalence contract
+// request zero. Resume fast-forwards the job through its deterministic
+// source (its group's, in a grid) to the frozen position and continues; by the snapshot equivalence contract
 // the finished outcome is bit-identical to an uninterrupted replay, which
 // is why a checkpoint can never become part of job identity: it is purely
 // an optimization, and any load failure falls back to a fresh replay.

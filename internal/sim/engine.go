@@ -19,9 +19,10 @@
 //
 // On top of the replay loop sits the scenario-grid scheduler
 // (ScenarioSpec, RunGrid): named, JSON-encodable scenario specs expanded
-// into a (scenario × algorithm × b × rep) job grid, executed by a worker
-// pool where every job owns its streaming source, with repetitions
-// aggregated into stats.Summary rows and CSV/JSON output.
+// into a (scenario × algorithm × b × rep) job grid, executed in groups —
+// a scenario's jobs read one streaming source, and each chunk is fed to
+// every job through its own algorithm — with repetitions aggregated into
+// stats.Summary rows and CSV/JSON output.
 //
 // Grid execution is durable-by-hook: PlanGrid exposes the deterministic
 // job expansion, and GridOptions' Lookup/Persist/Shard hooks let a run
@@ -35,6 +36,7 @@ import (
 	"time"
 
 	"obm/internal/core"
+	"obm/internal/trace"
 )
 
 // Series is one cumulative-cost curve: at X[i] requests served, the
@@ -121,6 +123,21 @@ func newCostMeter(res *RunResult, checkpoints []int, alg core.Algorithm, alpha f
 		m.nextCP = checkpoints[0]
 	}
 	return m
+}
+
+// feed serves reqs, which follow the first served requests, and returns
+// the new served count. The replay's per-request loop: its own function,
+// so that nothing but the meter, the requests and the count is live
+// across a Feed call.
+func (c *costMeter) feed(reqs []trace.CompiledReq, served int) int {
+	for _, req := range reqs {
+		c.inc.Feed(req)
+		served++
+		if served == c.nextCP {
+			c.checkpoint(served)
+		}
+	}
+	return served
 }
 
 // checkpoint samples the running totals after served requests.

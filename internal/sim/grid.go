@@ -3,25 +3,27 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"obm/internal/core"
 	"obm/internal/stats"
-	"obm/internal/trace"
 )
 
 // The scenario-grid scheduler: a list of ScenarioSpecs is expanded into a
-// (scenario × algorithm × b × rep) job grid and executed by a worker pool.
-// Every job reads its own streaming source, so memory is O(workers ×
-// chunk) regardless of trace lengths, and jobs never share mutable state:
-// a job's source is a fork of its scenario's prototype stream (see
-// Workloads), which shares only the read-only setup — the tables over the
-// rack pairs and the state after the setup draws — and owns its RNG,
-// cursor and working set. Repetitions of one (scenario, algorithm, b)
-// cell are aggregated into a stats.Summary row.
+// (scenario × algorithm × b × rep) job grid and executed in groups (see
+// group.go). A job's requests depend only on its scenario, so the jobs of
+// one scenario that a run executes form a group that reads one streaming
+// source — a fork of the scenario's prototype stream (see Workloads) —
+// and every chunk it generates is fed to every job of the group, each
+// through its own algorithm and cost meter. The trace is generated once
+// per group instead of once per job, memory is the workers' chunk
+// buffers plus the live jobs' algorithm state regardless of trace
+// lengths, and jobs share nothing mutable: a job's outcome is exactly
+// what a replay of a fresh source computes. Repetitions of one (scenario,
+// algorithm, b) cell are aggregated into a stats.Summary row.
 //
 // The grid supports durable execution through three orthogonal hooks, all
 // built on the fact that a job's outcome is a pure function of its
@@ -66,10 +68,15 @@ type JobOutcome struct {
 
 // GridOptions tunes the grid scheduler.
 type GridOptions struct {
-	// Workers is the pool size; <= 0 selects GOMAXPROCS.
+	// Workers is the number of worker goroutines (at most one per job);
+	// <= 0 selects GOMAXPROCS. Any worker feeds any job whose next chunk
+	// is ready, generates the next chunk of a group's source, or admits
+	// the next group, so two workers share one group's jobs and its one
+	// generator. One worker runs on the caller's goroutine.
 	Workers int
-	// ChunkSize is the streaming chunk capacity per worker
-	// (trace.DefaultChunkSize if <= 0).
+	// ChunkSize is the capacity of the grid's chunk buffers, one per
+	// worker (trace.DefaultChunkSize if <= 0): a group holds a generated
+	// chunk until every live job of the group has fed it.
 	ChunkSize int
 	// CurvePoints, when > 0, records that many evenly spaced cost-curve
 	// checkpoints in every JobOutcome (0 keeps only the final costs).
@@ -82,7 +89,7 @@ type GridOptions struct {
 	// content-addressed caches and fleet shards stay valid across it.
 	Parallel int
 	// Shard/Shards statically partition the job grid: only jobs whose
-	// plan index i satisfies i % Shards == Shard are executed, so
+	// plan index i satisfies i % Shards == Shard (InShard) are executed, so
 	// independent processes (or machines) running distinct shards of the
 	// same spec list own disjoint job slices. Shards <= 1 disables
 	// sharding. Cells with no jobs in this shard are dropped from the
@@ -103,13 +110,15 @@ type GridOptions struct {
 	// Callbacks are serialized; err is the job's error (nil on success).
 	Progress func(done, total int, job GridJob, err error)
 	// CheckpointEvery, when > 0 with SaveCheckpoint set, snapshots each
-	// in-flight job's algorithm state plus partial curve roughly every
-	// that many requests (at chunk boundaries, sequential replay only;
-	// the parallel path replays whole jobs or not at all). A killed run
-	// resumed through LoadCheckpoint then restarts *inside* a job rather
-	// than at its start. Checkpoints are an optimization, never part of
-	// job identity: a missing, stale or corrupt checkpoint just means a
-	// fresh replay, and determinism makes the outcome identical.
+	// in-flight job's algorithm state plus partial curve at the first
+	// chunk boundary after every that many requests the job fed
+	// (sequential replay only; the parallel path replays whole jobs or not
+	// at all). Each job of a group saves its own checkpoints, and on
+	// resume fast-forwards to its own off the group's one source. A killed
+	// run resumed through LoadCheckpoint then restarts *inside* a job
+	// rather than at its start. Checkpoints are an optimization, never
+	// part of job identity: a missing, stale or corrupt checkpoint just
+	// means a fresh replay, and determinism makes the outcome identical.
 	CheckpointEvery int
 	// SaveCheckpoint persists one job's mid-flight checkpoint blob,
 	// replacing any previous one. Errors abort the grid like a Persist
@@ -232,17 +241,33 @@ func PlanGrid(specs []ScenarioSpec) (*GridPlan, error) {
 	return p, nil
 }
 
-// ShardSlice returns the plan jobs owned by shard (index, count) — those
-// whose plan index i satisfies i % count == index — in plan order. A
-// count <= 1 returns the full job list. It is the partition the
-// GridOptions.Shard/Shards hooks execute and the unit the experiment
-// service leases to fleet workers.
-func (p *GridPlan) ShardSlice(index, count int) []GridJob {
+// shardStride is the one shard-ownership rule: shard (index, count) owns
+// the plan jobs first, first+step, first+2·step, … — every job when
+// count <= 1, otherwise the jobs whose plan index i has i % count ==
+// index. InShard and ShardSlice both apply it, and through them the
+// GridOptions.Shard/Shards filter and a sharded run store.
+func shardStride(index, count int) (first, step int) {
 	if count <= 1 {
-		return append([]GridJob(nil), p.Jobs...)
+		return 0, 1
 	}
+	return index, count
+}
+
+// InShard reports whether the job at plan index i belongs to shard
+// (index, count) (see shardStride).
+func InShard(i, index, count int) bool {
+	first, step := shardStride(index, count)
+	return i >= first && (i-first)%step == 0
+}
+
+// ShardSlice returns the plan jobs owned by shard (index, count) (see
+// shardStride) in plan order. A count <= 1 returns the full job list. It
+// is the partition the GridOptions.Shard/Shards hooks execute and the
+// unit the experiment service leases to fleet workers.
+func (p *GridPlan) ShardSlice(index, count int) []GridJob {
+	first, step := shardStride(index, count)
 	var jobs []GridJob
-	for i := index; i < len(p.Jobs); i += count {
+	for i := first; i < len(p.Jobs); i += step {
 		jobs = append(jobs, p.Jobs[i])
 	}
 	return jobs
@@ -283,20 +308,20 @@ func (p *GridPlan) Aggregate(outcomes map[GridJob]JobOutcome) *GridResult {
 	return out
 }
 
-// RunGrid validates the specs, expands the job grid and executes it on the
-// worker pool, honoring the durability hooks in opt (Lookup-resolved jobs
-// are skipped, executed jobs are handed to Persist, and sharding restricts
+// RunGrid validates the specs, expands the job grid and executes it in
+// groups, honoring the durability hooks in opt (Lookup-resolved jobs are
+// skipped, executed jobs are handed to Persist, and sharding restricts
 // execution to this process's slice). All job errors are collected and
-// joined; after the first failure no new jobs are started (in-flight jobs
-// finish). On error the partial result is discarded — though every job
-// Persist saw is already durable.
+// joined; after the first failure no new group is started (the jobs of
+// groups in flight finish). On error the partial result is discarded —
+// though every job Persist saw is already durable.
 func RunGrid(specs []ScenarioSpec, opt GridOptions) (*GridResult, error) {
 	return RunGridContext(context.Background(), specs, opt)
 }
 
 // RunGridContext is RunGrid under a context. Cancelling ctx stops the
-// grid promptly: no new jobs are fed to the pool, and in-flight jobs
-// abort at their next chunk boundary instead of replaying to the end.
+// grid promptly: no new group is started, and in-flight jobs abort at
+// their next chunk boundary instead of replaying to the end.
 // Jobs that completed (and were handed to Persist) before the
 // cancellation stay valid — a store-backed run is left
 // partial-but-persisted, ready to be resumed. On cancellation the
@@ -327,7 +352,7 @@ func RunGridContext(ctx context.Context, specs []ScenarioSpec, opt GridOptions) 
 	outcomes := make(map[GridJob]JobOutcome, len(plan.Jobs))
 	var run []runtimeJob
 	for i, j := range plan.Jobs {
-		if opt.Shards > 1 && i%opt.Shards != opt.Shard {
+		if !InShard(i, opt.Shard, opt.Shards) {
 			continue
 		}
 		if opt.Lookup != nil {
@@ -342,60 +367,24 @@ func RunGridContext(ctx context.Context, specs []ScenarioSpec, opt GridOptions) 
 		return nil, err
 	}
 
-	results := make([]JobOutcome, len(run))
-	completed := make([]bool, len(run))
-	var (
-		mu   sync.Mutex // serializes Persist and Progress callbacks
-		done int
-	)
-	err = runPool(ctx, len(run), opt.Workers, func() func(int) error {
-		// Per-worker scratch: one chunk and one result buffer reused
-		// across every job — the bounded-memory contract.
-		chunk := trace.NewChunk(opt.ChunkSize)
-		var res RunResult
-		return func(ji int) error {
-			j := &run[ji]
-			err := runGridJob(ctx, w, j.spec, j.model, j.GridJob, &opt, chunk, &res)
-			if err != nil {
-				err = fmt.Errorf("sim: grid %s: %w", j.GridJob, err)
-			} else {
-				results[ji] = jobOutcome(&res, opt.CurvePoints)
-			}
-			mu.Lock()
-			done++
-			if err == nil && opt.Persist != nil {
-				if perr := opt.Persist(j.GridJob, results[ji]); perr != nil {
-					err = fmt.Errorf("sim: grid %s: persisting: %w", j.GridJob, perr)
-				}
-			}
-			if err == nil {
-				completed[ji] = true
-				opt.Metrics.jobDone()
-			}
-			if opt.Progress != nil {
-				opt.Progress(done, len(run), j.GridJob, err)
-			}
-			mu.Unlock()
-			return err
-		}
-	})
+	s := runGroups(ctx, w, run, &opt)
 	if cerr := ctx.Err(); cerr != nil {
 		// A cancelled grid is not a failed grid: aggregate what finished
 		// (all of it already persisted) and report the cancellation. Real
 		// job failures that raced with the cancellation are subsumed — the
 		// caller asked the grid to stop, and a resume will resurface them.
 		for i := range run {
-			if completed[i] {
-				outcomes[run[i].GridJob] = results[i]
+			if s.completed[i] {
+				outcomes[run[i].GridJob] = s.results[i]
 			}
 		}
 		return plan.Aggregate(outcomes), fmt.Errorf("sim: grid interrupted: %w", cerr)
 	}
-	if err != nil {
+	if err := errors.Join(s.errs...); err != nil {
 		return nil, err
 	}
 	for i := range run {
-		outcomes[run[i].GridJob] = results[i]
+		outcomes[run[i].GridJob] = s.results[i]
 	}
 	return plan.Aggregate(outcomes), nil
 }
@@ -423,7 +412,7 @@ func bindJobs(w *Workloads, run []runtimeJob) error {
 }
 
 // jobOutcome snapshots a run result into a persistable outcome, copying
-// the curve out of the worker's reused buffers.
+// the curve out of the job's result buffers.
 func jobOutcome(res *RunResult, curvePoints int) JobOutcome {
 	o := JobOutcome{ElapsedMS: float64(res.Elapsed) / float64(time.Millisecond)}
 	if n := len(res.Series.X); n > 0 {
@@ -450,35 +439,8 @@ func gridCheckpoints(total, curvePoints int) []int {
 	return []int{total}
 }
 
-// runGridJob replays one grid job: it takes the job's own streaming
-// source from w (a fork of the scenario's prototype: workers never share
-// generator state) and records cumulative costs at the job's checkpoints.
-// Multi-plane jobs take the parallel replay path when the grid runs with
-// Parallel > 1; the outcome is identical either way. Mid-job checkpointing
-// applies only to the sequential path — the parallel path replays whole
-// jobs or not at all, but still drops any stale checkpoint it completes
-// past.
-func runGridJob(ctx context.Context, w *Workloads, spec ScenarioSpec, model core.CostModel, j GridJob, opt *GridOptions, chunk *trace.CompiledChunk, res *RunResult) error {
-	src, err := w.Source(j.Scenario)
-	if err != nil {
-		return err
-	}
-	alg, err := spec.BuildAlgorithmWith(model, j.Alg, j.B, uint64(j.Rep))
-	if err != nil {
-		return err
-	}
-	checkpoints := gridCheckpoints(src.Len(), opt.CurvePoints)
-	if opt.Parallel > 1 {
-		if sh, ok := alg.(*core.Sharded); ok && sh.Shards() > 1 {
-			if err := runSourceParallelInto(ctx, res, sh, src, spec.Alpha, checkpoints, chunk, opt.Parallel, opt.Metrics); err != nil {
-				return err
-			}
-			if opt.DropCheckpoint != nil {
-				opt.DropCheckpoint(j)
-			}
-			return nil
-		}
-	}
+// gridCkHooks binds the grid's checkpoint hooks to job j.
+func gridCkHooks(opt *GridOptions, j GridJob) ckHooks {
 	ck := ckHooks{}
 	if opt.CheckpointEvery > 0 && opt.SaveCheckpoint != nil {
 		ck.every = opt.CheckpointEvery
@@ -490,7 +452,7 @@ func runGridJob(ctx context.Context, w *Workloads, spec ScenarioSpec, model core
 	if opt.DropCheckpoint != nil {
 		ck.drop = func() { opt.DropCheckpoint(j) }
 	}
-	return runSourceInto(ctx, res, alg, src, spec.Alpha, checkpoints, chunk, ck, opt.Metrics)
+	return ck
 }
 
 // WriteCSV emits the grid result as tidy CSV, one row per aggregated cell.

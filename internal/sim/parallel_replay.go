@@ -138,7 +138,7 @@ func RunSourceParallel(alg core.Algorithm, src trace.Source, alpha float64, chec
 // runSourceParallelInto is RunSourceParallel writing into reusable result
 // and chunk buffers. The chunk buffer is only read on the caller's
 // goroutine (requests are copied into shard batches before workers see
-// them), so the grid scheduler's per-worker chunk is safe to pass in.
+// them), so a chunk from the grid scheduler's pool is safe to pass in.
 func runSourceParallelInto(ctx context.Context, res *RunResult, alg core.Algorithm, src trace.Source, alpha float64, checkpoints []int, chunk *trace.CompiledChunk, workers int, met *Metrics) error {
 	sh, ok := alg.(*core.Sharded)
 	if !ok {

@@ -36,7 +36,8 @@ func countingSpecs(racks int) []ScenarioSpec {
 }
 
 // TestPlanGridBuildsNothing: planning builds no trace generator, and a
-// grid run builds one per spec (validation) plus one per executed job.
+// grid run builds one per spec (validation) plus one per group — here one
+// per scenario, whose jobs all read one source.
 func TestPlanGridBuildsNothing(t *testing.T) {
 	specs := countingSpecs(8)
 	countingBuilds.Store(0)
@@ -54,8 +55,8 @@ func TestPlanGridBuildsNothing(t *testing.T) {
 	if _, err := RunGrid(specs, GridOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if n, want := countingBuilds.Load(), int64(len(specs)+len(plan.Jobs)); n != want {
-		t.Fatalf("RunGrid built %d generators, want %d (one per spec, one per job)", n, want)
+	if n, want := countingBuilds.Load(), int64(4); n != want {
+		t.Fatalf("RunGrid built %d generators, want %d (one per spec, one per group)", n, want)
 	}
 
 	// Resume every other job: only the rest replays.
@@ -81,8 +82,8 @@ func TestPlanGridBuildsNothing(t *testing.T) {
 	if executed != len(plan.Jobs)-len(outcomes) {
 		t.Fatalf("executed %d jobs, want %d", executed, len(plan.Jobs)-len(outcomes))
 	}
-	if n, want := countingBuilds.Load(), int64(len(specs)+executed); n != want {
-		t.Fatalf("resumed RunGrid built %d generators, want %d (one per spec, one per executed job)", n, want)
+	if n, want := countingBuilds.Load(), int64(4); n != want {
+		t.Fatalf("resumed RunGrid built %d generators, want %d (one per spec, one per group)", n, want)
 	}
 }
 

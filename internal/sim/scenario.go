@@ -201,7 +201,11 @@ type algEntry struct {
 	// before its first request (so-bma). It runs on one plane, and a live
 	// session, whose requests arrive one batch at a time, cannot run it.
 	offline bool
-	build   func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error)
+	// planes marks a constructor that runs one instance per plane when
+	// the spec asks for several (see planes): the jobs the grid replays
+	// through the parallel driver when GridOptions.Parallel > 1.
+	planes bool
+	build  func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error)
 }
 
 var (
@@ -349,7 +353,7 @@ func param(spec ScenarioSpec, key string, def float64) float64 {
 // builds the plain single-plane algorithm directly (no wrapper, so
 // classic scenarios are untouched).
 func planes(build func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error)) algEntry {
-	return algEntry{fixedB: -1, build: func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error) {
+	return algEntry{fixedB: -1, planes: true, build: func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error) {
 		if spec.Shards <= 1 {
 			return build(spec, model, b, seed)
 		}

@@ -14,11 +14,12 @@ import (
 // job of the scenario replays against: the cost model and a prototype of
 // the workload stream whose setup (the tables over the rack pairs and the
 // state after the setup draws, see trace.Forker) is computed once, on
-// first use. A job's source reads a fork of the prototype, so the
-// scenario's jobs share that setup instead of each rebuilding it; a fork
-// starts from exactly the state a fresh stream's Reset computes, so
-// outcomes are unchanged. Families whose streams do not fork get a fresh
-// stream per job.
+// first use. A grid reads one source per group of a scenario's jobs (see
+// group.go), and each source reads a fork of the prototype, so the groups
+// — the shards of one job, say — share that setup instead of each
+// rebuilding it; a fork starts from exactly the state a fresh stream's
+// Reset computes, so outcomes are unchanged. Families whose streams do
+// not fork get a fresh stream per source.
 //
 // A Workloads is safe for concurrent use. Its memory is each scenario's
 // cost model and generator tables, racks² in size, held for as long as
@@ -123,7 +124,7 @@ func (w *Workloads) Source(scenario string) (trace.Source, error) {
 // stream returns a stream at request 0 of the scenario's workload. The
 // first call builds the stream and, if it forks, sets it up as the
 // prototype; if it does not, that call replays the stream itself, so a
-// family without tables still builds exactly one stream per job.
+// family without tables still builds exactly one stream per source.
 func (sw *scenarioWorkload) stream() (trace.Stream, error) {
 	var own trace.Stream
 	sw.protoOnce.Do(func() {

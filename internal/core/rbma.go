@@ -83,6 +83,14 @@ func WithCacheFactory(f paging.Factory, name string) RBMAOption {
 	}
 }
 
+// MaxDenseCacheEntries bounds the dense slot tables of R-BMA's
+// factory-built caches (WithCacheFactory): each of the n caches declares
+// a dense universe over all n·(n−1)/2 pairs while n times that is at
+// most this many entries. The tables cost O(n³) across all racks; past
+// this total they stop paying for themselves, and map mode is
+// behavior-identical anyway.
+const MaxDenseCacheEntries = 16 << 20
+
 // NewRBMA constructs R-BMA for n racks with degree cap b under the given
 // cost model. The seed drives all randomized choices; the same seed yields
 // an identical run.
@@ -158,11 +166,7 @@ func (r *RBMA) Reset() {
 		}
 		r.caches = nil
 	} else {
-		// Dense slot tables cost NumPairs() entries per cache, O(n³)
-		// across all racks; past this total they stop paying for
-		// themselves, and map mode is behavior-identical anyway.
-		const maxDenseEntries = 16 << 20
-		dense := r.n*r.idx.NumPairs() <= maxDenseEntries
+		dense := r.n*r.idx.NumPairs() <= MaxDenseCacheEntries
 		r.caches = make([]paging.Cache, r.n)
 		for i := range r.caches {
 			r.caches[i] = r.factory(r.b, master.Uint64())

@@ -241,34 +241,25 @@ func PlanGrid(specs []ScenarioSpec) (*GridPlan, error) {
 	return p, nil
 }
 
-// shardStride is the one shard-ownership rule: shard (index, count) owns
-// the plan jobs first, first+step, first+2·step, … — every job when
-// count <= 1, otherwise the jobs whose plan index i has i % count ==
-// index. InShard and ShardSlice both apply it, and through them the
-// GridOptions.Shard/Shards filter and a sharded run store.
-func shardStride(index, count int) (first, step int) {
-	if count <= 1 {
-		return 0, 1
-	}
-	return index, count
-}
-
 // InShard reports whether the job at plan index i belongs to shard
-// (index, count) (see shardStride).
+// (index, count): every job when count <= 1, otherwise the jobs with
+// i % count == index. It is the one shard-ownership rule: ShardSlice,
+// the GridOptions.Shard/Shards filter and a sharded run store all apply
+// it.
 func InShard(i, index, count int) bool {
-	first, step := shardStride(index, count)
-	return i >= first && (i-first)%step == 0
+	return count <= 1 || i%count == index
 }
 
 // ShardSlice returns the plan jobs owned by shard (index, count) (see
-// shardStride) in plan order. A count <= 1 returns the full job list. It
-// is the partition the GridOptions.Shard/Shards hooks execute and the
-// unit the experiment service leases to fleet workers.
+// InShard) in plan order. A count <= 1 returns the full job list. It is
+// the partition the GridOptions.Shard/Shards hooks execute and the unit
+// the experiment service leases to fleet workers.
 func (p *GridPlan) ShardSlice(index, count int) []GridJob {
-	first, step := shardStride(index, count)
 	var jobs []GridJob
-	for i := first; i < len(p.Jobs); i += step {
-		jobs = append(jobs, p.Jobs[i])
+	for i, j := range p.Jobs {
+		if InShard(i, index, count) {
+			jobs = append(jobs, j)
+		}
 	}
 	return jobs
 }

@@ -30,7 +30,6 @@ import (
 //     chunk at a time, so generation is the path to keep moving);
 //   - a job whose next chunk is ready, to feed it that chunk (or to end
 //     the job once the source is drained);
-//   - a free chunk buffer, to read a group's next chunk ahead;
 //   - the next group, if a chunk buffer is free and the group's jobs fit
 //     the live-state budget;
 //
@@ -45,23 +44,30 @@ import (
 
 // liveStateBudget caps the algorithm state a grid keeps live: groups are
 // cut to fit it and admitted only while the live jobs fit it, except that
-// a grid always runs as many jobs at once as it has workers. At the
-// paper's sizes (≤ 100 racks, ~80 KB a job) a group holds all of its
-// scenario's jobs; near MaxRacks, where one BMA holds ~134 MB, a group
+// a grid always runs as many jobs at once as it has workers, as many as a
+// pool of workers replaying one job each holds. At the paper's sizes
+// (100 racks: ~80 KB for a BMA job, ~2.2 MB for an r-bma-lru one) a group
+// holds all of its scenario's jobs; at 300 racks, where one r-bma-lru job
+// holds ~54 MB, or near MaxRacks, where one BMA holds ~134 MB, a group
 // holds as many jobs as there are workers and runs alone.
 const liveStateBudget = 64 << 20
 
-// jobStateBytes estimates one live job's memory at racks racks: the
-// largest per-pair state of the registered algorithms (BMA's tables, 16
-// bytes a pair) plus a fixed allowance for the rest.
-func jobStateBytes(racks int) int64 {
-	return 16*int64(racks)*int64(racks-1)/2 + 4<<10
-}
-
-// groupCap is the number of jobs one group of a scenario at racks racks
-// holds when the grid runs on workers workers.
-func groupCap(racks, workers int) int {
-	return max(workers, int(liveStateBudget/jobStateBytes(racks)))
+// jobStateBytes bounds the memory one live job holds: its algorithm's
+// registered live-state bound plus 16 KB for the instance's small
+// objects and the page rounding of its tables, once per plane, and its
+// replay (cost meter, curve buffers of curvePoints points). An algorithm
+// without a bound counts as the whole budget, so its groups hold as many
+// jobs as there are workers.
+func jobStateBytes(rj *runtimeJob, curvePoints int) int64 {
+	a, err := algFor(rj.Alg)
+	if err != nil || a.state == nil {
+		return liveStateBudget
+	}
+	bytes := a.state(rj.spec.Racks, rj.B) + 16<<10
+	if a.planes && rj.spec.Shards > 1 {
+		bytes *= int64(rj.spec.Shards)
+	}
+	return bytes + 4<<10 + 24*int64(curvePoints)
 }
 
 // group is the jobs of one scenario that replay off one source.
@@ -70,8 +76,8 @@ type group struct {
 	jobs     []groupJob
 	// solo marks a multi-plane job for the parallel driver: a group of
 	// one that reads a source of its own.
-	solo     bool
-	jobBytes int64 // estimated live state of one job
+	solo  bool
+	bytes int64 // the jobs' live-state bounds (jobStateBytes), summed
 
 	// Written once, by the worker that builds the source, before the
 	// first chunk is published.
@@ -102,8 +108,9 @@ type heldChunk struct {
 
 // groupJob is one job of a group.
 type groupJob struct {
-	ri    int // index in the run list
-	next  int // sequence number of the chunk it feeds next
+	ri    int   // index in the run list
+	bytes int64 // live-state bound (jobStateBytes)
+	next  int   // sequence number of the chunk it feeds next
 	begun bool
 	rp    replay
 	res   RunResult
@@ -147,7 +154,7 @@ func runGroups(ctx context.Context, w *Workloads, run []runtimeJob, opt *GridOpt
 		results:   make([]JobOutcome, len(run)),
 		errs:      make([]error, len(run)),
 		completed: make([]bool, len(run)),
-		pending:   planGroups(run, opt.Parallel, workers),
+		pending:   planGroups(run, opt, workers),
 	}
 	s.wake.L = &s.mu
 	for range workers {
@@ -176,22 +183,27 @@ func runGroups(ctx context.Context, w *Workloads, run []runtimeJob, opt *GridOpt
 }
 
 // planGroups cuts run into groups: maximal runs of one scenario's jobs
-// (plan order keeps them together) of at most groupCap jobs, and a group
-// of one for each job the parallel driver replays.
-func planGroups(run []runtimeJob, parallel, workers int) []*group {
+// (plan order keeps them together) that fit the live-state budget or
+// hold at most workers jobs, and a group of one for each job the
+// parallel driver replays.
+func planGroups(run []runtimeJob, opt *GridOptions, workers int) []*group {
 	var groups []*group
 	for i := 0; i < len(run); {
 		rj := &run[i]
-		per := jobStateBytes(rj.spec.Racks)
-		if parallelJob(rj, parallel) {
-			groups = append(groups, &group{scenario: rj.Scenario, solo: true, jobBytes: per, jobs: []groupJob{{ri: i}}})
+		if parallelJob(rj, opt.Parallel) {
+			bytes := jobStateBytes(rj, opt.CurvePoints)
+			groups = append(groups, &group{scenario: rj.Scenario, solo: true, bytes: bytes, jobs: []groupJob{{ri: i, bytes: bytes}}})
 			i++
 			continue
 		}
-		g := &group{scenario: rj.Scenario, jobBytes: per}
-		limit := groupCap(rj.spec.Racks, workers)
-		for ; i < len(run) && len(g.jobs) < limit && run[i].Scenario == rj.Scenario && !parallelJob(&run[i], parallel); i++ {
-			g.jobs = append(g.jobs, groupJob{ri: i})
+		g := &group{scenario: rj.Scenario}
+		for ; i < len(run) && run[i].Scenario == rj.Scenario && !parallelJob(&run[i], opt.Parallel); i++ {
+			bytes := jobStateBytes(&run[i], opt.CurvePoints)
+			if len(g.jobs) >= workers && g.bytes+bytes > liveStateBudget {
+				break
+			}
+			g.jobs = append(g.jobs, groupJob{ri: i, bytes: bytes})
+			g.bytes += bytes
 		}
 		groups = append(groups, g)
 	}
@@ -213,12 +225,10 @@ func (s *gridSched) worker() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if g := s.idleSource(true); g != nil {
+		if g := s.idleSource(); g != nil {
 			s.generate(g)
 		} else if g, j := s.readyJob(); j != nil {
 			s.step(g, j)
-		} else if g := s.idleSource(false); g != nil {
-			s.generate(g)
 		} else if g := s.admit(); g != nil {
 			if g.solo {
 				s.runSolo(g)
@@ -232,7 +242,8 @@ func (s *gridSched) worker() {
 }
 
 // readyJob takes a job that can step. Once the context is cancelled every
-// waiting job can: its step ends it with the context's error.
+// waiting job can: its step ends it, with the context's error if it
+// began and unreported if it did not.
 func (s *gridSched) readyJob() (*group, *groupJob) {
 	cancelled := s.ctx.Err() != nil
 	for _, g := range s.active {
@@ -249,17 +260,14 @@ func (s *gridSched) readyJob() (*group, *groupJob) {
 	return nil, nil
 }
 
-// idleSource picks a group whose next chunk can be generated now: with
-// needed, one that a job is waiting for; otherwise any.
-func (s *gridSched) idleSource(needed bool) *group {
+// idleSource picks a group whose next chunk a job is waiting for and
+// can be generated now.
+func (s *gridSched) idleSource() *group {
 	if len(s.free) == 0 || s.ctx.Err() != nil {
 		return nil
 	}
 	for _, g := range s.active {
-		if g.solo || g.generating || g.eof || g.err != nil || g.live == 0 {
-			continue
-		}
-		if !needed || len(g.waiting) > 0 {
+		if len(g.waiting) > 0 && !g.generating && !g.eof && g.err == nil {
 			return g
 		}
 	}
@@ -274,18 +282,19 @@ func (s *gridSched) admit() *group {
 		return nil
 	}
 	g := s.pending[0]
-	bytes := g.jobBytes * int64(len(g.jobs))
-	if s.liveJobs > 0 && s.liveBytes+bytes > liveStateBudget {
+	if s.liveJobs > 0 && s.liveBytes+g.bytes > liveStateBudget {
 		return nil
 	}
 	s.pending[0] = nil // a retired group is garbage
 	s.pending = s.pending[1:]
 	s.active = append(s.active, g)
 	s.liveJobs += len(g.jobs)
-	s.liveBytes += bytes
+	s.liveBytes += g.bytes
 	g.live = len(g.jobs)
-	for i := range g.jobs {
-		g.waiting = append(g.waiting, &g.jobs[i])
+	if !g.solo { // runSolo runs a solo group's job
+		for i := range g.jobs {
+			g.waiting = append(g.waiting, &g.jobs[i])
+		}
 	}
 	return g
 }
@@ -339,11 +348,15 @@ func (s *gridSched) openSource(g *group) error {
 
 // step advances job j of g by one chunk: it begins the job on its first
 // step, feeds it its next chunk, or ends it once the source is drained.
-// A job that ends or fails is finished (persisted, reported) and gives up
-// its claims on the group's held chunks. Called and returns with s.mu
-// held.
+// A job that ends or fails is finished (persisted, reported) and leaves
+// the group; a job the cancellation reaches before it began never ran,
+// and leaves unreported. Called and returns with s.mu held.
 func (s *gridSched) step(g *group, j *groupJob) {
 	seq := j.next
+	if !j.begun && s.ctx.Err() != nil {
+		s.leave(g, j, nil)
+		return
+	}
 	var reqs []trace.CompiledReq
 	srcErr := g.err
 	if seq < g.generated {
@@ -373,18 +386,16 @@ func (s *gridSched) step(g *group, j *groupJob) {
 		err = s.finish(j, err)
 	}
 	s.mu.Lock()
-	if !finished {
-		s.release(g, seq, seq+1)
-		j.next = seq + 1
-		if j.next < g.generated || g.eof || g.err != nil {
-			g.ready = append(g.ready, j)
-		} else {
-			g.waiting = append(g.waiting, j)
-		}
+	if finished {
+		s.leave(g, j, err)
+		return
+	}
+	s.release(g, seq, seq+1)
+	j.next = seq + 1
+	if j.next < g.generated || g.eof || g.err != nil {
+		g.ready = append(g.ready, j)
 	} else {
-		s.release(g, seq, g.generated)
-		g.live--
-		s.jobDone(g, err)
+		g.waiting = append(g.waiting, j)
 	}
 	s.wake.Broadcast()
 }
@@ -415,15 +426,19 @@ func (s *gridSched) release(g *group, from, to int) {
 	}
 }
 
-// jobDone accounts for a finished job of g that ended with err. Called
-// with s.mu held.
-func (s *gridSched) jobDone(g *group, err error) {
+// leave takes job j, which ended with err, out of g: it gives up its
+// claims on the held chunks it has not fed and its share of the live
+// state. A failure stops admission. Called with s.mu held.
+func (s *gridSched) leave(g *group, j *groupJob, err error) {
+	s.release(g, j.next, g.generated)
+	g.live--
 	s.liveJobs--
-	s.liveBytes -= g.jobBytes
+	s.liveBytes -= j.bytes
 	if err != nil && s.ctx.Err() == nil {
 		s.failed = true
 	}
 	s.retireIfDone(g)
+	s.wake.Broadcast()
 }
 
 // retireIfDone drops a group whose jobs have all finished once no worker
@@ -443,20 +458,14 @@ func (s *gridSched) retireIfDone(g *group) {
 // runSolo runs a parallel-driver job on one pooled chunk. Called and
 // returns with s.mu held.
 func (s *gridSched) runSolo(g *group) {
+	j := &g.jobs[0]
 	buf := s.free[len(s.free)-1]
 	s.free = s.free[:len(s.free)-1]
 	s.mu.Unlock()
-	j := &g.jobs[0]
-	err := s.ctx.Err()
-	if err == nil {
-		err = s.runParallel(j, buf)
-	}
-	err = s.finish(j, err)
+	err := s.finish(j, s.runParallel(j, buf))
 	s.mu.Lock()
 	s.free = append(s.free, buf)
-	g.live = 0
-	s.jobDone(g, err)
-	s.wake.Broadcast()
+	s.leave(g, j, err)
 }
 
 // runParallel replays a multi-plane job through the parallel driver, on

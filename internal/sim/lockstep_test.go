@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"obm/internal/core"
 	"obm/internal/obs"
 	"obm/internal/trace"
 )
@@ -314,6 +316,62 @@ func TestLockstepCancelResumesEveryJob(t *testing.T) {
 	}
 }
 
+// TestLockstepCancelReportsOnlyBegunJobs: a cancelled run reports
+// through Progress exactly the jobs that had begun (consulted their
+// checkpoint), each once with the cancellation; a job that never ran is
+// not reported as failed. The cancellation fires inside the first save,
+// before any job completes; with one worker, before any other job began.
+func TestLockstepCancelReportsOnlyBegunJobs(t *testing.T) {
+	specs := []ScenarioSpec{
+		{Name: "uni", Family: "uniform", Racks: 12, Requests: 4000, Seed: 7, Bs: []int{2, 4}, Reps: 2},
+		{Name: "fb", Family: "facebook-database", Racks: 16, Requests: 4000, Seed: 8, Bs: []int{2, 4}, Reps: 2},
+	}
+	plan, err := PlanGrid(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var mu sync.Mutex
+		begun := make(map[GridJob]bool)
+		var reported []GridJob
+		opt := GridOptions{
+			Workers: workers, ChunkSize: 128, CheckpointEvery: 128,
+			SaveCheckpoint: func(GridJob, []byte) error {
+				cancel()
+				return nil
+			},
+			LoadCheckpoint: func(j GridJob) ([]byte, bool) {
+				mu.Lock()
+				defer mu.Unlock()
+				begun[j] = true
+				return nil, false
+			},
+			Progress: func(_, _ int, j GridJob, err error) {
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("workers=%d: %s reported %v, want the cancellation", workers, j, err)
+				}
+				reported = append(reported, j) // Progress calls are serialized
+			},
+		}
+		if _, err := RunGridContext(ctx, specs, opt); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: %v, want context.Canceled", workers, err)
+		}
+		cancel()
+		for _, j := range reported {
+			if !begun[j] {
+				t.Errorf("workers=%d: %s reported, but it never began", workers, j)
+			}
+		}
+		if len(reported) != len(begun) {
+			t.Errorf("workers=%d: %d jobs reported, %d began", workers, len(reported), len(begun))
+		}
+		if workers == 1 && !slices.Equal(reported, plan.Jobs[:1]) {
+			t.Errorf("one worker reported %v, want only the first job %s", reported, plan.Jobs[0])
+		}
+	}
+}
+
 // trimElapsed renders a grid result as CSV without the wall-time column.
 func trimElapsed(t *testing.T, res *GridResult) string {
 	t.Helper()
@@ -329,12 +387,22 @@ func trimElapsed(t *testing.T, res *GridResult) string {
 }
 
 // TestLockstepGroupCap: at the paper's sizes a group holds all of its
-// scenario's jobs; near MaxRacks a group holds no more jobs than the grid
-// has workers, and no second group is admitted while one is live.
+// scenario's jobs. Past that, the live jobs' state bounds stay within
+// the live-state budget, or no more jobs are live than the grid has
+// workers: with r-bma-lru's per-rack dense tables at 300 racks, with a
+// multi-plane spec whose every plane is a full instance, and near
+// MaxRacks, where a group holds exactly as many jobs as there are
+// workers and no second group is admitted while one is live.
 func TestLockstepGroupCap(t *testing.T) {
-	paper := ScenarioSpec{Name: "p", Family: "uniform", Racks: 100, Requests: 100, Seed: 1, Bs: []int{6, 12, 18}, Reps: 5}
+	paper := ScenarioSpec{Name: "p", Family: "uniform", Racks: 100, Requests: 100, Seed: 1, Bs: []int{6, 12, 18}, Reps: 5,
+		Algs: []string{"r-bma", "r-bma-lru", "bma", "oblivious"}}
+	lru := paper
+	lru.Name, lru.Racks, lru.Algs = "lru", 300, Algorithms()
+	planesSpec := paper
+	planesSpec.Name, planesSpec.Racks, planesSpec.Shards, planesSpec.Algs = "planes", 150, 4, []string{"r-bma-lru"}
 	big := paper
-	big.Name, big.Racks = "big", MaxRacks
+	big.Name, big.Racks, big.Algs = "big", MaxRacks, []string{"r-bma", "bma"}
+	opt := &GridOptions{}
 	plannedRun := func(spec ScenarioSpec) []runtimeJob {
 		plan, err := PlanGrid([]ScenarioSpec{spec})
 		if err != nil {
@@ -346,31 +414,100 @@ func TestLockstepGroupCap(t *testing.T) {
 		}
 		return run
 	}
-	if groups := planGroups(plannedRun(paper), 0, 2); len(groups) != 1 {
+	if groups := planGroups(plannedRun(paper), opt, 2); len(groups) != 1 {
 		t.Fatalf("a 100-rack scenario's %d jobs plan as %d groups, want 1", len(plannedRun(paper)), len(groups))
 	}
-	for workers := 1; workers <= 4; workers++ {
-		run := plannedRun(big)
-		s := &gridSched{ctx: context.Background(), pending: planGroups(run, 0, workers)}
-		s.free = make([]*trace.CompiledChunk, workers)
-		jobs, peak := 0, 0
-		for len(s.pending) > 0 {
-			g := s.admit()
-			if g == nil {
-				t.Fatalf("workers=%d: nothing live, yet the next group is not admitted", workers)
+	for _, spec := range []ScenarioSpec{lru, planesSpec, big} {
+		for workers := 1; workers <= 4; workers++ {
+			run := plannedRun(spec)
+			s := &gridSched{ctx: context.Background(), opt: opt, pending: planGroups(run, opt, workers)}
+			s.free = make([]*trace.CompiledChunk, workers)
+			left, peak := 0, 0
+			for len(s.pending) > 0 || len(s.active) > 0 {
+				for g := s.admit(); g != nil; g = s.admit() {
+					if s.liveBytes > liveStateBudget && s.liveJobs > workers {
+						t.Fatalf("%s, workers=%d: %d jobs live with %d bytes of state, budget %d", spec.Name, workers, s.liveJobs, s.liveBytes, liveStateBudget)
+					}
+					peak = max(peak, s.liveJobs)
+				}
+				if len(s.active) == 0 {
+					t.Fatalf("%s, workers=%d: nothing live, yet the next group is not admitted", spec.Name, workers)
+				}
+				g := s.active[0] // its first unfinished job leaves
+				s.leave(g, &g.jobs[len(g.jobs)-g.live], nil)
+				left++
 			}
-			if next := s.admit(); next != nil {
-				t.Fatalf("workers=%d: a second %d-rack group admitted while %d jobs are live", workers, MaxRacks, s.liveJobs)
+			if left != len(run) || s.liveJobs != 0 || s.liveBytes != 0 {
+				t.Fatalf("%s, workers=%d: %d of %d jobs left, %d jobs and %d bytes still live", spec.Name, workers, left, len(run), s.liveJobs, s.liveBytes)
 			}
-			jobs += len(g.jobs)
-			peak = max(peak, s.liveJobs)
-			for range g.jobs {
-				g.live--
-				s.jobDone(g, nil)
+			if spec.Name == "big" && peak != workers {
+				t.Fatalf("workers=%d: at most %d %d-rack jobs live, want %d", workers, peak, MaxRacks, workers)
+			}
+			if spec.Name == "planes" && peak != max(workers, 2) {
+				// Two 4-plane r-bma-lru jobs at 150 racks fit the budget.
+				t.Fatalf("workers=%d: at most %d 4-plane jobs live, want %d", workers, peak, max(workers, 2))
 			}
 		}
-		if jobs != len(run) || peak != workers || len(s.active) != 0 {
-			t.Fatalf("workers=%d: ran %d of %d jobs, at most %d live, %d groups left; want every job, %d live", workers, jobs, len(run), peak, len(s.active), workers)
+	}
+}
+
+// TestAlgStateBoundsLiveHeap: the live-state bound of every registered
+// algorithm covers the heap one of its jobs keeps live once it has
+// served requests, on one plane and on several, so the grid's live-state
+// budget caps real memory; and it is at most about twice that heap, so
+// groups are not cut for state that is not there.
+func TestAlgStateBoundsLiveHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting under race instrumentation")
+	}
+	for _, tc := range []struct{ racks, b, shards int }{{40, 4, 1}, {300, 12, 1}, {64, 6, 4}} {
+		spec := ScenarioSpec{Name: "m", Family: "uniform", Racks: tc.racks, Requests: 20000, Seed: 1, Bs: []int{tc.b}, Reps: 1, Shards: tc.shards}
+		for _, name := range Algorithms() {
+			if Offline(name) && tc.shards > 1 {
+				continue
+			}
+			spec.Algs = []string{name}
+			plan, err := PlanGrid([]ScenarioSpec{spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rj := runtimeJob{GridJob: plan.Jobs[0], spec: spec.Normalize()}
+			model := rj.spec.Model()
+			src, err := rj.spec.NewSource()
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed := func(rep uint64) core.Algorithm {
+				alg, err := rj.spec.BuildAlgorithmWith(model, name, rj.B, rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := RunSource(alg, src, rj.spec.Alpha, gridCheckpoints(src.Len(), 0), 0); err != nil {
+					t.Fatal(err)
+				}
+				return alg
+			}
+			// A first replay builds what instances share (the pair index,
+			// the k_e table) and the source's tables.
+			warm := replayed(0)
+			// Two collections: the first leaves pooled objects in the
+			// pools' victim caches, the second frees them.
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			alg := replayed(1)
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+			bound := jobStateBytes(&rj, 0)
+			if live > bound || bound > 2*live+64<<10 {
+				t.Errorf("%s at %d racks, b=%d, %d planes keeps %d bytes live, bound %d", name, tc.racks, rj.B, tc.shards, live, bound)
+			}
+			runtime.KeepAlive(src)
+			runtime.KeepAlive(warm)
+			runtime.KeepAlive(alg)
 		}
 	}
 }

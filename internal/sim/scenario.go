@@ -206,6 +206,10 @@ type algEntry struct {
 	// through the parallel driver when GridOptions.Parallel > 1.
 	planes bool
 	build  func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error)
+	// state bounds the bytes one instance (one plane) at racks racks and
+	// degree cap b keeps live: what the grid's live-state budget counts
+	// (see jobStateBytes).
+	state func(racks, b int) int64
 }
 
 var (
@@ -352,8 +356,8 @@ func param(spec ScenarioSpec, key string, def float64) float64 {
 // core.Sharded, seeding plane k with core.ShardSeed(seed, k); Shards <= 1
 // builds the plain single-plane algorithm directly (no wrapper, so
 // classic scenarios are untouched).
-func planes(build func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error)) algEntry {
-	return algEntry{fixedB: -1, planes: true, build: func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error) {
+func planes(state func(racks, b int) int64, build func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error)) algEntry {
+	return algEntry{fixedB: -1, planes: true, state: state, build: func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error) {
 		if spec.Shards <= 1 {
 			return build(spec, model, b, seed)
 		}
@@ -365,6 +369,41 @@ func planes(build func(spec ScenarioSpec, model core.CostModel, b int, seed uint
 			return build(spec, model, b, core.ShardSeed(seed, shard))
 		})
 	}}
+}
+
+// The registry's live-state bounds, one instance at n racks and degree
+// cap b, from what each constructor allocates. Tables shared across
+// instances (the cost model, R-BMA's k_e table) belong to the scenario,
+// not to a job, and are left out. TestAlgStateBoundsLiveHeap measures
+// every registered algorithm against its bound.
+
+// pairBytes is size bytes for each of n racks' pairs.
+func pairBytes(n int, size float64) int64 {
+	return int64(size * float64(trace.NumPairs(n)))
+}
+
+// matchingBytes bounds a b-matching: degree and incidence slabs and a
+// bit per pair.
+func matchingBytes(n, b int) int64 {
+	return 4*int64(n) + 8*int64(n)*int64(b) + pairBytes(n, 1.0/8) + 256
+}
+
+// rbmaBytes bounds R-BMA: the matching, a counter and a mark bit per
+// pair, and the uniform layer. The default layer is a marking bank with
+// a slot per rack pair in each direction; with cache, every rack has a
+// paging.Cache of b items that also holds a dense slot table over all
+// pairs while n times the pair count is at most
+// core.MaxDenseCacheEntries: 4·n bytes a pair, against BMA's 16.
+func rbmaBytes(n, b int, cache bool) int64 {
+	bytes := matchingBytes(n, b) + pairBytes(n, 4+1.0/8) + 4*int64(n)
+	if !cache {
+		return bytes + 4*int64(n)*int64(n) + 4*int64(n)*int64(b) + 48*int64(n)
+	}
+	perCache := 96*int64(b) + 512
+	if n*trace.NumPairs(n) <= core.MaxDenseCacheEntries {
+		perCache += pairBytes(n, 4)
+	}
+	return bytes + int64(n)*perCache
 }
 
 // newStatic builds SO-BMA for the scenario from the pair counts of one
@@ -488,13 +527,13 @@ func init() {
 	// its own seed rule. In multi-plane scenarios each plane derives its
 	// own seed from it via core.ShardSeed (plane 0 keeps it, so shards = 1
 	// is seeded exactly like the classic single-plane run).
-	rbma := func(opts ...core.RBMAOption) algEntry {
-		return planes(func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error) {
+	rbma := func(cache bool, opts ...core.RBMAOption) algEntry {
+		return planes(func(n, b int) int64 { return rbmaBytes(n, b, cache) }, func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error) {
 			return core.NewRBMA(spec.Racks, b, model, seed, opts...)
 		})
 	}
-	algorithms["r-bma"] = rbma()
-	algorithms["r-bma-eager"] = rbma(core.WithEagerRemoval())
+	algorithms["r-bma"] = rbma(false)
+	algorithms["r-bma-eager"] = rbma(false, core.WithEagerRemoval())
 	for _, p := range []struct {
 		name string
 		f    paging.Factory
@@ -504,23 +543,28 @@ func init() {
 		{"fifo", paging.NewFIFOFactory},
 		{"random", paging.NewRandomEvictFactory},
 	} {
-		algorithms["r-bma-"+p.name] = rbma(core.WithCacheFactory(p.f, p.name))
+		algorithms["r-bma-"+p.name] = rbma(true, core.WithCacheFactory(p.f, p.name))
 	}
-	algorithms["bma"] = planes(func(spec ScenarioSpec, model core.CostModel, b int, _ uint64) (core.Algorithm, error) {
+	// BMA: the matching plus a rent and a defense float per pair.
+	algorithms["bma"] = planes(func(n, b int) int64 { return matchingBytes(n, b) + pairBytes(n, 16) }, func(spec ScenarioSpec, model core.CostModel, b int, _ uint64) (core.Algorithm, error) {
 		return core.NewBMA(spec.Racks, b, model)
 	})
-	algorithms["greedy-noevict"] = planes(func(spec ScenarioSpec, model core.CostModel, b int, _ uint64) (core.Algorithm, error) {
+	algorithms["greedy-noevict"] = planes(matchingBytes, func(spec ScenarioSpec, model core.CostModel, b int, _ uint64) (core.Algorithm, error) {
 		return core.NewGreedyNoEvict(spec.Racks, b, model)
 	})
-	algorithms["rotor"] = planes(func(spec ScenarioSpec, model core.CostModel, b int, _ uint64) (core.Algorithm, error) {
+	// Rotor: its round-robin schedule, every pair once in slices grown by
+	// append, and a map of the b·n/2 live pairs.
+	algorithms["rotor"] = planes(func(n, b int) int64 { return pairBytes(n, 16) + 32*int64(n) + 48*int64(n)*int64(b) + 512 }, func(spec ScenarioSpec, model core.CostModel, b int, _ uint64) (core.Algorithm, error) {
 		return core.NewRotor(spec.Racks, b, model, 100)
 	})
-	algorithms["oblivious"] = algEntry{fixedB: 0, build: func(_ ScenarioSpec, model core.CostModel, _ int, _ uint64) (core.Algorithm, error) {
+	algorithms["oblivious"] = algEntry{fixedB: 0, state: func(int, int) int64 { return 256 }, build: func(_ ScenarioSpec, model core.CostModel, _ int, _ uint64) (core.Algorithm, error) {
 		// Stateless: planes would all behave identically, so the
 		// oblivious baseline never shards.
 		return core.NewOblivious(model)
 	}}
-	algorithms["so-bma"] = algEntry{fixedB: -1, offline: true, build: func(spec ScenarioSpec, model core.CostModel, b int, _ uint64) (core.Algorithm, error) {
+	// SO-BMA keeps a bit per pair; its construction's pass over the
+	// workload and matching solve are garbage once it is built.
+	algorithms["so-bma"] = algEntry{fixedB: -1, offline: true, state: func(n, _ int) int64 { return pairBytes(n, 1.0/8) + 256 }, build: func(spec ScenarioSpec, model core.CostModel, b int, _ uint64) (core.Algorithm, error) {
 		return newStatic(spec, model, b)
 	}}
 

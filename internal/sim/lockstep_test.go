@@ -477,8 +477,8 @@ func TestAlgStateBoundsLiveHeap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayed := func(rep uint64) core.Algorithm {
-				alg, err := rj.spec.BuildAlgorithmWith(model, name, rj.B, rep)
+			replayed := func(name string, b int) core.Algorithm {
+				alg, err := rj.spec.BuildAlgorithmWith(model, name, b, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -487,16 +487,16 @@ func TestAlgStateBoundsLiveHeap(t *testing.T) {
 				}
 				return alg
 			}
-			// A first replay builds what instances share (the pair index,
-			// the k_e table) and the source's tables.
-			warm := replayed(0)
+			// A first replay, of R-BMA, builds what instances share (the
+			// pair index, the k_e table) and the source's tables.
+			replayed("r-bma", tc.b)
 			// Two collections: the first leaves pooled objects in the
 			// pools' victim caches, the second frees them.
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			alg := replayed(1)
+			alg := replayed(name, rj.B)
 			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&after)
@@ -506,7 +506,6 @@ func TestAlgStateBoundsLiveHeap(t *testing.T) {
 				t.Errorf("%s at %d racks, b=%d, %d planes keeps %d bytes live, bound %d", name, tc.racks, rj.B, tc.shards, live, bound)
 			}
 			runtime.KeepAlive(src)
-			runtime.KeepAlive(warm)
 			runtime.KeepAlive(alg)
 		}
 	}

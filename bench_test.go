@@ -193,59 +193,6 @@ func BenchmarkGridGroups(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayParallel measures multi-core replay scaling: one large-n
-// uniform trace replayed through a multi-plane R-BMA (core.Sharded) with
-// one worker goroutine per plane. The shards=1 case is the sequential
-// single-plane baseline; higher shard counts fan the same trace out to
-// per-plane workers (sim.RunSourceParallel), so the ns/op ratio between
-// shards=1 and shards=8 is the end-to-end speedup on this machine —
-// bounded by GOMAXPROCS, which the harness reports in the benchmark name
-// suffix (-N). Results are byte-identical across shard-worker counts;
-// only the shard count itself changes the model (see ARCHITECTURE.md).
-func BenchmarkReplayParallel(b *testing.B) {
-	const (
-		racks    = 192
-		requests = 200000
-		degree   = 8
-	)
-	top := graph.FatTreeRacks(racks)
-	model := core.CostModel{Metric: top.Metric(), Alpha: 30}
-	ct, err := trace.Uniform(racks, requests, 11).Compile(model.Metric.Dist)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cps := sim.Checkpoints(ct.Len(), 10)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			part, err := core.NewPartition(racks, shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sh, err := core.NewSharded(part, func(s int) (core.Algorithm, error) {
-				return core.NewRBMA(racks, degree, model, core.ShardSeed(1, s))
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			src := ct.Source()
-			var res sim.RunResult
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sh.Reset()
-				res, err = sim.RunSourceParallel(sh, src, model.Alpha, cps, 8192, shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(requests)*float64(b.N)/b.Elapsed().Seconds()/1e6, "mreq_per_s")
-			if n := len(res.Series.Routing); n > 0 {
-				b.ReportMetric(res.Series.Routing[n-1], "routing_cost")
-			}
-		})
-	}
-}
-
 // BenchmarkEngineIngest measures the live matching engine end to end: a
 // pipelined client streams batches over a real TCP loopback socket into
 // an r-bma session, and every batch is answered with a cumulative-cost

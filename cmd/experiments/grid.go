@@ -40,7 +40,6 @@ func gridMain(args []string) {
 		resume    = fs.Bool("resume", false, "resume an existing run store (-store), skipping completed jobs")
 		shardSpec = fs.String("shard", "", "own only slice i of n disjoint job slices, as \"i/n\" (requires -store)")
 		curvePts  = fs.Int("curve-points", 10, "cost-curve checkpoints recorded per job in the store (0 = final costs only)")
-		parallel  = fs.Int("parallel", 1, "replay goroutines per job for multi-plane scenarios (shards > 1); results are identical for every value")
 		ckEvery   = fs.Int("checkpoint-every", 0, "with -store: checkpoint in-flight jobs every N requests so -resume restarts inside them (0 = off)")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU pprof profile of the grid run to this file")
 		memProf   = fs.String("memprofile", "", "write a heap pprof profile (taken after the run) to this file")
@@ -97,7 +96,7 @@ func gridMain(args []string) {
 	}
 	defer stopProfiles()
 
-	opt := sim.GridOptions{Workers: *workers, Parallel: *parallel, CheckpointEvery: *ckEvery}
+	opt := sim.GridOptions{Workers: *workers, CheckpointEvery: *ckEvery}
 	if *metrics != "" {
 		reg := obs.NewRegistry()
 		opt.Metrics = sim.NewMetrics(reg)

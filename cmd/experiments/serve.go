@@ -27,7 +27,6 @@ func serveMain(args []string) {
 		workers     = fs.Int("workers", 1, "local workers: shards leased and run by this process, like a fleet worker's (0 = coordinator-only: grids progress via fleet workers)")
 		queueDepth  = fs.Int("queue", 16, "max queued jobs before submissions get 429")
 		gridWorkers = fs.Int("grid-workers", 0, "sim worker pool per local shard run (0 = GOMAXPROCS)")
-		parallel    = fs.Int("parallel", 1, "replay goroutines per multi-plane job (shards > 1); results are identical for every value")
 		curvePts    = fs.Int("curve-points", 10, "cost-curve checkpoints per job (part of the job identity)")
 		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "shard-lease TTL: a worker missing heartbeats this long is presumed dead and its shard requeued")
 		shardSize   = fs.Int("shard-size", 16, "target grid jobs per leasable shard")
@@ -74,7 +73,6 @@ func serveMain(args []string) {
 		Workers:     *workers,
 		QueueDepth:  *queueDepth,
 		GridWorkers: *gridWorkers,
-		Parallel:    *parallel,
 		CurvePoints: *curvePts,
 		LeaseTTL:    *leaseTTL,
 		ShardSize:   *shardSize,

@@ -28,7 +28,6 @@ func workerMain(args []string) {
 		workdir     = fs.String("workdir", "work", "directory for in-flight shard stores (kept across restarts for resume)")
 		name        = fs.String("name", "", "worker name in coordinator logs (default <hostname>-<pid>)")
 		gridWorkers = fs.Int("grid-workers", 0, "sim worker pool per shard (0 = GOMAXPROCS)")
-		parallel    = fs.Int("parallel", 1, "replay goroutines per multi-plane job (shards > 1); results are identical for every value")
 		ckEvery     = fs.Int("checkpoint-every", 0, "checkpoint in-flight grid jobs every N requests so a restarted worker resumes inside them (0 = off)")
 		poll        = fs.Duration("poll", 2*time.Second, "idle wait between lease attempts when nothing is leasable")
 		metricsAddr = fs.String("metrics", "", "address to serve GET /metrics (obm_work_* + obm_grid_* series) and /healthz on (empty = off)")
@@ -62,7 +61,6 @@ func workerMain(args []string) {
 		Capacity:        *capacity,
 		Dir:             *workdir,
 		GridWorkers:     *gridWorkers,
-		Parallel:        *parallel,
 		CheckpointEvery: *ckEvery,
 		Poll:            *poll,
 		Logf: func(format string, args ...any) {

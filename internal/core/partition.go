@@ -7,16 +7,14 @@ import (
 )
 
 // Pair-universe partitioning: the structure behind the multi-plane ("S
-// independent optical switch layers") experiment mode and the parallel
-// replay hot path in internal/sim.
+// independent optical switch layers") experiment mode.
 //
 // R-BMA reduces (b,a)-matching to independent per-node paging instances, so
 // the pair universe partitions naturally by node row: pair {u, v} with
 // u < v belongs to row u, and row u belongs to shard u mod S. Every shard
 // then owns a disjoint set of pairs, and an algorithm instance per shard
-// runs with no shared mutable state at all — which is what lets a replay
-// fan requests out to per-shard workers and still merge costs
-// deterministically (see FoldShardSteps and sim.RunSourceParallel).
+// runs with no shared mutable state at all: each request is served by the
+// plane that owns its pair, in trace order.
 //
 // Semantically, a Sharded algorithm is not the single-switch algorithm
 // computed faster: it models S independent switch planes, each maintaining
@@ -77,10 +75,11 @@ func ShardSeed(base uint64, shard int) uint64 {
 	return base ^ (uint64(shard) * 0x9e3779b97f4a7c15)
 }
 
-// ShardStep accumulates the cost deltas of one shard: routing and
-// reconfiguration cost folded per step exactly like the sequential cost
-// meter (reconfiguration is α·(adds+removals) added per step), so a
-// single-shard accumulator reproduces the sequential totals bit for bit.
+// ShardStep accumulates the cost deltas of a replay: routing and
+// reconfiguration cost folded per step (reconfiguration is
+// α·(adds+removals) added per step). It is the accumulator of
+// sim.Incremental, which the replay loop's cost meter and the live
+// engine both step through.
 type ShardStep struct {
 	Routing  float64
 	Reconfig float64
@@ -88,11 +87,10 @@ type ShardStep struct {
 	Removals int
 }
 
-// Add folds one serve result into the accumulator. The operation order
-// mirrors sim's cost meter: one += per cost component per step — it IS
-// the accumulation step of every replay path (sequential, parallel and
-// the live engine), which is what makes their cumulative cost streams
-// bit-identical.
+// Add folds one serve result into the accumulator: one += per cost
+// component per step, in request order. It is the accumulation step of
+// every replay and of the live engine, which is what makes their
+// cumulative cost streams bit-identical.
 func (d *ShardStep) Add(st Step, alpha float64) {
 	d.Routing += st.RoutingCost
 	d.Reconfig += st.ReconfigCost(alpha)
@@ -100,30 +98,10 @@ func (d *ShardStep) Add(st Step, alpha float64) {
 	d.Removals += st.Removals
 }
 
-// FoldShardSteps folds per-shard accumulators into one total in canonical
-// ascending shard order. The fixed order makes the merge deterministic:
-// every fold of the same per-shard states produces the same bits, no matter
-// which goroutines produced them or when. (Per-shard costs are sums of
-// integer-valued step costs whenever α is an integer, as in every preset
-// and figure — then the fold is exact and equals the sequential trace-order
-// accumulation, not merely a reproducible reordering of it.)
-func FoldShardSteps(acc []ShardStep) ShardStep {
-	var t ShardStep
-	for i := range acc {
-		t.Routing += acc[i].Routing
-		t.Reconfig += acc[i].Reconfig
-		t.Adds += acc[i].Adds
-		t.Removals += acc[i].Removals
-	}
-	return t
-}
-
 // Sharded runs one independent algorithm instance per partition shard: S
 // switch planes, each a full Algorithm over the pairs its shard owns.
 // Requests are delegated to the owning plane; costs and matching sizes sum
-// across planes. Planes share no mutable state, so distinct shards may be
-// served from distinct goroutines concurrently (the same shard must stay
-// single-threaded).
+// across planes, which share no mutable state.
 type Sharded struct {
 	part Partition
 	name string
@@ -171,9 +149,6 @@ func NewSharded(part Partition, build func(shard int) (Algorithm, error)) (*Shar
 // Partition returns the pair partition the planes are built over.
 func (sh *Sharded) Partition() Partition { return sh.part }
 
-// Shards returns the plane count.
-func (sh *Sharded) Shards() int { return sh.part.shards }
-
 // Shard returns plane s's algorithm instance.
 func (sh *Sharded) Shard(s int) Algorithm { return sh.subs[s] }
 
@@ -201,42 +176,6 @@ func (sh *Sharded) ServeCompiled(req trace.CompiledReq) Step {
 		return cs.ServeCompiled(req)
 	}
 	return sh.subs[s].Serve(int(req.U), int(req.V))
-}
-
-// ApplyShard serves a run of compiled requests that are all owned by shard
-// s (the caller has grouped them; ownership is not re-checked), folding the
-// step costs into d with the sequential meter's operation order. This is
-// the batch-apply fast path the parallel replay workers run: one virtual
-// dispatch per batch instead of per request.
-func (sh *Sharded) ApplyShard(s int, alpha float64, reqs []trace.CompiledReq, d *ShardStep) {
-	if cs := sh.fast[s]; cs != nil {
-		for _, req := range reqs {
-			d.Add(cs.ServeCompiled(req), alpha)
-		}
-		return
-	}
-	alg := sh.subs[s]
-	for _, req := range reqs {
-		d.Add(alg.Serve(int(req.U), int(req.V)), alpha)
-	}
-}
-
-// ServeChunk serves a chunk of compiled requests with mixed ownership,
-// folding each step into its owner's accumulator. acc must have at least
-// Shards() entries; entries are not cleared first, so chunks accumulate.
-// Combined with FoldShardSteps this is the sequential form of the batched
-// hot path: group by shard, accumulate per shard, fold canonically.
-func (sh *Sharded) ServeChunk(alpha float64, reqs []trace.CompiledReq, acc []ShardStep) {
-	for _, req := range reqs {
-		s := sh.part.OfReq(req)
-		var st Step
-		if cs := sh.fast[s]; cs != nil {
-			st = cs.ServeCompiled(req)
-		} else {
-			st = sh.subs[s].Serve(int(req.U), int(req.V))
-		}
-		acc[s].Add(st, alpha)
-	}
 }
 
 // Matched implements Algorithm: a pair is matched iff its owning plane

@@ -139,51 +139,6 @@ func TestShardedPlanesAreIndependent(t *testing.T) {
 	}
 }
 
-// TestServeChunkMatchesPerRequest: the batch-apply path (ServeChunk +
-// FoldShardSteps) produces the same totals as per-request ServeCompiled
-// accumulation, and ApplyShard over shard-grouped runs agrees with both.
-func TestServeChunkMatchesPerRequest(t *testing.T) {
-	const n, b, shards, alpha = 16, 3, 3, 30.0
-	model := testModel(n, alpha)
-	ct := testTraceCompiled(t, n, 8000, 11, model)
-
-	perReq := newShardedRBMA(t, n, shards, b, model, 5)
-	var seq ShardStep
-	for _, req := range ct.Reqs {
-		seq.Add(perReq.ServeCompiled(req), alpha)
-	}
-
-	chunked := newShardedRBMA(t, n, shards, b, model, 5)
-	acc := make([]ShardStep, shards)
-	for lo := 0; lo < len(ct.Reqs); lo += 1024 {
-		hi := min(lo+1024, len(ct.Reqs))
-		chunked.ServeChunk(alpha, ct.Reqs[lo:hi], acc)
-	}
-	if got := FoldShardSteps(acc); got != seq {
-		t.Fatalf("ServeChunk fold %+v != per-request total %+v", got, seq)
-	}
-
-	grouped := newShardedRBMA(t, n, shards, b, model, 5)
-	part := grouped.Partition()
-	byShard := make([][]trace.CompiledReq, shards)
-	for _, req := range ct.Reqs {
-		s := part.OfReq(req)
-		byShard[s] = append(byShard[s], req)
-	}
-	acc2 := make([]ShardStep, shards)
-	for s := range byShard {
-		grouped.ApplyShard(s, alpha, byShard[s], &acc2[s])
-	}
-	if got := FoldShardSteps(acc2); got != seq {
-		t.Fatalf("ApplyShard fold %+v != per-request total %+v", got, seq)
-	}
-	for s := range acc2 {
-		if acc2[s] != acc[s] {
-			t.Fatalf("shard %d: ApplyShard delta %+v != ServeChunk delta %+v", s, acc2[s], acc[s])
-		}
-	}
-}
-
 // TestShardedServeMatchesServeCompiled pins the raw Serve delegation to the
 // dense path.
 func TestShardedServeMatchesServeCompiled(t *testing.T) {

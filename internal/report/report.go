@@ -98,11 +98,15 @@ type Manifest struct {
 
 // NewManifest plans the grid described by specs, validates every spec
 // (ScenarioSpec.Validate, family parameters included, and that its job
-// records fit the job log) and assembles the manifest of a store for it. It is the entry check of every store: a
-// stored manifest is only ever verified against its SpecHash, never
-// re-validated. Specs are normalized first, so equivalent spec lists
+// records fit the job log) and the curve-point count (0, final costs
+// only, or more), and assembles the manifest of a store for it. It is
+// the entry check of every store: a stored manifest is only ever
+// verified against its SpecHash, never re-validated. Specs are normalized first, so equivalent spec lists
 // (defaults spelled out or omitted) produce the same SpecHash.
 func NewManifest(name string, specs []sim.ScenarioSpec, curvePoints int, shard Shard) (Manifest, error) {
+	if curvePoints < 0 {
+		return Manifest{}, fmt.Errorf("report: %d curve points; want 0 (final costs only) or more", curvePoints)
+	}
 	norm := make([]sim.ScenarioSpec, len(specs))
 	for i, s := range specs {
 		norm[i] = s.Normalize()

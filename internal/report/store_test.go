@@ -246,14 +246,17 @@ func TestSpecHashNormalization(t *testing.T) {
 	}
 }
 
-// TestManifestBoundsCurvePoints: NewManifest refuses a curve-point count
-// whose job record could outgrow one job-log record, and at the largest
-// count it accepts, a record of worst-case numbers still appends.
+// TestManifestBoundsCurvePoints: NewManifest refuses a negative
+// curve-point count and one whose job record could outgrow one job-log
+// record, and at the largest count it accepts, a record of worst-case
+// numbers still appends.
 func TestManifestBoundsCurvePoints(t *testing.T) {
 	specs := smallSpecs()
 	lo, hi := 0, 1<<21 // lo is accepted, hi refused
-	if _, err := report.NewManifest("bound", specs, hi, report.Shard{}); err == nil || !strings.Contains(err.Error(), "curve points") {
-		t.Fatalf("%d curve points: %v, want a curve-point error", hi, err)
+	for _, n := range []int{-3, hi} {
+		if _, err := report.NewManifest("bound", specs, n, report.Shard{}); err == nil || !strings.Contains(err.Error(), "curve points") {
+			t.Fatalf("%d curve points: %v, want a curve-point error", n, err)
+		}
 	}
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2

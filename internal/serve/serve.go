@@ -77,14 +77,9 @@ type Options struct {
 	// GridWorkers sizes the sim worker pool inside each local shard run
 	// (default GOMAXPROCS).
 	GridWorkers int
-	// Parallel, when > 1, replays multi-plane jobs (scenario Shards > 1)
-	// with that many goroutines each (sim.GridOptions.Parallel). Job
-	// outcomes are byte-identical for every value, so it is safe to vary
-	// per deployment without invalidating stores or caches.
-	Parallel int
 	// CurvePoints is the cost-curve checkpoint count recorded per job
-	// (default 10; it is part of the spec hash, so changing it changes
-	// every job identity).
+	// (default 10; negative is refused; it is part of the spec hash, so
+	// changing it changes every job identity).
 	CurvePoints int
 	// LeaseTTL is how long a shard lease stays valid without a heartbeat
 	// before the shard is requeued for another worker (default 30s).
@@ -251,6 +246,9 @@ func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	if opt.StoreRoot == "" {
 		return nil, fmt.Errorf("serve: Options.StoreRoot is required")
+	}
+	if opt.CurvePoints < 0 {
+		return nil, fmt.Errorf("serve: Options.CurvePoints is %d; want 0 or more (0 selects 10)", opt.CurvePoints)
 	}
 	if err := os.MkdirAll(opt.StoreRoot, 0o755); err != nil {
 		return nil, err
@@ -592,7 +590,6 @@ func (s *Server) runLocalShard(j *job, l Lease, name string) {
 		Dir:   filepath.Join(j.dir, localShardsDir, fmt.Sprintf("%d-of-%d", l.Shard, l.Shards)),
 		Grid: sim.GridOptions{
 			Workers:   s.opt.GridWorkers,
-			Parallel:  s.opt.Parallel,
 			Metrics:   s.sim,
 			Workloads: workloads,
 		},

@@ -26,8 +26,8 @@ type ShardRun struct {
 	// Dir is the shard store, stable per (job, shard) so a re-lease
 	// resumes it.
 	Dir string
-	// Grid carries the replay knobs (workers, chunk size, parallelism,
-	// checkpoints, metrics); the store sets the rest.
+	// Grid carries the replay knobs (workers, chunk size, checkpoints,
+	// metrics); the store sets the rest.
 	Grid sim.GridOptions
 	// Heartbeat renews the lease every TTL/3, reporting done, the grid
 	// jobs in the shard store. ErrLeaseLost stops the run at its next

@@ -81,13 +81,6 @@ type GridOptions struct {
 	// CurvePoints, when > 0, records that many evenly spaced cost-curve
 	// checkpoints in every JobOutcome (0 keeps only the final costs).
 	CurvePoints int
-	// Parallel, when > 1, replays each job with up to that many worker
-	// goroutines when the job's algorithm is sharded (scenario Shards > 1);
-	// single-plane jobs always replay sequentially. Outcomes are
-	// byte-identical for every Parallel value — like Workers, it is a
-	// throughput knob, never part of job identity, so persisted outcomes,
-	// content-addressed caches and fleet shards stay valid across it.
-	Parallel int
 	// Shard/Shards statically partition the job grid: only jobs whose
 	// plan index i satisfies i % Shards == Shard (InShard) are executed, so
 	// independent processes (or machines) running distinct shards of the
@@ -111,14 +104,14 @@ type GridOptions struct {
 	Progress func(done, total int, job GridJob, err error)
 	// CheckpointEvery, when > 0 with SaveCheckpoint set, snapshots each
 	// in-flight job's algorithm state plus partial curve at the first
-	// chunk boundary after every that many requests the job fed
-	// (sequential replay only; the parallel path replays whole jobs or not
-	// at all). Each job of a group saves its own checkpoints, and on
-	// resume fast-forwards to its own off the group's one source. A killed
-	// run resumed through LoadCheckpoint then restarts *inside* a job
-	// rather than at its start. Checkpoints are an optimization, never
-	// part of job identity: a missing, stale or corrupt checkpoint just
-	// means a fresh replay, and determinism makes the outcome identical.
+	// chunk boundary after every that many requests the job fed, every
+	// plane of a multi-plane job included. Each job of a group saves its
+	// own checkpoints, and on resume fast-forwards to its own off the
+	// group's one source. A killed run resumed through LoadCheckpoint
+	// then restarts *inside* a job rather than at its start. Checkpoints
+	// are an optimization, never part of job identity: a missing, stale
+	// or corrupt checkpoint just means a fresh replay, and determinism
+	// makes the outcome identical.
 	CheckpointEvery int
 	// SaveCheckpoint persists one job's mid-flight checkpoint blob,
 	// replacing any previous one. Errors abort the grid like a Persist
@@ -130,7 +123,7 @@ type GridOptions struct {
 	// DropCheckpoint discards a job's checkpoint once the job completes.
 	DropCheckpoint func(GridJob)
 	// Metrics, when non-nil, receives replay observability (request/chunk
-	// throughput, executed jobs, fold and checkpoint timings). Purely
+	// throughput, executed jobs, checkpoint timings). Purely
 	// observational: instrumented runs produce bit-identical outcomes.
 	Metrics *Metrics
 	// Workloads, when non-nil, supplies each scenario's cost model and

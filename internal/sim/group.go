@@ -36,11 +36,9 @@ import (
 // and otherwise waits. The chunk buffers come from one pool of one chunk
 // per worker, so a grid holds at most Workers chunks whatever its groups;
 // a buffer goes back to the pool once every live job of its group has fed
-// it. One worker runs the scheduler on the caller's goroutine.
-//
-// Multi-plane jobs replayed by the parallel driver (GridOptions.Parallel
-// > 1) keep a source of their own: each is a group of one that runs
-// RunSourceParallel's loop on one worker and one pooled chunk.
+// it. One worker runs the scheduler on the caller's goroutine. A
+// multi-plane job is one job like any other: its planes serve the chunks
+// in trace order, on whichever worker feeds the job.
 
 // liveStateBudget caps the algorithm state a grid keeps live: groups are
 // cut to fit it and admitted only while the live jobs fit it, except that
@@ -74,10 +72,7 @@ func jobStateBytes(rj *runtimeJob, curvePoints int) int64 {
 type group struct {
 	scenario string
 	jobs     []groupJob
-	// solo marks a multi-plane job for the parallel driver: a group of
-	// one that reads a source of its own.
-	solo  bool
-	bytes int64 // the jobs' live-state bounds (jobStateBytes), summed
+	bytes    int64 // the jobs' live-state bounds (jobStateBytes), summed
 
 	// Written once, by the worker that builds the source, before the
 	// first chunk is published.
@@ -184,20 +179,13 @@ func runGroups(ctx context.Context, w *Workloads, run []runtimeJob, opt *GridOpt
 
 // planGroups cuts run into groups: maximal runs of one scenario's jobs
 // (plan order keeps them together) that fit the live-state budget or
-// hold at most workers jobs, and a group of one for each job the
-// parallel driver replays.
+// hold at most workers jobs.
 func planGroups(run []runtimeJob, opt *GridOptions, workers int) []*group {
 	var groups []*group
 	for i := 0; i < len(run); {
 		rj := &run[i]
-		if parallelJob(rj, opt.Parallel) {
-			bytes := jobStateBytes(rj, opt.CurvePoints)
-			groups = append(groups, &group{scenario: rj.Scenario, solo: true, bytes: bytes, jobs: []groupJob{{ri: i, bytes: bytes}}})
-			i++
-			continue
-		}
 		g := &group{scenario: rj.Scenario}
-		for ; i < len(run) && run[i].Scenario == rj.Scenario && !parallelJob(&run[i], opt.Parallel); i++ {
+		for ; i < len(run) && run[i].Scenario == rj.Scenario; i++ {
 			bytes := jobStateBytes(&run[i], opt.CurvePoints)
 			if len(g.jobs) >= workers && g.bytes+bytes > liveStateBudget {
 				break
@@ -210,16 +198,6 @@ func planGroups(run []runtimeJob, opt *GridOptions, workers int) []*group {
 	return groups
 }
 
-// parallelJob reports whether the job replays through the parallel
-// driver: a multi-plane algorithm under Parallel > 1.
-func parallelJob(rj *runtimeJob, parallel int) bool {
-	if parallel <= 1 || rj.spec.Shards <= 1 {
-		return false
-	}
-	a, err := algFor(rj.Alg)
-	return err == nil && a.planes
-}
-
 // worker runs scheduling steps until no group is left to run.
 func (s *gridSched) worker() {
 	s.mu.Lock()
@@ -229,13 +207,10 @@ func (s *gridSched) worker() {
 			s.generate(g)
 		} else if g, j := s.readyJob(); j != nil {
 			s.step(g, j)
-		} else if g := s.admit(); g != nil {
-			if g.solo {
-				s.runSolo(g)
+		} else if s.admit() == nil {
+			if len(s.active) == 0 {
+				return
 			}
-		} else if len(s.active) == 0 {
-			return
-		} else {
 			s.wake.Wait()
 		}
 	}
@@ -275,8 +250,8 @@ func (s *gridSched) idleSource() *group {
 }
 
 // admit activates the next group if a chunk buffer is free and its jobs
-// fit the live-state budget (or nothing is live). No group is admitted
-// after a failure or a cancellation.
+// fit the live-state budget (or nothing is live), and returns it, or nil.
+// No group is admitted after a failure or a cancellation.
 func (s *gridSched) admit() *group {
 	if len(s.pending) == 0 || len(s.free) == 0 || s.failed || s.ctx.Err() != nil {
 		return nil
@@ -291,10 +266,8 @@ func (s *gridSched) admit() *group {
 	s.liveJobs += len(g.jobs)
 	s.liveBytes += g.bytes
 	g.live = len(g.jobs)
-	if !g.solo { // runSolo runs a solo group's job
-		for i := range g.jobs {
-			g.waiting = append(g.waiting, &g.jobs[i])
-		}
+	for i := range g.jobs {
+		g.waiting = append(g.waiting, &g.jobs[i])
 	}
 	return g
 }
@@ -453,42 +426,6 @@ func (s *gridSched) retireIfDone(g *group) {
 			return
 		}
 	}
-}
-
-// runSolo runs a parallel-driver job on one pooled chunk. Called and
-// returns with s.mu held.
-func (s *gridSched) runSolo(g *group) {
-	j := &g.jobs[0]
-	buf := s.free[len(s.free)-1]
-	s.free = s.free[:len(s.free)-1]
-	s.mu.Unlock()
-	err := s.finish(j, s.runParallel(j, buf))
-	s.mu.Lock()
-	s.free = append(s.free, buf)
-	s.leave(g, j, err)
-}
-
-// runParallel replays a multi-plane job through the parallel driver, on
-// a source of its own. The driver replays whole jobs or not at all, but
-// still drops any stale checkpoint it completes past.
-func (s *gridSched) runParallel(j *groupJob, chunk *trace.CompiledChunk) error {
-	rj := &s.run[j.ri]
-	src, err := s.w.Source(rj.Scenario)
-	if err != nil {
-		return err
-	}
-	alg, err := rj.spec.BuildAlgorithmWith(rj.model, rj.Alg, rj.B, uint64(rj.Rep))
-	if err != nil {
-		return err
-	}
-	checkpoints := gridCheckpoints(src.Len(), s.opt.CurvePoints)
-	if err := runSourceParallelInto(s.ctx, &j.res, alg, src, rj.spec.Alpha, checkpoints, chunk, s.opt.Parallel, s.opt.Metrics); err != nil {
-		return err
-	}
-	if s.opt.DropCheckpoint != nil {
-		s.opt.DropCheckpoint(rj.GridJob)
-	}
-	return nil
 }
 
 // finish records a finished job: its outcome, Persist on success, and

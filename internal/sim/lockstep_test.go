@@ -24,13 +24,22 @@ import (
 // cancellations stay per job.
 
 // lockstepSpecs runs every registered algorithm on a uniform, a
-// microsoft and a Facebook workload.
+// microsoft and a Facebook workload, and every online one on three
+// planes at a non-integer α, whose inexact cost sums pin the order in
+// which a job's costs accumulate.
 func lockstepSpecs() []ScenarioSpec {
 	algs := Algorithms()
+	var online []string
+	for _, a := range algs {
+		if !Offline(a) {
+			online = append(online, a)
+		}
+	}
 	return []ScenarioSpec{
 		{Name: "uni", Family: "uniform", Racks: 12, Requests: 1500, Seed: 3, Bs: []int{2, 4}, Reps: 2, Algs: algs},
 		{Name: "ms", Family: "microsoft", Racks: 12, Requests: 1500, Seed: 4, Bs: []int{2, 4}, Reps: 2, Algs: algs},
 		{Name: "fb", Family: "facebook-hadoop", Racks: 16, Requests: 1500, Seed: 5, Bs: []int{2, 4}, Reps: 2, Algs: algs},
+		{Name: "planes", Family: "uniform", Racks: 12, Requests: 1500, Seed: 6, Bs: []int{2}, Reps: 2, Shards: 3, Alpha: 30.1, Algs: online},
 	}
 }
 

@@ -7,18 +7,17 @@ import (
 )
 
 // Metrics aggregates replay observability for the grid layer: request and
-// chunk throughput, completed jobs, per-shard fold times in the parallel
-// driver, and checkpoint save/load latency. Every field is optional and a
-// nil *Metrics disables instrumentation entirely — the replay hot loops
-// call the nil-safe hooks below, which cost one predictable branch when
-// metrics are off and one atomic add (or mutexed histogram record, at
-// chunk/batch granularity, never per request) when on. Hooks never touch
-// cost math, so instrumented replays stay bit-identical to bare ones.
+// chunk throughput, completed jobs, and checkpoint save/load latency.
+// Every field is optional and a nil *Metrics disables instrumentation
+// entirely — the replay hot loops call the nil-safe hooks below, which
+// cost one predictable branch when metrics are off and one atomic add (or
+// mutexed histogram record, at chunk granularity, never per request) when
+// on. Hooks never touch cost math, so instrumented replays stay
+// bit-identical to bare ones.
 type Metrics struct {
 	Requests *obs.Counter   // requests replayed (counted per fed chunk)
 	Chunks   *obs.Counter   // trace chunks fed
 	Jobs     *obs.Counter   // grid jobs executed to completion
-	FoldNS   *obs.Histogram // parallel replay: per-shard batch apply time (ns)
 	SaveNS   *obs.Histogram // checkpoint serialize+store time (ns)
 	LoadNS   *obs.Histogram // checkpoint load+restore time (ns)
 }
@@ -29,7 +28,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Requests: r.Counter("obm_grid_requests_total", "Requests replayed by grid jobs."),
 		Chunks:   r.Counter("obm_grid_chunks_total", "Trace chunks replayed by grid jobs."),
 		Jobs:     r.Counter("obm_grid_jobs_total", "Grid jobs executed to completion (cache hits excluded)."),
-		FoldNS:   r.Histogram("obm_grid_fold_seconds", "Per-shard batch apply time in the parallel replay driver.", 1e-9),
 		SaveNS:   r.Histogram("obm_grid_checkpoint_save_seconds", "Replay checkpoint serialize+store time.", 1e-9),
 		LoadNS:   r.Histogram("obm_grid_checkpoint_load_seconds", "Replay checkpoint load+restore time.", 1e-9),
 	}
@@ -54,16 +52,6 @@ func (m *Metrics) jobDone() {
 		return
 	}
 	m.Jobs.Inc()
-}
-
-// foldHist returns the fold-time histogram, or nil. The parallel driver
-// hoists this out of its worker loop so the off path costs one nil check
-// per batch.
-func (m *Metrics) foldHist() *obs.Histogram {
-	if m == nil {
-		return nil
-	}
-	return m.FoldNS
 }
 
 // saveTimed records one checkpoint save.

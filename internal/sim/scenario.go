@@ -39,10 +39,11 @@ type ScenarioSpec struct {
 	// pairs it owns, so a rack can hold up to Shards·b optical edges in
 	// total — the multi-layer reconfigurable fabrics of the rotor-switch
 	// literature. Shard count is part of the experiment's identity
-	// (results for S planes differ from one plane); it also unlocks the
-	// parallel replay path (GridOptions.Parallel), which never changes
-	// results. 0 and 1 both mean the classic single-plane algorithm and
-	// hash identically (omitempty), so existing persisted runs stay valid.
+	// (results for S planes differ from one plane); a multi-plane job
+	// replays through the grid like any other, its planes serving the
+	// requests in trace order. 0 and 1 both mean the classic single-plane
+	// algorithm and hash identically (omitempty), so existing persisted
+	// runs stay valid.
 	Shards int `json:"shards,omitempty"`
 	// Algs names the algorithm line-up (see Algorithms); default
 	// ["r-bma", "bma", "oblivious"].
@@ -202,8 +203,8 @@ type algEntry struct {
 	// session, whose requests arrive one batch at a time, cannot run it.
 	offline bool
 	// planes marks a constructor that runs one instance per plane when
-	// the spec asks for several (see planes): the jobs the grid replays
-	// through the parallel driver when GridOptions.Parallel > 1.
+	// the spec asks for several (see planes), so a job's live state is
+	// counted once per plane (jobStateBytes).
 	planes bool
 	build  func(spec ScenarioSpec, model core.CostModel, b int, seed uint64) (core.Algorithm, error)
 	// state bounds the bytes one instance (one plane) at racks racks and

@@ -14,11 +14,11 @@ import (
 // fixed-size chunks, so a replay of any length holds O(chunk) requests in
 // memory, and a materialized trace replays through zero-copy views of
 // itself ((*trace.Compiled).Source). One replay is driven step by step
-// (replay: begin, feed one chunk, end): RunSource, RunExperiment and
-// RunSourceParallel's non-sharded fallback drive it over a source of
-// their own (runSourceInto), and RunGrid's groups drive one per job over
-// the chunks of the group's one source. Cost curves are therefore
-// bit-identical across every front end and source kind (pinned by
+// (replay: begin, feed one chunk, end): RunSource and RunExperiment
+// drive it over a source of their own (runSourceInto), and RunGrid's
+// groups drive one per job over the chunks of the group's one source,
+// multi-plane jobs included. Cost curves are therefore bit-identical
+// across every front end and source kind (pinned by
 // stream_golden_test.go and lockstep_test.go).
 
 // RunSource replays src through alg in chunks of chunkSize requests

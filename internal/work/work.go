@@ -62,11 +62,6 @@ type Options struct {
 	// GridWorkers sizes the sim worker pool inside each shard run
 	// (default GOMAXPROCS).
 	GridWorkers int
-	// Parallel, when > 1, replays multi-plane jobs (scenario Shards > 1)
-	// with that many goroutines each (sim.GridOptions.Parallel). Outcomes
-	// are byte-identical for every value, so a heterogeneous fleet mixing
-	// different -parallel settings still agrees exactly on every job.
-	Parallel int
 	// CheckpointEvery, when > 0, checkpoints each in-flight grid job's
 	// algorithm state to the shard store roughly every that many requests
 	// (sim.GridOptions.CheckpointEvery), so a killed worker that re-leases
@@ -358,7 +353,6 @@ func (r *Runner) runShard(ctx context.Context, l serve.Lease) bool {
 		Dir:   r.shardDir(l),
 		Grid: sim.GridOptions{
 			Workers:         r.opt.GridWorkers,
-			Parallel:        r.opt.Parallel,
 			CheckpointEvery: r.opt.CheckpointEvery,
 			Metrics:         r.sim,
 			Workloads:       r.jobWorkloadsFor(l),

@@ -9,9 +9,7 @@
 #   benchtime  go test -benchtime value (default: 1s)
 #   pattern    benchmark regexp (default: the Fig1 suite + Serve microbenchmarks
 #              — the acceptance benchmarks of the dense-hot-path refactor — plus
-#              the ReplayParallel multi-core scaling suite, whose shards=1..8
-#              sub-benchmarks record speedup-vs-cores in the BENCH_* trajectory,
-#              and EngineIngest, the live engine's end-to-end socket path whose
+#              EngineIngest, the live engine's end-to-end socket path whose
 #              mreq_per_s + allocs/op pin the zero-alloc line-rate contract)
 #
 # The JSON schema is one object per benchmark:
@@ -26,7 +24,7 @@ cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_$(date +%Y%m%d%H%M%S).json}"
 BENCHTIME="${2:-1s}"
-PATTERN="${3:-BenchmarkFig1|BenchmarkServe|BenchmarkReplayParallel|BenchmarkEngineIngest}"
+PATTERN="${3:-BenchmarkFig1|BenchmarkServe|BenchmarkEngineIngest}"
 
 if [ "$OUT" = "-" ]; then
     OUT=""

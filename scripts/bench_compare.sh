@@ -15,20 +15,12 @@
 # slowdown of the whole suite shifts the median and is invisible here —
 # catch that by re-running bench.sh on the baseline's machine.
 #
-# The BenchmarkReplayParallel/shards=N suite participates in the same gate
-# (each sub-benchmark is an ordinary name-keyed entry). Because its numbers
-# come from the new run's machine, a speedup-vs-shards summary is also
-# printed, informationally: parallel replay scales with real cores, so the
-# ratio is ~1x on a single-core box and approaches the shard count on a
-# machine with that many cores. The gate itself never fails on scaling —
-# only on per-benchmark ns/op regressions like every other entry.
-#
 # Throughput metrics gate too: every benchmark reporting an mreq_per_s
-# custom metric (BenchmarkEngineIngest, the ReplayParallel suite)
-# contributes a "name@mreq_per_s" entry whose value is the *inverse*
-# throughput, so a throughput drop is a ratio increase and flows through
-# the same median-normalized limit as ns/op. An engine ingest rate
-# regression therefore fails CI exactly like a decision-loop slowdown.
+# custom metric (BenchmarkEngineIngest) contributes a "name@mreq_per_s"
+# entry whose value is the *inverse* throughput, so a throughput drop is
+# a ratio increase and flows through the same median-normalized limit as
+# ns/op. An engine ingest rate regression therefore fails CI exactly like
+# a decision-loop slowdown.
 set -eu
 
 BASE="${1:?usage: bench_compare.sh baseline.json new.json [tolerance_pct]}"
@@ -94,21 +86,3 @@ END {
     exit fail
 }
 ' "$BASETAB" "$NEWTAB"
-
-# Informational: multi-core replay scaling from the new run. shards=1 is the
-# sequential reference; speedup(N) = ns/op(shards=1) / ns/op(shards=N).
-awk '
-$1 ~ /^BenchmarkReplayParallel\/shards=/ {
-    n = $1
-    sub(/^.*shards=/, "", n)
-    ns[n + 0] = $2
-    if (n + 0 > maxn) maxn = n + 0
-}
-END {
-    if (!(1 in ns)) exit 0
-    printf "bench_compare: replay scaling (new run; ~1x is expected on a single-core box)\n"
-    for (s = 1; s <= maxn; s++)
-        if (s in ns)
-            printf "  shards=%-3d speedup %.2fx\n", s, ns[1] / ns[s]
-}
-' "$NEWTAB"

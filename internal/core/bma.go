@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"obm/internal/matching"
 	"obm/internal/trace"
@@ -28,8 +30,12 @@ import (
 //     the original (each matched edge can deflect at most b candidates).
 //
 // The rent and defense counters are flat []float64 tables indexed by
-// trace.PairID (absent ≡ 0, matching the original map semantics), so the
-// per-request work is array reads plus the deliberate Θ(b) incidence scan.
+// trace.PairID (absent ≡ 0, matching the original map semantics), and the
+// matching's incidence lists hold PairIDs, so the per-request work is array
+// reads plus the deliberate Θ(b) incidence scan. The scan still reads the
+// defense of every incident edge at each saturated endpoint, but each of
+// its steps is branch-free: it keeps the lexicographic minimum of
+// (defense, PairID) as one 128-bit comparison and selects by mask.
 type BMA struct {
 	n, b  int
 	model CostModel
@@ -99,9 +105,14 @@ func (a *BMA) Serve(u, v int) Step {
 	return a.serve(id, u, v, a.model.Metric.Dist(u, v))
 }
 
-// ServeCompiled implements CompiledServer.
-func (a *BMA) ServeCompiled(req trace.CompiledReq) Step {
-	return a.serve(req.ID, int(req.U), int(req.V), int(req.Dist))
+// ServeChunk implements CompiledServer.
+func (a *BMA) ServeChunk(reqs []trace.CompiledReq, tot *ShardStep, alpha float64) {
+	t := *tot
+	for i := range reqs {
+		req := &reqs[i]
+		t.Add(a.serve(req.ID, int(req.U), int(req.V), int(req.Dist)), alpha)
+	}
+	*tot = t
 }
 
 // serve processes the request for pair id = {u, v} (u < v) at static
@@ -131,16 +142,15 @@ func (a *BMA) serve(id trace.PairID, u, v, dist int) Step {
 		return step
 	}
 	for _, q := range victims[:nv] {
-		if err := a.m.Remove(a.idx.Key(q)); err != nil {
+		if err := a.m.RemoveID(q); err != nil {
 			panic(fmt.Sprintf("core: BMA removing %v: %v", a.idx.Key(q), err))
 		}
 		a.defense[q] = 0
 		a.rent[q] = 0
 		step.Removals++
 	}
-	k := a.idx.Key(id)
-	if err := a.m.Add(k); err != nil {
-		panic(fmt.Sprintf("core: BMA adding %v: %v", k, err))
+	if err := a.m.AddID(id, u, v); err != nil {
+		panic(fmt.Sprintf("core: BMA adding %v: %v", a.idx.Key(id), err))
 	}
 	step.Adds++
 	a.defense[id] = a.model.Alpha
@@ -155,26 +165,35 @@ func (a *BMA) serve(id trace.PairID, u, v, dist int) Step {
 // candidate's rent. The scan over incident edges is deliberately the
 // original's Θ(b) per attempt; the victims ride back in a fixed-size array
 // so the hot path does not allocate.
+//
+// The weakest edge is the lexicographic minimum of (defense, PairID): the
+// pair id (≡ pair key order) breaks ties, for deterministic runs regardless
+// of incidence order. Defenses are non-negative and never NaN or −0 (Restore
+// refuses them), and on such floats the order of Float64bits is the float
+// order, so the scan compares (Float64bits(defense), PairID) as one 128-bit
+// key: the borrow out of a two-word subtraction says "smaller", and a mask
+// built from it selects the minimum without a branch. A saturated endpoint
+// has b ≥ 1 incident edges, so the first one seeds the minimum.
 func (a *BMA) findVictims(id trace.PairID, u, v int) (victims [2]trace.PairID, n int, ok bool) {
 	for _, w := range [2]int{u, v} {
 		if a.m.Free(w) > 0 {
 			continue
 		}
-		weakest := trace.NoPair
-		weakestDef := -1.0
-		for _, q := range a.m.IncidentView(w) {
-			qid := a.idx.IDOfKey(q)
-			d := a.defense[qid]
-			// Tie-break on the pair id (≡ pair key order) for
-			// deterministic runs regardless of incidence order.
-			if weakestDef < 0 || d < weakestDef || (d == weakestDef && qid < weakest) {
-				weakest, weakestDef = qid, d
-			}
+		inc := a.m.IncidentIDs(w)
+		weakest := uint64(inc[0])
+		weakestDef := math.Float64bits(a.defense[inc[0]])
+		for _, q := range inc[1:] {
+			d := math.Float64bits(a.defense[q])
+			_, borrow := bits.Sub64(uint64(q), weakest, 0)
+			_, borrow = bits.Sub64(d, weakestDef, borrow)
+			mask := -borrow
+			weakest = weakest&^mask | uint64(q)&mask
+			weakestDef = weakestDef&^mask | d&mask
 		}
-		if a.rent[id] <= weakestDef {
+		if a.rent[id] <= math.Float64frombits(weakestDef) {
 			return victims, 0, false
 		}
-		victims[n] = weakest
+		victims[n] = trace.PairID(weakest)
 		n++
 	}
 	// The two victims could coincide only if they were the same pair

@@ -87,12 +87,15 @@ type Algorithm interface {
 }
 
 // CompiledServer is implemented by algorithms with a dense fast path: given
-// a pre-resolved request (PairID, endpoints, static distance) they can skip
-// per-request canonicalization and metric lookups. ServeCompiled must be
-// semantically identical to Serve(req.U, req.V); the simulation harness
-// uses it when replaying a trace.Compiled.
+// pre-resolved requests (PairID, endpoints, static distance) they skip
+// per-request canonicalization and metric lookups, and serve and fold a
+// whole chunk in one call instead of one interface call per request.
+// ServeChunk serves reqs in order and folds each request's step into tot
+// with tot.Add(step, alpha): the totals must be bit-identical to folding
+// Serve(req.U, req.V) for each request in turn. Every replay and the live
+// engine feed their chunks through it (sim.Incremental.FeedChunk).
 type CompiledServer interface {
-	ServeCompiled(req trace.CompiledReq) Step
+	ServeChunk(reqs []trace.CompiledReq, tot *ShardStep, alpha float64)
 }
 
 // Reseeder is implemented by randomized algorithms that can adopt a new

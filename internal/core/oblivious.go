@@ -33,9 +33,13 @@ func (o *Oblivious) Serve(u, v int) Step {
 	return Step{RoutingCost: o.model.RouteCost(trace.MakePairKey(u, v), false)}
 }
 
-// ServeCompiled implements CompiledServer.
-func (o *Oblivious) ServeCompiled(req trace.CompiledReq) Step {
-	return Step{RoutingCost: float64(req.Dist)}
+// ServeChunk implements CompiledServer.
+func (o *Oblivious) ServeChunk(reqs []trace.CompiledReq, tot *ShardStep, alpha float64) {
+	t := *tot
+	for i := range reqs {
+		t.Add(Step{RoutingCost: float64(reqs[i].Dist)}, alpha)
+	}
+	*tot = t
 }
 
 // Matched implements Algorithm.
@@ -137,12 +141,17 @@ func (s *Static) Serve(u, v int) Step {
 	return Step{RoutingCost: s.model.RouteCost(k, s.has(s.idx.IDOfKey(k)))}
 }
 
-// ServeCompiled implements CompiledServer.
-func (s *Static) ServeCompiled(req trace.CompiledReq) Step {
-	if s.has(req.ID) {
-		return Step{RoutingCost: 1}
+// ServeChunk implements CompiledServer.
+func (s *Static) ServeChunk(reqs []trace.CompiledReq, tot *ShardStep, alpha float64) {
+	t := *tot
+	for i := range reqs {
+		st := Step{RoutingCost: float64(reqs[i].Dist)}
+		if s.has(reqs[i].ID) {
+			st.RoutingCost = 1
+		}
+		t.Add(st, alpha)
 	}
-	return Step{RoutingCost: float64(req.Dist)}
+	*tot = t
 }
 
 // Matched implements Algorithm.

@@ -90,10 +90,14 @@ type ShardStep struct {
 // Add folds one serve result into the accumulator: one += per cost
 // component per step, in request order. It is the accumulation step of
 // every replay and of the live engine, which is what makes their
-// cumulative cost streams bit-identical.
+// cumulative cost streams bit-identical. A step that adds and removes
+// nothing skips the reconfiguration term: it would add +0.0 to a
+// non-negative sum, which leaves the sum's bits unchanged.
 func (d *ShardStep) Add(st Step, alpha float64) {
 	d.Routing += st.RoutingCost
-	d.Reconfig += st.ReconfigCost(alpha)
+	if st.Adds|st.Removals != 0 {
+		d.Reconfig += st.ReconfigCost(alpha)
+	}
 	d.Adds += st.Adds
 	d.Removals += st.Removals
 }
@@ -168,14 +172,19 @@ func (sh *Sharded) Serve(u, v int) Step {
 	return sh.subs[sh.part.OfRow(u)].Serve(u, v)
 }
 
-// ServeCompiled implements CompiledServer by delegating to the owning
-// plane's dense path.
-func (sh *Sharded) ServeCompiled(req trace.CompiledReq) Step {
-	s := sh.part.OfReq(req)
-	if cs := sh.fast[s]; cs != nil {
-		return cs.ServeCompiled(req)
+// ServeChunk implements CompiledServer: each request goes, in trace
+// order, to its owning plane as a one-request chunk (or through the
+// plane's Serve when it has no dense path), so the fold runs in trace
+// order across planes.
+func (sh *Sharded) ServeChunk(reqs []trace.CompiledReq, tot *ShardStep, alpha float64) {
+	for i := range reqs {
+		s := sh.part.OfReq(reqs[i])
+		if cs := sh.fast[s]; cs != nil {
+			cs.ServeChunk(reqs[i:i+1], tot, alpha)
+		} else {
+			tot.Add(sh.subs[s].Serve(int(reqs[i].U), int(reqs[i].V)), alpha)
+		}
 	}
-	return sh.subs[s].Serve(int(req.U), int(req.V))
 }
 
 // Matched implements Algorithm: a pair is matched iff its owning plane

@@ -78,6 +78,14 @@ func TestPartitionOwnershipConsistent(t *testing.T) {
 	}
 }
 
+// serveOne serves req through cs as a one-request chunk and returns what it
+// folded.
+func serveOne(cs CompiledServer, req trace.CompiledReq) ShardStep {
+	var d ShardStep
+	cs.ServeChunk([]trace.CompiledReq{req}, &d, 30)
+	return d
+}
+
 // TestShardedSingleShardMatchesPlain: one shard with ShardSeed(base, 0) is
 // the unsharded algorithm — identical steps, name, matching.
 func TestShardedSingleShardMatchesPlain(t *testing.T) {
@@ -93,7 +101,7 @@ func TestShardedSingleShardMatchesPlain(t *testing.T) {
 		t.Fatalf("single-shard name %q != %q", sh.Name(), plain.Name())
 	}
 	for i, req := range ct.Reqs {
-		if got, want := sh.ServeCompiled(req), plain.ServeCompiled(req); got != want {
+		if got, want := serveOne(sh, req), serveOne(plain, req); got != want {
 			t.Fatalf("request %d: sharded step %+v != plain %+v", i, got, want)
 		}
 	}
@@ -121,7 +129,7 @@ func TestShardedPlanesAreIndependent(t *testing.T) {
 	size := 0
 	for i, req := range ct.Reqs {
 		s := part.OfReq(req)
-		if got, want := sh.ServeCompiled(req), ref[s].ServeCompiled(req); got != want {
+		if got, want := serveOne(sh, req), serveOne(ref[s], req); got != want {
 			t.Fatalf("request %d (shard %d): step %+v != standalone %+v", i, s, got, want)
 		}
 	}
@@ -140,7 +148,7 @@ func TestShardedPlanesAreIndependent(t *testing.T) {
 }
 
 // TestShardedServeMatchesServeCompiled pins the raw Serve delegation to the
-// dense path.
+// dense path, request by request.
 func TestShardedServeMatchesServeCompiled(t *testing.T) {
 	const n, b, shards = 12, 2, 3
 	model := testModel(n, 30)
@@ -149,8 +157,10 @@ func TestShardedServeMatchesServeCompiled(t *testing.T) {
 	viaCompiled := newShardedRBMA(t, n, shards, b, model, 1)
 	for i, req := range ct.Reqs {
 		// Feed Serve the reversed endpoints to exercise canonicalization.
-		if got, want := viaServe.Serve(int(req.V), int(req.U)), viaCompiled.ServeCompiled(req); got != want {
-			t.Fatalf("request %d: Serve %+v != ServeCompiled %+v", i, got, want)
+		var got ShardStep
+		got.Add(viaServe.Serve(int(req.V), int(req.U)), 30)
+		if want := serveOne(viaCompiled, req); got != want {
+			t.Fatalf("request %d: Serve %+v != ServeChunk %+v", i, got, want)
 		}
 	}
 	for u := 0; u < n; u++ {
@@ -170,8 +180,8 @@ func TestShardedReset(t *testing.T) {
 	sh := newShardedRBMA(t, n, shards, b, model, 21)
 	run := func() ShardStep {
 		var d ShardStep
-		for _, req := range ct.Reqs {
-			d.Add(sh.ServeCompiled(req), 30)
+		for i := range ct.Reqs {
+			sh.ServeChunk(ct.Reqs[i:i+1], &d, 30)
 		}
 		return d
 	}
@@ -194,8 +204,8 @@ func TestReseedMatchesFreshConstruction(t *testing.T) {
 	ct := testTraceCompiled(t, n, 6000, 19, model)
 	run := func(alg Algorithm) ShardStep {
 		var d ShardStep
-		for _, req := range ct.Reqs {
-			d.Add(alg.(CompiledServer).ServeCompiled(req), 30)
+		for i := range ct.Reqs {
+			alg.(CompiledServer).ServeChunk(ct.Reqs[i:i+1], &d, 30)
 		}
 		return d
 	}

@@ -271,9 +271,14 @@ func (r *RBMA) Serve(u, v int) Step {
 	return r.serve(id, u, v, r.model.Metric.Dist(u, v))
 }
 
-// ServeCompiled implements CompiledServer.
-func (r *RBMA) ServeCompiled(req trace.CompiledReq) Step {
-	return r.serve(req.ID, int(req.U), int(req.V), int(req.Dist))
+// ServeChunk implements CompiledServer.
+func (r *RBMA) ServeChunk(reqs []trace.CompiledReq, tot *ShardStep, alpha float64) {
+	t := *tot
+	for i := range reqs {
+		req := &reqs[i]
+		t.Add(r.serve(req.ID, int(req.U), int(req.V), int(req.Dist)), alpha)
+	}
+	*tot = t
 }
 
 // serve processes the request for pair id = {u, v} (u < v) at static
@@ -327,11 +332,10 @@ func (r *RBMA) serve(id trace.PairID, u, v, dist int) Step {
 	if r.m.Free(v) == 0 {
 		step.Removals += r.pruneAt(v)
 	}
-	k := r.idx.Key(id)
-	if err := r.m.Add(k); err != nil {
+	if err := r.m.AddID(id, u, v); err != nil {
 		// Unreachable if the invariants hold; fail loudly rather than
 		// silently corrupting the experiment.
-		panic(fmt.Sprintf("core: R-BMA invariant violation adding %v: %v", k, err))
+		panic(fmt.Sprintf("core: R-BMA invariant violation adding %v: %v", r.idx.Key(id), err))
 	}
 	step.Adds++
 	return step
@@ -367,10 +371,9 @@ func (r *RBMA) pruneAt(w int) int {
 	// Smallest PairID == smallest PairKey, so runs with the same seed are
 	// bit-for-bit reproducible regardless of incidence order.
 	victim := trace.NoPair
-	for _, q := range r.m.IncidentView(w) {
-		qid := r.idx.IDOfKey(q)
-		if r.isMarked(qid) && (victim == trace.NoPair || qid < victim) {
-			victim = qid
+	for _, q := range r.m.IncidentIDs(w) {
+		if r.isMarked(q) && (victim == trace.NoPair || q < victim) {
+			victim = q
 		}
 	}
 	if victim == trace.NoPair {
@@ -381,7 +384,7 @@ func (r *RBMA) pruneAt(w int) int {
 }
 
 func (r *RBMA) mustRemove(q trace.PairID) {
-	if err := r.m.Remove(r.idx.Key(q)); err != nil {
+	if err := r.m.RemoveID(q); err != nil {
 		panic(fmt.Sprintf("core: R-BMA removing %v: %v", r.idx.Key(q), err))
 	}
 	if r.isMarked(q) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 
 	"obm/internal/snap"
@@ -178,7 +179,8 @@ func (a *BMA) Snapshot(w io.Writer) error {
 
 // Restore implements Snapshotter. Counters are range-checked against the
 // scheme's own invariants: rents are non-negative and finite, defenses lie
-// in [0, α].
+// in [0, α] and are never −0, which no run produces and which the victim
+// scan's bitwise order would rank above every positive defense.
 func (a *BMA) Restore(rd io.Reader) error {
 	sr := snap.NewReader(rd)
 	if err := expectTag(sr, snapTagBMA, "bma"); err != nil {
@@ -204,7 +206,7 @@ func (a *BMA) Restore(rd io.Reader) error {
 		}
 	}
 	for id, v := range a.defense {
-		if !(v >= 0) || v > a.model.Alpha {
+		if !(v >= 0) || v > a.model.Alpha || math.Signbit(v) {
 			return snap.Corruptf("core: bma defense[%d] = %v outside [0,%v]", id, v, a.model.Alpha)
 		}
 	}

@@ -5,7 +5,8 @@
 // offline replay paths drive — behind the shared incremental step surface
 // (sim.Incremental), so a session fed a request sequence over the wire
 // reports cumulative costs bit-identical to an offline sim.RunSource
-// replay of that sequence.
+// replay of that sequence. A binary batch is served and folded by one
+// ServeChunk call (Session.FeedBinary → Incremental.FeedChunk).
 //
 // Two ingest paths share every session:
 //

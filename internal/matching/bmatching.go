@@ -17,18 +17,20 @@ import (
 // the online algorithms reconfigure.
 //
 // The representation is fully array-backed — degree counts in a flat
-// []int32 and per-node incidence lists in fixed-capacity slices of one
-// shared n·b slab — so membership tests, insertions and removals on the
-// per-request hot path never touch a hash map. Membership is an O(b) scan
-// of the smaller-degree endpoint's incidence list; b is a small constant
-// (the number of optical switches per rack) in every workload this
-// repository models.
+// []int32 and per-node incidence lists of dense trace.PairIDs in
+// fixed-capacity slices of one shared n·b slab — so membership tests,
+// insertions and removals on the per-request hot path never touch a hash
+// map, and the algorithms index their per-pair tables with incidence
+// entries directly. Membership is one bit test; removal is an O(b) scan of
+// each endpoint's incidence list, and b is a small constant (the number of
+// optical switches per rack) in every workload this repository models.
 type BMatching struct {
 	n, b    int
 	size    int
+	idx     *trace.PairIndex // shared: PairID -> endpoints
 	deg     []int32
-	inc     []trace.PairKey // inc[u*b : u*b+deg[u]] are the pairs incident to u
-	present []uint64        // membership bitset over the dense pair index
+	inc     []trace.PairID // inc[u*b : u*b+deg[u]] are the pairs incident to u
+	present []uint64       // membership bitset over the dense pair index
 }
 
 // NewBMatching returns an empty b-matching over n nodes with degree cap b.
@@ -43,8 +45,9 @@ func NewBMatching(n, b int) *BMatching {
 	return &BMatching{
 		n:       n,
 		b:       b,
+		idx:     trace.SharedPairIndex(n),
 		deg:     make([]int32, n),
-		inc:     make([]trace.PairKey, n*b),
+		inc:     make([]trace.PairID, n*b),
 		present: make([]uint64, (trace.NumPairs(n)+63)/64),
 	}
 }
@@ -81,8 +84,7 @@ func (m *BMatching) Has(k trace.PairKey) bool {
 	if v >= m.n {
 		return false
 	}
-	i := m.pairBit(u, v)
-	return m.present[i>>6]&(1<<(uint(i)&63)) != 0
+	return m.HasID(trace.PairID(m.pairBit(u, v)))
 }
 
 // HasID reports whether the pair with dense index id (trace.PairID order)
@@ -106,8 +108,16 @@ func (m *BMatching) Add(k trace.PairKey) error {
 	if v >= m.n {
 		return fmt.Errorf("matching: pair %v out of range [0,%d)", k, m.n)
 	}
-	if m.Has(k) {
-		return fmt.Errorf("matching: pair %v already matched", k)
+	return m.AddID(trace.PairID(m.pairBit(u, v)), u, v)
+}
+
+// AddID inserts the pair with dense index id, whose endpoints are u < v,
+// as a matching edge: the hot-path twin of Add for callers that carry the
+// pair's index and endpoints. It returns an error if the pair is already
+// matched or an endpoint is at its degree cap.
+func (m *BMatching) AddID(id trace.PairID, u, v int) error {
+	if m.HasID(id) {
+		return fmt.Errorf("matching: pair %v already matched", m.idx.Key(id))
 	}
 	if int(m.deg[u]) >= m.b {
 		return fmt.Errorf("matching: node %d at degree cap %d", u, m.b)
@@ -115,12 +125,11 @@ func (m *BMatching) Add(k trace.PairKey) error {
 	if int(m.deg[v]) >= m.b {
 		return fmt.Errorf("matching: node %d at degree cap %d", v, m.b)
 	}
-	m.inc[u*m.b+int(m.deg[u])] = k
-	m.inc[v*m.b+int(m.deg[v])] = k
+	m.inc[u*m.b+int(m.deg[u])] = id
+	m.inc[v*m.b+int(m.deg[v])] = id
 	m.deg[u]++
 	m.deg[v]++
-	i := m.pairBit(u, v)
-	m.present[i>>6] |= 1 << (uint(i) & 63)
+	m.present[id>>6] |= 1 << (uint(id) & 63)
 	m.size++
 	return nil
 }
@@ -132,60 +141,64 @@ func (m *BMatching) Remove(k trace.PairKey) error {
 		return fmt.Errorf("matching: pair %v not matched", k)
 	}
 	u, v := k.Endpoints()
-	m.removeIncident(u, k)
-	m.removeIncident(v, k)
-	i := m.pairBit(u, v)
-	m.present[i>>6] &^= 1 << (uint(i) & 63)
+	return m.RemoveID(trace.PairID(m.pairBit(u, v)))
+}
+
+// RemoveID deletes the pair with dense index id from the matching: the
+// hot-path twin of Remove. It returns an error if the pair is not matched.
+func (m *BMatching) RemoveID(id trace.PairID) error {
+	if !m.HasID(id) {
+		return fmt.Errorf("matching: pair %v not matched", m.idx.Key(id))
+	}
+	u, v := m.idx.Endpoints(id)
+	m.removeIncident(u, id)
+	m.removeIncident(v, id)
+	m.present[id>>6] &^= 1 << (uint(id) & 63)
 	m.size--
 	return nil
 }
 
-// removeIncident deletes k from node w's incidence list (swap with last).
-func (m *BMatching) removeIncident(w int, k trace.PairKey) {
+// removeIncident deletes id from node w's incidence list (swap with last).
+func (m *BMatching) removeIncident(w int, id trace.PairID) {
 	base := w * m.b
 	last := int(m.deg[w]) - 1
 	for i := 0; i <= last; i++ {
-		if m.inc[base+i] == k {
+		if m.inc[base+i] == id {
 			m.inc[base+i] = m.inc[base+last]
 			m.deg[w]--
 			return
 		}
 	}
-	panic(fmt.Sprintf("matching: edge %v missing from node %d incidence", k, w))
+	panic(fmt.Sprintf("matching: edge %v missing from node %d incidence", m.idx.Key(id), w))
 }
 
 // Incident returns the matching edges incident to node u, in unspecified
-// order. The result is a fresh slice; use IncidentView or ForEachIncident
-// on allocation-sensitive paths.
+// order. The result is a fresh slice; use IncidentIDs on
+// allocation-sensitive paths.
 func (m *BMatching) Incident(u int) []trace.PairKey {
-	return append([]trace.PairKey(nil), m.IncidentView(u)...)
-}
-
-// IncidentView returns the matching edges incident to node u as a view into
-// the matching's backing array, in unspecified order. The view is read-only
-// and valid only until the next Add or Remove.
-func (m *BMatching) IncidentView(u int) []trace.PairKey {
-	return m.inc[u*m.b : u*m.b+int(m.deg[u])]
-}
-
-// ForEachIncident calls fn for every matching edge incident to node u,
-// stopping early if fn returns false. Allocation-free variant of Incident
-// for per-request hot paths.
-func (m *BMatching) ForEachIncident(u int, fn func(trace.PairKey) bool) {
-	for _, k := range m.IncidentView(u) {
-		if !fn(k) {
-			return
-		}
+	ids := m.IncidentIDs(u)
+	out := make([]trace.PairKey, len(ids))
+	for i, id := range ids {
+		out[i] = m.idx.Key(id)
 	}
+	return out
+}
+
+// IncidentIDs returns the dense indices of the matching edges incident to
+// node u as a view into the matching's backing array, in unspecified
+// order. The view is read-only and valid only until the next insertion or
+// removal.
+func (m *BMatching) IncidentIDs(u int) []trace.PairID {
+	return m.inc[u*m.b : u*m.b+int(m.deg[u])]
 }
 
 // Edges returns all matching edges in unspecified order.
 func (m *BMatching) Edges() []trace.PairKey {
 	out := make([]trace.PairKey, 0, m.size)
 	for u := 0; u < m.n; u++ {
-		for _, k := range m.IncidentView(u) {
-			if lo, _ := k.Endpoints(); lo == u {
-				out = append(out, k)
+		for _, id := range m.IncidentIDs(u) {
+			if lo, _ := m.idx.Endpoints(id); lo == u {
+				out = append(out, m.idx.Key(id))
 			}
 		}
 	}
@@ -198,17 +211,21 @@ func (m *BMatching) Edges() []trace.PairKey {
 func (m *BMatching) CheckInvariants() error {
 	edges := 0
 	for u := 0; u < m.n; u++ {
-		view := m.IncidentView(u)
 		if int(m.deg[u]) > m.b {
 			return fmt.Errorf("matching: node %d degree %d exceeds cap %d", u, m.deg[u], m.b)
 		}
-		for i, k := range view {
-			ku, kv := k.Endpoints()
+		view := m.IncidentIDs(u)
+		for i, id := range view {
+			if id < 0 || int(id) >= m.idx.NumPairs() {
+				return fmt.Errorf("matching: pair index %d in inc[%d] outside the universe", id, u)
+			}
+			k := m.idx.Key(id)
+			ku, kv := m.idx.Endpoints(id)
 			if ku != u && kv != u {
 				return fmt.Errorf("matching: edge %v in inc[%d] is not incident to %d", k, u, u)
 			}
 			for _, q := range view[i+1:] {
-				if q == k {
+				if q == id {
 					return fmt.Errorf("matching: edge %v duplicated in inc[%d]", k, u)
 				}
 			}
@@ -217,8 +234,8 @@ func (m *BMatching) CheckInvariants() error {
 				other = kv
 			}
 			found := false
-			for _, q := range m.IncidentView(other) {
-				if q == k {
+			for _, q := range m.IncidentIDs(other) {
+				if q == id {
 					found = true
 					break
 				}
@@ -227,7 +244,7 @@ func (m *BMatching) CheckInvariants() error {
 				return fmt.Errorf("matching: edge %v missing from inc[%d]", k, other)
 			}
 			if ku == u {
-				if !m.Has(k) {
+				if !m.HasID(id) {
 					return fmt.Errorf("matching: edge %v in incidence lists but not in bitset", k)
 				}
 				edges++

@@ -18,8 +18,8 @@ func (m *BMatching) Snapshot(w io.Writer) error {
 	sw.U32(uint32(m.b))
 	sw.I32s(m.deg)
 	for u := 0; u < m.n; u++ {
-		for _, k := range m.IncidentView(u) {
-			sw.U64(uint64(k))
+		for _, id := range m.IncidentIDs(u) {
+			sw.U64(uint64(m.idx.Key(id)))
 		}
 	}
 	return sw.Err()
@@ -45,33 +45,45 @@ func (m *BMatching) Restore(r io.Reader) error {
 	if sr.Err() != nil {
 		return sr.Err()
 	}
+	total := 0
 	for u := 0; u < m.n; u++ {
 		if m.deg[u] < 0 || int(m.deg[u]) > m.b {
 			return snap.Corruptf("matching: node %d degree %d outside [0,%d]", u, m.deg[u], m.b)
 		}
+		total += int(m.deg[u])
 	}
 	clear(m.present)
 	m.size = 0
+	// The degrees fix how many keys follow, so they are read a block at a
+	// time.
+	var blk [128]uint64
+	next, have, left := 0, 0, total
 	for u := 0; u < m.n; u++ {
 		base := u * m.b
 		for i := 0; i < int(m.deg[u]); i++ {
-			k := trace.PairKey(sr.U64())
-			if sr.Err() != nil {
-				return sr.Err()
+			if next == have {
+				have, next = min(len(blk), left), 0
+				left -= have
+				sr.U64s(blk[:have])
+				if sr.Err() != nil {
+					return sr.Err()
+				}
 			}
+			k := trace.PairKey(blk[next])
+			next++
 			lo, hi := k.Endpoints()
 			if lo < 0 || lo >= hi || hi >= m.n || (lo != u && hi != u) {
 				return snap.Corruptf("matching: edge %v in node %d incidence is invalid", k, u)
 			}
-			m.inc[base+i] = k
+			id := trace.PairID(m.pairBit(lo, hi))
+			m.inc[base+i] = id
 			if lo == u {
 				// Count and set membership once per edge, at its low
 				// endpoint; the high endpoint's copy is checked below.
-				bit := m.pairBit(lo, hi)
-				if m.present[bit>>6]&(1<<(uint(bit)&63)) != 0 {
+				if m.HasID(id) {
 					return snap.Corruptf("matching: edge %v duplicated", k)
 				}
-				m.present[bit>>6] |= 1 << (uint(bit) & 63)
+				m.present[id>>6] |= 1 << (uint(id) & 63)
 				m.size++
 			}
 		}
@@ -79,12 +91,10 @@ func (m *BMatching) Restore(r io.Reader) error {
 	// Cross-validate: every edge listed at a node must be a member (set at
 	// its low endpoint), and the total incidence must be 2·size — together
 	// these force each edge to appear exactly once per endpoint.
-	total := 0
 	for u := 0; u < m.n; u++ {
-		total += int(m.deg[u])
-		for _, k := range m.IncidentView(u) {
-			if !m.Has(k) {
-				return snap.Corruptf("matching: edge %v listed at node %d but not a member", k, u)
+		for _, id := range m.IncidentIDs(u) {
+			if !m.HasID(id) {
+				return snap.Corruptf("matching: edge %v listed at node %d but not a member", m.idx.Key(id), u)
 			}
 		}
 	}

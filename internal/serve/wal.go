@@ -65,6 +65,7 @@ func walEncode(f func(w *snap.Writer)) []byte {
 	var buf bytes.Buffer
 	w := snap.NewWriter(&buf)
 	f(w)
+	w.Err() // hands the staged fields to buf, which never fails
 	return buf.Bytes()
 }
 

@@ -34,10 +34,12 @@ type ckHooks struct {
 // saveReplayCheckpoint serializes the meter's mid-replay state at stream
 // position pos. An error means the algorithm refused to snapshot (e.g. an
 // ablation variant with a substituted cache) — never an I/O failure, since
-// the sink is an in-memory buffer.
-func saveReplayCheckpoint(m *costMeter, pos int, elapsed time.Duration) ([]byte, error) {
-	var buf bytes.Buffer
-	sw := snap.NewWriter(&buf)
+// the sink is an in-memory buffer. The buffer is presized from sizeHint,
+// the length of the job's previous checkpoint (0 for none): a job's blobs
+// stay about one size, so a save allocates its buffer once.
+func saveReplayCheckpoint(m *costMeter, pos int, elapsed time.Duration, sizeHint int) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, sizeHint+sizeHint/8+4096))
+	sw := snap.NewWriter(buf)
 	sw.Bytes(ckMagic)
 	sw.U8(ckVersion)
 	sw.I64(int64(pos))

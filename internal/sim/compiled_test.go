@@ -12,7 +12,7 @@ import (
 // replay of it falls back to Serve(u, v).
 type serveOnly struct{ core.Algorithm }
 
-// A replay through ServeCompiled must produce exactly the curves a replay
+// A replay through ServeChunk must produce exactly the curves a replay
 // through Serve(u, v) produces, for algorithms with the dense fast path
 // (R-BMA, eager R-BMA, BMA, oblivious, SO-BMA) and for a fallback
 // algorithm that has none (Batch).
@@ -56,7 +56,7 @@ func TestRunCompiledMatchesRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, fast := a2.(core.CompiledServer); !fast && name != "batch" {
-				t.Errorf("%s lost its ServeCompiled fast path", name)
+				t.Errorf("%s lost its ServeChunk fast path", name)
 			}
 			compiled, err := RunSource(a2, ct.Source(), model.Alpha, checkpoints, 0)
 			if err != nil {

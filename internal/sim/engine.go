@@ -9,9 +9,10 @@
 // (*trace.Compiled).Source, a generated workload through a streaming
 // source that holds O(chunk) requests, and the cost curves are
 // bit-identical either way. Algorithms implementing core.CompiledServer
-// take the dense fast path (every request pre-resolved to its PairID,
-// endpoints and static distance); everything else falls back to
-// Serve(u, v) with identical costs. The figure runner (RunExperiment)
+// take the dense fast path: every request pre-resolved to its PairID,
+// endpoints and static distance, and each chunk (cut at the curve's
+// checkpoints) served and folded by one ServeChunk call. Everything else
+// falls back to Serve(u, v) per request, with identical costs. The figure runner (RunExperiment)
 // compiles nothing itself: its Config carries the trace compiled once,
 // and each worker replays it through every (algorithm, b) job and
 // repetition with one recycled result buffer, so repeated replays
@@ -103,11 +104,10 @@ func validateCheckpoints(checkpoints []int, traceLen int) error {
 }
 
 // costMeter samples an Incremental's cumulative totals at checkpoints:
-// the replay loop feeds requests through the embedded stepper (the same
+// the replay loop feeds chunks through the embedded stepper (the same
 // accumulation path the live engine runs) and the meter appends series
 // points. nextCP is the upcoming checkpoint (or -1), kept denormalized so
-// the replay loop pays one integer compare per request instead of a
-// method call.
+// the replay loop cuts a chunk at it with one integer compare.
 type costMeter struct {
 	res         *RunResult
 	inc         Incremental
@@ -126,13 +126,17 @@ func newCostMeter(res *RunResult, checkpoints []int, alg core.Algorithm, alpha f
 }
 
 // feed serves reqs, which follow the first served requests, and returns
-// the new served count. The replay's per-request loop: its own function,
-// so that nothing but the meter, the requests and the count is live
-// across a Feed call.
+// the new served count. It cuts reqs at the next curve checkpoint and
+// feeds each segment as one chunk, sampling the totals between segments.
 func (c *costMeter) feed(reqs []trace.CompiledReq, served int) int {
-	for _, req := range reqs {
-		c.inc.Feed(req)
-		served++
+	for len(reqs) > 0 {
+		n := len(reqs)
+		if c.nextCP > served && c.nextCP-served < n {
+			n = c.nextCP - served
+		}
+		c.inc.FeedChunk(reqs[:n])
+		reqs = reqs[n:]
+		served += n
 		if served == c.nextCP {
 			c.checkpoint(served)
 		}

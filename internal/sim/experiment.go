@@ -131,6 +131,7 @@ func RunExperiment(cfg Config, specs []AlgSpec, workers int) (*Result, error) {
 	err := runPool(context.Background(), len(jobs), workers, func() func(int) error {
 		src := cfg.Trace.Source()
 		chunk := trace.NewChunk(0)
+		var rp replay
 		var res RunResult
 		return func(ji int) error {
 			j := jobs[ji]
@@ -139,7 +140,7 @@ func RunExperiment(cfg Config, specs []AlgSpec, workers int) (*Result, error) {
 			for rep := 0; rep < cfg.Reps; rep++ {
 				alg, err := j.spec.New(j.b, uint64(rep))
 				if err == nil {
-					err = runSourceInto(context.Background(), &res, alg, src, cfg.Model.Alpha, cfg.Checkpoints, chunk, ckHooks{}, nil)
+					err = runSourceInto(context.Background(), &rp, &res, alg, src, cfg.Model.Alpha, cfg.Checkpoints, chunk, ckHooks{}, nil)
 				}
 				if err != nil {
 					return fmt.Errorf("sim: %s/%s(b=%d): %w", cfg.Name, j.spec.Name, j.b, err)

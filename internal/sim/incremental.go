@@ -49,6 +49,7 @@ type Incremental struct {
 	alpha    float64
 	tot      core.ShardStep
 	served   int64
+	one      [1]trace.CompiledReq // Feed's one-request chunk
 }
 
 // NewIncremental allocates an Incremental over alg. Callers on an
@@ -75,29 +76,24 @@ func (in *Incremental) Algorithm() core.Algorithm { return in.alg }
 // Alpha returns the reconfiguration cost the totals are folded under.
 func (in *Incremental) Alpha() float64 { return in.alpha }
 
-// Feed serves one compiled request and folds its cost into the totals.
-func (in *Incremental) Feed(req trace.CompiledReq) core.Step {
-	var st core.Step
-	if in.compiled {
-		st = in.cs.ServeCompiled(req)
-	} else {
-		st = in.alg.Serve(int(req.U), int(req.V))
-	}
-	in.tot.Add(st, in.alpha)
-	in.served++
-	return st
+// Feed serves one compiled request and folds its cost into the totals: a
+// one-request chunk, from a buffer inside the struct so that it does not
+// allocate.
+func (in *Incremental) Feed(req trace.CompiledReq) {
+	in.one[0] = req
+	in.FeedChunk(in.one[:])
 }
 
 // FeedChunk serves a chunk of compiled requests in order and reports how
-// many matching edges the chunk added and removed. Cumulative totals
-// advance exactly as len(reqs) Feed calls would (the dense-path branch is
-// hoisted out of the loop; the fold order per request is identical).
+// many matching edges the chunk added and removed. An algorithm with the
+// dense path serves and folds the whole chunk in one ServeChunk call;
+// others are served request by request through Serve(u, v). Either way the
+// totals fold per request, in request order, so they advance exactly as
+// len(reqs) Feed calls would.
 func (in *Incremental) FeedChunk(reqs []trace.CompiledReq) (adds, removals int) {
 	beforeAdds, beforeRemovals := in.tot.Adds, in.tot.Removals
 	if in.compiled {
-		for _, req := range reqs {
-			in.tot.Add(in.cs.ServeCompiled(req), in.alpha)
-		}
+		in.cs.ServeChunk(reqs, &in.tot, in.alpha)
 	} else {
 		for _, req := range reqs {
 			in.tot.Add(in.alg.Serve(int(req.U), int(req.V)), in.alpha)

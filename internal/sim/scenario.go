@@ -383,10 +383,10 @@ func pairBytes(n int, size float64) int64 {
 	return int64(size * float64(trace.NumPairs(n)))
 }
 
-// matchingBytes bounds a b-matching: degree and incidence slabs and a
-// bit per pair.
+// matchingBytes bounds a b-matching: degree and incidence slabs (a
+// 4-byte PairID per slot) and a bit per pair.
 func matchingBytes(n, b int) int64 {
-	return 4*int64(n) + 8*int64(n)*int64(b) + pairBytes(n, 1.0/8) + 256
+	return 4*int64(n) + 4*int64(n)*int64(b) + pairBytes(n, 1.0/8) + 256
 }
 
 // rbmaBytes bounds R-BMA: the matching, a counter and a mark bit per

@@ -26,21 +26,22 @@ import (
 // curves are bit-identical for every chunk size and source kind.
 func RunSource(alg core.Algorithm, src trace.Source, alpha float64, checkpoints []int, chunkSize int) (RunResult, error) {
 	var res RunResult
-	if err := runSourceInto(context.Background(), &res, alg, src, alpha, checkpoints, trace.NewChunk(chunkSize), ckHooks{}, nil); err != nil {
+	if err := runSourceInto(context.Background(), new(replay), &res, alg, src, alpha, checkpoints, trace.NewChunk(chunkSize), ckHooks{}, nil); err != nil {
 		return RunResult{}, err
 	}
 	return res, nil
 }
 
-// runSourceInto is RunSource writing into reusable result and chunk
-// buffers: a (result, chunk) pair recycled across repetitions stops
-// allocating once warm, which is what keeps streamed replay O(chunk).
-// Cancellation is honored at chunk boundaries — a cancelled ctx aborts
-// the replay within one chunk's worth of requests, never mid-chunk, so
-// costs are either complete or discarded (a partial replay is an error,
-// not a shorter curve).
-func runSourceInto(ctx context.Context, res *RunResult, alg core.Algorithm, src trace.Source, alpha float64, checkpoints []int, chunk *trace.CompiledChunk, ck ckHooks, met *Metrics) error {
-	var r replay
+// runSourceInto is RunSource driving a reusable replay into reusable
+// result and chunk buffers: a (replay, result, chunk) triple recycled
+// across repetitions stops allocating once warm, which is what keeps
+// streamed replay O(chunk). (The replay holds the accumulator that the
+// algorithm's ServeChunk folds into, so it lives on the heap; a replay
+// per call would be an allocation per call.) Cancellation is honored at
+// chunk boundaries — a cancelled ctx aborts the replay within one chunk's
+// worth of requests, never mid-chunk, so costs are either complete or
+// discarded (a partial replay is an error, not a shorter curve).
+func runSourceInto(ctx context.Context, r *replay, res *RunResult, alg core.Algorithm, src trace.Source, alpha float64, checkpoints []int, chunk *trace.CompiledChunk, ck ckHooks, met *Metrics) error {
 	if err := r.begin(res, alg, src.Len(), alpha, checkpoints, ck, met); err != nil {
 		return err
 	}
@@ -86,6 +87,8 @@ type replay struct {
 	fed   int // requests fed since the last checkpoint save
 	// saving is cleared when the algorithm cannot snapshot.
 	saving bool
+	// ckSize is the length of the last checkpoint saved.
+	ckSize int
 	// elapsed covers the decision loops only — generation and chunk
 	// compilation are excluded, so streamed and materialized replays time
 	// the same work and stay comparable to the paper's execution-time
@@ -154,7 +157,7 @@ func (r *replay) feed(reqs []trace.CompiledReq) error {
 	}
 	r.fed = 0
 	st := time.Now()
-	blob, err := saveReplayCheckpoint(&r.m, r.pos, r.elapsed)
+	blob, err := saveReplayCheckpoint(&r.m, r.pos, r.elapsed, r.ckSize)
 	if err != nil {
 		// The algorithm cannot snapshot (ablation variants): run the job to
 		// completion without checkpoints rather than failing a perfectly
@@ -162,6 +165,7 @@ func (r *replay) feed(reqs []trace.CompiledReq) error {
 		r.saving = false
 		return nil
 	}
+	r.ckSize = len(blob)
 	if err := r.ck.save(blob); err != nil {
 		return fmt.Errorf("sim: saving checkpoint at %d requests: %w", r.pos, err)
 	}

@@ -81,15 +81,16 @@ func TestStreamedReplayAllocsIndependentOfLength(t *testing.T) {
 			t.Fatal(err)
 		}
 		chunk := trace.NewChunk(chunkSize)
+		var rp replay
 		var res RunResult
 		cps := Checkpoints(count, 4)
 		// Warm pass: grows the scratch buffers once.
-		if err := runSourceInto(context.Background(), &res, alg, src, model.Alpha, cps, chunk, ckHooks{}, nil); err != nil {
+		if err := runSourceInto(context.Background(), &rp, &res, alg, src, model.Alpha, cps, chunk, ckHooks{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		alg.Reset()
 		return measureAlloc(func() {
-			if err := runSourceInto(context.Background(), &res, alg, src, model.Alpha, cps, chunk, ckHooks{}, nil); err != nil {
+			if err := runSourceInto(context.Background(), &rp, &res, alg, src, model.Alpha, cps, chunk, ckHooks{}, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -153,7 +154,7 @@ func TestStreamHundredMillionRequests(t *testing.T) {
 			}
 		}
 	}()
-	if err := runSourceInto(context.Background(), &res, alg, src, model.Alpha, Checkpoints(huge, 4), chunk, ckHooks{}, nil); err != nil {
+	if err := runSourceInto(context.Background(), new(replay), &res, alg, src, model.Alpha, Checkpoints(huge, 4), chunk, ckHooks{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	close(done)

@@ -11,6 +11,16 @@
 // no-op and Err returns the original cause — so encoders can be written as
 // straight-line sequences with a single error check at the end.
 //
+// Both sides move bytes a block at a time, because a snapshot is mostly
+// long runs of 4- and 8-byte fields and every byte crosses one CRC per
+// nesting level: a Writer stages its fields in a 1 KiB block and hands the
+// block on when it fills, when raw bytes pass through it, and at Err and
+// WriteCRC — so every section ends with Err (the outermost format with
+// WriteCRC), which is also where its bytes reach the enclosing stream. A
+// Reader reads the slice fields (I32s, U64s, F64s) a block at a time, and
+// never more than they ask for, since the rest of the stream belongs to
+// the enclosing sections.
+//
 // Decoders are written to be safe on adversarial input (the fuzz targets
 // feed them arbitrary bytes): every variable-length field is validated
 // against shape the restoring instance already knows, so a corrupt or
@@ -37,13 +47,20 @@ func Corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 }
 
+// blockSize is the staging block of a Writer and the read block of a
+// Reader's slice fields.
+const blockSize = 1024
+
 // Writer encodes little-endian primitives onto an io.Writer with a running
-// CRC-32 and a sticky error.
+// CRC-32 and a sticky error. Fields are staged in a block that reaches the
+// underlying writer when it fills, before raw bytes pass through, and at
+// Err and WriteCRC.
 type Writer struct {
 	w   io.Writer
 	crc hash.Hash32
 	err error
-	buf [8]byte
+	n   int // staged bytes in blk
+	blk [blockSize]byte
 }
 
 // NewWriter wraps w.
@@ -51,15 +68,26 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: w, crc: crc32.NewIEEE()}
 }
 
-// Err returns the first error encountered, if any.
-func (w *Writer) Err() error { return w.err }
+// Err hands the staged fields to the underlying writer and returns the
+// first error encountered, if any. A section's encoder ends with it.
+func (w *Writer) Err() error {
+	w.flush()
+	return w.err
+}
 
 // Write implements io.Writer: raw bytes pass through the CRC accumulator,
-// which is what lets nested snapshot sections share one trailer.
+// after the staged fields, which is what lets nested snapshot sections
+// share one trailer.
 func (w *Writer) Write(p []byte) (int, error) {
+	w.flush()
 	if w.err != nil {
 		return 0, w.err
 	}
+	return w.pass(p)
+}
+
+// pass writes p to the underlying writer and the CRC.
+func (w *Writer) pass(p []byte) (int, error) {
 	n, err := w.w.Write(p)
 	w.crc.Write(p[:n])
 	if err != nil {
@@ -68,26 +96,43 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// flush hands the staged block on; after an error it is dropped.
+func (w *Writer) flush() {
+	n := w.n
+	w.n = 0
+	if n > 0 && w.err == nil {
+		w.pass(w.blk[:n])
+	}
+}
+
+// stage returns the next size bytes of the staging block, flushing it
+// first when they do not fit. size is at most blockSize.
+func (w *Writer) stage(size int) []byte {
+	if w.n+size > blockSize {
+		w.flush()
+	}
+	p := w.blk[w.n : w.n+size]
+	w.n += size
+	return p
+}
+
 // Bytes writes p verbatim.
-func (w *Writer) Bytes(p []byte) { w.Write(p) }
+func (w *Writer) Bytes(p []byte) {
+	if len(p) <= blockSize {
+		copy(w.stage(len(p)), p)
+		return
+	}
+	w.Write(p)
+}
 
 // U8 writes one byte.
-func (w *Writer) U8(v uint8) {
-	w.buf[0] = v
-	w.Write(w.buf[:1])
-}
+func (w *Writer) U8(v uint8) { w.stage(1)[0] = v }
 
 // U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.Write(w.buf[:4])
-}
+func (w *Writer) U32(v uint32) { binary.LittleEndian.PutUint32(w.stage(4), v) }
 
 // U64 writes a little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.Write(w.buf[:8])
-}
+func (w *Writer) U64(v uint64) { binary.LittleEndian.PutUint64(w.stage(8), v) }
 
 // I64 writes a little-endian int64.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
@@ -121,7 +166,9 @@ func (w *Writer) F64s(vs []float64) {
 // compares before consuming it), so nested sections must not call this;
 // only the outermost format does, exactly once, as its final field.
 func (w *Writer) WriteCRC() {
+	w.flush()
 	w.U32(w.crc.Sum32())
+	w.flush()
 }
 
 // Reader decodes little-endian primitives from an io.Reader with a running
@@ -131,6 +178,7 @@ type Reader struct {
 	crc hash.Hash32
 	err error
 	buf [8]byte
+	blk [blockSize]byte
 }
 
 // NewReader wraps r.
@@ -207,24 +255,51 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 // F64 reads a float64 from its IEEE-754 bits.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// I32s fills vs with little-endian int32 values.
+// I32s fills vs with little-endian int32 values, a block at a time. On
+// error it stops and leaves the unread elements as they were.
 func (r *Reader) I32s(vs []int32) {
-	for i := range vs {
-		vs[i] = int32(r.U32())
+	for len(vs) > 0 {
+		k := min(len(vs), blockSize/4)
+		r.Bytes(r.blk[:4*k])
+		if r.err != nil {
+			return
+		}
+		for i := range vs[:k] {
+			vs[i] = int32(binary.LittleEndian.Uint32(r.blk[4*i:]))
+		}
+		vs = vs[k:]
 	}
 }
 
-// U64s fills vs.
+// U64s fills vs, a block at a time. On error it stops and leaves the
+// unread elements as they were.
 func (r *Reader) U64s(vs []uint64) {
-	for i := range vs {
-		vs[i] = r.U64()
+	for len(vs) > 0 {
+		k := min(len(vs), blockSize/8)
+		r.Bytes(r.blk[:8*k])
+		if r.err != nil {
+			return
+		}
+		for i := range vs[:k] {
+			vs[i] = binary.LittleEndian.Uint64(r.blk[8*i:])
+		}
+		vs = vs[k:]
 	}
 }
 
-// F64s fills vs bit-exactly.
+// F64s fills vs bit-exactly, a block at a time. On error it stops and
+// leaves the unread elements as they were.
 func (r *Reader) F64s(vs []float64) {
-	for i := range vs {
-		vs[i] = r.F64()
+	for len(vs) > 0 {
+		k := min(len(vs), blockSize/8)
+		r.Bytes(r.blk[:8*k])
+		if r.err != nil {
+			return
+		}
+		for i := range vs[:k] {
+			vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.blk[8*i:]))
+		}
+		vs = vs[k:]
 	}
 }
 

@@ -67,19 +67,21 @@ lint() { # file label
 	' "$1"
 }
 
-port=$((20000 + RANDOM % 20000))
+. scripts/ports.sh
+port=$(base_port 4)
 addr="127.0.0.1:$port"
 ingest="127.0.0.1:$((port + 1))"
 serve_addr="127.0.0.1:$((port + 2))"
 worker_metrics="127.0.0.1:$((port + 3))"
 
-wait_healthz() { # url pid what
+wait_healthz() { # url pid what log
 	for _ in $(seq 1 100); do
 		if curl -sf "$1/healthz" >/dev/null 2>&1; then
 			return 0
 		fi
 		if ! kill -0 "$2" 2>/dev/null; then
-			echo "check_metrics: $3 died on startup" >&2
+			echo "check_metrics: $3 died on startup:" >&2
+			cat "$4" >&2
 			exit 1
 		fi
 		sleep 0.1
@@ -92,7 +94,7 @@ wait_healthz() { # url pid what
 "$tmp/experiments" engine -addr "$addr" -ingest "$ingest" -quiet \
 	-create '{"id":"check","racks":32,"b":4,"shards":2}' >"$tmp/engine.log" 2>&1 &
 pids+=($!)
-wait_healthz "http://$addr" "${pids[-1]}" engine
+wait_healthz "http://$addr" "${pids[-1]}" engine "$tmp/engine.log"
 "$tmp/experiments" loadgen -ingest "$ingest" -control "" -session check \
 	-family uniform -racks 32 -requests 20000 -b 4 -shards 2 -keep >/dev/null
 curl -sf "http://$addr/metrics" >"$tmp/engine.metrics"
@@ -101,12 +103,12 @@ curl -sf "http://$addr/metrics" >"$tmp/engine.metrics"
 "$tmp/experiments" serve -addr "$serve_addr" -store-root "$tmp/serve-root" \
 	-workers 0 >"$tmp/serve.log" 2>&1 &
 pids+=($!)
-wait_healthz "http://$serve_addr" "${pids[-1]}" coordinator
+wait_healthz "http://$serve_addr" "${pids[-1]}" coordinator "$tmp/serve.log"
 "$tmp/experiments" worker -coordinator "http://$serve_addr" \
 	-workdir "$tmp/work" -metrics "$worker_metrics" -poll 100ms \
 	>"$tmp/worker.log" 2>&1 &
 pids+=($!)
-wait_healthz "http://$worker_metrics" "${pids[-1]}" worker
+wait_healthz "http://$worker_metrics" "${pids[-1]}" worker "$tmp/worker.log"
 curl -sf "http://$serve_addr/metrics" >"$tmp/serve.metrics"
 curl -sf "http://$worker_metrics/metrics" >"$tmp/worker.metrics"
 

@@ -68,7 +68,8 @@ EOF
 "$tmp/experiments" grid -scenarios "$tmp/specs.json" -store "$tmp/direct" \
 	-curve-points 10 -outdir "$tmp/direct-out" -progress=false >/dev/null
 
-port=$((20000 + RANDOM % 20000))
+. scripts/ports.sh
+port=$(base_port 4)
 addr="127.0.0.1:$port"
 "$tmp/experiments" serve -addr "$addr" -store-root "$tmp/serve-root" \
 	-workers 0 -shard-size 2 -lease-ttl 10s \
@@ -101,6 +102,19 @@ for w in 1 2; do
 		>"$tmp/worker$w.log" 2>&1 &
 	pids+=($!)
 	worker_pids+=($!)
+done
+for w in 1 2; do
+	for _ in $(seq 1 100); do
+		if curl -sf "http://127.0.0.1:$((port + 1 + w))/healthz" >/dev/null 2>&1; then
+			break
+		fi
+		if ! kill -0 "${worker_pids[$((w - 1))]}" 2>/dev/null; then
+			echo "smoke_distributed: worker $w died on startup:" >&2
+			cat "$tmp/worker$w.log" >&2
+			exit 1
+		fi
+		sleep 0.1
+	done
 done
 
 submit=$(curl -sf -X POST --data-binary @"$tmp/specs.json" "http://$addr/api/v1/jobs")

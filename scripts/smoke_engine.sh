@@ -34,7 +34,8 @@ trap cleanup EXIT
 
 go build -o "$tmp/experiments" ./cmd/experiments
 
-port=$((20000 + RANDOM % 20000))
+. scripts/ports.sh
+port=$(base_port 2)
 addr="127.0.0.1:$port"
 ingest="127.0.0.1:$((port + 1))"
 "$tmp/experiments" engine -addr "$addr" -ingest "$ingest" >"$tmp/engine.log" 2>&1 &

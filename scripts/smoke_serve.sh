@@ -46,7 +46,8 @@ cat >"$tmp/specs.json" <<'EOF'
 ]
 EOF
 
-port=$((20000 + RANDOM % 20000))
+. scripts/ports.sh
+port=$(base_port 1)
 addr="127.0.0.1:$port"
 "$tmp/experiments" serve -addr "$addr" -store-root "$tmp/serve-root" \
 	>"$tmp/serve.log" 2>&1 &

@@ -14,9 +14,8 @@ import (
 )
 
 // refFindVictims is BMA's victim scan as it read before it became
-// branch-free, kept as the reference: PairKey incidence turned back into
-// PairIDs, a "no minimum yet" sentinel, and a float comparison with a
-// pair-id tie-break per incident edge.
+// branch-free, kept as the reference: a "no minimum yet" sentinel and a
+// float comparison with a pair-id tie-break per incident edge.
 func refFindVictims(a *BMA, id trace.PairID, u, v int) (victims [2]trace.PairID, n int, ok bool) {
 	for _, w := range [2]int{u, v} {
 		if a.m.Free(w) > 0 {
@@ -24,8 +23,7 @@ func refFindVictims(a *BMA, id trace.PairID, u, v int) (victims [2]trace.PairID,
 		}
 		weakest := trace.NoPair
 		weakestDef := -1.0
-		for _, q := range a.m.Incident(w) {
-			qid := a.idx.IDOfKey(q)
+		for _, qid := range a.m.IncidentIDs(w) {
 			d := a.defense[qid]
 			if weakestDef < 0 || d < weakestDef || (d == weakestDef && qid < weakest) {
 				weakest, weakestDef = qid, d

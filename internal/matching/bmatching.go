@@ -172,18 +172,6 @@ func (m *BMatching) removeIncident(w int, id trace.PairID) {
 	panic(fmt.Sprintf("matching: edge %v missing from node %d incidence", m.idx.Key(id), w))
 }
 
-// Incident returns the matching edges incident to node u, in unspecified
-// order. The result is a fresh slice; use IncidentIDs on
-// allocation-sensitive paths.
-func (m *BMatching) Incident(u int) []trace.PairKey {
-	ids := m.IncidentIDs(u)
-	out := make([]trace.PairKey, len(ids))
-	for i, id := range ids {
-		out[i] = m.idx.Key(id)
-	}
-	return out
-}
-
 // IncidentIDs returns the dense indices of the matching edges incident to
 // node u as a view into the matching's backing array, in unspecified
 // order. The view is read-only and valid only until the next insertion or
@@ -216,11 +204,8 @@ func (m *BMatching) CheckInvariants() error {
 		}
 		view := m.IncidentIDs(u)
 		for i, id := range view {
-			if id < 0 || int(id) >= m.idx.NumPairs() {
-				return fmt.Errorf("matching: pair index %d in inc[%d] outside the universe", id, u)
-			}
 			k := m.idx.Key(id)
-			ku, kv := m.idx.Endpoints(id)
+			ku, kv := k.Endpoints()
 			if ku != u && kv != u {
 				return fmt.Errorf("matching: edge %v in inc[%d] is not incident to %d", k, u, u)
 			}

@@ -51,8 +51,8 @@ func TestBMatchingIncident(t *testing.T) {
 	m := NewBMatching(5, 2)
 	m.Add(trace.MakePairKey(0, 1))
 	m.Add(trace.MakePairKey(0, 2))
-	inc := m.Incident(0)
-	if len(inc) != 2 {
+	inc := m.IncidentIDs(0)
+	if len(inc) != 2 || m.IncidentIDs(1)[0] != inc[0] || m.IncidentIDs(2)[0] != inc[1] {
 		t.Fatalf("incident = %v", inc)
 	}
 }

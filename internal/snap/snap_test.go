@@ -2,7 +2,9 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"testing"
@@ -123,3 +125,107 @@ func TestStickyWriterError(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestBlocksKeepStreamOrder writes fields that span several staging
+// blocks, raw bytes longer than a block and a nested section, and checks
+// the stream against the same fields encoded one by one: staging may
+// change how bytes reach the sink, never which bytes or in what order.
+// The reader's block-wise slice fields must read it back, and fail on
+// every truncation.
+func TestBlocksKeepStreamOrder(t *testing.T) {
+	i32 := make([]int32, 700)
+	u64 := make([]uint64, 300)
+	f64 := make([]float64, 200)
+	raw := make([]byte, 3*blockSize+5)
+	for i := range i32 {
+		i32[i] = int32(i*7919 - 100000)
+	}
+	for i := range u64 {
+		u64[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	for i := range f64 {
+		f64[i] = float64(i) / 3
+	}
+	for i := range raw {
+		raw[i] = byte(i * 31)
+	}
+
+	var want bytes.Buffer
+	put := func(v any) { binary.Write(&want, binary.LittleEndian, v) }
+	put(uint8(9))
+	put(i32)
+	put(u64)
+	want.Write(raw)
+	put(uint32(77))
+	put(f64)
+	put(crc32.ChecksumIEEE(want.Bytes()))
+
+	var got bytes.Buffer
+	w := NewWriter(&got)
+	w.U8(9)
+	w.I32s(i32)
+	inner := NewWriter(w)
+	inner.U64s(u64)
+	if err := inner.Err(); err != nil {
+		t.Fatal(err)
+	}
+	w.Bytes(raw)
+	w.U32(77)
+	w.F64s(f64)
+	w.WriteCRC()
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("staged stream of %d bytes differs from the field-by-field encoding of %d bytes", got.Len(), want.Len())
+	}
+
+	read := func(blob []byte) error {
+		r := NewReader(bytes.NewReader(blob))
+		g8 := r.U8()
+		gi := make([]int32, len(i32))
+		r.I32s(gi)
+		gu := make([]uint64, len(u64))
+		NewReader(r).U64s(gu)
+		gr := make([]byte, len(raw))
+		r.Bytes(gr)
+		r.U32()
+		gf := make([]float64, len(f64))
+		r.F64s(gf)
+		r.VerifyCRC()
+		if r.Err() != nil {
+			return r.Err()
+		}
+		if g8 != 9 {
+			return errors.New("U8 mismatch")
+		}
+		for i := range gi {
+			if gi[i] != i32[i] {
+				return errors.New("I32s mismatch")
+			}
+		}
+		for i := range gu {
+			if gu[i] != u64[i] {
+				return errors.New("U64s mismatch")
+			}
+		}
+		for i := range gf {
+			if math.Float64bits(gf[i]) != math.Float64bits(f64[i]) {
+				return errors.New("F64s mismatch")
+			}
+		}
+		if !bytes.Equal(gr, raw) {
+			return errors.New("Bytes mismatch")
+		}
+		return nil
+	}
+	blob := got.Bytes()
+	if err := read(blob); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(blob); n += 97 {
+		if err := read(blob[:n]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation to %d bytes: got %v", n, err)
+		}
+	}
+}

@@ -10,7 +10,9 @@
 #   pattern    benchmark regexp (default: the Fig1 suite + Serve microbenchmarks
 #              — the acceptance benchmarks of the dense-hot-path refactor — plus
 #              EngineIngest, the live engine's end-to-end socket path whose
-#              mreq_per_s + allocs/op pin the zero-alloc line-rate contract)
+#              mreq_per_s + allocs/op pin the zero-alloc line-rate contract,
+#              and GridGroups, the paper grid through the grid's lockstep
+#              groups at one and two workers)
 #
 # The JSON schema is one object per benchmark:
 #   {"name": ..., "iterations": N, "ns_per_op": ..., "bytes_per_op": ...,
@@ -24,7 +26,7 @@ cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_$(date +%Y%m%d%H%M%S).json}"
 BENCHTIME="${2:-1s}"
-PATTERN="${3:-BenchmarkFig1|BenchmarkServe|BenchmarkEngineIngest}"
+PATTERN="${3:-BenchmarkFig1|BenchmarkServe|BenchmarkEngineIngest|BenchmarkGridGroups}"
 
 if [ "$OUT" = "-" ]; then
     OUT=""

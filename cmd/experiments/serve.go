@@ -27,7 +27,7 @@ func serveMain(args []string) {
 		workers     = fs.Int("workers", 1, "local workers: shards leased and run by this process, like a fleet worker's (0 = coordinator-only: grids progress via fleet workers)")
 		queueDepth  = fs.Int("queue", 16, "max queued jobs before submissions get 429")
 		gridWorkers = fs.Int("grid-workers", 0, "sim worker pool per local shard run (0 = GOMAXPROCS)")
-		curvePts    = fs.Int("curve-points", 10, "cost-curve checkpoints per job (part of the job identity)")
+		curvePts    = fs.Int("curve-points", 10, "cost-curve checkpoints per job, at least 1 (part of the job identity; for final costs only, run `experiments grid -store DIR -curve-points 0`)")
 		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "shard-lease TTL: a worker missing heartbeats this long is presumed dead and its shard requeued")
 		shardSize   = fs.Int("shard-size", 16, "target grid jobs per leasable shard")
 		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget before in-flight local shards are interrupted and handed back (they stay resumable)")
@@ -65,6 +65,12 @@ func serveMain(args []string) {
 		fatal(err)
 	}
 
+	if *curvePts == 0 {
+		// serve.Options reads 0 as its default of 10 points, which would
+		// give the spec list another job identity than the caller asked
+		// for.
+		fatal(fmt.Errorf("-curve-points 0: the service records at least one cost-curve point per job; for final costs only, run the grid directly: experiments grid -store DIR -curve-points 0 -scenarios FILE"))
+	}
 	if *workers == 0 {
 		*workers = -1 // flag 0 = coordinator-only; Options uses negative for it
 	}

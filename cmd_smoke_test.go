@@ -303,6 +303,26 @@ func TestCmdExperimentsWorkerSmoke(t *testing.T) {
 	}
 }
 
+// TestCmdExperimentsServeRefusesNoCurve: the service reads a curve-point
+// count of 0 as its default of 10, so `serve -curve-points 0` would run
+// another grid than the one asked for; it fails at startup, pointing to
+// the direct grid run that records final costs only.
+func TestCmdExperimentsServeRefusesNoCurve(t *testing.T) {
+	bin := buildBinary(t, "cmd/experiments")
+	root := filepath.Join(t.TempDir(), "serve")
+	cmd := exec.Command(bin, "serve", "-curve-points", "0", "-addr", "127.0.0.1:0", "-store-root", root)
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("serve -curve-points 0 started:\n%s", out)
+	}
+	if !strings.Contains(string(out), "experiments grid -store DIR -curve-points 0") {
+		t.Fatalf("serve -curve-points 0 does not point to the grid run:\n%s", out)
+	}
+	if _, err := os.Stat(root); !os.IsNotExist(err) {
+		t.Fatalf("serve -curve-points 0 made its store root (stat: %v)", err)
+	}
+}
+
 // TestCmdExperimentsServeSmoke boots the experiment service, submits a
 // tiny grid over HTTP, polls it to completion, fetches the summary, and
 // verifies the second submission is a cache hit.

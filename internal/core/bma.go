@@ -29,10 +29,13 @@ import (
 //     must re-earn its place. This gives the O(b) competitive behaviour of
 //     the original (each matched edge can deflect at most b candidates).
 //
-// The rent and defense counters are flat []float64 tables indexed by
-// trace.PairID (absent ≡ 0, matching the original map semantics), and the
-// matching's incidence lists hold PairIDs, so the per-request work is array
-// reads plus the deliberate Θ(b) incidence scan. The scan still reads the
+// The rent and defense counters share one flat []float64 table indexed by
+// trace.PairID (absent ≡ 0, matching the original map semantics): an
+// unmatched pair only accrues rent and a matched edge only defense, and
+// both reset when the pair changes side, so a pair's one counter is its
+// rent while unmatched and its defense while matched. The matching's
+// incidence lists hold PairIDs, so the per-request work is array reads
+// plus the deliberate Θ(b) incidence scan. The scan still reads the
 // defense of every incident edge at each saturated endpoint, but each of
 // its steps is branch-free: it keeps the lexicographic minimum of
 // (defense, PairID) as one 128-bit comparison and selects by mask.
@@ -40,10 +43,11 @@ type BMA struct {
 	n, b  int
 	model CostModel
 
-	idx     *trace.PairIndex
-	m       *matching.BMatching
-	rent    []float64 // by PairID: accumulated routing cost while unmatched
-	defense []float64 // by PairID: defense counter of matched edges
+	idx *trace.PairIndex
+	m   *matching.BMatching
+	// counter, by PairID: the routing cost an unmatched pair accumulated
+	// (its rent), or a matching edge's defense counter.
+	counter []float64
 }
 
 // NewBMA constructs the deterministic baseline.
@@ -86,13 +90,10 @@ func (a *BMA) Reset() {
 	} else {
 		a.m.Reset()
 	}
-	if a.rent == nil {
-		np := a.idx.NumPairs()
-		a.rent = make([]float64, np)
-		a.defense = make([]float64, np)
+	if a.counter == nil {
+		a.counter = make([]float64, a.idx.NumPairs())
 	} else {
-		clear(a.rent)
-		clear(a.defense)
+		clear(a.counter)
 	}
 }
 
@@ -123,14 +124,14 @@ func (a *BMA) serve(id trace.PairID, u, v, dist int) Step {
 		step.RoutingCost = 1
 		// A matched edge that keeps being used strengthens its defense,
 		// up to one reconfiguration's worth.
-		if a.defense[id] < a.model.Alpha {
-			a.defense[id]++
+		if a.counter[id] < a.model.Alpha {
+			a.counter[id]++
 		}
 		return step
 	}
 	le := float64(dist)
 	step.RoutingCost = le
-	a.rent[id] += le
+	a.counter[id] += le
 	// The original BMA evaluates the insertion condition on every request
 	// to an unmatched pair, which requires finding the weakest incident
 	// matching edge at both endpoints — a Θ(b) scan per request. This scan
@@ -138,23 +139,21 @@ func (a *BMA) serve(id trace.PairID, u, v, dist int) Step {
 	// Figures 1b–4b, so it is reproduced faithfully here rather than
 	// short-circuited behind the rent threshold.
 	victims, nv, ok := a.findVictims(id, u, v)
-	if !ok || a.rent[id] < a.model.Alpha {
+	if !ok || a.counter[id] < a.model.Alpha {
 		return step
 	}
 	for _, q := range victims[:nv] {
 		if err := a.m.RemoveID(q); err != nil {
 			panic(fmt.Sprintf("core: BMA removing %v: %v", a.idx.Key(q), err))
 		}
-		a.defense[q] = 0
-		a.rent[q] = 0
+		a.counter[q] = 0 // an evicted edge re-earns its place from no rent
 		step.Removals++
 	}
 	if err := a.m.AddID(id, u, v); err != nil {
 		panic(fmt.Sprintf("core: BMA adding %v: %v", a.idx.Key(id), err))
 	}
 	step.Adds++
-	a.defense[id] = a.model.Alpha
-	a.rent[id] = 0
+	a.counter[id] = a.model.Alpha // the rent is spent, the defense full
 	return step
 }
 
@@ -181,16 +180,16 @@ func (a *BMA) findVictims(id trace.PairID, u, v int) (victims [2]trace.PairID, n
 		}
 		inc := a.m.IncidentIDs(w)
 		weakest := uint64(inc[0])
-		weakestDef := math.Float64bits(a.defense[inc[0]])
+		weakestDef := math.Float64bits(a.counter[inc[0]])
 		for _, q := range inc[1:] {
-			d := math.Float64bits(a.defense[q])
+			d := math.Float64bits(a.counter[q])
 			_, borrow := bits.Sub64(uint64(q), weakest, 0)
 			_, borrow = bits.Sub64(d, weakestDef, borrow)
 			mask := -borrow
 			weakest = weakest&^mask | uint64(q)&mask
 			weakestDef = weakestDef&^mask | d&mask
 		}
-		if a.rent[id] <= math.Float64frombits(weakestDef) {
+		if a.counter[id] <= math.Float64frombits(weakestDef) {
 			return victims, 0, false
 		}
 		victims[n] = trace.PairID(weakest)

@@ -172,15 +172,25 @@ func (a *BMA) Snapshot(w io.Writer) error {
 	if err := a.m.Snapshot(sw); err != nil {
 		return err
 	}
-	sw.F64s(a.rent)
-	sw.F64s(a.defense)
+	// The section keeps a rent and a defense table: the one counter
+	// table split by side, zero on the other.
+	for _, matched := range [2]bool{false, true} {
+		for id, c := range a.counter {
+			if a.m.HasID(trace.PairID(id)) != matched {
+				c = 0
+			}
+			sw.F64(c)
+		}
+	}
 	return sw.Err()
 }
 
 // Restore implements Snapshotter. Counters are range-checked against the
 // scheme's own invariants: rents are non-negative and finite, defenses lie
 // in [0, α] and are never −0, which no run produces and which the victim
-// scan's bitwise order would rank above every positive defense.
+// scan's bitwise order would rank above every positive defense. A pair
+// keeps one counter, so a blob with rent on a matching edge or defense on
+// an unmatched pair is refused.
 func (a *BMA) Restore(rd io.Reader) error {
 	sr := snap.NewReader(rd)
 	if err := expectTag(sr, snapTagBMA, "bma"); err != nil {
@@ -195,19 +205,37 @@ func (a *BMA) Restore(rd io.Reader) error {
 	if err := a.m.Restore(sr); err != nil {
 		return err
 	}
-	sr.F64s(a.rent)
-	sr.F64s(a.defense)
+	// The rent table lands in counter; the defense table is read a block
+	// at a time and folded in on the matched side.
+	sr.F64s(a.counter)
 	if sr.Err() != nil {
 		return sr.Err()
 	}
-	for id, v := range a.rent {
+	for id, v := range a.counter {
 		if !(v >= 0) || v > 1e18 {
 			return snap.Corruptf("core: bma rent[%d] = %v out of range", id, v)
 		}
+		if v != 0 && a.m.HasID(trace.PairID(id)) {
+			return snap.Corruptf("core: bma rent[%d] = %v on a matching edge", id, v)
+		}
 	}
-	for id, v := range a.defense {
-		if !(v >= 0) || v > a.model.Alpha || math.Signbit(v) {
-			return snap.Corruptf("core: bma defense[%d] = %v outside [0,%v]", id, v, a.model.Alpha)
+	var block [128]float64
+	for base := 0; base < len(a.counter); base += len(block) {
+		defense := block[:min(len(block), len(a.counter)-base)]
+		sr.F64s(defense)
+		if sr.Err() != nil {
+			return sr.Err()
+		}
+		for i, v := range defense {
+			id := base + i
+			if !(v >= 0) || v > a.model.Alpha || math.Signbit(v) {
+				return snap.Corruptf("core: bma defense[%d] = %v outside [0,%v]", id, v, a.model.Alpha)
+			}
+			if a.m.HasID(trace.PairID(id)) {
+				a.counter[id] = v
+			} else if v != 0 {
+				return snap.Corruptf("core: bma defense[%d] = %v on an unmatched pair", id, v)
+			}
 		}
 	}
 	return nil

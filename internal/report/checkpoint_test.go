@@ -54,6 +54,38 @@ func TestStoreCheckpointFiles(t *testing.T) {
 	st.DropCheckpoint(j) // double drop is harmless
 }
 
+// TestCheckpointDirMadeOnDemand: a store makes checkpoints/ at its first
+// save, not before, and a save after the directory was removed under the
+// live store makes it again.
+func TestCheckpointDirMadeOnDemand(t *testing.T) {
+	dir := t.TempDir()
+	st, err := report.Create(dir, newManifest(t, smallSpecs(), 0, report.Shard{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ckDir := filepath.Join(dir, "checkpoints")
+	j := sim.GridJob{Scenario: "uni", Alg: "bma", B: 2, Rep: 0}
+	if _, ok := st.LoadCheckpoint(j); ok {
+		t.Fatal("load hit before any save")
+	}
+	if _, err := os.Stat(ckDir); !os.IsNotExist(err) {
+		t.Fatalf("checkpoints/ exists before the first save (stat: %v)", err)
+	}
+	for round := range 2 {
+		blob := []byte{byte(round)}
+		if err := st.SaveCheckpoint(j, blob); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got, ok := st.LoadCheckpoint(j); !ok || !bytes.Equal(got, blob) {
+			t.Fatalf("round %d: load = (%v, %v), want %v", round, got, ok, blob)
+		}
+		if err := os.RemoveAll(ckDir); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestResumeInsideJobByteIdentical is the mid-job resume acceptance test:
 // a checkpointing grid run cancelled in the middle of a job must, on
 // resume, pick the job up from its checkpoint (not from scratch) and

@@ -43,10 +43,19 @@ import (
 	"obm/internal/wal"
 )
 
-// FormatVersion identifies the on-disk run-store layout; version 2 keeps
-// the job log in wal frames (jobs.log). Stores written with a different
-// layout are rejected by Open.
-const FormatVersion = 2
+// FormatVersion identifies the on-disk run-store layout. Version 2 keeps
+// the job log in wal frames (jobs.log); version 3 keeps that layout and
+// names a shard by the contiguous, work-balanced cut (sim.GridPlan.
+// ShardCuts) instead of version 2's plan index modulo the shard count.
+// Open reads version 3 stores and version 2 full-grid stores, whose files
+// mean the same under both rules; it refuses a version 2 shard store,
+// whose shard field names other jobs under this build's rule, and every
+// other version.
+const FormatVersion = 3
+
+// moduloShardVersion is the last format that sharded by plan index modulo
+// the shard count.
+const moduloShardVersion = 2
 
 const (
 	manifestFile = "manifest.json"
@@ -60,9 +69,10 @@ const (
 // and two float64s of at most 25, each with a separator.
 const recordReserve, curvePointBytes = 1 << 10, 21 + 26 + 26
 
-// Shard names one slice of a statically partitioned grid: the jobs whose
-// plan index i satisfies i % Count == Index. The zero value (and any
-// Count <= 1) means the full, unsharded grid.
+// Shard names one slice of a statically partitioned grid: the jobs of
+// sim.GridPlan.ShardSlice(Index, Count), one run of consecutive plan
+// jobs. The zero value (and any Count <= 1) means the full, unsharded
+// grid.
 type Shard struct {
 	Index int `json:"index"`
 	Count int `json:"count"`
@@ -171,12 +181,6 @@ func (m *Manifest) Plan() (*sim.GridPlan, error) {
 	return sim.PlanGrid(m.Specs)
 }
 
-// ownsJob reports whether plan index i belongs to the manifest's shard
-// (sim.InShard, the grid's shard rule).
-func (m *Manifest) ownsJob(i int) bool {
-	return sim.InShard(i, m.Shard.Index, m.Shard.Count)
-}
-
 // Exists reports whether dir already holds a run store (a manifest).
 func Exists(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, manifestFile))
@@ -205,7 +209,14 @@ func readManifest(dir string) (Manifest, error) {
 	if err := json.Unmarshal(blob, &m); err != nil {
 		return Manifest{}, fmt.Errorf("report: %s: corrupt manifest: %w", dir, err)
 	}
-	if m.FormatVersion != FormatVersion {
+	switch {
+	case m.FormatVersion == FormatVersion:
+	case m.FormatVersion == moduloShardVersion && m.Shard.IsFull():
+		// The same files; only a shard's job set changed meaning.
+	case m.FormatVersion == moduloShardVersion:
+		return Manifest{}, fmt.Errorf("report: %s: a v%d shard store (shard %s): v%d cut shards by plan index modulo the shard count, this build (v%d) cuts contiguous, work-balanced shards, so the shard's jobs are not this shard's; re-run the shard with this build, or merge the v%d shard stores with a v%d build",
+			dir, m.FormatVersion, m.Shard, moduloShardVersion, FormatVersion, moduloShardVersion, moduloShardVersion)
+	default:
 		return Manifest{}, fmt.Errorf("report: %s: store format v%d, this build reads v%d",
 			dir, m.FormatVersion, FormatVersion)
 	}

@@ -48,12 +48,16 @@ type Store struct {
 	manifest Manifest
 	plan     *sim.GridPlan
 	planned  map[sim.GridJob]bool // the jobs of plan, for Absorb
+	owned    []sim.GridJob        // the manifest shard's jobs: a subslice of plan.Jobs
 
 	mu       sync.Mutex
 	log      *wal.Log
 	outcomes map[sim.GridJob]sim.JobOutcome
 	// truncated counts crash-torn trailing records dropped by Open.
 	truncated int
+
+	ckMu    sync.Mutex
+	ckPaths map[sim.GridJob]string // in-flight jobs' checkpoint files (checkpointPath)
 }
 
 // Create initializes dir (created if needed) as a new run store with the
@@ -82,8 +86,9 @@ func Create(dir string, m Manifest) (*Store, error) {
 	return s, nil
 }
 
-// newStore plans m's grid: the one plan every later Absorb, Missing,
-// Result and CellCurves call of the store reads.
+// newStore plans m's grid, and cuts its shard out of it: the one plan
+// every later Absorb, Missing, Result and CellCurves call of the store
+// reads.
 func newStore(dir string, m Manifest) (*Store, error) {
 	plan, err := m.Plan()
 	if err != nil {
@@ -98,6 +103,7 @@ func newStore(dir string, m Manifest) (*Store, error) {
 		manifest: m,
 		plan:     plan,
 		planned:  planned,
+		owned:    plan.ShardSlice(m.Shard.Index, m.Shard.Count),
 		outcomes: make(map[sim.GridJob]sim.JobOutcome),
 	}, nil
 }
@@ -325,10 +331,7 @@ func (s *Store) Missing() ([]sim.GridJob, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var missing []sim.GridJob
-	for i, j := range s.plan.Jobs {
-		if !s.manifest.ownsJob(i) {
-			continue
-		}
+	for _, j := range s.owned {
 		if _, ok := s.outcomes[j]; !ok {
 			missing = append(missing, j)
 		}

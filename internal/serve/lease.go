@@ -16,9 +16,10 @@ import (
 
 // The coordinator side of distributed grid execution.
 //
-// A job's grid is partitioned into ceil(total/ShardSize) modulo shards —
-// the same static partition sim.GridOptions.Shard/Shards executes and
-// report.Merge folds, so a shard's log is an ordinary run-store log.
+// A job's grid is cut into ceil(total/ShardSize) contiguous,
+// work-balanced shards (sim.GridPlan.ShardCuts) — the same static
+// partition sim.GridOptions.Shard/Shards executes and report.Merge folds,
+// so a shard's log is an ordinary run-store log.
 // Lease consumers — fleet workers over HTTP, the coordinator's own local
 // workers in process — drain the shards through three verbs:
 //
@@ -140,10 +141,10 @@ func newToken() string {
 // created or opened.
 func (s *Server) attach(j *job, store *report.Store) {
 	plan := store.Plan()
-	n := max(1, (len(plan.Jobs)+s.opt.ShardSize-1)/s.opt.ShardSize)
-	shards := make([]shardState, n)
+	cuts := plan.ShardCuts((len(plan.Jobs) + s.opt.ShardSize - 1) / s.opt.ShardSize)
+	shards := make([]shardState, len(cuts)-1)
 	for k := range shards {
-		shards[k] = shardState{phase: shardPending, jobs: plan.ShardSlice(k, n)}
+		shards[k] = shardState{phase: shardPending, jobs: plan.Jobs[cuts[k]:cuts[k+1]:cuts[k+1]]}
 		if recordedAll(store, shards[k].jobs) {
 			shards[k].phase = shardDone
 		}

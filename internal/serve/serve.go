@@ -85,8 +85,8 @@ type Options struct {
 	// before the shard is requeued for another worker (default 30s).
 	LeaseTTL time.Duration
 	// ShardSize is the target number of grid jobs per leasable shard;
-	// a job's grid is partitioned into ceil(total/ShardSize) modulo
-	// shards (default 16).
+	// a job's grid is cut into ceil(total/ShardSize) shards of
+	// consecutive plan jobs with about equal request totals (default 16).
 	ShardSize int
 	// Logf, when non-nil, receives one line per job state change.
 	Logf func(format string, args ...any)

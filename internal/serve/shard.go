@@ -62,7 +62,8 @@ type ShardResult struct {
 }
 
 // RunShard executes r.Lease: it rebuilds the shard's manifest, refuses to
-// run unless its spec hash reproduces the job id, resumes or creates the
+// run unless its spec hash reproduces the job id and its own cut of the
+// grid gives the shard the lease's job count, resumes or creates the
 // shard store at r.Dir, replays the shard's jobs while heartbeating every
 // TTL/3, and hands the log in through r.Complete. After a clean hand-in
 // the shard store is removed; in every other outcome it is kept for a
@@ -136,7 +137,10 @@ func RunShard(ctx context.Context, r ShardRun) ShardResult {
 
 // openShardStore creates (or resumes) the shard store for r.Lease. A
 // worker must never burn CPU on a grid whose identity it cannot prove, so
-// the lease's manifest must hash to the job id. A shard store is only a
+// the lease's manifest must hash to the job id, and the shard this
+// build's rule cuts must hold the lease's job count: a coordinator built
+// with another shard rule would otherwise wait for jobs the worker never
+// runs, and requeue the shard forever. A shard store is only a
 // resume cache — the coordinator's store holds the truth — so one that
 // cannot be opened, or that holds a different shard, is logged, removed
 // and created afresh rather than blocking the shard.
@@ -149,6 +153,14 @@ func openShardStore(r ShardRun) (*report.Store, error) {
 	}
 	if m.SpecHash != l.JobID {
 		return nil, fmt.Errorf("lease for job %.12s carries specs hashing to %.12s — refusing to run", l.JobID, m.SpecHash)
+	}
+	plan, err := m.Plan()
+	if err != nil {
+		return nil, err
+	}
+	if n := len(plan.ShardSlice(l.Shard, l.Shards)); n != l.Jobs {
+		return nil, fmt.Errorf("lease for shard %d/%d of job %.12s names %d grid jobs, this worker's shard rule cuts %d — coordinator and worker disagree on the shard rule; refusing to run",
+			l.Shard, l.Shards, l.JobID, l.Jobs, n)
 	}
 	if report.Exists(r.Dir) {
 		st, err := report.Open(r.Dir)

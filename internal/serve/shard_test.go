@@ -111,3 +111,37 @@ func TestRunShardReplacesUnusableShardStore(t *testing.T) {
 		})
 	}
 }
+
+// TestRunShardRefusesShardRuleSkew: a lease whose job count differs from
+// what the worker's own cut gives the shard comes from a coordinator that
+// cuts shards by another rule. RunShard refuses it before it creates or
+// resumes a shard store, and neither heartbeats nor hands a log in.
+func TestRunShardRefusesShardRuleSkew(t *testing.T) {
+	s, j := coordinator(t, Options{ShardSize: 5, CurvePoints: 2})
+	l, err := s.lease(j, "w0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Jobs++
+	dir := filepath.Join(t.TempDir(), "shard")
+	res := RunShard(context.Background(), ShardRun{
+		Lease: l,
+		Dir:   dir,
+		Grid:  sim.GridOptions{Workers: 1},
+		Heartbeat: func(context.Context, int) error {
+			t.Error("a refused shard heartbeats")
+			return nil
+		},
+		Complete: func(context.Context, string, string) error {
+			t.Error("a refused shard hands a log in")
+			return nil
+		},
+		Logf: t.Logf,
+	})
+	if res.Outcome != ShardNotRun || res.RunErr == nil || !strings.Contains(res.RunErr.Error(), "shard rule") {
+		t.Fatalf("tampered lease: outcome %d, error %v; want ShardNotRun naming the shard rule", res.Outcome, res.RunErr)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("a refused shard left %s behind (stat: %v)", dir, err)
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"sort"
 	"time"
 
 	"obm/internal/core"
@@ -81,12 +83,13 @@ type GridOptions struct {
 	// CurvePoints, when > 0, records that many evenly spaced cost-curve
 	// checkpoints in every JobOutcome (0 keeps only the final costs).
 	CurvePoints int
-	// Shard/Shards statically partition the job grid: only jobs whose
-	// plan index i satisfies i % Shards == Shard (InShard) are executed, so
-	// independent processes (or machines) running distinct shards of the
-	// same spec list own disjoint job slices. Shards <= 1 disables
-	// sharding. Cells with no jobs in this shard are dropped from the
-	// result; a merged full-grid view is assembled by internal/report.
+	// Shard/Shards statically partition the job grid: only the jobs of
+	// GridPlan.ShardSlice(Shard, Shards), one run of consecutive plan
+	// jobs, are executed, so independent processes (or machines) running
+	// distinct shards of the same spec list own disjoint job slices.
+	// Shards <= 1 disables sharding. Cells with no jobs in this shard are
+	// dropped from the result; a merged full-grid view is assembled by
+	// internal/report.
 	Shard, Shards int
 	// Lookup, when non-nil, is consulted once per job before execution;
 	// returning (outcome, true) marks the job complete without running it.
@@ -163,14 +166,23 @@ type GridResult struct {
 // job identities in execution order, the (scenario, algorithm, b) cells
 // they aggregate into, and the job→cell mapping. The plan is a pure
 // function of the specs — two processes planning the same specs see the
-// same job order, which is what sharding and run stores rely on.
+// same job order and the same shards, which is what sharding and run
+// stores rely on.
 type GridPlan struct {
 	Jobs []GridJob
 	// Cells carries each cell's identity fields (summaries are zero).
 	Cells []GridRow
 	// CellOf[i] is the index in Cells that Jobs[i] aggregates into.
 	CellOf []int
+	// work[i] is the request count of Jobs[:i], each job's capped at
+	// maxJobWork: the running total the shard cut reads. It has
+	// len(Jobs)+1 entries, or none in a plan PlanGrid did not build.
+	work []uint64
 }
+
+// maxJobWork caps the request count one job adds to GridPlan.work, so
+// MaxGridJobs jobs total at most 2⁶³. No runnable job comes near it.
+const maxJobWork = 1 << 43
 
 // PlanGrid expands specs into their job grid without executing anything,
 // in deterministic (spec, algorithm, b, rep) order. The plan is a pure
@@ -203,9 +215,14 @@ func PlanGrid(specs []ScenarioSpec) (*GridPlan, error) {
 			return nil, fmt.Errorf("sim: grid plans more than %d jobs", MaxGridJobs)
 		}
 	}
-	p := &GridPlan{Jobs: make([]GridJob, 0, total), CellOf: make([]int, 0, total)}
+	p := &GridPlan{
+		Jobs:   make([]GridJob, 0, total),
+		CellOf: make([]int, 0, total),
+		work:   make([]uint64, 1, total+1),
+	}
 	for _, spec := range specs {
 		spec := spec.withDefaults()
+		work := uint64(min(max(spec.Requests, 0), maxJobWork))
 		for _, algName := range spec.Algs {
 			a, err := algFor(algName)
 			if err != nil {
@@ -227,6 +244,7 @@ func PlanGrid(specs []ScenarioSpec) (*GridPlan, error) {
 				for rep := 0; rep < spec.Reps; rep++ {
 					p.Jobs = append(p.Jobs, GridJob{Scenario: spec.Name, Alg: algName, B: b, Rep: rep})
 					p.CellOf = append(p.CellOf, len(p.Cells)-1)
+					p.work = append(p.work, p.work[len(p.work)-1]+work)
 				}
 			}
 		}
@@ -234,27 +252,63 @@ func PlanGrid(specs []ScenarioSpec) (*GridPlan, error) {
 	return p, nil
 }
 
-// InShard reports whether the job at plan index i belongs to shard
-// (index, count): every job when count <= 1, otherwise the jobs with
-// i % count == index. It is the one shard-ownership rule: ShardSlice,
-// the GridOptions.Shard/Shards filter and a sharded run store all apply
-// it.
-func InShard(i, index, count int) bool {
-	return count <= 1 || i%count == index
+// The shard rule. Shard k of count is one run of consecutive plan jobs:
+// it starts at the first job whose running request total (work) reaches
+// k·W/count, W the plan's total, so every shard replays about W/count
+// requests. Plan order is scenario-major, so a scenario's jobs land in as
+// few shards as its share of W allows, and a shard's groups generate each
+// of its scenarios' traces once for all of its jobs of that scenario.
+//
+// When count <= len(Jobs) no shard is empty: a cut that would leave the
+// shard before it empty (one job spanning several k·W/count marks) moves
+// right by one job, and one that would leave too few jobs for the shards
+// after it moves left. Each shard then either holds one job or lies
+// within its uncorrected run, so it replays at most W/count requests plus
+// the largest job's.
+//
+// ShardCuts, ShardSlice, the GridOptions.Shard/Shards filter, a sharded
+// run store's ownership and the experiment service's shard table all read
+// this one cut.
+
+// ShardCuts returns where each of count shards starts: shard k owns
+// Jobs[cuts[k]:cuts[k+1]], so cuts has count+1 entries, cuts[0] = 0 and
+// cuts[count] = len(Jobs). A count <= 1 is one shard of every job.
+func (p *GridPlan) ShardCuts(count int) []int {
+	count = max(count, 1)
+	n := len(p.Jobs)
+	cuts := make([]int, count+1)
+	cuts[count] = n
+	for k := 1; k < count && n > 0; k++ {
+		// The first job whose running total reaches the mark k·W/count,
+		// rounded up and computed in 128 bits (W <= 2⁶³).
+		hi, lo := bits.Mul64(uint64(k), p.work[n])
+		mark, rem := bits.Div64(hi, lo, uint64(count))
+		if rem > 0 {
+			mark++
+		}
+		c := sort.Search(n, func(i int) bool { return p.work[i] >= mark })
+		if count <= n {
+			c = min(max(c, cuts[k-1]+1), n-(count-k))
+		}
+		cuts[k] = c
+	}
+	return cuts
 }
 
-// ShardSlice returns the plan jobs owned by shard (index, count) (see
-// InShard) in plan order. A count <= 1 returns the full job list. It is
-// the partition the GridOptions.Shard/Shards hooks execute and the unit
-// the experiment service leases to fleet workers.
+// ShardSlice returns the plan jobs owned by shard (index, count), in plan
+// order: a subslice of Jobs, capped so that an append copies. A count <=
+// 1 returns every job, an index outside [0, count) none. It is the
+// partition the GridOptions.Shard/Shards hooks execute and the unit the
+// experiment service leases to fleet workers.
 func (p *GridPlan) ShardSlice(index, count int) []GridJob {
-	var jobs []GridJob
-	for i, j := range p.Jobs {
-		if InShard(i, index, count) {
-			jobs = append(jobs, j)
-		}
+	if count <= 1 {
+		index = 0
+	} else if index < 0 || index >= count {
+		return nil
 	}
-	return jobs
+	cuts := p.ShardCuts(count)
+	lo, hi := cuts[index], cuts[index+1]
+	return p.Jobs[lo:hi:hi]
 }
 
 // Aggregate folds job outcomes into the plan's cells: repetition values are
@@ -335,10 +389,7 @@ func RunGridContext(ctx context.Context, specs []ScenarioSpec, opt GridOptions) 
 	// Partition (sharding) and short-circuit (resume) before execution.
 	outcomes := make(map[GridJob]JobOutcome, len(plan.Jobs))
 	var run []runtimeJob
-	for i, j := range plan.Jobs {
-		if !InShard(i, opt.Shard, opt.Shards) {
-			continue
-		}
+	for _, j := range plan.ShardSlice(opt.Shard, opt.Shards) {
 		if opt.Lookup != nil {
 			if o, ok := opt.Lookup(j); ok {
 				outcomes[j] = o

@@ -44,9 +44,9 @@ import (
 // cut to fit it and admitted only while the live jobs fit it, except that
 // a grid always runs as many jobs at once as it has workers, as many as a
 // pool of workers replaying one job each holds. At the paper's sizes
-// (100 racks: ~80 KB for a BMA job, ~2.2 MB for an r-bma-lru one) a group
+// (100 racks: ~48 KB for a BMA job, ~2.2 MB for an r-bma-lru one) a group
 // holds all of its scenario's jobs; at 300 racks, where one r-bma-lru job
-// holds ~54 MB, or near MaxRacks, where one BMA holds ~134 MB, a group
+// holds ~54 MB, or near MaxRacks, where one BMA holds ~68 MB, a group
 // holds as many jobs as there are workers and runs alone.
 const liveStateBudget = 64 << 20
 

@@ -546,8 +546,9 @@ func init() {
 	} {
 		algorithms["r-bma-"+p.name] = rbma(true, core.WithCacheFactory(p.f, p.name))
 	}
-	// BMA: the matching plus a rent and a defense float per pair.
-	algorithms["bma"] = planes(func(n, b int) int64 { return matchingBytes(n, b) + pairBytes(n, 16) }, func(spec ScenarioSpec, model core.CostModel, b int, _ uint64) (core.Algorithm, error) {
+	// BMA: the matching plus one counter float per pair (its rent while
+	// unmatched, its defense while matched).
+	algorithms["bma"] = planes(func(n, b int) int64 { return matchingBytes(n, b) + pairBytes(n, 8) }, func(spec ScenarioSpec, model core.CostModel, b int, _ uint64) (core.Algorithm, error) {
 		return core.NewBMA(spec.Racks, b, model)
 	})
 	algorithms["greedy-noevict"] = planes(matchingBytes, func(spec ScenarioSpec, model core.CostModel, b int, _ uint64) (core.Algorithm, error) {

@@ -42,8 +42,9 @@ func init() {
 }
 
 // setupSpecs is a two-scenario grid on the setup-counting family: 5 + 3
-// cells of 2 reps, 16 jobs, so each shard of two runs several jobs of
-// each scenario.
+// cells of 2 reps, 16 jobs. Cut into two shards, x's 30,000 requests
+// straddle the cut at 21,000: shard 0 runs 7 of x's jobs, shard 1 the
+// other 3 and all of y's.
 func setupSpecs() []ScenarioSpec {
 	return []ScenarioSpec{
 		{Name: "x", Family: setupFamily, Racks: 12, Requests: 3000, Seed: 1, Bs: []int{2, 3}, Reps: 2},
@@ -85,13 +86,25 @@ func TestWorkloadsSharedAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One setup per scenario per shard run that holds jobs of it.
+	perRun := 0
+	for shard := range 2 {
+		seen := map[string]bool{}
+		for _, j := range plan.ShardSlice(shard, 2) {
+			seen[j.Scenario] = true
+		}
+		perRun += len(seen)
+	}
+	if perRun != len(specs)+1 {
+		t.Fatalf("the shards hold %d (shard, scenario) pairs, want %d: one scenario in both", perRun, len(specs)+1)
+	}
 	setupCount.Store(0)
 	want := runShards(t, specs, nil)
 	if len(want) != len(plan.Jobs) {
 		t.Fatalf("shards ran %d jobs, want %d", len(want), len(plan.Jobs))
 	}
-	if n := setupCount.Load(); n != 2*int64(len(specs)) {
-		t.Fatalf("shard runs without shared workloads made %d setups, want %d (one per scenario per run)", n, 2*len(specs))
+	if n := setupCount.Load(); n != int64(perRun) {
+		t.Fatalf("shard runs without shared workloads made %d setups, want %d (one per scenario per run)", n, perRun)
 	}
 
 	setupCount.Store(0)

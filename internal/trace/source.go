@@ -43,11 +43,15 @@ func (c *CompiledChunk) fillBuf() []CompiledReq {
 	return c.buf
 }
 
-// rawBuf returns the chunk's scratch for uncompiled requests at full
-// capacity.
+// rawChunkSize is the capacity of a chunk's scratch for uncompiled
+// requests: a generating source fills the chunk through it a few hundred
+// requests at a time, so the scratch (2 KB) stays in L1 beside the chunk.
+const rawChunkSize = 256
+
+// rawBuf returns the chunk's scratch for uncompiled requests.
 func (c *CompiledChunk) rawBuf() []Request {
 	if c.raw == nil {
-		c.raw = make([]Request, c.size)
+		c.raw = make([]Request, min(c.size, rawChunkSize))
 	}
 	return c.raw
 }
@@ -128,32 +132,41 @@ func (c *streamSource) Next(chunk *CompiledChunk) (int, error) {
 	}
 	raw, buf := chunk.rawBuf(), chunk.fillBuf()
 	c.atStart = false
-	n := c.s.Next(raw)
+	racks := c.s.NumRacks()
+	// Fill the chunk through the raw scratch until it is full or the
+	// stream ends.
+	n := 0
+	for n < len(buf) {
+		k := c.s.Next(raw[:min(len(raw), len(buf)-n)])
+		if k == 0 {
+			break
+		}
+		for i, r := range raw[:k] {
+			u, v := int(r.Src), int(r.Dst)
+			if u < 0 || u >= racks || v < 0 || v >= racks {
+				return 0, fmt.Errorf("trace: source %q: request %d = (%d,%d) out of range [0,%d)",
+					c.s.Name(), c.pos+i, u, v, racks)
+			}
+			if u == v {
+				return 0, fmt.Errorf("trace: source %q: request %d is a self-loop at %d", c.s.Name(), c.pos+i, u)
+			}
+			if u > v {
+				u, v = v, u
+			}
+			d := c.dist(u, v)
+			if d < 1 {
+				return 0, fmt.Errorf("trace: source %q: distance %d for pair {%d,%d}, need >= 1",
+					c.s.Name(), d, u, v)
+			}
+			buf[n+i] = CompiledReq{ID: c.idx.ID(u, v), U: int32(u), V: int32(v), Dist: int32(d)}
+		}
+		n += k
+		c.pos += k
+	}
 	chunk.Reqs = buf[:n]
 	if n == 0 {
 		return 0, io.EOF
 	}
-	racks := c.s.NumRacks()
-	for i, r := range raw[:n] {
-		u, v := int(r.Src), int(r.Dst)
-		if u < 0 || u >= racks || v < 0 || v >= racks {
-			return 0, fmt.Errorf("trace: source %q: request %d = (%d,%d) out of range [0,%d)",
-				c.s.Name(), c.pos+i, u, v, racks)
-		}
-		if u == v {
-			return 0, fmt.Errorf("trace: source %q: request %d is a self-loop at %d", c.s.Name(), c.pos+i, u)
-		}
-		if u > v {
-			u, v = v, u
-		}
-		d := c.dist(u, v)
-		if d < 1 {
-			return 0, fmt.Errorf("trace: source %q: distance %d for pair {%d,%d}, need >= 1",
-				c.s.Name(), d, u, v)
-		}
-		buf[i] = CompiledReq{ID: c.idx.ID(u, v), U: int32(u), V: int32(v), Dist: int32(d)}
-	}
-	c.pos += n
 	return n, nil
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -232,6 +233,82 @@ func TestSourceEOFAndReset(t *testing.T) {
 	src.Reset()
 	if n, err := src.Next(chunk); err != nil || n != 64 {
 		t.Fatalf("post-Reset Next = (%d, %v), want (64, nil)", n, err)
+	}
+}
+
+// shortReads is a stream that hands out at most max requests per Next
+// and turns request loopAt (counted from the last Reset) into a
+// self-loop, when loopAt >= 0.
+type shortReads struct {
+	Stream
+	max, loopAt, pos int
+}
+
+func (s *shortReads) Reset() { s.pos = 0; s.Stream.Reset() }
+
+func (s *shortReads) Next(buf []Request) int {
+	n := s.Stream.Next(buf[:min(len(buf), s.max)])
+	for i := range buf[:n] {
+		if s.pos+i == s.loopAt {
+			buf[i].Dst = buf[i].Src
+		}
+	}
+	s.pos += n
+	return n
+}
+
+// TestSourceFillsChunksThroughScratch: a generating source fills each
+// chunk through its small raw scratch, calling the stream until the
+// chunk is full or the stream ends, so chunks larger than the scratch
+// and streams that return short reads still give full chunks of the
+// stream's sequence, and a bad request past the first scratch fill is
+// reported at its position in the stream.
+func TestSourceFillsChunksThroughScratch(t *testing.T) {
+	dist := func(u, v int) int { return 2 }
+	plain, err := NewUniformStream(10, 5000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Collect(plain).Compile(dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewUniformStream(10, 5000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := &shortReads{Stream: st, max: 7, loopAt: -1}
+	src, err := NewSource(short, dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := NewChunk(1000)
+	var got []CompiledReq
+	for {
+		n, err := src.Next(chunk)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 1000 {
+			t.Fatalf("chunk %d holds %d requests, want 1000", len(got)/1000, n)
+		}
+		got = append(got, chunk.Reqs...)
+	}
+	if !reflect.DeepEqual(got, want.Reqs) {
+		t.Fatal("chunks filled through short reads differ from the stream's sequence")
+	}
+	if len(chunk.raw) > rawChunkSize {
+		t.Fatalf("raw scratch holds %d requests, want at most %d", len(chunk.raw), rawChunkSize)
+	}
+
+	short.loopAt = 600
+	src.Reset()
+	_, err = src.Next(chunk)
+	if err == nil || !strings.Contains(err.Error(), "request 600 is a self-loop") {
+		t.Fatalf("self-loop at request 600: err = %v", err)
 	}
 }
 

@@ -381,8 +381,12 @@ func TestWorkerResumesOwnShardStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := m.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
 	l := serve.Lease{
-		JobID: m.SpecHash, Shard: 0, Shards: 2, Token: "tok",
+		JobID: m.SpecHash, Shard: 0, Shards: 2, Jobs: len(plan.ShardSlice(0, 2)), Token: "tok",
 		TTLMS: 60000, Name: m.Name, CurvePoints: 0, Specs: m.Specs,
 	}
 	// Simulate a partial run: the shard store recorded one job (with an

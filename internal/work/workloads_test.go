@@ -125,7 +125,11 @@ func TestForeignLeaseLeavesNoWorkloads(t *testing.T) {
 	defer ts.Close()
 	r := newWorker(t, ts.URL, "foreign", 1, nil)
 
-	valid := serve.Lease{JobID: m.SpecHash, Shard: 0, Shards: 2, Token: "tok", TTLMS: 60000, Name: m.Name, Specs: m.Specs}
+	plan, err := m.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := serve.Lease{JobID: m.SpecHash, Shard: 0, Shards: 2, Jobs: len(plan.ShardSlice(0, 2)), Token: "tok", TTLMS: 60000, Name: m.Name, Specs: m.Specs}
 	foreign := valid
 	foreign.Specs = append([]sim.ScenarioSpec(nil), m.Specs...)
 	foreign.Specs[0].Seed++

@@ -165,9 +165,10 @@ func BenchmarkServeBMA(b *testing.B) {
 // BenchmarkGridGroups runs the paper's evaluation grid — the four trace
 // families, each replayed by R-BMA, BMA and oblivious routing over its b
 // sweep — at 1/20 of the paper's request counts, as the experiment
-// service's local worker runs a two-shard job: the two modulo shards in
-// turn, sharing one sim.Workloads, each on `workers` grid workers. A
-// shard runs each scenario's jobs as one group that generates the
+// service's local worker runs a two-shard job: its two contiguous,
+// work-balanced shards in turn (six of microsoft's seven jobs, then the
+// other 22), sharing one sim.Workloads, each on `workers` grid workers. A
+// shard runs each scenario's jobs in it as one group that generates the
 // scenario's trace once.
 func BenchmarkGridGroups(b *testing.B) {
 	const div = 20

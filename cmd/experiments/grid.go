@@ -22,8 +22,8 @@ import (
 // pool with streamed, bounded-memory replay. With -store the run is
 // durable: completed jobs append to a run-store log, -resume picks a
 // crashed or partial run up where it left off, and -shard i/n executes
-// only the i-th of n disjoint job slices (merged later via `experiments
-// merge`).
+// only the i-th of n disjoint, contiguous job slices of about equal
+// request totals (merged later via `experiments merge`).
 func gridMain(args []string) {
 	fs := flag.NewFlagSet("experiments grid", flag.ExitOnError)
 	var (
@@ -38,7 +38,7 @@ func gridMain(args []string) {
 		progress  = fs.Bool("progress", true, "print per-job progress to stderr")
 		storeDir  = fs.String("store", "", "run-store directory for durable execution (empty = fire-and-forget)")
 		resume    = fs.Bool("resume", false, "resume an existing run store (-store), skipping completed jobs")
-		shardSpec = fs.String("shard", "", "own only slice i of n disjoint job slices, as \"i/n\" (requires -store)")
+		shardSpec = fs.String("shard", "", "own only slice i of n disjoint job slices, as \"i/n\": consecutive plan jobs with about 1/n of the grid's requests (requires -store)")
 		curvePts  = fs.Int("curve-points", 10, "cost-curve checkpoints recorded per job in the store (0 = final costs only)")
 		ckEvery   = fs.Int("checkpoint-every", 0, "with -store: checkpoint in-flight jobs every N requests so -resume restarts inside them (0 = off)")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU pprof profile of the grid run to this file")

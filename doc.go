@@ -37,8 +37,9 @@
 // store (manifest.json + jobs.log, a job log of CRC-framed records on
 // internal/wal) makes a grid resumable after a crash (`experiments grid
 // -store DIR -resume` re-executes only missing jobs), shardable across
-// processes or machines (`-shard i/n` owns a disjoint slice; `experiments
-// merge` folds shard logs into one store), and self-documenting
+// processes or machines (`-shard i/n` owns the i-th of n contiguous job
+// slices of about equal request totals; `experiments merge` folds shard
+// logs into one store), and self-documenting
 // (`experiments report` renders Markdown summary tables and ASCII cost
 // curves). Resume and merge are guarded by a SHA-256 spec hash so a
 // store never absorbs results from a different grid, and every job record

@@ -214,7 +214,7 @@ func readManifest(dir string) (Manifest, error) {
 	case m.FormatVersion == moduloShardVersion && m.Shard.IsFull():
 		// The same files; only a shard's job set changed meaning.
 	case m.FormatVersion == moduloShardVersion:
-		return Manifest{}, fmt.Errorf("report: %s: a v%d shard store (shard %s): v%d cut shards by plan index modulo the shard count, this build (v%d) cuts contiguous, work-balanced shards, so the shard's jobs are not this shard's; re-run the shard with this build, or merge the v%d shard stores with a v%d build",
+		return Manifest{}, fmt.Errorf("report: %s: a v%d shard store (shard %s): v%d cut shards by plan index modulo the shard count, this build (v%d) cuts contiguous, work-balanced shards, so its records belong to another job set; re-run the shard with this build, or merge the v%d shard stores with a v%d build",
 			dir, m.FormatVersion, m.Shard, moduloShardVersion, FormatVersion, moduloShardVersion, moduloShardVersion)
 	default:
 		return Manifest{}, fmt.Errorf("report: %s: store format v%d, this build reads v%d",

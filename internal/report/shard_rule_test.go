@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -15,7 +16,7 @@ func shardRuleSpecs(n int) []sim.ScenarioSpec {
 	for i := 0; n > 0; i++ {
 		reps := min(n, i%4+1)
 		specs = append(specs, sim.ScenarioSpec{
-			Name: string(rune('a' + i)), Family: "uniform", Racks: 4, Requests: 5 + 37*i%90, Seed: 1,
+			Name: fmt.Sprintf("s%d", i), Family: "uniform", Racks: 4, Requests: 5 + 37*i%90, Seed: 1,
 			Bs: []int{2}, Reps: reps, Algs: []string{"oblivious"},
 		})
 		n -= reps
@@ -27,6 +28,7 @@ func shardRuleSpecs(n int) []sim.ScenarioSpec {
 // a sharded run store's ownership all read the plan's one cut, so they
 // agree on every plan size and shard count.
 func TestOneShardRule(t *testing.T) {
+	dir := t.TempDir()
 	for n := 1; n <= 40; n++ {
 		specs := shardRuleSpecs(n)
 		plan, err := sim.PlanGrid(specs)
@@ -40,7 +42,7 @@ func TestOneShardRule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st, err := newStore(t.TempDir(), m)
+				st, err := newStore(dir, m)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,8 +9,9 @@
 // already-finished (or in-flight) job instead of recomputing, across
 // restarts, because the cache is the store root directory itself.
 //
-// Execution is shard leasing. The coordinator partitions a job's grid
-// into leasable shards (see lease.go), and lease consumers drain them:
+// Execution is shard leasing. The coordinator cuts a job's grid into
+// leasable shards, each a run of consecutive plan jobs with about equal
+// request totals (see lease.go), and lease consumers drain them:
 // the Options.Workers local workers inside this process, a fleet of
 // external worker processes (internal/work, `experiments worker`), or
 // both at once on the same job. Every consumer leases a shard, executes

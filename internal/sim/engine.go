@@ -26,7 +26,9 @@
 // stats.Summary rows and CSV/JSON output.
 //
 // Grid execution is durable-by-hook: PlanGrid exposes the deterministic
-// job expansion, and GridOptions' Lookup/Persist/Shard hooks let a run
+// job expansion and its shard cut (GridPlan.ShardCuts: contiguous runs of
+// jobs with about equal request totals, so a shard's jobs of one scenario
+// share its trace), and GridOptions' Lookup/Persist/Shard hooks let a run
 // store (internal/report) skip completed jobs, log finished ones, and
 // partition one grid across processes — without the scheduler knowing
 // anything about persistence formats.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"obm/internal/report"
@@ -83,6 +84,43 @@ func TestCheckpointDirMadeOnDemand(t *testing.T) {
 		if err := os.RemoveAll(ckDir); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestCheckpointHooksConcurrent: a grid's workers call a store's
+// checkpoint hooks for their jobs at once, the first saves included, as
+// a store-backed run on several workers does.
+func TestCheckpointHooksConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	st, err := report.Create(dir, newManifest(t, smallSpecs(), 0, report.Shard{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j := sim.GridJob{Scenario: "uni", Alg: "r-bma", B: 2, Rep: w}
+			for i := range 20 {
+				st.LoadCheckpoint(j)
+				blob := []byte{byte(w), byte(i)}
+				if err := st.SaveCheckpoint(j, blob); err != nil {
+					t.Error(err)
+					return
+				}
+				if got, ok := st.LoadCheckpoint(j); !ok || !bytes.Equal(got, blob) {
+					t.Errorf("job %d round %d: load = (%v, %v), want %v", w, i, got, ok, blob)
+					return
+				}
+				st.DropCheckpoint(j)
+			}
+		}()
+	}
+	wg.Wait()
+	if left, _ := os.ReadDir(filepath.Join(dir, "checkpoints")); len(left) != 0 {
+		t.Fatalf("%d checkpoint files left after every job dropped its own", len(left))
 	}
 }
 

@@ -33,7 +33,9 @@ func cutSpecs(r *rand.Rand, n int) []ScenarioSpec {
 
 // checkCut checks the cut of plan into count shards: contiguous, covering
 // every job once, non-empty when count <= jobs, each shard's requests at
-// most W/count plus the largest job's, and ShardSlice agrees.
+// most W/count plus the largest job's, and ShardSlice agrees. Where no
+// shard would be empty anyway, job i is in shard ⌊prefix·count/W⌋, prefix
+// the requests of the jobs before it.
 func checkCut(t *testing.T, plan *GridPlan, reqs []int, count int, balanced bool) {
 	t.Helper()
 	n := len(plan.Jobs)
@@ -45,6 +47,23 @@ func checkCut(t *testing.T, plan *GridPlan, reqs []int, count int, balanced bool
 	for _, r := range reqs {
 		total += r
 		largest = max(largest, r)
+	}
+	if balanced && total > 0 {
+		raw := make([]int, n)
+		hit := make([]bool, count)
+		prefix := 0
+		for i, r := range reqs {
+			raw[i] = min(prefix*count/total, count-1)
+			hit[raw[i]] = true
+			prefix += r
+		}
+		for k := range count {
+			for i := cuts[k]; i < cuts[k+1]; i++ {
+				if raw[i] != k && !slices.Contains(hit, false) {
+					t.Fatalf("%d jobs, %d shards: job %d is in shard %d, ⌊prefix·count/W⌋ = %d (cuts %v, requests %v)", n, count, i, k, raw[i], cuts, reqs)
+				}
+			}
+		}
 	}
 	for k := range count {
 		lo, hi := cuts[k], cuts[k+1]

@@ -30,11 +30,14 @@ func main() {
 
 	// 1. The grid: two scenarios, every job's outcome a pure function of
 	//    its (scenario, alg, b, rep) identity — which is what makes the
-	//    whole scheme sound.
+	//    whole scheme sound. A shard is a run of consecutive jobs holding
+	//    about half the grid's requests, and a hotspot job replays half
+	//    as many as a diurnal one, so shard 0 holds hotspot's ten jobs
+	//    and three of diurnal's, shard 1 diurnal's other seven.
 	specs := []sim.ScenarioSpec{
 		{
 			Name: "hotspot", Family: "hotspot",
-			Racks: 16, Requests: 20000, Seed: 1,
+			Racks: 16, Requests: 10000, Seed: 1,
 			Bs: []int{2, 4}, Reps: 2,
 			Params: map[string]float64{"hotspots": 6},
 		},
@@ -47,9 +50,9 @@ func main() {
 
 	// 2. Shard 0, first attempt: a persist hook that fails on the third
 	//    append stands in for a mid-run crash. The grid starts no new
-	//    scenario after a failure (the failing job's scenario finishes its
-	//    other jobs), and everything appended is already durable in
-	//    shard0/jobs.log.
+	//    scenario after a failure (the failing job's scenario, hotspot,
+	//    finishes its other jobs, and diurnal's three never start), and
+	//    everything appended is already durable in shard0/jobs.log.
 	shard0 := filepath.Join(dir, "shard0")
 	m0, err := report.NewManifest("runstore demo", specs, 8, report.Shard{Index: 0, Count: 2})
 	if err != nil {

@@ -61,3 +61,25 @@ func ExamplePlanGrid() {
 	// job 2: demo/bma(b=4)/rep=0 (cell 1)
 	// job 3: demo/bma(b=4)/rep=1 (cell 1)
 }
+
+// ExampleGridPlan_ShardCuts cuts a plan into shards of about equal
+// request totals: shard k starts at the first job whose running request
+// total reaches k/count of the plan's, so a shard's jobs of one scenario
+// replay one generated trace.
+func ExampleGridPlan_ShardCuts() {
+	specs := []sim.ScenarioSpec{
+		{Name: "big", Family: "uniform", Racks: 8, Requests: 3000, Seed: 1, Bs: []int{2}, Reps: 2, Algs: []string{"bma"}},
+		{Name: "small", Family: "uniform", Racks: 8, Requests: 1000, Seed: 2, Bs: []int{2}, Reps: 4, Algs: []string{"bma"}},
+	}
+	plan, err := sim.PlanGrid(specs)
+	if err != nil {
+		panic(err)
+	}
+	cuts := plan.ShardCuts(2)
+	for k := range 2 {
+		fmt.Printf("shard %d: %v\n", k, plan.Jobs[cuts[k]:cuts[k+1]])
+	}
+	// Output:
+	// shard 0: [big/bma(b=2)/rep=0 big/bma(b=2)/rep=1]
+	// shard 1: [small/bma(b=2)/rep=0 small/bma(b=2)/rep=1 small/bma(b=2)/rep=2 small/bma(b=2)/rep=3]
+}

@@ -29,7 +29,7 @@ func serveMain(args []string) {
 		gridWorkers = fs.Int("grid-workers", 0, "sim worker pool per local shard run (0 = GOMAXPROCS)")
 		curvePts    = fs.Int("curve-points", 10, "cost-curve checkpoints per job, at least 1 (part of the job identity; for final costs only, run `experiments grid -store DIR -curve-points 0`)")
 		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "shard-lease TTL: a worker missing heartbeats this long is presumed dead and its shard requeued")
-		shardSize   = fs.Int("shard-size", 16, "target grid jobs per leasable shard")
+		shardSize   = fs.Int("shard-size", 16, "target grid jobs per leasable shard: a grid is cut into ceil(jobs/size) shards of about equal request totals")
 		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget before in-flight local shards are interrupted and handed back (they stay resumable)")
 	)
 	fs.Usage = func() {
@@ -50,8 +50,9 @@ func serveMain(args []string) {
 			"  GET  /metrics                      Prometheus text exposition (obm_serve_* + obm_grid_*)\n"+
 			"  GET  /healthz\n\n"+
 			"Identical spec lists dedupe onto one job (the run's SHA-256 spec hash);\n"+
-			"a finished job is a cache hit, across restarts. Each grid is split into\n"+
-			"shards of -shard-size grid jobs, leased under -lease-ttl by this\n"+
+			"a finished job is a cache hit, across restarts. Each grid is cut into\n"+
+			"shards of about -shard-size grid jobs (runs of consecutive jobs with\n"+
+			"about equal request totals), leased under -lease-ttl by this\n"+
 			"process's local workers (-workers) and by any `experiments worker`\n"+
 			"fleet, both at once on one job if need be. On SIGINT/SIGTERM the\n"+
 			"service lets local workers finish their shards, then interrupts them\n"+

@@ -93,7 +93,7 @@ type Lease struct {
 	JobID       string             `json:"job_id"`
 	Shard       int                `json:"shard"`
 	Shards      int                `json:"shards"`
-	Jobs        int                `json:"jobs"` // grid jobs in this shard
+	Jobs        int                `json:"jobs"` // grid jobs in this shard; RunShard refuses a count its own cut does not give
 	Token       string             `json:"token"`
 	TTLMS       int64              `json:"ttl_ms"`
 	Name        string             `json:"name"`

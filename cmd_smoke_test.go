@@ -7,6 +7,7 @@ package obm
 // binaries no longer compile or crash at startup.
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net"
@@ -310,9 +311,12 @@ func TestCmdExperimentsWorkerSmoke(t *testing.T) {
 func TestCmdExperimentsServeRefusesNoCurve(t *testing.T) {
 	bin := buildBinary(t, "cmd/experiments")
 	root := filepath.Join(t.TempDir(), "serve")
-	cmd := exec.Command(bin, "serve", "-curve-points", "0", "-addr", "127.0.0.1:0", "-store-root", root)
+	// A service that starts would run until killed.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin, "serve", "-curve-points", "0", "-addr", "127.0.0.1:0", "-store-root", root)
 	out, err := cmd.CombinedOutput()
-	if err == nil {
+	if err == nil || ctx.Err() != nil {
 		t.Fatalf("serve -curve-points 0 started:\n%s", out)
 	}
 	if !strings.Contains(string(out), "experiments grid -store DIR -curve-points 0") {

@@ -16,8 +16,11 @@ package obm
 // in minutes while preserving the figures' qualitative shapes.
 
 import (
+	"context"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +32,8 @@ import (
 	"obm/internal/graph"
 	"obm/internal/matching"
 	"obm/internal/paging"
+	"obm/internal/report"
+	"obm/internal/serve"
 	"obm/internal/sim"
 	"obm/internal/stats"
 	"obm/internal/trace"
@@ -191,6 +196,74 @@ func BenchmarkGridGroups(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkShardHandIn runs one fleet-sized shard through the shard
+// executor, serve.RunShard, as a fleet worker does: four 5,000-request
+// jobs at 100 racks, 20,000 requests in all (fleet-drain's shards hold
+// 17,500–35,000), on one grid worker with a checkpoint every 4,096
+// requests, so each job saves one. Its hand-in does the coordinator's
+// side of an upload: it absorbs the shard's log into the job's full-grid
+// store and fsyncs that. An op therefore includes the shard store's file
+// work and the fsyncs, and reads the disk of the machine it runs on as
+// much as its CPU, which is why scripts/bench.sh leaves it out of the
+// gated set.
+func BenchmarkShardHandIn(b *testing.B) {
+	specs := []sim.ScenarioSpec{{
+		Name: "facebook-database", Family: "facebook-database", Racks: 100,
+		Requests: 5000, Seed: 1, Bs: []int{6, 12}, Algs: []string{"r-bma", "bma"},
+	}}
+	m, err := report.NewManifest("bench", specs, 10, report.Shard{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := m.Plan()
+	if err != nil {
+		b.Fatal(err)
+	}
+	lease := serve.Lease{
+		JobID: m.SpecHash, Shards: 1, Jobs: len(plan.Jobs), TTLMS: 60000,
+		Name: m.Name, CurvePoints: m.CurvePoints, Specs: m.Specs,
+	}
+	root := b.TempDir()
+	grid := sim.GridOptions{Workers: 1, CheckpointEvery: 4096, Workloads: sim.NewWorkloads(specs)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		coord, err := report.Create(filepath.Join(root, fmt.Sprint(i)), m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res := serve.RunShard(context.Background(), serve.ShardRun{
+			Lease:     lease,
+			Dir:       filepath.Join(root, "shard"),
+			Grid:      grid,
+			Heartbeat: func(context.Context, int) error { return nil },
+			Complete: func(_ context.Context, logPath, _ string) error {
+				log, err := os.Open(logPath)
+				if err != nil {
+					return err
+				}
+				defer log.Close()
+				if _, err := coord.Absorb(log); err != nil {
+					return err
+				}
+				return coord.Sync()
+			},
+			Logf: b.Logf,
+		})
+		if res.Outcome != serve.ShardCompleted || res.CompleteErr != nil {
+			b.Fatalf("shard: outcome %d, run error %v, hand-in error %v", res.Outcome, res.RunErr, res.CompleteErr)
+		}
+		b.StopTimer()
+		if coord.Len() != lease.Jobs {
+			b.Fatalf("coordinator store holds %d jobs, want %d", coord.Len(), lease.Jobs)
+		}
+		coord.Close()
+		os.RemoveAll(coord.Dir())
+		b.StartTimer()
 	}
 }
 

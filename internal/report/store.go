@@ -400,3 +400,18 @@ func (s *Store) Close() error {
 	s.log = nil
 	return err
 }
+
+// Remove closes the append log without syncing it and deletes the
+// store's directory — the caller has handed the records to a store that
+// made them durable, so nothing here must survive. Lookup and read
+// accessors keep working; Append does not.
+func (s *Store) Remove() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var err error
+	if s.log != nil {
+		err = s.log.Close()
+		s.log = nil
+	}
+	return errors.Join(err, os.RemoveAll(s.dir))
+}

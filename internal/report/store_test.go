@@ -1,6 +1,7 @@
 package report_test
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -109,6 +110,39 @@ func TestStoreRefusesClobberAndMissing(t *testing.T) {
 	}
 	if !report.Exists(dir) || report.Exists(filepath.Join(t.TempDir(), "nope")) {
 		t.Fatal("Exists misreports")
+	}
+}
+
+// TestStoreRemove: Remove deletes the store's directory, checkpoints
+// included, and leaves the loaded outcomes readable and the store closed.
+func TestStoreRemove(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := report.Create(dir, newManifest(t, smallSpecs(), 0, report.Shard{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := sim.GridJob{Scenario: "uni", Alg: "r-bma", B: 2, Rep: 0}
+	if err := st.Append(j, sim.JobOutcome{Routing: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveCheckpoint(j, []byte("blob")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Remove(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("Remove left %s behind (stat: %v)", dir, err)
+	}
+	if o, ok := st.Lookup(j); !ok || o.Routing != 10 {
+		t.Fatalf("Lookup after Remove = %+v, %v", o, ok)
+	}
+	j2 := sim.GridJob{Scenario: "uni", Alg: "r-bma", B: 2, Rep: 1}
+	if err := st.Append(j2, sim.JobOutcome{}); !errors.Is(err, report.ErrClosed) {
+		t.Fatalf("Append after Remove: %v, want ErrClosed", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close after Remove: %v", err)
 	}
 }
 

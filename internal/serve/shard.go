@@ -36,9 +36,12 @@ type ShardRun struct {
 	// BeatPerJob also heartbeats after every finished grid job.
 	BeatPerJob bool
 	// Complete hands the log at logPath to the coordinator; failMsg is
-	// empty after a clean run. ctx may already be cancelled.
+	// empty after a clean run. ctx may already be cancelled. The log is
+	// not yet fsynced: a nil return must mean the coordinator has made
+	// its records durable, because the shard store is then deleted.
 	Complete func(ctx context.Context, logPath, failMsg string) error
-	// Logf receives the resume notice and heartbeat errors.
+	// Logf receives the resume notice, heartbeat errors and the errors
+	// of keeping or removing the shard store.
 	Logf func(format string, args ...any)
 }
 
@@ -65,9 +68,10 @@ type ShardResult struct {
 // run unless its spec hash reproduces the job id and its own cut of the
 // grid gives the shard the lease's job count, resumes or creates the
 // shard store at r.Dir, replays the shard's jobs while heartbeating every
-// TTL/3, and hands the log in through r.Complete. After a clean hand-in
-// the shard store is removed; in every other outcome it is kept for a
-// later lease of the same shard.
+// TTL/3, and hands the log in through r.Complete. The shard store is
+// fsynced only if it outlives the hand-in: after a clean hand-in it is
+// deleted unsynced, and in every other outcome it is synced and kept for
+// a later lease of the same shard.
 func RunShard(ctx context.Context, r ShardRun) ShardResult {
 	l := r.Lease
 	store, err := openShardStore(r)
@@ -110,27 +114,31 @@ func RunShard(ctx context.Context, r ShardRun) ShardResult {
 	}()
 
 	_, runErr := store.RunContext(runCtx, grid)
-	if serr := store.Sync(); runErr == nil && serr != nil {
-		runErr = serr
-	}
 	cancel()
 	<-ticking
-	store.Close()
 
 	res := ShardResult{Outcome: ShardCompleted, Recorded: store.Len()}
 	failMsg := ""
 	switch {
 	case lost.Load():
 		res.Outcome = ShardLeaseLost
-		return res
 	case runErr != nil && ctx.Err() != nil:
 		res.Outcome, failMsg = ShardHandedOff, "worker shutdown"
 	case runErr != nil:
 		res.Outcome, res.RunErr, failMsg = ShardFailed, runErr, runErr.Error()
 	}
-	res.CompleteErr = r.Complete(ctx, store.LogPath(), failMsg)
+	if res.Outcome != ShardLeaseLost {
+		res.CompleteErr = r.Complete(ctx, store.LogPath(), failMsg)
+	}
 	if res.Outcome == ShardCompleted && res.CompleteErr == nil {
-		os.RemoveAll(r.Dir) // the coordinator holds everything durable now
+		// The coordinator made the records durable before it answered.
+		if err := store.Remove(); err != nil {
+			r.Logf("removing shard store %s: %v", r.Dir, err)
+		}
+	} else if err := store.Close(); err != nil {
+		// A later lease of the shard resumes the kept store; a failed
+		// sync only costs that lease some replay.
+		r.Logf("keeping shard store %s: %v", r.Dir, err)
 	}
 	return res
 }

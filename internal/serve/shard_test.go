@@ -145,3 +145,112 @@ func TestRunShardRefusesShardRuleSkew(t *testing.T) {
 		t.Fatalf("a refused shard left %s behind (stat: %v)", dir, err)
 	}
 }
+
+// TestRunShardKeepsStoreOnFailedHandIn: a shard store outlives a failed
+// hand-in with every job of the shard, so the next lease of the shard
+// resumes it whole: it executes no grid job, hands in the same records,
+// and removes the store once the coordinator has absorbed them.
+func TestRunShardKeepsStoreOnFailedHandIn(t *testing.T) {
+	s, j := coordinator(t, Options{ShardSize: 5, CurvePoints: 2})
+	l, err := s.lease(j, "w0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "shard")
+	heartbeat := func(_ context.Context, done int) error {
+		_, err := s.heartbeat(j, l.Shard, l.Token, done)
+		return err
+	}
+	var first []byte
+	res := RunShard(context.Background(), ShardRun{
+		Lease:     l,
+		Dir:       dir,
+		Grid:      sim.GridOptions{Workers: 1},
+		Heartbeat: heartbeat,
+		Complete: func(_ context.Context, logPath, _ string) error {
+			var err error
+			if first, err = os.ReadFile(logPath); err != nil {
+				t.Error(err)
+			}
+			return errors.New("coordinator unreachable")
+		},
+		Logf: t.Logf,
+	})
+	if res.Outcome != ShardCompleted || res.CompleteErr == nil || res.Recorded != l.Jobs {
+		t.Fatalf("failed hand-in: outcome %d, %d of %d jobs recorded, hand-in error %v", res.Outcome, res.Recorded, l.Jobs, res.CompleteErr)
+	}
+	st, err := report.Open(dir)
+	if err != nil {
+		t.Fatalf("the kept shard store does not reopen: %v", err)
+	}
+	missing, _ := st.Missing()
+	if st.Len() != l.Jobs || len(missing) != 0 {
+		t.Fatalf("the kept shard store holds %d jobs and misses %d, want all %d", st.Len(), len(missing), l.Jobs)
+	}
+	st.Close()
+
+	res = RunShard(context.Background(), ShardRun{
+		Lease: l,
+		Dir:   dir,
+		Grid: sim.GridOptions{Workers: 1, Progress: func(_, _ int, job sim.GridJob, _ error) {
+			t.Errorf("the resumed shard executed %s", job)
+		}},
+		Heartbeat: heartbeat,
+		Complete: func(_ context.Context, logPath, failMsg string) error {
+			blob, err := os.ReadFile(logPath)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(blob, first) {
+				t.Errorf("the resumed hand-in carries other records:\n%q\nwant\n%q", blob, first)
+			}
+			_, err = s.completeShard(j, l.Shard, l.Token, "w0", failMsg, bytes.NewReader(blob))
+			return err
+		},
+		Logf: t.Logf,
+	})
+	if res.Outcome != ShardCompleted || res.CompleteErr != nil {
+		t.Fatalf("resumed shard: outcome %d, run error %v, hand-in error %v", res.Outcome, res.RunErr, res.CompleteErr)
+	}
+	if st := j.status(); st.Done != l.Jobs {
+		t.Fatalf("coordinator records %d jobs after the hand-in, want %d", st.Done, l.Jobs)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("a cleanly handed-in shard left %s behind (stat: %v)", dir, err)
+	}
+}
+
+// TestRunShardKeepsStoreOnLostLease: a revoked lease stops the shard
+// without a hand-in, and the store it keeps reopens with every job it
+// recorded, for a later lease of the shard to resume.
+func TestRunShardKeepsStoreOnLostLease(t *testing.T) {
+	s, j := coordinator(t, Options{ShardSize: 5, CurvePoints: 2})
+	l, err := s.lease(j, "w0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "shard")
+	res := RunShard(context.Background(), ShardRun{
+		Lease:      l,
+		Dir:        dir,
+		Grid:       sim.GridOptions{Workers: 1},
+		Heartbeat:  func(context.Context, int) error { return ErrLeaseLost },
+		BeatPerJob: true,
+		Complete: func(context.Context, string, string) error {
+			t.Error("a shard whose lease was lost handed a log in")
+			return nil
+		},
+		Logf: t.Logf,
+	})
+	if res.Outcome != ShardLeaseLost || res.Recorded == 0 {
+		t.Fatalf("lost lease: outcome %d with %d jobs recorded; want ShardLeaseLost after a recorded job", res.Outcome, res.Recorded)
+	}
+	st, err := report.Open(dir)
+	if err != nil {
+		t.Fatalf("the kept shard store does not reopen: %v", err)
+	}
+	defer st.Close()
+	if st.Len() != res.Recorded {
+		t.Fatalf("the kept shard store holds %d jobs, RunShard recorded %d", st.Len(), res.Recorded)
+	}
+}

@@ -20,7 +20,10 @@
 // worker re-runs the shard instead, determinism makes the duplicate
 // upload verify bit-for-bit. Workers are therefore disposable: kill any
 // of them at any time and the grid still merges to a summary
-// byte-identical to a single-process run.
+// byte-identical to a single-process run. A shard store whose upload the
+// coordinator accepted is deleted without an fsync, since the
+// coordinator fsyncs the records it absorbs before it answers; any other
+// is fsynced and kept for a later lease of its shard.
 package work
 
 import (

@@ -12,7 +12,8 @@
 #              EngineIngest, the live engine's end-to-end socket path whose
 #              mreq_per_s + allocs/op pin the zero-alloc line-rate contract,
 #              and GridGroups, the paper grid through the grid's lockstep
-#              groups at one and two workers)
+#              groups at one and two workers). BenchmarkShardHandIn stays
+#              out of it: its time is mostly the disk's fsyncs.
 #
 # The JSON schema is one object per benchmark:
 #   {"name": ..., "iterations": N, "ns_per_op": ..., "bytes_per_op": ...,

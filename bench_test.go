@@ -350,47 +350,14 @@ func BenchmarkAblationLazyVsEager(b *testing.B) { runFigure(b, "ext-lazy") }
 // figures.DefaultAlpha) — the ext-alpha figure.
 func BenchmarkAblationAlpha(b *testing.B) { runFigure(b, "ext-alpha") }
 
-// BenchmarkAblationClairvoyant compares online R-BMA against the
-// Belady-cache variant (perfect predictions; paper §5 future work).
-func BenchmarkAblationClairvoyant(b *testing.B) {
-	tr, model := serveWorkload(50)
-	tr = tr.Prefix(50000)
-	b.Run("online", func(b *testing.B) {
-		var total float64
-		for i := 0; i < b.N; i++ {
-			alg, _ := core.NewRBMA(50, 6, model, uint64(i))
-			total = 0
-			for _, req := range tr.Reqs {
-				total += alg.Serve(int(req.Src), int(req.Dst)).Total(model.Alpha)
-			}
-		}
-		b.ReportMetric(total, "total_cost")
-	})
-	b.Run("clairvoyant", func(b *testing.B) {
-		var total float64
-		for i := 0; i < b.N; i++ {
-			alg, err := core.NewClairvoyantRBMA(tr, 6, model)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total = 0
-			for _, req := range tr.Reqs {
-				total += alg.Serve(int(req.Src), int(req.Dst)).Total(model.Alpha)
-			}
-		}
-		b.ReportMetric(total, "total_cost")
-	})
-}
-
 // BenchmarkAblationBaselines lines up R-BMA against the wider baseline
-// family: BMA, windowed batch recomputation, greedy-no-evict, oblivious.
+// family: BMA, greedy-no-evict, rotor, oblivious.
 func BenchmarkAblationBaselines(b *testing.B) {
 	tr, model := serveWorkload(50)
 	tr = tr.Prefix(50000)
 	mk := map[string]func(i int) (core.Algorithm, error){
 		"r-bma":     func(i int) (core.Algorithm, error) { return core.NewRBMA(50, 6, model, uint64(i)) },
 		"bma":       func(i int) (core.Algorithm, error) { return core.NewBMA(50, 6, model) },
-		"batch-1k":  func(i int) (core.Algorithm, error) { return core.NewBatch(50, 6, model, 1000, 0.5) },
 		"noevict":   func(i int) (core.Algorithm, error) { return core.NewGreedyNoEvict(50, 6, model) },
 		"rotor":     func(i int) (core.Algorithm, error) { return core.NewRotor(50, 6, model, 100) },
 		"oblivious": func(i int) (core.Algorithm, error) { return core.NewOblivious(model) },
@@ -400,30 +367,6 @@ func BenchmarkAblationBaselines(b *testing.B) {
 			var total float64
 			for i := 0; i < b.N; i++ {
 				alg, err := f(i)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total = 0
-				for _, req := range tr.Reqs {
-					total += alg.Serve(int(req.Src), int(req.Dst)).Total(model.Alpha)
-				}
-			}
-			b.ReportMetric(total, "total_cost")
-		})
-	}
-}
-
-// BenchmarkAblationPrediction sweeps the prediction-noise level of the
-// prediction-augmented R-BMA (paper §5 future work): σ=0 is clairvoyant,
-// large σ approaches uninformed eviction.
-func BenchmarkAblationPrediction(b *testing.B) {
-	tr, model := serveWorkload(50)
-	tr = tr.Prefix(50000)
-	for _, sigma := range []float64{0, 0.5, 2, 8} {
-		b.Run(fmt.Sprintf("sigma=%g", sigma), func(b *testing.B) {
-			var total float64
-			for i := 0; i < b.N; i++ {
-				alg, err := core.NewPredictiveRBMA(tr, 6, model, sigma, uint64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -468,7 +411,6 @@ func BenchmarkPagingAccess(b *testing.B) {
 		"marking": paging.NewMarkingFactory,
 		"lru":     paging.NewLRUFactory,
 		"fifo":    paging.NewFIFOFactory,
-		"clock":   paging.NewCLOCKFactory,
 	}
 	for name, f := range factories {
 		b.Run(name, func(b *testing.B) {

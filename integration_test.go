@@ -60,9 +60,6 @@ func TestEndToEndPipeline(t *testing.T) {
 		{Name: "so-bma", FixedB: -1, New: func(b int, rep uint64) (core.Algorithm, error) {
 			return core.NewStaticFromTrace(tr, b, model)
 		}},
-		{Name: "batch", FixedB: -1, New: func(b int, rep uint64) (core.Algorithm, error) {
-			return core.NewBatch(24, b, model, 500, 0.8)
-		}},
 		{Name: "rotor", FixedB: -1, New: func(b int, rep uint64) (core.Algorithm, error) {
 			return core.NewRotor(24, b, model, 100)
 		}},
@@ -80,7 +77,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	// every demand-aware scheme beats oblivious; demand-aware beats the
 	// demand-oblivious rotor.
 	obl := finals["oblivious(b=0)"]
-	for _, name := range []string{"r-bma(b=4)", "bma(b=4)", "so-bma(b=4)", "batch(b=4)"} {
+	for _, name := range []string{"r-bma(b=4)", "bma(b=4)", "so-bma(b=4)"} {
 		if finals[name] >= obl {
 			t.Fatalf("%s (%v) should beat oblivious (%v)", name, finals[name], obl)
 		}

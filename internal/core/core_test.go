@@ -371,38 +371,3 @@ func TestStaticRespectsDegreeCap(t *testing.T) {
 		}
 	}
 }
-
-func TestClairvoyantRBMABeatsOrMatchesOnline(t *testing.T) {
-	model := testModel(10, 30)
-	tr, _ := trace.FacebookStyle(trace.FacebookPreset(trace.Database, 10, 13))
-	tr = tr.Prefix(30000)
-	alpha := model.Alpha
-
-	total := func(alg Algorithm) float64 {
-		var sum float64
-		for _, req := range tr.Reqs {
-			st := alg.Serve(int(req.Src), int(req.Dst))
-			sum += st.Total(alpha)
-		}
-		return sum
-	}
-	cv, err := NewClairvoyantRBMA(tr, 3, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cvCost := total(cv)
-	// Average online R-BMA over a few seeds.
-	var onSum float64
-	const seeds = 3
-	for s := uint64(0); s < seeds; s++ {
-		r, _ := NewRBMA(10, 3, model, s)
-		onSum += total(r)
-	}
-	onAvg := onSum / seeds
-	// Belady caches are not globally optimal for the matching problem, but
-	// they should not be dramatically worse than online marking; typically
-	// they are better. Allow 10% slack.
-	if cvCost > onAvg*1.10 {
-		t.Fatalf("clairvoyant cost %v far above online average %v", cvCost, onAvg)
-	}
-}

@@ -2,9 +2,9 @@
 // randomized online (b,a)-matching algorithm R-BMA (reduction to per-node
 // paging, §2), the deterministic online b-matching baseline BMA
 // (Bienkowski et al., PERFORMANCE 2020), the oblivious baseline (static
-// network only), the offline static maximum-weight b-matching SO-BMA, and a
-// clairvoyant R-BMA variant (Belady caches) exploring the paper's
-// future-work direction of prediction-augmented algorithms.
+// network only), the offline static maximum-weight b-matching SO-BMA, the
+// rotor and no-eviction baselines that the figure ablations run, and an
+// exact offline optimum for small instances.
 //
 // Cost model (paper §1.1): serving request e costs 1 if e is a matching
 // edge, else ℓ_e (the static-network distance); every edge added to or

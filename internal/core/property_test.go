@@ -41,13 +41,6 @@ func TestAllAlgorithmsSharedProperties(t *testing.T) {
 			}
 			return a
 		},
-		"batch": func() Algorithm {
-			a, err := NewBatch(n, 2, model, 37, 0.7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
-		},
 		"greedy-noevict": func() Algorithm {
 			a, err := NewGreedyNoEvict(n, 2, model)
 			if err != nil {

@@ -137,13 +137,6 @@ func (r *RBMA) MatchingSize() int { return r.m.Size() }
 
 func (r *RBMA) bmatching() *matching.BMatching { return r.m }
 
-// setCaches swaps in an externally built uniform layer (clairvoyant and
-// predictive variants). Items must be uint64(trace.PairID).
-func (r *RBMA) setCaches(cs []paging.Cache) {
-	r.bank = nil
-	r.caches = cs
-}
-
 // Reseed implements Reseeder: the instance restarts from the initial state
 // a fresh construction with the new seed would have, reusing every backing
 // table.

@@ -168,20 +168,19 @@ func TestEngineSnapshotDuringBatches(t *testing.T) {
 
 	// Snapshot continuously while the stream runs.
 	var (
-		wg    sync.WaitGroup
-		stop  = make(chan struct{})
-		blobs [][]byte
+		wg      sync.WaitGroup
+		stop    = make(chan struct{})
+		started = make(chan struct{}) // closed once the first snapshot is taken
+		once    sync.Once
+		blobs   [][]byte
 	)
+	signal := func() { once.Do(func() { close(started) }) }
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer signal() // a failed first snapshot must not leave the stream waiting
 		lastServed := uint64(math.MaxUint64)
 		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
 			var b bytes.Buffer
 			if err := s.Snapshot(&b); err != nil {
 				t.Errorf("snapshot during stream: %v", err)
@@ -194,8 +193,18 @@ func TestEngineSnapshotDuringBatches(t *testing.T) {
 				lastServed = served
 				blobs = append(blobs, b.Bytes())
 			}
+			signal()
+			select {
+			case <-stop:
+				return
+			default:
+			}
 		}
 	}()
+	// Stream only once the snapshotter runs: a goroutine first scheduled
+	// after the stream had ended would see stop closed and take no
+	// snapshot at all.
+	<-started
 	streamRange(t, e, addr, "hot", reqs, 0, total, batch)
 	close(stop)
 	wg.Wait()

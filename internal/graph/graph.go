@@ -1,11 +1,11 @@
 // Package graph provides the static-network substrate of the reproduction:
-// an undirected graph type, shortest-path computation, and generators for
-// the datacenter topologies used in the paper's evaluation (fat-tree) plus
-// several others (star, leaf-spine, ring, torus, hypercube, random regular).
+// an undirected graph type, BFS rack distances and shortest paths, and
+// generators for the fat-tree of the paper's evaluation and the star of
+// its lower-bound construction.
 //
 // In the paper's model the static network G = (V, F) determines the routing
 // cost ℓ_e of serving a request over the fixed infrastructure: the length of
-// a shortest path between the endpoints. The DistanceMatrix produced here is
+// a shortest path between the endpoints. The Metric produced here is
 // exactly that ℓ lookup.
 package graph
 

@@ -33,7 +33,7 @@ func TestPathEndpointsAndLength(t *testing.T) {
 }
 
 func TestVisitPathEdgesMatchesPath(t *testing.T) {
-	top := Ring(9)
+	top := FatTreeRacks(9)
 	oracle := top.Paths()
 	for u := 0; u < 9; u++ {
 		for v := 0; v < 9; v++ {

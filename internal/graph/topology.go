@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"fmt"
-
-	"obm/internal/stats"
-)
+import "fmt"
 
 // Topology bundles a static network with the subset of nodes that act as
 // racks (top-of-rack switches): the endpoints between which reconfigurable
@@ -197,25 +193,6 @@ func FatTreeMetric(n int) *Metric {
 	return m
 }
 
-// LeafSpine builds a two-tier Clos: every leaf connects to every spine.
-// Racks are the leaves; any two racks are at distance 2.
-func LeafSpine(leaves, spines int) *Topology {
-	if leaves < 1 || spines < 1 {
-		panic("graph: LeafSpine requires leaves, spines >= 1")
-	}
-	g := New(leaves + spines)
-	for l := 0; l < leaves; l++ {
-		for s := 0; s < spines; s++ {
-			g.MustAddEdge(l, leaves+s)
-		}
-	}
-	racks := make([]int, leaves)
-	for i := range racks {
-		racks[i] = i
-	}
-	return &Topology{g: g, racks: racks, name: fmt.Sprintf("leaf-spine(%d,%d)", leaves, spines)}
-}
-
 // Star builds a star on n+1 nodes: node 0 is the hub, nodes 1..n are leaves.
 // All n+1 nodes are racks. This is the topology of the paper's lower-bound
 // construction (Lemma 1): requests {v0, vi} have ℓ = 1.
@@ -232,112 +209,6 @@ func Star(nLeaves int) *Topology {
 		racks[i] = i
 	}
 	return &Topology{g: g, racks: racks, name: fmt.Sprintf("star(%d)", nLeaves)}
-}
-
-// Ring builds a cycle on n >= 3 nodes; all nodes are racks.
-func Ring(n int) *Topology {
-	if n < 3 {
-		panic("graph: Ring requires n >= 3")
-	}
-	g := New(n)
-	for i := 0; i < n; i++ {
-		g.MustAddEdge(i, (i+1)%n)
-	}
-	return &Topology{g: g, racks: allNodes(n), name: fmt.Sprintf("ring(%d)", n)}
-}
-
-// Torus2D builds a rows×cols wrap-around grid; all nodes are racks.
-// Both dimensions must be >= 3 to avoid parallel edges.
-func Torus2D(rows, cols int) *Topology {
-	if rows < 3 || cols < 3 {
-		panic("graph: Torus2D requires rows, cols >= 3")
-	}
-	g := New(rows * cols)
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			g.MustAddEdge(id(r, c), id(r, (c+1)%cols))
-			g.MustAddEdge(id(r, c), id((r+1)%rows, c))
-		}
-	}
-	return &Topology{g: g, racks: allNodes(rows * cols), name: fmt.Sprintf("torus(%dx%d)", rows, cols)}
-}
-
-// Hypercube builds a dim-dimensional hypercube on 2^dim nodes (all racks).
-func Hypercube(dim int) *Topology {
-	if dim < 1 || dim > 20 {
-		panic("graph: Hypercube requires 1 <= dim <= 20")
-	}
-	n := 1 << dim
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for b := 0; b < dim; b++ {
-			v := u ^ (1 << b)
-			if u < v {
-				g.MustAddEdge(u, v)
-			}
-		}
-	}
-	return &Topology{g: g, racks: allNodes(n), name: fmt.Sprintf("hypercube(%d)", dim)}
-}
-
-// Complete builds the complete graph on n nodes (all racks, all distances 1).
-func Complete(n int) *Topology {
-	if n < 1 {
-		panic("graph: Complete requires n >= 1")
-	}
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			g.MustAddEdge(u, v)
-		}
-	}
-	return &Topology{g: g, racks: allNodes(n), name: fmt.Sprintf("complete(%d)", n)}
-}
-
-// RandomRegular builds a random d-regular simple graph on n nodes using the
-// pairing model with restarts, then verifies connectivity (restarting if
-// needed). n*d must be even, d < n. All nodes are racks.
-func RandomRegular(n, d int, seed uint64) *Topology {
-	if n < 2 || d < 1 || d >= n || n*d%2 != 0 {
-		panic(fmt.Sprintf("graph: RandomRegular invalid (n=%d, d=%d)", n, d))
-	}
-	r := stats.NewRand(seed)
-	const maxAttempts = 1000
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		g := tryPairing(n, d, r)
-		if g != nil && g.Connected() {
-			return &Topology{g: g, racks: allNodes(n), name: fmt.Sprintf("random-regular(%d,%d)", n, d)}
-		}
-	}
-	panic("graph: RandomRegular failed to generate after many attempts")
-}
-
-func tryPairing(n, d int, r *stats.Rand) *Graph {
-	stubs := make([]int, 0, n*d)
-	for u := 0; u < n; u++ {
-		for i := 0; i < d; i++ {
-			stubs = append(stubs, u)
-		}
-	}
-	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	g := New(n)
-	for i := 0; i < len(stubs); i += 2 {
-		u, v := stubs[i], stubs[i+1]
-		if u == v || g.HasEdge(u, v) {
-			return nil
-		}
-		g.MustAddEdge(u, v)
-	}
-	return g
-}
-
-func allNodes(n int) []int {
-	r := make([]int, n)
-	for i := range r {
-		r[i] = i
-	}
-	return r
 }
 
 // AverageDistance returns the mean pairwise rack distance of the metric,

@@ -12,13 +12,7 @@ func TestAllTopologiesConnected(t *testing.T) {
 	tops := []*Topology{
 		FatTree(2), FatTree(4), FatTree(6), FatTree(8),
 		FatTreeRacks(1), FatTreeRacks(2), FatTreeRacks(13), FatTreeRacks(50), FatTreeRacks(100),
-		LeafSpine(1, 1), LeafSpine(10, 4), LeafSpine(3, 7),
 		Star(1), Star(2), Star(17),
-		Ring(3), Ring(10),
-		Torus2D(3, 3), Torus2D(4, 6),
-		Hypercube(1), Hypercube(3), Hypercube(6),
-		Complete(2), Complete(9),
-		RandomRegular(10, 3, 1), RandomRegular(12, 4, 2), RandomRegular(14, 4, 3),
 	}
 	for _, top := range tops {
 		t.Run(top.Name(), func(t *testing.T) {
@@ -70,37 +64,15 @@ func TestFatTreeEdgeCountFormula(t *testing.T) {
 
 func TestMetricAverageWithinDiameter(t *testing.T) {
 	if err := quick.Check(func(seed uint8) bool {
-		n := 6 + 2*int(seed%5) // even: n·d must be even for d=3
-		top := RandomRegular(n, 3, uint64(seed)+1)
-		m := top.Metric()
-		avg := m.AverageDistance()
-		return avg >= 1 && avg <= float64(m.Max())
+		n := 2 + int(seed%60)
+		for _, top := range []*Topology{FatTreeRacks(n), Star(n - 1)} {
+			m := top.Metric()
+			if avg := m.AverageDistance(); avg < 1 || avg > float64(m.Max()) {
+				return false
+			}
+		}
+		return true
 	}, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHypercubeDiameterIsDim(t *testing.T) {
-	for dim := 1; dim <= 7; dim++ {
-		if m := Hypercube(dim).Metric(); m.Max() != dim {
-			t.Fatalf("dim=%d: diameter %d", dim, m.Max())
-		}
-	}
-}
-
-func TestTorusDiameterFormula(t *testing.T) {
-	m := Torus2D(6, 8).Metric()
-	if m.Max() != 6/2+8/2 {
-		t.Fatalf("torus diameter %d, want 7", m.Max())
-	}
-}
-
-func TestLeafSpineSpinesNotRacks(t *testing.T) {
-	top := LeafSpine(5, 3)
-	if top.NumRacks() != 5 {
-		t.Fatalf("racks = %d", top.NumRacks())
-	}
-	if top.Graph().N() != 8 {
-		t.Fatalf("nodes = %d", top.Graph().N())
 	}
 }

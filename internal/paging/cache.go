@@ -3,9 +3,9 @@
 // pairs, and the randomized marking algorithm gives the O(log(b/(b-a+1)))
 // competitive ratio (Fiat et al. 1991; Young 1991 for the (b,a) analysis).
 //
-// The package also provides the deterministic algorithms used as ablation
-// baselines (LRU, FIFO, CLOCK, LFU, random eviction, flush-when-full) and
-// Belady's offline MIN for lower-bound comparisons.
+// The package also provides the caches that the ext-policy ablation runs
+// in R-BMA's place (LRU, FIFO, random eviction) and Belady's offline MIN,
+// the reference that the tests compare every online cache against.
 //
 // Cost model: paging algorithms pay 1 per fetch (miss); evictions are free
 // and bypassing is not allowed. These are the conventions of the paging

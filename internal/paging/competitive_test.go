@@ -56,32 +56,9 @@ func TestMarkingWithin2HkOPT(t *testing.T) {
 	}
 }
 
-// TestCLOCKApproximatesLRU confirms CLOCK stays within a modest factor of
-// LRU on locality-heavy sequences.
-func TestCLOCKApproximatesLRU(t *testing.T) {
-	r := stats.NewRand(47)
-	seq := make([]uint64, 30000)
-	cur := uint64(0)
-	for i := range seq {
-		if r.Bool(0.7) {
-			// Local: stay near the current item.
-			cur = (cur + uint64(r.Intn(3))) % 12
-		} else {
-			cur = uint64(r.Intn(30))
-		}
-		seq[i] = cur
-	}
-	k := 8
-	lru := Cost(NewLRUFactory, k, 0, seq)
-	clock := Cost(NewCLOCKFactory, k, 0, seq)
-	if float64(clock) > 1.5*float64(lru) {
-		t.Fatalf("CLOCK %d too far above LRU %d", clock, lru)
-	}
-}
-
 // TestHitRateOrderingOnZipf documents the expected hit-rate ordering on a
-// skewed i.i.d. workload: frequency-aware LFU ≥ recency algorithms ≥
-// random eviction.
+// skewed i.i.d. workload: recency (LRU) is no worse than random eviction
+// by more than a little.
 func TestHitRateOrderingOnZipf(t *testing.T) {
 	r := stats.NewRand(53)
 	z := stats.NewZipf(100, 1.1)
@@ -90,12 +67,8 @@ func TestHitRateOrderingOnZipf(t *testing.T) {
 		seq[i] = uint64(z.Sample(r))
 	}
 	k := 10
-	lfu := Cost(NewLFUFactory, k, 0, seq)
 	lru := Cost(NewLRUFactory, k, 0, seq)
 	rnd := Cost(NewRandomEvictFactory, k, 1, seq)
-	if lfu > lru {
-		t.Fatalf("LFU (%d) should beat LRU (%d) on i.i.d. Zipf", lfu, lru)
-	}
 	if float64(lru) > 1.1*float64(rnd) {
 		t.Fatalf("LRU (%d) should not trail random (%d) badly", lru, rnd)
 	}

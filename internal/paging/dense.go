@@ -83,10 +83,10 @@ type universeSizer interface {
 
 // DeclareUniverse declares that every item subsequently accessed on c is
 // drawn from [0, size), letting supporting implementations (Marking, LRU,
-// FIFO, CLOCK, LFU, RandomEvict) back their position maps with flat
-// []int32 slot tables. It reports whether c supports the dense path;
-// unsupported caches (MIN, Predictive) are left unchanged. The cache must
-// be empty; eviction decisions are bit-for-bit identical in both modes.
+// FIFO, RandomEvict) back their position maps with flat []int32 slot
+// tables. It reports whether c supports the dense path; an unsupported
+// cache (MIN) is left unchanged. The cache must be empty; eviction
+// decisions are bit-for-bit identical in both modes.
 func DeclareUniverse(c Cache, size int) bool {
 	d, ok := c.(universeSizer)
 	if !ok {

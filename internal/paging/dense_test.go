@@ -10,13 +10,10 @@ import (
 // dense-universe mode: same hits, same evictions, in the same order.
 func TestDenseUniverseEquivalence(t *testing.T) {
 	factories := map[string]Factory{
-		"marking":     NewMarkingFactory,
-		"marking-det": NewDeterministicMarkingFactory,
-		"random":      NewRandomEvictFactory,
-		"lru":         NewLRUFactory,
-		"fifo":        NewFIFOFactory,
-		"clock":       NewCLOCKFactory,
-		"lfu":         NewLFUFactory,
+		"marking": NewMarkingFactory,
+		"random":  NewRandomEvictFactory,
+		"lru":     NewLRUFactory,
+		"fifo":    NewFIFOFactory,
 	}
 	const (
 		k        = 7

@@ -81,97 +81,3 @@ func (c *FIFO) Reset() {
 	c.pos.reset(c.k)
 	c.start, c.count = 0, 0
 }
-
-// CLOCK approximates LRU with a second-chance bit per item.
-type CLOCK struct {
-	k     int
-	pos   posTable // item -> slot index
-	slots []clockSlot
-	hand  int
-	count int
-}
-
-type clockSlot struct {
-	item uint64
-	used bool
-	full bool
-}
-
-// NewCLOCK returns an empty CLOCK cache of capacity k.
-func NewCLOCK(k int) *CLOCK {
-	validateCap(k)
-	return &CLOCK{k: k, pos: newPosTable(k), slots: make([]clockSlot, k)}
-}
-
-// NewCLOCKFactory adapts NewCLOCK to the Factory signature.
-func NewCLOCKFactory(k int, _ uint64) Cache { return NewCLOCK(k) }
-
-// Name implements Cache.
-func (c *CLOCK) Name() string { return "clock" }
-
-// Cap implements Cache.
-func (c *CLOCK) Cap() int { return c.k }
-
-// Len implements Cache.
-func (c *CLOCK) Len() int { return c.count }
-
-// Contains implements Cache.
-func (c *CLOCK) Contains(item uint64) bool { return c.pos.contains(item) }
-
-// DeclareUniverse switches the position map to a flat slot table over items
-// [0, size). The cache must be empty.
-func (c *CLOCK) DeclareUniverse(size int) { c.pos.declareUniverse(size) }
-
-// Access implements Cache.
-func (c *CLOCK) Access(item uint64) (uint64, bool, bool) {
-	if i, ok := c.pos.get(item); ok {
-		c.slots[i].used = true
-		return 0, false, false
-	}
-	// Find a slot: first an empty one, otherwise sweep the hand.
-	if c.count < c.k {
-		for i := range c.slots {
-			if !c.slots[i].full {
-				c.slots[i] = clockSlot{item: item, used: true, full: true}
-				c.pos.set(item, int32(i))
-				c.count++
-				return 0, false, true
-			}
-		}
-	}
-	for {
-		s := &c.slots[c.hand]
-		if s.used {
-			s.used = false
-			c.hand = (c.hand + 1) % c.k
-			continue
-		}
-		evictedItem := s.item
-		c.pos.del(evictedItem)
-		*s = clockSlot{item: item, used: true, full: true}
-		c.pos.set(item, int32(c.hand))
-		c.hand = (c.hand + 1) % c.k
-		return evictedItem, true, true
-	}
-}
-
-// Items implements Cache.
-func (c *CLOCK) Items() []uint64 {
-	out := make([]uint64, 0, c.k)
-	for i := range c.slots {
-		if c.slots[i].full {
-			out = append(out, c.slots[i].item)
-		}
-	}
-	return out
-}
-
-// Reset implements Cache.
-func (c *CLOCK) Reset() {
-	c.pos.reset(c.k)
-	for i := range c.slots {
-		c.slots[i] = clockSlot{}
-	}
-	c.hand = 0
-	c.count = 0
-}

@@ -14,14 +14,13 @@ import "obm/internal/stats"
 // on item values, so a Marking cache behaves bit-for-bit identically in map
 // and dense-universe (DeclareUniverse) mode.
 type Marking struct {
-	k        int
-	rng      *stats.Rand
-	seed     uint64
-	pos      posTable // item -> index in slots
-	slots    []uint64 // cached items; [0, nMarked) are marked
-	nMarked  int
-	phases   int
-	detFirst bool // deterministic variant: evict first unmarked instead of random
+	k       int
+	rng     *stats.Rand
+	seed    uint64
+	pos     posTable // item -> index in slots
+	slots   []uint64 // cached items; [0, nMarked) are marked
+	nMarked int
+	phases  int
 }
 
 // NewMarking returns a randomized marking cache of capacity k seeded with
@@ -40,27 +39,8 @@ func NewMarking(k int, seed uint64) *Marking {
 // NewMarkingFactory adapts NewMarking to the Factory signature.
 func NewMarkingFactory(k int, seed uint64) Cache { return NewMarking(k, seed) }
 
-// NewDeterministicMarking returns the deterministic marking variant, which
-// always evicts the first unmarked item (k-competitive). Used as an ablation
-// baseline isolating the value of randomization.
-func NewDeterministicMarking(k int) *Marking {
-	m := NewMarking(k, 0)
-	m.detFirst = true
-	return m
-}
-
-// NewDeterministicMarkingFactory adapts NewDeterministicMarking to Factory.
-func NewDeterministicMarkingFactory(k int, _ uint64) Cache {
-	return NewDeterministicMarking(k)
-}
-
 // Name implements Cache.
-func (c *Marking) Name() string {
-	if c.detFirst {
-		return "marking-det"
-	}
-	return "marking"
-}
+func (c *Marking) Name() string { return "marking" }
 
 // Cap implements Cache.
 func (c *Marking) Cap() int { return c.k }
@@ -100,12 +80,9 @@ func (c *Marking) Access(item uint64) (uint64, bool, bool) {
 			c.phases++
 			c.nMarked = 0
 		}
-		// Evict an unmarked item: uniform random, or first for the
-		// deterministic variant. Unmarked items live at [nMarked, len).
-		idx := c.nMarked
-		if !c.detFirst {
-			idx += c.rng.Intn(len(c.slots) - c.nMarked)
-		}
+		// Evict a uniformly random unmarked item. Unmarked items live at
+		// [nMarked, len).
+		idx := c.nMarked + c.rng.Intn(len(c.slots)-c.nMarked)
 		evictedItem = c.slots[idx]
 		evicted = true
 		last := len(c.slots) - 1

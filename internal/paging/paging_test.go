@@ -10,13 +10,10 @@ import (
 // allFactories enumerates every online Cache implementation for shared
 // property tests.
 var allFactories = map[string]Factory{
-	"lru":         NewLRUFactory,
-	"fifo":        NewFIFOFactory,
-	"clock":       NewCLOCKFactory,
-	"lfu":         NewLFUFactory,
-	"marking":     NewMarkingFactory,
-	"marking-det": NewDeterministicMarkingFactory,
-	"random":      NewRandomEvictFactory,
+	"lru":     NewLRUFactory,
+	"fifo":    NewFIFOFactory,
+	"marking": NewMarkingFactory,
+	"random":  NewRandomEvictFactory,
 }
 
 func TestCacheNeverExceedsCapacity(t *testing.T) {
@@ -115,18 +112,6 @@ func TestFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestLFUKeepsFrequentItem(t *testing.T) {
-	c := NewLFU(2)
-	c.Access(1)
-	c.Access(1)
-	c.Access(1)
-	c.Access(2)
-	ev, _, _ := c.Access(3) // 2 has freq 1, 1 has freq 3
-	if ev != 2 {
-		t.Fatalf("LFU should evict 2, evicted %d", ev)
-	}
-}
-
 func TestMarkingPhaseStructure(t *testing.T) {
 	c := NewMarking(3, 5)
 	// Fill and mark all: 1,2,3. Then 4 starts a new phase.
@@ -168,19 +153,6 @@ func TestMarkingNeverEvictsMarked(t *testing.T) {
 				marked[it] = true
 			}
 		}
-	}
-}
-
-func TestMarkingDeterministicVariantIsDeterministic(t *testing.T) {
-	seq := make([]uint64, 3000)
-	r := stats.NewRand(2)
-	for i := range seq {
-		seq[i] = uint64(r.Intn(9))
-	}
-	a := Cost(NewDeterministicMarkingFactory, 4, 1, seq)
-	b := Cost(NewDeterministicMarkingFactory, 4, 999, seq)
-	if a != b {
-		t.Fatal("deterministic marking must ignore the seed")
 	}
 }
 
@@ -296,20 +268,6 @@ func TestMarkingCompetitiveOnAdversarialCycle(t *testing.T) {
 	// 2·H_8 ≈ 5.4; allow slack but catch gross breakage.
 	if ratio > 8 {
 		t.Fatalf("marking ratio %.2f exceeds theory bound region", ratio)
-	}
-}
-
-func TestFWFFlushesEverything(t *testing.T) {
-	c := NewFWF(3)
-	for _, v := range []uint64{1, 2, 3} {
-		c.Access(v)
-	}
-	evs, miss := c.Access(4)
-	if !miss || len(evs) != 3 {
-		t.Fatalf("FWF should flush 3 items, flushed %d", len(evs))
-	}
-	if c.Len() != 1 || !c.Contains(4) {
-		t.Fatal("FWF post-flush state wrong")
 	}
 }
 

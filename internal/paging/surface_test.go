@@ -6,19 +6,15 @@ import (
 )
 
 // TestCacheSurface exercises the full Cache interface surface (Name, Cap,
-// Items, Reset) on every implementation, including the sequence-bound ones.
+// Items, Reset) on every implementation, including the sequence-bound MIN.
 func TestCacheSurface(t *testing.T) {
 	seq := []uint64{5, 9, 5, 2, 7, 9, 2}
 	caches := map[string]Cache{
-		"lru":         NewLRU(3),
-		"fifo":        NewFIFO(3),
-		"clock":       NewCLOCK(3),
-		"lfu":         NewLFU(3),
-		"marking":     NewMarking(3, 1),
-		"marking-det": NewDeterministicMarking(3),
-		"random":      NewRandomEvict(3, 1),
-		"min":         NewMIN(3, seq),
-		"predictive":  NewPredictive(3, seq, 0.5, 1),
+		"lru":     NewLRU(3),
+		"fifo":    NewFIFO(3),
+		"marking": NewMarking(3, 1),
+		"random":  NewRandomEvict(3, 1),
+		"min":     NewMIN(3, seq),
 	}
 	for name, c := range caches {
 		t.Run(name, func(t *testing.T) {
@@ -50,7 +46,7 @@ func TestCacheSurface(t *testing.T) {
 			if c.Len() != 0 || len(c.Items()) != 0 {
 				t.Fatal("Reset did not clear")
 			}
-			// Sequence-bound caches must replay identically after Reset.
+			// A sequence-bound cache must replay identically after Reset.
 			for _, it := range seq {
 				c.Access(it)
 			}
@@ -58,22 +54,5 @@ func TestCacheSurface(t *testing.T) {
 				t.Fatal("cache unusable after Reset")
 			}
 		})
-	}
-}
-
-// TestFWFSurface covers the flush-when-full type separately (it has its own
-// multi-eviction Access signature).
-func TestFWFSurface(t *testing.T) {
-	c := NewFWF(2)
-	if c.Cap() != 2 || c.Len() != 0 {
-		t.Fatal("fresh FWF state wrong")
-	}
-	c.Access(1)
-	if evs, miss := c.Access(1); miss || evs != nil {
-		t.Fatal("hit mishandled")
-	}
-	c.Access(2)
-	if !c.Contains(1) || !c.Contains(2) {
-		t.Fatal("contents wrong")
 	}
 }

@@ -15,7 +15,7 @@ type serveOnly struct{ core.Algorithm }
 // A replay through ServeChunk must produce exactly the curves a replay
 // through Serve(u, v) produces, for algorithms with the dense fast path
 // (R-BMA, eager R-BMA, BMA, oblivious, SO-BMA) and for a fallback
-// algorithm that has none (Batch).
+// algorithm that has none (rotor).
 func TestRunCompiledMatchesRun(t *testing.T) {
 	const n = 20
 	top := graph.FatTreeRacks(n)
@@ -39,7 +39,7 @@ func TestRunCompiledMatchesRun(t *testing.T) {
 		"bma":       func() (core.Algorithm, error) { return core.NewBMA(n, 4, model) },
 		"oblivious": func() (core.Algorithm, error) { return core.NewOblivious(model) },
 		"so-bma":    func() (core.Algorithm, error) { return core.NewStaticFromTrace(tr, 4, model) },
-		"batch":     func() (core.Algorithm, error) { return core.NewBatch(n, 4, model, 1000, 0.5) },
+		"rotor":     func() (core.Algorithm, error) { return core.NewRotor(n, 4, model, 100) },
 	}
 	for name, mk := range algs {
 		t.Run(name, func(t *testing.T) {
@@ -55,7 +55,7 @@ func TestRunCompiledMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, fast := a2.(core.CompiledServer); !fast && name != "batch" {
+			if _, fast := a2.(core.CompiledServer); !fast && name != "rotor" {
 				t.Errorf("%s lost its ServeChunk fast path", name)
 			}
 			compiled, err := RunSource(a2, ct.Source(), model.Alpha, checkpoints, 0)

@@ -16,7 +16,7 @@ import (
 // replay produces, bit for bit. CheckSnapshotEquivalence asserts that for
 // one (algorithm, source, snapshot point) triple; snapshot_equiv_test.go
 // sweeps it over the paper's trace families × algorithms × shard counts ×
-// snapshot points, and the engine's tests reuse it over real TCP.
+// snapshot points.
 
 // CheckSnapshotEquivalence verifies the snapshot/restore equivalence
 // contract:

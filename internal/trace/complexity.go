@@ -88,60 +88,6 @@ func topShare(weights []float64, k, total int) float64 {
 	return s / float64(total)
 }
 
-// Autocorrelation returns the probability that the request at lag steps
-// after a request to pair p is again p, averaged over the trace, for each
-// lag in 1..maxLag. For an i.i.d. trace this is flat at Σ p_i² (the
-// collision probability); temporal structure shows as elevated short lags.
-func Autocorrelation(t *Trace, maxLag int) []float64 {
-	if maxLag < 1 {
-		panic("trace: Autocorrelation requires maxLag >= 1")
-	}
-	out := make([]float64, maxLag)
-	n := len(t.Reqs)
-	for lag := 1; lag <= maxLag; lag++ {
-		if n <= lag {
-			break
-		}
-		same := 0
-		for i := lag; i < n; i++ {
-			if t.Reqs[i].Key() == t.Reqs[i-lag].Key() {
-				same++
-			}
-		}
-		out[lag-1] = float64(same) / float64(n-lag)
-	}
-	return out
-}
-
-// InterArrivals returns, for the pair with the most requests, the gaps
-// (in requests) between its consecutive occurrences — a direct view of
-// burstiness. Returns nil when no pair occurs twice.
-func InterArrivals(t *Trace) []int {
-	counts := t.PairCounts()
-	var best PairKey
-	bestC := 0
-	for k, c := range counts {
-		if c > bestC || (c == bestC && k < best) {
-			best, bestC = k, c
-		}
-	}
-	if bestC < 2 {
-		return nil
-	}
-	var gaps []int
-	last := -1
-	for i, r := range t.Reqs {
-		if r.Key() != best {
-			continue
-		}
-		if last >= 0 {
-			gaps = append(gaps, i-last)
-		}
-		last = i
-	}
-	return gaps
-}
-
 func meanWindowUnique(reqs []Request, window int) float64 {
 	if len(reqs) == 0 {
 		return 0

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# unlinked.sh — list the internal/ functions that no binary links.
+# unlinked.sh — list the internal/ functions that no binary links, and
+# check the list against the committed one, scripts/unlinked.txt.
 #
 # Usage:
-#   scripts/unlinked.sh    summary line, per-package counts, the list
+#   scripts/unlinked.sh    summary line, per-package counts, the list,
+#                          then the comparison with scripts/unlinked.txt
 #
 # Builds every entry point (cmd/*, examples/*, and the obmbench harness,
 # a module of its own) with inlining off (-gcflags=all=-l), so a function
@@ -15,7 +17,10 @@
 # are matched. Closures (`F.func1`) and init functions are not counted.
 # A function's lines run from its `func` line to its closing brace.
 #
-# Print-only: it always exits 0 once the binaries build.
+# It exits 1 when the scan differs from scripts/unlinked.txt: a function
+# that is newly unlinked, or a listed one that is now linked or gone. That
+# file groups its entries under a one-line reason each; names are symbols
+# as the list below prints them.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -72,6 +77,7 @@ NR == FNR { linked[$0] = 1; next }
     if (!($1 in linked)) {
         n++; ulines += $2; pn[pkg]++; pl[pkg] += $2
         list[n] = sprintf("  %-64s %4d", $1, $2)
+        print $1 > unlinked
     }
 }
 END {
@@ -81,4 +87,23 @@ END {
     close("sort")
     print "functions (lines):"
     for (i = 1; i <= n; i++) print list[i]
-}' "$tmp/linked" "$tmp/declared"
+}' unlinked="$tmp/unlinked" "$tmp/linked" "$tmp/declared"
+
+touch "$tmp/unlinked"
+committed=scripts/unlinked.txt
+{ grep -v -e '^#' -e '^$' "$committed" || true; } | sort > "$tmp/listed"
+sort "$tmp/unlinked" > "$tmp/found"
+comm -13 "$tmp/listed" "$tmp/found" > "$tmp/new"
+comm -23 "$tmp/listed" "$tmp/found" > "$tmp/gone"
+if [ -s "$tmp/new" ] || [ -s "$tmp/gone" ]; then
+    if [ -s "$tmp/new" ]; then
+        echo "newly unlinked, missing from $committed:"
+        sed 's/^/  /' "$tmp/new"
+    fi
+    if [ -s "$tmp/gone" ]; then
+        echo "listed in $committed, but now linked or gone:"
+        sed 's/^/  /' "$tmp/gone"
+    fi
+    exit 1
+fi
+echo "matches $committed"

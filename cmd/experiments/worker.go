@@ -25,10 +25,10 @@ func workerMain(args []string) {
 	var (
 		coordinator = fs.String("coordinator", "", "base URL of the experiment service (required), e.g. http://127.0.0.1:8080")
 		capacity    = fs.Int("capacity", 1, "shard leases executed concurrently by this worker")
-		workdir     = fs.String("workdir", "work", "directory for in-flight shard stores (kept across restarts for resume)")
+		workdir     = fs.String("workdir", "work", "directory for the shard stores that outlive their first heartbeat tick or a failed upload (kept across restarts for resume)")
 		name        = fs.String("name", "", "worker name in coordinator logs (default <hostname>-<pid>)")
 		gridWorkers = fs.Int("grid-workers", 0, "sim worker pool per shard (0 = GOMAXPROCS)")
-		ckEvery     = fs.Int("checkpoint-every", 0, "checkpoint in-flight grid jobs every N requests so a restarted worker resumes inside them (0 = off)")
+		ckEvery     = fs.Int("checkpoint-every", 0, "checkpoint in-flight grid jobs every N requests, in memory until the shard store is written out, so a restarted worker resumes inside them (0 = off)")
 		poll        = fs.Duration("poll", 2*time.Second, "idle wait between lease attempts when nothing is leasable")
 		metricsAddr = fs.String("metrics", "", "address to serve GET /metrics (obm_work_* + obm_grid_* series) and /healthz on (empty = off)")
 	)

@@ -45,12 +45,6 @@ func NewPartition(n, shards int) (Partition, error) {
 	return Partition{n: n, shards: shards, idx: trace.SharedPairIndex(n)}, nil
 }
 
-// N returns the rack-universe size.
-func (p Partition) N() int { return p.n }
-
-// Shards returns the shard count.
-func (p Partition) Shards() int { return p.shards }
-
 // OfRow returns the shard owning node row u.
 func (p Partition) OfRow(u int) int { return u % p.shards }
 

@@ -101,10 +101,6 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// Registry returns the engine's metrics registry (the one serving
-// GET /metrics).
-func (e *Engine) Registry() *obs.Registry { return e.reg }
-
 // collect emits the dynamic per-session series at scrape time, in sorted
 // session order so the exposition is deterministic.
 func (e *Engine) collect(x *obs.Exposition) {

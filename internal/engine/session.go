@@ -160,9 +160,6 @@ func newSession(id string, cfg SessionConfig) (*Session, error) {
 // ID returns the session's name.
 func (s *Session) ID() string { return s.id }
 
-// Config returns the session's defaults-filled config.
-func (s *Session) Config() SessionConfig { return s.cfg }
-
 // hello snapshots the fields of a helloOK frame.
 func (s *Session) hello() HelloInfo {
 	s.mu.Lock()

@@ -50,17 +50,6 @@ func MaxWeightMatching(n int, edges []WeightedEdge, maxCardinality bool) []int {
 	return mate
 }
 
-// MatchingWeight sums the weights of the matched edges described by mate.
-func MatchingWeight(edges []WeightedEdge, mate []int) float64 {
-	var w float64
-	for _, e := range edges {
-		if mate[e.U] == e.V {
-			w += e.W
-		}
-	}
-	return w
-}
-
 type blossomSolver struct {
 	nvertex        int
 	edges          []WeightedEdge

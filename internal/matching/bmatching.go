@@ -69,9 +69,6 @@ func (m *BMatching) pairBit(u, v int) int {
 	return u*(2*m.n-u-1)/2 + (v - u - 1)
 }
 
-// N returns the node count.
-func (m *BMatching) N() int { return m.n }
-
 // B returns the degree cap.
 func (m *BMatching) B() int { return m.b }
 

@@ -66,11 +66,3 @@ func (h *Histogram) Summary() Summary {
 		P999:  h.h.Quantile(0.999),
 	}
 }
-
-// Snapshot copies the underlying distribution (for merging or offline
-// analysis).
-func (h *Histogram) Snapshot() stats.Histogram {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h
-}

@@ -47,12 +47,6 @@ func NewMarkingBank(n, k, universe int, master *stats.Rand) *MarkingBank {
 	return b
 }
 
-// N returns the number of caches.
-func (b *MarkingBank) N() int { return b.n }
-
-// Cap returns each cache's capacity.
-func (b *MarkingBank) Cap() int { return b.k }
-
 // Len returns the number of items cached at cache c.
 func (b *MarkingBank) Len(c int) int { return int(b.lens[c]) }
 

@@ -27,6 +27,13 @@
 // Open detects a torn tail, drops it, and the next run redoes just that
 // job. Every record carries a CRC, so a changed byte anywhere else fails
 // Open with snap.ErrCorrupt instead of becoming a result.
+//
+// A store can also be staged (Stage), for a fleet shard's store that a
+// clean hand-in deletes: it holds the same job log, byte for byte, and
+// each in-flight job's newest checkpoint in memory, and writes them to
+// its directory, the manifest last, only when WriteOut or Close asks.
+// Image returns the job log a worker hands in, from memory or from
+// jobs.log.
 package report
 
 import (

@@ -42,7 +42,9 @@ func (r jobRecord) validate() error {
 
 // Store is an open run store: the manifest, its grid planned once, and
 // the completed-job log, loaded into memory for Lookup and kept open for
-// appends. Every method is safe for concurrent use.
+// appends. A store that Stage made holds its job log and checkpoints in
+// memory until it is written out. Every method is safe for concurrent
+// use.
 type Store struct {
 	dir      string
 	manifest Manifest
@@ -50,14 +52,28 @@ type Store struct {
 	planned  map[sim.GridJob]bool // the jobs of plan, for Absorb
 	owned    []sim.GridJob        // the manifest shard's jobs: a subslice of plan.Jobs
 
-	mu       sync.Mutex
-	log      *wal.Log
+	mu  sync.Mutex
+	log *wal.Log
+	// image is a staged store's job log: Header and one frame per
+	// record, the bytes jobs.log would hold. It is nil once the log is
+	// on disk, and after Close or Remove.
+	image    []byte
 	outcomes map[sim.GridJob]sim.JobOutcome
 	// truncated counts crash-torn trailing records dropped by Open.
 	truncated int
 
 	ckMu    sync.Mutex
 	ckPaths map[sim.GridJob]string // in-flight jobs' checkpoint files (checkpointPath)
+	// ckBlobs holds a staged store's checkpoints, each in-flight job's
+	// newest blob. It is nil once checkpoints go to files.
+	ckBlobs map[sim.GridJob][]byte
+
+	// outMu orders WriteOut, Close and Remove. staged is set from Stage
+	// until a write-out finishes, Close or Remove; begun once a write-out
+	// started, so the directory may hold some of the store's files.
+	outMu  sync.Mutex
+	staged bool
+	begun  bool
 }
 
 // Create initializes dir (created if needed) as a new run store with the
@@ -84,6 +100,79 @@ func Create(dir string, m Manifest) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// Stage makes a run store for dir with the given manifest, as Create
+// does, but keeps it in memory: its job log and each in-flight job's
+// newest checkpoint stay there until WriteOut or Close writes them to
+// dir, and Remove drops them without touching the disk. It suits a
+// store that usually ends before a write would pay, such as a fleet
+// shard's, which a clean hand-in deletes. Stage reads nothing on disk,
+// so the caller checks that dir holds no store it must keep.
+func Stage(dir string, m Manifest) (*Store, error) {
+	if m.FormatVersion != FormatVersion {
+		return nil, fmt.Errorf("report: manifest format v%d, want v%d (build it with NewManifest)", m.FormatVersion, FormatVersion)
+	}
+	s, err := newStore(dir, m)
+	if err != nil {
+		return nil, err
+	}
+	s.image = []byte(wal.Header)
+	s.ckBlobs = make(map[sim.GridJob][]byte)
+	s.staged = true
+	return s, nil
+}
+
+// WriteOut writes a staged store to its directory: the job-log image,
+// then each in-flight job's newest checkpoint, and manifest.json last,
+// so a directory that a failed write-out leaves behind is no store
+// (Exists keys off the manifest) and the next Stage or Create replaces
+// it. Later appends and checkpoint saves go to the files, as in a store
+// that Create made, and nothing is synced before Close. A store on disk
+// is left as it is; a write-out that failed can be retried.
+func (s *Store) WriteOut() error {
+	s.outMu.Lock()
+	defer s.outMu.Unlock()
+	return s.writeOutLocked()
+}
+
+// writeOutLocked is WriteOut's body. Callers hold s.outMu.
+func (s *Store) writeOutLocked() error {
+	if !s.staged {
+		return nil
+	}
+	s.begun = true
+	err := os.MkdirAll(s.dir, 0o755)
+	if err == nil {
+		err = s.writeOutLog()
+	}
+	if err == nil {
+		err = s.writeOutCheckpoints()
+	}
+	if err == nil {
+		err = writeManifest(s.dir, s.manifest)
+	}
+	if err != nil {
+		return fmt.Errorf("report: writing out %s: %w", s.dir, err)
+	}
+	s.staged = false
+	return nil
+}
+
+// writeOutLog writes the job-log image to jobs.log, where later appends
+// go.
+func (s *Store) writeOutLog() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.image == nil {
+		return nil // an earlier write-out wrote it
+	}
+	log, err := wal.CreateImage(s.LogPath(), s.image)
+	if err != nil {
+		return err
+	}
+	s.log, s.image = log, nil
+	return nil
 }
 
 // newStore plans m's grid, and cuts its shard out of it: the one plan
@@ -222,21 +311,40 @@ func encodeRecord(rec jobRecord) ([]byte, error) {
 }
 
 // appendLocked appends payload, the encoded record of a job the store
-// does not hold yet, and records it. Callers hold s.mu.
+// does not hold yet, and records it: to the image of a staged store, to
+// jobs.log otherwise. Callers hold s.mu.
 func (s *Store) appendLocked(j sim.GridJob, o sim.JobOutcome, payload []byte) error {
-	if s.log == nil {
+	switch {
+	case s.image != nil:
+		if len(payload) > wal.MaxRecord {
+			return fmt.Errorf("report: appending job %s: record of %d bytes exceeds max %d", j, len(payload), wal.MaxRecord)
+		}
+		s.image = wal.AppendFrame(s.image, payload)
+	case s.log == nil:
 		return fmt.Errorf("%w: %s", ErrClosed, s.dir)
-	}
-	if err := s.log.Append(payload); err != nil {
-		return fmt.Errorf("report: appending job %s: %w", j, err)
+	default:
+		if err := s.log.Append(payload); err != nil {
+			return fmt.Errorf("report: appending job %s: %w", j, err)
+		}
 	}
 	s.record(j, o)
 	return nil
 }
 
-// LogPath returns the path of the store's job log (jobs.log) — what a
-// fleet worker uploads to the coordinator when its shard completes.
+// LogPath returns the path of the store's job log (jobs.log).
 func (s *Store) LogPath() string { return filepath.Join(s.dir, jobsFile) }
+
+// Image returns the store's job log as one log image, what a fleet
+// worker hands in when its shard ends: a staged store's image, or what
+// jobs.log holds. The caller must not modify it.
+func (s *Store) Image() ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.image != nil {
+		return s.image[:len(s.image):len(s.image)], nil
+	}
+	return os.ReadFile(s.LogPath())
+}
 
 // ErrClosed marks an Append or Absorb on a closed store.
 var ErrClosed = errors.New("report: store is closed")
@@ -341,7 +449,8 @@ func (s *Store) Missing() ([]sim.GridJob, error) {
 
 // GridOptions wires the store into grid options: Lookup resumes from the
 // log, Persist appends to it, the checkpoint hooks read and write
-// <dir>/checkpoints/, and the manifest's shard layout and curve
+// <dir>/checkpoints/ (a staged store's memory until it is written out),
+// and the manifest's shard layout and curve
 // checkpointing are applied. The remaining knobs (workers, chunk size,
 // checkpoint interval, progress) are taken from base — mid-job
 // checkpoints are only written when base.CheckpointEvery > 0, but a
@@ -375,7 +484,8 @@ func (s *Store) RunContext(ctx context.Context, base sim.GridOptions) (*sim.Grid
 	return sim.RunGridContext(ctx, s.manifest.Specs, s.GridOptions(base))
 }
 
-// Sync flushes the append log to stable storage.
+// Sync flushes the append log to stable storage. A staged store's log
+// is not on disk yet, so there is nothing to sync.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -385,29 +495,43 @@ func (s *Store) Sync() error {
 	return s.log.Sync()
 }
 
-// Close syncs and closes the append log. Lookup and read accessors keep
-// working; Append does not.
+// Close writes a staged store out, then syncs and closes the append
+// log. Lookup and read accessors keep working; Append does not.
 func (s *Store) Close() error {
+	s.outMu.Lock()
+	defer s.outMu.Unlock()
+	err := s.writeOutLocked()
+	s.staged = false
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log == nil {
-		return nil
+	s.image = nil
+	if s.log != nil {
+		serr := s.log.Sync()
+		if cerr := s.log.Close(); serr == nil {
+			serr = cerr
+		}
+		err = errors.Join(err, serr)
+		s.log = nil
 	}
-	err := s.log.Sync()
-	if cerr := s.log.Close(); err == nil {
-		err = cerr
-	}
-	s.log = nil
 	return err
 }
 
 // Remove closes the append log without syncing it and deletes the
 // store's directory — the caller has handed the records to a store that
-// made them durable, so nothing here must survive. Lookup and read
-// accessors keep working; Append does not.
+// made them durable, so nothing here must survive. A staged store that
+// no write-out began is dropped without touching the disk. Lookup and
+// read accessors keep working; Append does not.
 func (s *Store) Remove() error {
+	s.outMu.Lock()
+	defer s.outMu.Unlock()
+	inMemory := s.staged && !s.begun
+	s.staged = false
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.image = nil
+	if inMemory {
+		return nil
+	}
 	var err error
 	if s.log != nil {
 		err = s.log.Close()

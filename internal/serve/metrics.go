@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"obm/internal/obs"
-	"obm/internal/sim"
-)
+import "obm/internal/obs"
 
 // serverMetrics are the coordinator-wide obm_serve_* series. Updates are
 // single atomic adds at the lifecycle points they name; queue depth and
@@ -61,11 +58,3 @@ func (s *Server) collect(x *obs.Exposition) {
 			obs.Label{Key: "state", Value: string(st)})
 	}
 }
-
-// Registry returns the server's metrics registry (the one serving
-// GET /metrics).
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// GridMetrics returns the obm_grid_* instruments wired into the local
-// workers' shard runs, for callers embedding the server.
-func (s *Server) GridMetrics() *sim.Metrics { return s.sim }

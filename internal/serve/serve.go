@@ -32,7 +32,7 @@
 //	    ├── manifest.json    (written at submission — the durable queue; created_at orders it)
 //	    ├── jobs.log         (job log: appended as shard logs are absorbed; held open while the job is live)
 //	    ├── lease.wal        (lease journal, from the job's first lease until it finishes)
-//	    ├── shards/          (local workers' shard stores, removed when the job finishes)
+//	    ├── shards/          (local workers' shard stores that outlived a heartbeat tick or a hand-in; removed when the job finishes)
 //	    ├── summary.csv      (rendered on completion)
 //	    └── report.md        (rendered on completion)
 //
@@ -47,6 +47,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -599,13 +600,8 @@ func (s *Server) runLocalShard(j *job, l Lease, name string) {
 			return err
 		},
 		BeatPerJob: true,
-		Complete: func(_ context.Context, logPath, failMsg string) error {
-			log, err := os.Open(logPath)
-			if err != nil {
-				return err
-			}
-			defer log.Close()
-			_, err = s.completeShard(j, l.Shard, l.Token, name, failMsg, log)
+		Complete: func(_ context.Context, log []byte, failMsg string) error {
+			_, err := s.completeShard(j, l.Shard, l.Token, name, failMsg, bytes.NewReader(log))
 			return err
 		},
 		Logf: logf,

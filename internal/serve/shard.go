@@ -16,32 +16,39 @@ import (
 // RunShard: fleet workers (internal/work) reach the coordinator over
 // HTTP, the coordinator's local workers call its lease table directly,
 // and only the ShardRun callbacks differ. A shard store is an ordinary
-// sharded run store, so a worker stopped mid-shard resumes its own
-// partial log on its next lease of the shard, and a different worker
-// re-running it uploads records that determinism makes verify.
+// sharded run store, staged in memory until the shard outlives its first
+// heartbeat tick or ends on a path that keeps it, so a worker stopped
+// mid-shard resumes its own partial log on its next lease of the shard,
+// and a different worker re-running it uploads records that determinism
+// makes verify.
 
 // ShardRun is one leased shard to execute.
 type ShardRun struct {
 	Lease Lease
-	// Dir is the shard store, stable per (job, shard) so a re-lease
-	// resumes it.
+	// Dir is where the shard store is written once the shard outlives
+	// its first heartbeat tick or ends on a path that keeps the store,
+	// and where a store kept before is resumed. It is stable per (job,
+	// shard) so a re-lease resumes it. A shard handed in cleanly within
+	// its first tick never creates it.
 	Dir string
 	// Grid carries the replay knobs (workers, chunk size, checkpoints,
 	// metrics); the store sets the rest.
 	Grid sim.GridOptions
-	// Heartbeat renews the lease every TTL/3, reporting done, the grid
-	// jobs in the shard store. ErrLeaseLost stops the run at its next
-	// chunk boundary; other errors are logged and retried on the next tick.
+	// Heartbeat renews the lease every max(TTL/3, 10ms), reporting done,
+	// the grid jobs in the shard store. ErrLeaseLost stops the run at
+	// its next chunk boundary; other errors are logged and retried on
+	// the next tick.
 	Heartbeat func(ctx context.Context, done int) error
 	// BeatPerJob also heartbeats after every finished grid job.
 	BeatPerJob bool
-	// Complete hands the log at logPath to the coordinator; failMsg is
-	// empty after a clean run. ctx may already be cancelled. The log is
-	// not yet fsynced: a nil return must mean the coordinator has made
-	// its records durable, because the shard store is then deleted.
-	Complete func(ctx context.Context, logPath, failMsg string) error
+	// Complete hands log, the shard store's job-log image, to the
+	// coordinator; failMsg is empty after a clean run. ctx may already be
+	// cancelled, and log must not be modified. The records are in memory
+	// or in an unsynced file: a nil return must mean the coordinator has
+	// made them durable, because the shard store is then deleted.
+	Complete func(ctx context.Context, log []byte, failMsg string) error
 	// Logf receives the resume notice, heartbeat errors and the errors
-	// of keeping or removing the shard store.
+	// of writing out, keeping or removing the shard store.
 	Logf func(format string, args ...any)
 }
 
@@ -53,7 +60,7 @@ const (
 	ShardFailed                        // the grid failed; its partial log was handed in with the error
 	ShardHandedOff                     // ctx ended mid-run; the partial log was handed in, so the shard requeues at once
 	ShardLeaseLost                     // the lease was revoked; nothing was handed in
-	ShardNotRun                        // the shard store could not be opened or created
+	ShardNotRun                        // the shard store could not be opened or staged
 )
 
 // ShardResult reports a finished RunShard.
@@ -66,12 +73,17 @@ type ShardResult struct {
 
 // RunShard executes r.Lease: it rebuilds the shard's manifest, refuses to
 // run unless its spec hash reproduces the job id and its own cut of the
-// grid gives the shard the lease's job count, resumes or creates the
-// shard store at r.Dir, replays the shard's jobs while heartbeating every
-// TTL/3, and hands the log in through r.Complete. The shard store is
-// fsynced only if it outlives the hand-in: after a clean hand-in it is
-// deleted unsynced, and in every other outcome it is synced and kept for
-// a later lease of the same shard.
+// grid gives the shard the lease's job count, resumes the shard store at
+// r.Dir or stages a fresh one in memory, replays the shard's jobs while
+// heartbeating every max(TTL/3, 10ms), and hands the job-log image in
+// through r.Complete. A staged store is written to r.Dir at the first
+// heartbeat tick that finds the shard still running. After a clean
+// hand-in the store is deleted unsynced, or just dropped if it never
+// reached the disk; in every other outcome it is written out if it is
+// still staged, synced and kept for a later lease of the same shard. A
+// worker killed outright within a shard's first tick therefore re-runs
+// that tick's jobs, which costs less than the lease TTL the coordinator
+// waits before the shard can be leased again.
 func RunShard(ctx context.Context, r ShardRun) ShardResult {
 	l := r.Lease
 	store, err := openShardStore(r)
@@ -103,12 +115,19 @@ func RunShard(ctx context.Context, r ShardRun) ShardResult {
 		defer close(ticking)
 		t := time.NewTicker(max(time.Duration(l.TTLMS)*time.Millisecond/3, 10*time.Millisecond))
 		defer t.Stop()
-		for {
+		for first := true; ; first = false {
 			select {
 			case <-runCtx.Done():
 				return
 			case <-t.C:
 				beat()
+			}
+			if first {
+				// The shard outlived a tick: keep its store on disk, so a
+				// killed worker resumes it. A failure is retried at Close.
+				if err := store.WriteOut(); err != nil {
+					r.Logf("writing out shard store %s: %v", r.Dir, err)
+				}
 			}
 		}
 	}()
@@ -128,7 +147,11 @@ func RunShard(ctx context.Context, r ShardRun) ShardResult {
 		res.Outcome, res.RunErr, failMsg = ShardFailed, runErr, runErr.Error()
 	}
 	if res.Outcome != ShardLeaseLost {
-		res.CompleteErr = r.Complete(ctx, store.LogPath(), failMsg)
+		log, err := store.Image()
+		if err == nil {
+			err = r.Complete(ctx, log, failMsg)
+		}
+		res.CompleteErr = err
 	}
 	if res.Outcome == ShardCompleted && res.CompleteErr == nil {
 		// The coordinator made the records durable before it answered.
@@ -143,7 +166,7 @@ func RunShard(ctx context.Context, r ShardRun) ShardResult {
 	return res
 }
 
-// openShardStore creates (or resumes) the shard store for r.Lease. A
+// openShardStore stages (or resumes) the shard store for r.Lease. A
 // worker must never burn CPU on a grid whose identity it cannot prove, so
 // the lease's manifest must hash to the job id, and the shard this
 // build's rule cuts must hold the lease's job count: a coordinator built
@@ -151,7 +174,7 @@ func RunShard(ctx context.Context, r ShardRun) ShardResult {
 // runs, and requeue the shard forever. A shard store is only a
 // resume cache — the coordinator's store holds the truth — so one that
 // cannot be opened, or that holds a different shard, is logged, removed
-// and created afresh rather than blocking the shard.
+// and staged afresh rather than blocking the shard.
 func openShardStore(r ShardRun) (*report.Store, error) {
 	l := r.Lease
 	shard := report.Shard{Index: l.Shard, Count: l.Shards}
@@ -188,5 +211,5 @@ func openShardStore(r ShardRun) (*report.Store, error) {
 			return nil, err
 		}
 	}
-	return report.Create(r.Dir, m)
+	return report.Stage(r.Dir, m)
 }

@@ -9,9 +9,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"obm/internal/obs"
 	"obm/internal/report"
 	"obm/internal/sim"
+	"obm/internal/wal/waltest"
 )
 
 // TestRunShardReplacesUnusableShardStore: a shard store is only a resume
@@ -86,11 +89,8 @@ func TestRunShardReplacesUnusableShardStore(t *testing.T) {
 						_, err := s.heartbeat(j, l.Shard, l.Token, done)
 						return err
 					},
-					Complete: func(_ context.Context, logPath, failMsg string) error {
-						blob, err := os.ReadFile(logPath)
-						if err == nil {
-							_, err = s.completeShard(j, l.Shard, l.Token, "w0", failMsg, bytes.NewReader(blob))
-						}
+					Complete: func(_ context.Context, log []byte, failMsg string) error {
+						_, err := s.completeShard(j, l.Shard, l.Token, "w0", failMsg, bytes.NewReader(log))
 						return err
 					},
 					Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) },
@@ -132,7 +132,7 @@ func TestRunShardRefusesShardRuleSkew(t *testing.T) {
 			t.Error("a refused shard heartbeats")
 			return nil
 		},
-		Complete: func(context.Context, string, string) error {
+		Complete: func(context.Context, []byte, string) error {
 			t.Error("a refused shard hands a log in")
 			return nil
 		},
@@ -149,7 +149,9 @@ func TestRunShardRefusesShardRuleSkew(t *testing.T) {
 // TestRunShardKeepsStoreOnFailedHandIn: a shard store outlives a failed
 // hand-in with every job of the shard, so the next lease of the shard
 // resumes it whole: it executes no grid job, hands in the same records,
-// and removes the store once the coordinator has absorbed them.
+// and removes the store once the coordinator has absorbed them. The
+// first hand-in is the staged image and the second the file written out
+// from it, so the two being equal pins the write-out byte for byte.
 func TestRunShardKeepsStoreOnFailedHandIn(t *testing.T) {
 	s, j := coordinator(t, Options{ShardSize: 5, CurvePoints: 2})
 	l, err := s.lease(j, "w0")
@@ -167,11 +169,8 @@ func TestRunShardKeepsStoreOnFailedHandIn(t *testing.T) {
 		Dir:       dir,
 		Grid:      sim.GridOptions{Workers: 1},
 		Heartbeat: heartbeat,
-		Complete: func(_ context.Context, logPath, _ string) error {
-			var err error
-			if first, err = os.ReadFile(logPath); err != nil {
-				t.Error(err)
-			}
+		Complete: func(_ context.Context, log []byte, _ string) error {
+			first = bytes.Clone(log)
 			return errors.New("coordinator unreachable")
 		},
 		Logf: t.Logf,
@@ -196,15 +195,11 @@ func TestRunShardKeepsStoreOnFailedHandIn(t *testing.T) {
 			t.Errorf("the resumed shard executed %s", job)
 		}},
 		Heartbeat: heartbeat,
-		Complete: func(_ context.Context, logPath, failMsg string) error {
-			blob, err := os.ReadFile(logPath)
-			if err != nil {
-				return err
-			}
+		Complete: func(_ context.Context, blob []byte, failMsg string) error {
 			if !bytes.Equal(blob, first) {
 				t.Errorf("the resumed hand-in carries other records:\n%q\nwant\n%q", blob, first)
 			}
-			_, err = s.completeShard(j, l.Shard, l.Token, "w0", failMsg, bytes.NewReader(blob))
+			_, err := s.completeShard(j, l.Shard, l.Token, "w0", failMsg, bytes.NewReader(blob))
 			return err
 		},
 		Logf: t.Logf,
@@ -236,7 +231,7 @@ func TestRunShardKeepsStoreOnLostLease(t *testing.T) {
 		Grid:       sim.GridOptions{Workers: 1},
 		Heartbeat:  func(context.Context, int) error { return ErrLeaseLost },
 		BeatPerJob: true,
-		Complete: func(context.Context, string, string) error {
+		Complete: func(context.Context, []byte, string) error {
 			t.Error("a shard whose lease was lost handed a log in")
 			return nil
 		},
@@ -252,5 +247,147 @@ func TestRunShardKeepsStoreOnLostLease(t *testing.T) {
 	defer st.Close()
 	if st.Len() != res.Recorded {
 		t.Fatalf("the kept shard store holds %d jobs, RunShard recorded %d", st.Len(), res.Recorded)
+	}
+}
+
+// fullShardLease leases the whole grid of specs as one shard, the way a
+// coordinator would, with the given lease TTL.
+func fullShardLease(t *testing.T, specs []sim.ScenarioSpec, ttl time.Duration) Lease {
+	t.Helper()
+	m, err := report.NewManifest("shard-test", specs, 2, report.Shard{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := m.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Lease{
+		JobID: m.SpecHash, Shards: 1, Jobs: len(plan.Jobs), Token: "tok", TTLMS: ttl.Milliseconds(),
+		Name: m.Name, CurvePoints: m.CurvePoints, Specs: m.Specs,
+	}
+}
+
+// TestRunShardStagesCleanShardInMemory: a shard handed in cleanly within
+// its first heartbeat tick keeps its store, checkpoints included, in
+// memory: r.Dir exists neither mid-run nor after the hand-in, and the
+// handed-in image holds every job of the shard.
+func TestRunShardStagesCleanShardInMemory(t *testing.T) {
+	specs := []sim.ScenarioSpec{{
+		Name: "staged", Family: "uniform", Racks: 8, Requests: 5000, Seed: 5,
+		Bs: []int{2}, Reps: 3, Algs: []string{"r-bma", "oblivious"},
+	}}
+	l := fullShardLease(t, specs, time.Hour)
+	dir := filepath.Join(t.TempDir(), "shard")
+	noDir := func(when string) {
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s: the shard store is on disk at %s (stat: %v)", when, dir, err)
+		}
+	}
+	var handedIn []byte
+	met := sim.NewMetrics(obs.NewRegistry())
+	res := RunShard(context.Background(), ShardRun{
+		Lease: l,
+		Dir:   dir,
+		Grid: sim.GridOptions{Workers: 1, ChunkSize: 256, CheckpointEvery: 1000, Metrics: met,
+			Progress: func(int, int, sim.GridJob, error) { noDir("mid-run") }},
+		Heartbeat: func(context.Context, int) error { return nil },
+		Complete: func(_ context.Context, log []byte, failMsg string) error {
+			noDir("at the hand-in")
+			handedIn = bytes.Clone(log)
+			return nil
+		},
+		Logf: t.Logf,
+	})
+	if res.Outcome != ShardCompleted || res.CompleteErr != nil || res.Recorded != l.Jobs {
+		t.Fatalf("clean shard: outcome %d, %d of %d jobs recorded, run error %v, hand-in error %v",
+			res.Outcome, res.Recorded, l.Jobs, res.RunErr, res.CompleteErr)
+	}
+	noDir("after the hand-in")
+	if n := len(waltest.Records(t, handedIn)); n != l.Jobs {
+		t.Fatalf("the handed-in image holds %d records, want %d", n, l.Jobs)
+	}
+	if met.SaveNS.Summary().Count == 0 {
+		t.Fatal("the shard saved no checkpoint, so none was kept in memory")
+	}
+}
+
+// TestRunShardWritesOutStoreAtFirstTick: a shard that outlives its first
+// heartbeat tick (a 30 ms TTL ticks at 10 ms) has its store on disk
+// mid-run, and a run of it cancelled after that resumes from disk: the
+// next lease executes only the jobs the first run did not record.
+func TestRunShardWritesOutStoreAtFirstTick(t *testing.T) {
+	spec := func(name string, seed uint64) sim.ScenarioSpec {
+		return sim.ScenarioSpec{Name: name, Family: "uniform", Racks: 8, Requests: 1200, Seed: seed,
+			Bs: []int{2}, Reps: 2, Algs: []string{"oblivious"}}
+	}
+	// Two scenarios make two groups, which one grid worker runs in turn:
+	// the first group's jobs finish before the second group starts.
+	l := fullShardLease(t, []sim.ScenarioSpec{spec("tick-a", 3), spec("tick-b", 4)}, 30*time.Millisecond)
+	dir := filepath.Join(t.TempDir(), "shard")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var checked bool
+	res := RunShard(ctx, ShardRun{
+		Lease: l,
+		Dir:   dir,
+		Grid: sim.GridOptions{Workers: 1, Progress: func(done, _ int, _ sim.GridJob, _ error) {
+			if checked {
+				return
+			}
+			checked = true
+			// Hold the grid inside its first finished job until the first
+			// tick has written the store out, then stop the run.
+			for deadline := time.Now().Add(10 * time.Second); !report.Exists(dir); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Error("no store on disk 10 s into a shard whose heartbeat ticks every 10 ms")
+					break
+				}
+			}
+			log, err := os.ReadFile(filepath.Join(dir, "jobs.log"))
+			if err != nil {
+				t.Error(err)
+			} else if n := len(waltest.Records(t, log)); n != done {
+				t.Errorf("mid-run, the job log on disk holds %d records, want %d", n, done)
+			}
+			cancel()
+		}},
+		Heartbeat: func(context.Context, int) error { return nil },
+		Complete:  func(context.Context, []byte, string) error { return nil },
+		Logf:      t.Logf,
+	})
+	if res.Outcome != ShardHandedOff || res.Recorded == 0 || res.Recorded == l.Jobs {
+		t.Fatalf("cancelled shard: outcome %d with %d of %d jobs recorded; want a handoff of part of the shard",
+			res.Outcome, res.Recorded, l.Jobs)
+	}
+
+	var logged []string
+	var executed int
+	var handedIn []byte
+	res2 := RunShard(context.Background(), ShardRun{
+		Lease:     l,
+		Dir:       dir,
+		Grid:      sim.GridOptions{Workers: 1, Progress: func(int, int, sim.GridJob, error) { executed++ }},
+		Heartbeat: func(context.Context, int) error { return nil },
+		Complete: func(_ context.Context, log []byte, _ string) error {
+			handedIn = bytes.Clone(log)
+			return nil
+		},
+		Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) },
+	})
+	if res2.Outcome != ShardCompleted || res2.CompleteErr != nil {
+		t.Fatalf("resumed shard: outcome %d, run error %v, hand-in error %v", res2.Outcome, res2.RunErr, res2.CompleteErr)
+	}
+	if !strings.Contains(strings.Join(logged, "\n"), "resuming shard") {
+		t.Errorf("the second lease did not resume the store on disk: %q", logged)
+	}
+	if executed != l.Jobs-res.Recorded {
+		t.Errorf("the resumed shard executed %d jobs, want the %d the first run did not record", executed, l.Jobs-res.Recorded)
+	}
+	if n := len(waltest.Records(t, handedIn)); n != l.Jobs {
+		t.Errorf("the resumed hand-in holds %d records, want %d", n, l.Jobs)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("a cleanly handed-in shard left %s behind (stat: %v)", dir, err)
 	}
 }

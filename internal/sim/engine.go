@@ -52,9 +52,6 @@ type Series struct {
 	Reconfig []float64
 }
 
-// Total returns Routing[i] + Reconfig[i].
-func (s *Series) Total(i int) float64 { return s.Routing[i] + s.Reconfig[i] }
-
 // RunResult is the outcome of replaying one trace through one algorithm.
 type RunResult struct {
 	Series            Series

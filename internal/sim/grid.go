@@ -117,7 +117,8 @@ type GridOptions struct {
 	// makes the outcome identical.
 	CheckpointEvery int
 	// SaveCheckpoint persists one job's mid-flight checkpoint blob,
-	// replacing any previous one. Errors abort the grid like a Persist
+	// replacing any previous one. The blob is the hook's to keep: the
+	// replay never writes it again. Errors abort the grid like a Persist
 	// failure (a broken checkpoint store is a broken store).
 	SaveCheckpoint func(GridJob, []byte) error
 	// LoadCheckpoint returns a job's previously saved checkpoint blob, if

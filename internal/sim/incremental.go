@@ -73,9 +73,6 @@ func (in *Incremental) Init(alg core.Algorithm, alpha float64) {
 // Algorithm returns the driven instance.
 func (in *Incremental) Algorithm() core.Algorithm { return in.alg }
 
-// Alpha returns the reconfiguration cost the totals are folded under.
-func (in *Incremental) Alpha() float64 { return in.alpha }
-
 // Feed serves one compiled request and folds its cost into the totals: a
 // one-request chunk, from a buffer inside the struct so that it does not
 // allocate.

@@ -69,9 +69,6 @@ func NewAlias(weights []float64) *Alias {
 	return a
 }
 
-// N returns the support size of the distribution.
-func (a *Alias) N() int { return len(a.prob) }
-
 // Sample draws one index distributed according to the table's weights.
 func (a *Alias) Sample(r *Rand) int {
 	i := r.Intn(len(a.prob))

@@ -27,12 +27,6 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{alias: NewAlias(w), s: s, n: n}
 }
 
-// N returns the support size.
-func (z *Zipf) N() int { return z.n }
-
-// S returns the exponent.
-func (z *Zipf) S() float64 { return z.s }
-
 // Sample draws one rank in [0, n).
 func (z *Zipf) Sample(r *Rand) int { return z.alias.Sample(r) }
 

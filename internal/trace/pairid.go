@@ -70,9 +70,6 @@ func SharedPairIndex(n int) *PairIndex {
 	return x.(*PairIndex)
 }
 
-// N returns the number of racks.
-func (x *PairIndex) N() int { return x.n }
-
 // NumPairs returns the universe size n·(n−1)/2.
 func (x *PairIndex) NumPairs() int { return len(x.epU) }
 

@@ -65,12 +65,17 @@ type Log struct {
 }
 
 // Create truncates any existing log at path and starts a fresh one.
-func Create(path string) (*Log, error) {
+func Create(path string) (*Log, error) { return CreateImage(path, []byte(Header)) }
+
+// CreateImage truncates any existing log at path and writes image, a log
+// image built as Header plus AppendFrame frames, in one write: the log
+// then holds image's records and is positioned for appends.
+func CreateImage(path string, image []byte) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.WriteString(Header); err != nil {
+	if _, err := f.Write(image); err != nil {
 		f.Close()
 		return nil, err
 	}

@@ -14,16 +14,20 @@
 // supplies the HTTP side of those calls: heartbeats, and uploads retried
 // across coordinator restarts.
 //
-// Shard stores live under Options.Dir, keyed by (job, shard), so a
+// A shard store starts in memory and is written under Options.Dir,
+// keyed by (job, shard), once its shard outlives the first heartbeat
+// tick (a third of the lease TTL) or ends without a clean upload, so a
 // worker that crashes or is cancelled mid-shard resumes its own partial
 // log the next time it leases the same shard — and if a *different*
 // worker re-runs the shard instead, determinism makes the duplicate
 // upload verify bit-for-bit. Workers are therefore disposable: kill any
 // of them at any time and the grid still merges to a summary
-// byte-identical to a single-process run. A shard store whose upload the
-// coordinator accepted is deleted without an fsync, since the
-// coordinator fsyncs the records it absorbs before it answers; any other
-// is fsynced and kept for a later lease of its shard.
+// byte-identical to a single-process run; a worker killed within a
+// shard's first tick just re-runs what it had done of it. A shard store
+// whose upload the coordinator accepted is dropped, or deleted without
+// an fsync if it reached the disk, since the coordinator fsyncs the
+// records it absorbs before it answers; any other is written out,
+// fsynced and kept for a later lease of its shard.
 package work
 
 import (
@@ -58,9 +62,10 @@ type Options struct {
 	// Capacity is the number of shard leases executed concurrently
 	// (default 1). Each shard internally parallelizes per GridWorkers.
 	Capacity int
-	// Dir is where shard run stores are kept while a shard executes
-	// (default "work"). A store left behind by a kill is resumed when
-	// this worker re-leases the same shard.
+	// Dir is where a shard's run store is written once the shard outlives
+	// its first heartbeat tick, or ends without a clean upload (default
+	// "work"). A store left behind is resumed when this worker re-leases
+	// the same shard.
 	Dir string
 	// GridWorkers sizes the sim worker pool inside each shard run
 	// (default GOMAXPROCS).
@@ -69,9 +74,12 @@ type Options struct {
 	// algorithm state to the shard store roughly every that many requests
 	// (sim.GridOptions.CheckpointEvery), so a killed worker that re-leases
 	// the same shard resumes inside partially replayed jobs instead of
-	// restarting them. Checkpoints are local to this worker's shard store;
-	// a different worker re-running the shard replays from the last
-	// completed job, and determinism keeps the outcomes identical.
+	// restarting them. The store holds each job's newest checkpoint in
+	// memory until it is written out, so only a shard that outlives its
+	// first heartbeat tick keeps checkpoints on disk. Checkpoints are
+	// local to this worker's shard store; a different worker re-running
+	// the shard replays from the last completed job, and determinism keeps
+	// the outcomes identical.
 	CheckpointEvery int
 	// Poll is how long to wait between lease attempts when the
 	// coordinator has nothing to lease (default 2s).
@@ -361,8 +369,8 @@ func (r *Runner) runShard(ctx context.Context, l serve.Lease) bool {
 			Workloads:       r.jobWorkloadsFor(l),
 		},
 		Heartbeat: func(ctx context.Context, done int) error { return r.heartbeat(ctx, l, done) },
-		Complete: func(ctx context.Context, logPath, failMsg string) error {
-			return r.upload(ctx, l, logPath, failMsg)
+		Complete: func(ctx context.Context, log []byte, failMsg string) error {
+			return r.upload(ctx, l, log, failMsg)
 		},
 		Logf: func(format string, args ...any) {
 			r.opt.Logf("work: %s "+format, append([]any{r.opt.Name}, args...)...)
@@ -427,24 +435,20 @@ func (r *Runner) heartbeat(ctx context.Context, l serve.Lease, done int) error {
 // the first — comfortably past a coordinator restart.
 const uploadAttempts = 6
 
-// upload POSTs the shard's job log to the complete endpoint. The
-// request is detached from the worker's shutdown cancellation (with its
-// own timeout): the shard's compute is already paid for, so a worker
-// told to stop right as a shard finishes still delivers it instead of
-// abandoning a completed log.
+// upload POSTs log, the shard's job-log image, to the complete
+// endpoint. The request is detached from the worker's shutdown
+// cancellation (with its own timeout): the shard's compute is already
+// paid for, so a worker told to stop right as a shard finishes still
+// delivers it instead of abandoning a completed log.
 //
 // Transport errors and 5xx answers retry with doubling backoff — that is
 // exactly what a coordinator mid-restart looks like (connection refused,
 // then 503, then a recovered lease table). Client-class answers are
 // final: a coordinator that *judged* the upload and rejected it will not
 // change its mind on a resend.
-func (r *Runner) upload(ctx context.Context, l serve.Lease, logPath, failMsg string) error {
+func (r *Runner) upload(ctx context.Context, l serve.Lease, log []byte, failMsg string) error {
 	uploadCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Minute)
 	defer cancel()
-	blob, err := os.ReadFile(logPath)
-	if err != nil && !os.IsNotExist(err) {
-		return err
-	}
 	q := neturl.Values{"token": {l.Token}, "worker": {r.opt.Name}}
 	if failMsg != "" {
 		q.Set("failed", failMsg)
@@ -464,7 +468,7 @@ func (r *Runner) upload(ctx context.Context, l serve.Lease, logPath, failMsg str
 			}
 			backoff *= 2
 		}
-		req, err := http.NewRequestWithContext(uploadCtx, http.MethodPost, url, bytes.NewReader(blob))
+		req, err := http.NewRequestWithContext(uploadCtx, http.MethodPost, url, bytes.NewReader(log))
 		if err != nil {
 			return err
 		}

@@ -264,10 +264,7 @@ func TestFleetDrainWithKilledWorker(t *testing.T) {
 // a restart), retries with backoff, and treats client-class rejections
 // as final.
 func TestUploadRetriesAcrossCoordinatorBlip(t *testing.T) {
-	logPath := filepath.Join(t.TempDir(), "jobs.log")
-	if err := os.WriteFile(logPath, []byte("{\"k\":1}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	log := []byte("{\"k\":1}\n")
 
 	var calls, status int
 	var lastBody []byte
@@ -300,7 +297,7 @@ func TestUploadRetriesAcrossCoordinatorBlip(t *testing.T) {
 	// 5xx answers retry until the coordinator recovers.
 	calls, status = 0, http.StatusServiceUnavailable
 	r := newRunner(nil)
-	if err := r.upload(context.Background(), l, logPath, ""); err != nil {
+	if err := r.upload(context.Background(), l, log, ""); err != nil {
 		t.Fatalf("upload through 503s: %v", err)
 	}
 	if calls != 3 {
@@ -323,7 +320,7 @@ func TestUploadRetriesAcrossCoordinatorBlip(t *testing.T) {
 		}
 		return http.DefaultTransport.RoundTrip(req)
 	}))
-	if err := r.upload(context.Background(), l, logPath, ""); err != nil {
+	if err := r.upload(context.Background(), l, log, ""); err != nil {
 		t.Fatalf("upload through transport errors: %v", err)
 	}
 	if transportCalls != 3 || calls != 1 {
@@ -333,7 +330,7 @@ func TestUploadRetriesAcrossCoordinatorBlip(t *testing.T) {
 	// A 4xx verdict is final: the coordinator judged the upload.
 	calls, status = 0, http.StatusConflict
 	r = newRunner(nil)
-	if err := r.upload(context.Background(), l, logPath, ""); err == nil {
+	if err := r.upload(context.Background(), l, log, ""); err == nil {
 		t.Fatal("409 upload reported success")
 	}
 	if calls != 1 {
